@@ -816,6 +816,10 @@ def _best_cells_per_sec(doc: dict, scale: str) -> float | None:
     return max(run["cells_per_sec"] for run in record["runs"].values())
 
 
+#: ``--check`` floor on ``kernel_speedup_hops_per_sec`` (heap-c over heap).
+KERNEL_SPEEDUP_FLOOR = 1.8
+
+
 def check_regression(doc: dict, committed_path: Path) -> int:
     """Exit status: non-zero on a regression.
 
@@ -901,20 +905,23 @@ def check_regression(doc: dict, committed_path: Path) -> int:
                 file=sys.stderr,
             )
             status = 1
-        # The kernel must stay a *speedup*: measured 2.05x at record time,
-        # gated at 1.5x so hosted-runner noise cannot flake the job while
-        # a real fast-path regression (compiled methods silently
-        # delegating to Python) still fails crisply.
+        # The kernel must stay a *speedup*: measured 2.75x at record time
+        # with the native event heap, gated at about two-thirds of that so
+        # hosted-runner noise cannot flake the job while a real fast-path
+        # regression (compiled methods silently delegating to Python)
+        # still fails crisply. The list-of-tuples heap it replaced measured
+        # 1.98x, above this floor: going back to it would show only in the
+        # heap-c walls, whose gate is the loose 2x rule above.
         speedup = doc.get("kernel_speedup_hops_per_sec")
         if speedup is not None:
             print(
                 f"perf-smoke [heap-c]: {speedup}x hops/sec vs py kernel "
-                f"(floor 1.5x)"
+                f"(floor {KERNEL_SPEEDUP_FLOOR}x)"
             )
-            if speedup < 1.5:
+            if speedup < KERNEL_SPEEDUP_FLOOR:
                 print(
-                    "perf-smoke: FAIL — compiled kernel speedup below 1.5x "
-                    "(fast path not engaging?)",
+                    "perf-smoke: FAIL — compiled kernel speedup below "
+                    f"{KERNEL_SPEEDUP_FLOOR}x (fast path not engaging?)",
                     file=sys.stderr,
                 )
                 status = 1

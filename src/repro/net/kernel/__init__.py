@@ -15,27 +15,39 @@ loop, selected with ``REPRO_KERNEL`` (mirroring ``REPRO_SCHEDULER`` /
   ``py`` (with a one-time warning) when the compiled module is absent.
 * ``auto`` (default) — ``c`` when the compiled module imports, else ``py``.
 
-Design: **one data layout, two method implementations.** The compiled
-kernel does not introduce parallel data structures — it is a set of C
-functions that read and write the *existing* ``__slots__`` of
-``Simulator`` / ``Port`` / ``Packet`` / ``Host`` / ``SwitchNode`` through
-member-descriptor offsets, plus thin subclasses (:mod:`.engine`) that
-rebind only the hot methods to those C implementations. The heap is the
-same list of ``(time_ps, seq, callback, args)`` tuples, packets are the
-same free-listed ``Packet`` objects, trains are the same
-``(group, pos)`` entries. Mixing kernels is therefore safe by
-construction (a pure-Python callback scheduled on a compiled simulator
-dispatches identically), and bit-identity reduces to the C code
-replicating the Python control flow — which the differential tests pin
-per scheduler x coalesce x executor.
+Design: **one data layout, two method implementations — except the
+event heap.** The compiled kernel is a set of C functions that read and
+write the *existing* ``__slots__`` of ``Simulator`` / ``Port`` /
+``Packet`` / ``Host`` / ``SwitchNode`` through member-descriptor
+offsets, plus thin subclasses (:mod:`.engine`) that rebind only the hot
+methods to those C implementations. Packets are the same free-listed
+``Packet`` objects and trains the same ``(group, pos)`` entries.
+
+The event heap is the one structure the kernels do not share. A native
+sampling profile of the fig07 Clos 25%-load cell under ``c`` (SIGPROF
+instruction-pointer samples) put 35% of engine time in unboxing the
+oracle's ``(time_ps, seq, callback, args)`` tuples — ``PyLong_AsLongLong``
+takes a byte-array round trip for every value >= 2**30 ps — and 11% in
+the sift. So ``CKSimulator`` keeps a native ``_ckernel.EventHeap`` in its
+``_heap`` slot: a binary heap of ``{int64 time, int64 seq, callback,
+args}`` structs that also owns the sequence counter. Keys are unique, so
+it dispatches in the oracle's ``(time, seq)`` order bit for bit, and its
+``len()`` keeps ``pending`` identical. What stays shared: the clock,
+every counter slot, the callbacks and their args tuples. Python code
+that schedules onto a compiled simulator — the pure-Python bodies the C
+entry points fall back to — goes through ``sim.at`` / ``at_many``, never
+``heapq``; a simulator without a native heap (a plain ``Simulator``, the
+wheel scheduler) keeps the oracle's structures, and every C path that
+would schedule onto it delegates to the pure-Python implementation.
+Bit-identity reduces to the C code replicating the Python control flow —
+which the differential tests pin per scheduler x coalesce x executor.
 
 The compiled module is built by ``setup.py`` (``pip install -e .`` or
 ``python setup.py build_ext --inplace``) from the hand-written CPython
 extension ``_ckernel.c`` (mypyc/Cython are not part of the pinned
-toolchain, and hand-written C manipulates the ``__slots__`` layout and
-heap entries with zero per-event allocation); the extension is declared
-optional, so a missing compiler degrades to the pure-Python kernel
-instead of failing the install.
+toolchain, and hand-written C manipulates the ``__slots__`` layout
+directly); the extension is declared optional, so a missing compiler
+degrades to the pure-Python kernel instead of failing the install.
 
 **The failure seam.** Live failure injection (``repro.core.faults`` +
 ``OperaSimNetwork.install_failures``) adds *zero* kernel code. Two

@@ -1,32 +1,39 @@
 /* Compiled engine kernel: the enqueue/serialize/dispatch hot path in C.
  *
- * Design: ONE data layout, TWO method implementations. This module does
- * not define any data structures of its own — every function reads and
- * writes the existing `__slots__` of the pure-Python engine classes
- * (Simulator / Port / Packet / Host / SwitchNode / PortStats) through
- * member-descriptor offsets captured at init time, and the event heap
- * stays the same Python list of (time_ps, seq, callback, args) tuples.
- * The pure-Python engine therefore remains the differential oracle: a
- * REPRO_KERNEL=c run must be bit-identical to =py in every observable,
- * and mixing compiled and interpreted callers on the same simulator is
- * safe by construction.
+ * Design: ONE data layout, TWO method implementations — with one
+ * exception, the event heap. Every function reads and writes the
+ * existing `__slots__` of the pure-Python engine classes (Simulator /
+ * Port / Packet / Host / SwitchNode / PortStats) through member-
+ * descriptor offsets captured at init time. The pure-Python engine
+ * therefore remains the differential oracle: a REPRO_KERNEL=c run must
+ * be bit-identical to =py in every observable.
+ *
+ * The event heap: a compiled simulator (CKSimulator on the heap
+ * scheduler) keeps an EventHeap, defined below, in its `_heap` slot
+ * instead of the oracle's list of (time_ps, seq, callback, args) tuples.
+ * It is a binary heap of {int64 time, int64 seq, callback, args} structs
+ * and owns the sequence counter, so a push allocates no tuple and no int
+ * and a sift step compares two machine words. A native sampling profile
+ * of the fig07 Clos cell put 35% of engine time in unboxing the heap
+ * tuples' ints (PyLong_AsLongLong) and 11% in the sift itself. Order is
+ * the total order on (time, seq) — keys are unique, so any correct heap
+ * dispatches exactly as heapq does. What stays shared with the oracle:
+ * every other slot (clock, counters, ports, packets), the callbacks and
+ * their args tuples, and the train entries ((group, pos) args under the
+ * sim._TRAIN callback). Python code that schedules onto a compiled
+ * simulator goes through sim.at / at_many, never through heapq.
  *
  * Every function guards its fast path with *exact* type checks against
  * the CK* classes registered by kernel/engine.py and delegates anything
- * else — wheel-scheduler simulators, non-integral line rates, subclasses,
- *  test doubles — to the stored pure-Python implementation, so semantics
- * can never diverge on paths the C code does not model.
+ * else — simulators without an EventHeap (plain Simulator, wheel
+ * scheduler), non-integral line rates, subclasses, test doubles — to the
+ * stored pure-Python implementation, so semantics can never diverge on
+ * paths the C code does not model.
  *
- * Heap discipline: heap_push / heap_pop transcribe heapq's exact
- * sift algorithms (append + _siftdown, pop-last + _siftup) comparing
- * entries by their (time_ps, seq) int64 prefix. Sequence numbers are
- * unique, so this ordering is identical to Python's tuple comparison —
- * and because the array layout after every operation matches heapq's,
- * C and Python heap operations can interleave freely on one list.
- *
- * Limits: timestamps and sequence numbers must fit in int64 (9.2e18 ps
- * is ~107 days of simulated time); beyond that the kernel raises
- * OverflowError suggesting REPRO_KERNEL=py.
+ * Limits: timestamps, sequence numbers and the other ints the kernel
+ * reads must fit in int64 (9.2e18 ps is ~107 days of simulated time);
+ * beyond that, and on any int64 overflow of time arithmetic, the kernel
+ * raises OverflowError suggesting REPRO_KERNEL=py.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -36,8 +43,8 @@
 /* ------------------------------------------------------------------ state */
 
 typedef struct {
-    Py_ssize_t now, wheel, heap, seq, gap, coalesce, train_extra,
-        events_processed, trains_formed, train_events, train_repushes;
+    Py_ssize_t now, heap, gap, coalesce, train_extra, events_processed,
+        trains_formed, train_events, train_repushes;
 } SimOffsets;
 
 typedef struct {
@@ -111,7 +118,8 @@ static PyObject *g_empty;        /* () */
 
 /* Pure-Python fallbacks (unbound functions). */
 static PyObject *g_py_sim_at, *g_py_sim_after, *g_py_sim_at_many,
-    *g_py_sim_run, *g_py_past_error, *g_py_port_enqueue, *g_py_port_kick,
+    *g_py_conform_entries, *g_py_sim_run, *g_py_past_error,
+    *g_py_port_enqueue, *g_py_port_kick,
     *g_py_host_receive, *g_py_acquire, *g_py_src_on_packet,
     *g_py_sink_on_packet, *g_py_emit_pull, *g_py_pacer_tick;
 
@@ -158,6 +166,60 @@ slot_set(PyObject *o, Py_ssize_t off, PyObject *v)
     Py_XDECREF(old);
 }
 
+/* The one OverflowError the kernel raises for ints beyond int64. */
+static void
+raise_int64_overflow(void)
+{
+    PyErr_SetString(PyExc_OverflowError,
+                    "ckernel: value exceeds int64 (timestamps, sequence "
+                    "numbers and counters must fit in 64 bits); run with "
+                    "REPRO_KERNEL=py");
+}
+
+/* Python int -> int64 through PyLong_AsLongLongAndOverflow, whose digit
+ * loop handles every value; PyLong_AsLongLong round-trips anything
+ * >= 2**30 through a byte array. -1 with an exception set on failure. */
+static inline int
+as_ll(PyObject *v, long long *out)
+{
+    int overflow;
+    long long r = PyLong_AsLongLongAndOverflow(v, &overflow);
+    if (overflow) {
+        raise_int64_overflow();
+        return -1;
+    }
+    if (r == -1 && PyErr_Occurred())
+        return -1;
+    *out = r;
+    return 0;
+}
+
+/* *out = a + b, or the int64 OverflowError. */
+static inline int
+add_ll(long long a, long long b, long long *out)
+{
+    if (__builtin_add_overflow(a, b, out)) {
+        raise_int64_overflow();
+        return -1;
+    }
+    return 0;
+}
+
+/* *out = start + size * per_byte, a serialization's end, or the int64
+ * OverflowError. */
+static inline int
+wire_done(long long start, long long size, long long per_byte,
+          long long *out)
+{
+    long long ser;
+    if (__builtin_mul_overflow(size, per_byte, &ser) ||
+        __builtin_add_overflow(start, ser, out)) {
+        raise_int64_overflow();
+        return -1;
+    }
+    return 0;
+}
+
 static inline long long
 slot_ll(PyObject *o, Py_ssize_t off, const char *name, int *err)
 {
@@ -168,8 +230,7 @@ slot_ll(PyObject *o, Py_ssize_t off, const char *name, int *err)
         *err = 1;
         return -1;
     }
-    r = PyLong_AsLongLong(v);
-    if (r == -1 && PyErr_Occurred()) {
+    if (as_ll(v, &r) < 0) {
         *err = 1;
         return -1;
     }
@@ -195,139 +256,190 @@ slot_add_ll(PyObject *o, Py_ssize_t off, const char *name, long long delta)
 {
     int err = 0;
     long long v = slot_ll(o, off, name, &err);
-    if (err)
+    if (err || add_ll(v, delta, &v) < 0)
         return -1;
-    return slot_set_ll(o, off, v + delta);
+    return slot_set_ll(o, off, v);
 }
 
-/* (time, seq) key of a heap/train entry; entries are tuples whose first
- * two elements are ints. */
-static inline int
-entry_key(PyObject *e, long long *t, long long *s)
-{
-    *t = PyLong_AsLongLong(PyTuple_GET_ITEM(e, 0));
-    if (*t == -1 && PyErr_Occurred())
-        goto overflow;
-    *s = PyLong_AsLongLong(PyTuple_GET_ITEM(e, 1));
-    if (*s == -1 && PyErr_Occurred())
-        goto overflow;
-    return 0;
-overflow:
-    if (PyErr_ExceptionMatches(PyExc_OverflowError))
-        PyErr_SetString(
-            PyExc_OverflowError,
-            "ckernel: event timestamp/sequence exceeds int64; "
-            "run with REPRO_KERNEL=py");
-    return -1;
-}
-
-/* ---------------------------------------------------------------- heap ops
+/* ------------------------------------------------------------- event heap
  *
- * Exact transcriptions of heapq's _siftdown/_siftup so the array layout
- * stays interchangeable with Python-side heappush/heappop on the same
- * list. Items are only permuted (no refcount changes); on a comparison
- * error the in-flight item is written back so the list stays consistent.
+ * A binary min-heap of events ordered by (time, seq). Sequence numbers
+ * are unique among pending events (a cut train is re-pushed under its
+ * popped number), so the order is total and dispatch matches heapq's on
+ * the oracle's tuples exactly. Entries own their callback and args.
+ *
+ * The type is GC-tracked: pending kick, pacer and slice events hold
+ * bound methods that lead back to the simulator, so a finished network
+ * is a cycle through its heap that only the collector can reclaim.
  */
 
-static int
-heap_push(PyObject *heap, PyObject *entry)
-{
-    Py_ssize_t pos, parentpos;
-    PyObject **items;
-    long long nt, ns, pt, ps2;
+typedef struct {
+    long long time, seq;
+    PyObject *cb, *args; /* owned */
+} Event;
 
-    if (PyList_Append(heap, entry) < 0)
-        return -1;
-    pos = PyList_GET_SIZE(heap) - 1;
-    if (entry_key(entry, &nt, &ns) < 0)
-        return -1;
-    items = ((PyListObject *)heap)->ob_item;
-    while (pos > 0) {
-        parentpos = (pos - 1) >> 1;
-        if (entry_key(items[parentpos], &pt, &ps2) < 0) {
-            items[pos] = entry; /* restore */
+typedef struct {
+    PyObject_HEAD
+    Event *ev;
+    Py_ssize_t len, cap;
+    long long seq; /* last sequence number handed out */
+} EventHeap;
+
+static PyTypeObject EventHeap_Type;
+
+static inline int
+ev_before(const Event *a, const Event *b)
+{
+    return a->time < b->time || (a->time == b->time && a->seq < b->seq);
+}
+
+/* Push an event; increfs cb and args. */
+static int
+eh_push(EventHeap *h, long long time, long long seq, PyObject *cb,
+        PyObject *args)
+{
+    Event e;
+    Py_ssize_t pos;
+
+    if (h->len == h->cap) {
+        Py_ssize_t cap = h->cap ? 2 * h->cap : 64;
+        Event *ev;
+        if (cap > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(Event)) {
+            PyErr_NoMemory();
             return -1;
         }
-        if (nt < pt || (nt == pt && ns < ps2)) {
-            items[pos] = items[parentpos];
-            pos = parentpos;
+        ev = PyMem_Realloc(h->ev, (size_t)cap * sizeof(Event));
+        if (ev == NULL) {
+            PyErr_NoMemory();
+            return -1;
         }
-        else
-            break;
+        h->ev = ev;
+        h->cap = cap;
     }
-    items[pos] = entry;
+    e.time = time;
+    e.seq = seq;
+    e.cb = cb;
+    e.args = args;
+    Py_INCREF(cb);
+    Py_INCREF(args);
+    pos = h->len++;
+    while (pos > 0) {
+        Py_ssize_t parent = (pos - 1) >> 1;
+        if (!ev_before(&e, &h->ev[parent]))
+            break;
+        h->ev[pos] = h->ev[parent];
+        pos = parent;
+    }
+    h->ev[pos] = e;
     return 0;
 }
 
-/* Pop the smallest entry; heap must be non-empty. Returns a new ref. */
-static PyObject *
-heap_pop(PyObject *heap)
+/* Pop the earliest event into *out, whose references pass to the
+ * caller. The heap must be non-empty. */
+static void
+eh_pop(EventHeap *h, Event *out)
 {
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    PyObject *last, *ret, *newitem;
-    PyObject **items;
-    Py_ssize_t pos, startpos, childpos, endpos;
-    long long it, is2, ct, cs, rt, rs, pt, ps2;
+    Event last;
+    Py_ssize_t pos = 0, child = 1, end;
 
-    last = PyList_GET_ITEM(heap, n - 1);
-    Py_INCREF(last);
-    if (PyList_SetSlice(heap, n - 1, n, NULL) < 0) {
-        Py_DECREF(last);
-        return NULL;
+    *out = h->ev[0];
+    end = --h->len;
+    if (end == 0)
+        return;
+    last = h->ev[end];
+    /* heapq's _siftup: walk the hole down to a leaf along the earlier
+     * child, then sift the former last entry up from there. */
+    while (child < end) {
+        if (child + 1 < end && !ev_before(&h->ev[child], &h->ev[child + 1]))
+            child += 1;
+        h->ev[pos] = h->ev[child];
+        pos = child;
+        child = 2 * pos + 1;
     }
-    if (n == 1)
-        return last;
-    items = ((PyListObject *)heap)->ob_item;
-    ret = items[0];        /* transfer: list's ref becomes ours */
-    items[0] = last;       /* transfer: our ref becomes the list's */
-
-    /* _siftup(heap, 0): bubble the hole to a leaf chasing the smaller
-     * child, then _siftdown back toward the start. */
-    newitem = last;
-    if (entry_key(newitem, &it, &is2) < 0)
-        return ret; /* heap order broken but list consistent; error set */
-    pos = 0;
-    startpos = 0;
-    endpos = PyList_GET_SIZE(heap);
-    childpos = 2 * pos + 1;
-    while (childpos < endpos) {
-        Py_ssize_t rightpos = childpos + 1;
-        if (entry_key(items[childpos], &ct, &cs) < 0) {
-            items[pos] = newitem;
-            return ret;
-        }
-        if (rightpos < endpos) {
-            if (entry_key(items[rightpos], &rt, &rs) < 0) {
-                items[pos] = newitem;
-                return ret;
-            }
-            if (!(ct < rt || (ct == rt && cs < rs))) {
-                childpos = rightpos;
-                ct = rt;
-                cs = rs;
-            }
-        }
-        items[pos] = items[childpos];
-        pos = childpos;
-        childpos = 2 * pos + 1;
-    }
-    items[pos] = newitem;
-    /* _siftdown(heap, startpos, pos) */
-    while (pos > startpos) {
-        Py_ssize_t parentpos = (pos - 1) >> 1;
-        if (entry_key(items[parentpos], &pt, &ps2) < 0)
-            return ret;
-        if (it < pt || (it == pt && is2 < ps2)) {
-            PyObject *parent = items[parentpos];
-            items[parentpos] = newitem;
-            items[pos] = parent;
-            pos = parentpos;
-        }
-        else
+    while (pos > 0) {
+        Py_ssize_t parent = (pos - 1) >> 1;
+        if (!ev_before(&last, &h->ev[parent]))
             break;
+        h->ev[pos] = h->ev[parent];
+        pos = parent;
     }
-    return ret;
+    h->ev[pos] = last;
 }
+
+static PyObject *
+eh_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, ":EventHeap", kwlist))
+        return NULL;
+    return type->tp_alloc(type, 0); /* zeroed and GC-tracked */
+}
+
+static int
+eh_traverse(EventHeap *h, visitproc visit, void *arg)
+{
+    Py_ssize_t i;
+    for (i = 0; i < h->len; i++) {
+        Py_VISIT(h->ev[i].cb);
+        Py_VISIT(h->ev[i].args);
+    }
+    return 0;
+}
+
+static int
+eh_clear(EventHeap *h)
+{
+    Event *ev = h->ev;
+    Py_ssize_t i, n = h->len;
+    /* Detach before releasing: a finalizer may schedule onto the heap. */
+    h->ev = NULL;
+    h->len = h->cap = 0;
+    for (i = 0; i < n; i++) {
+        Py_DECREF(ev[i].cb);
+        Py_DECREF(ev[i].args);
+    }
+    PyMem_Free(ev);
+    return 0;
+}
+
+static void
+eh_dealloc(EventHeap *h)
+{
+    PyObject_GC_UnTrack(h);
+    eh_clear(h);
+    Py_TYPE(h)->tp_free((PyObject *)h);
+}
+
+static Py_ssize_t
+eh_length(EventHeap *h)
+{
+    return h->len;
+}
+
+static PySequenceMethods eh_as_sequence = {
+    .sq_length = (lenfunc)eh_length,
+};
+
+static PyMemberDef eh_members[] = {
+    {"seq", T_LONGLONG, offsetof(EventHeap, seq), READONLY,
+     "Last sequence number handed out: the scheduler's push count."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject EventHeap_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.net.kernel._ckernel.EventHeap",
+    .tp_basicsize = sizeof(EventHeap),
+    .tp_dealloc = (destructor)eh_dealloc,
+    .tp_as_sequence = &eh_as_sequence,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Native event heap of a compiled simulator; len() is the "
+              "number of pending entries.",
+    .tp_traverse = (traverseproc)eh_traverse,
+    .tp_clear = (inquiry)eh_clear,
+    .tp_members = eh_members,
+    .tp_new = eh_new,
+};
 
 /* ----------------------------------------------------------- scheduling */
 
@@ -343,201 +455,145 @@ raise_past_error(PyObject *sim, PyObject *t_obj, PyObject *cb)
     }
 }
 
-/* sim.at(time_ps, callback, *args) for a heap simulator whose past-check
- * already passed or is performed by the caller: allocate the next seq and
- * push (time, seq, callback, args). `args` is borrowed. */
-static int
-schedule_heap(PyObject *sim, long long time_ps, PyObject *cb, PyObject *args)
+/* The EventHeap of a simulator, or NULL when it has none. */
+static inline EventHeap *
+sim_heap(PyObject *sim)
 {
-    int err = 0;
-    long long seq = slot_ll(sim, S.seq, "_seq", &err) + 1;
-    PyObject *heap, *seq_obj, *t_obj, *entry;
-    if (err)
-        return -1;
-    heap = slot_get(sim, S.heap, "_heap");
-    if (heap == NULL)
-        return -1;
-    seq_obj = PyLong_FromLongLong(seq);
-    if (seq_obj == NULL)
-        return -1;
-    t_obj = PyLong_FromLongLong(time_ps);
-    if (t_obj == NULL) {
-        Py_DECREF(seq_obj);
-        return -1;
-    }
-    entry = PyTuple_New(4);
-    if (entry == NULL) {
-        Py_DECREF(seq_obj);
-        Py_DECREF(t_obj);
-        return -1;
-    }
-    PyTuple_SET_ITEM(entry, 0, t_obj);             /* stolen */
-    Py_INCREF(seq_obj);
-    PyTuple_SET_ITEM(entry, 1, seq_obj);
-    Py_INCREF(cb);
-    PyTuple_SET_ITEM(entry, 2, cb);
-    Py_INCREF(args);
-    PyTuple_SET_ITEM(entry, 3, args);
-    /* self._seq = seq (reuse the tuple's int object, as Python does) */
-    {
-        PyObject *old = SLOT(sim, S.seq);
-        SLOT(sim, S.seq) = seq_obj; /* transfer our remaining ref */
-        Py_XDECREF(old);
-    }
-    if (heap_push(heap, entry) < 0) {
-        Py_DECREF(entry);
-        return -1;
-    }
-    Py_DECREF(entry);
-    return 0;
+    PyObject *heap = SLOT(sim, S.heap);
+    if (heap == NULL || Py_TYPE(heap) != &EventHeap_Type)
+        return NULL;
+    return (EventHeap *)heap;
 }
 
-/* Fast-path eligibility for a simulator object. */
+/* Fast-path eligibility: a compiled simulator that owns an EventHeap.
+ * Anything else (plain Simulator, wheel scheduler) takes the Python
+ * paths, which schedule onto its list or wheel. */
 static inline int
 sim_fast(PyObject *sim)
 {
-    return (Py_TYPE(sim) == t_cksim || Py_TYPE(sim) == t_sim) &&
-           SLOT(sim, S.wheel) == Py_None;
+    return Py_TYPE(sim) == t_cksim && sim_heap(sim) != NULL;
+}
+
+/* sim_heap for a simulator that passed sim_fast before Python code ran
+ * (a resolver, a handler): RuntimeError if that code swapped the heap. */
+static EventHeap *
+need_heap(PyObject *sim)
+{
+    EventHeap *h = sim_heap(sim);
+    if (h == NULL)
+        PyErr_SetString(PyExc_RuntimeError,
+                        "ckernel: simulator lost its event heap");
+    return h;
+}
+
+/* sim.at(time_ps, callback, *args) on a fast-path simulator whose
+ * past-check already passed or holds by construction: push under the
+ * next sequence number. `args` is borrowed. */
+static int
+schedule_heap(PyObject *sim, long long time_ps, PyObject *cb, PyObject *args)
+{
+    EventHeap *h = need_heap(sim);
+    long long seq;
+    if (h == NULL || add_ll(h->seq, 1, &seq) < 0 ||
+        eh_push(h, time_ps, seq, cb, args) < 0)
+        return -1;
+    h->seq = seq;
+    return 0;
 }
 
 /* ------------------------------------------------------- Simulator.at/after */
 
+/* The shared tail of at() and after(): the past check, then push
+ * callback(*args[3:]) at `t`. `t_obj` is the time as passed, shown by
+ * the past error; NULL builds it from `t`. */
+static PyObject *
+schedule_call(PyObject *self, long long t, long long now, PyObject *t_obj,
+              PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *cb = args[2], *rest;
+    Py_ssize_t i;
+    int rc;
+
+    if (t < now) {
+        PyObject *shown = t_obj;
+        if (shown == NULL)
+            shown = PyLong_FromLongLong(t);
+        else
+            Py_INCREF(shown);
+        if (shown != NULL) {
+            raise_past_error(self, shown, cb);
+            Py_DECREF(shown);
+        }
+        return NULL;
+    }
+    rest = PyTuple_New(nargs - 3);
+    if (rest == NULL)
+        return NULL;
+    for (i = 3; i < nargs; i++) {
+        Py_INCREF(args[i]);
+        PyTuple_SET_ITEM(rest, i - 3, args[i]);
+    }
+    rc = schedule_heap(self, t, cb, rest);
+    Py_DECREF(rest);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static PyObject *
 c_sim_at(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *self, *t_obj, *cb, *rest;
     long long t, now;
     int err = 0;
-    Py_ssize_t i;
 
     if (nargs < 3) {
         PyErr_SetString(PyExc_TypeError,
                         "at() requires (self, time_ps, callback, *args)");
         return NULL;
     }
-    self = args[0];
-    t_obj = args[1];
-    cb = args[2];
-    if (!g_ready || !sim_fast(self))
+    if (!g_ready || !sim_fast(args[0]))
         return PyObject_Vectorcall(g_py_sim_at, args, nargs, NULL);
-    t = PyLong_AsLongLong(t_obj);
-    if (t == -1 && PyErr_Occurred())
+    if (as_ll(args[1], &t) < 0)
         return NULL;
-    now = slot_ll(self, S.now, "now", &err);
+    now = slot_ll(args[0], S.now, "now", &err);
     if (err)
         return NULL;
-    if (t < now) {
-        raise_past_error(self, t_obj, cb);
-        return NULL;
-    }
-    if (nargs == 3) {
-        rest = g_empty;
-        Py_INCREF(rest);
-    }
-    else {
-        rest = PyTuple_New(nargs - 3);
-        if (rest == NULL)
-            return NULL;
-        for (i = 3; i < nargs; i++) {
-            Py_INCREF(args[i]);
-            PyTuple_SET_ITEM(rest, i - 3, args[i]);
-        }
-    }
-    if (schedule_heap(self, t, cb, rest) < 0) {
-        Py_DECREF(rest);
-        return NULL;
-    }
-    Py_DECREF(rest);
-    Py_RETURN_NONE;
+    return schedule_call(args[0], t, now, args[1], args, nargs);
 }
 
 static PyObject *
 c_sim_after(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *self, *cb, *rest;
     long long delay, now, t;
     int err = 0;
-    Py_ssize_t i;
 
     if (nargs < 3) {
         PyErr_SetString(PyExc_TypeError,
                         "after() requires (self, delay_ps, callback, *args)");
         return NULL;
     }
-    self = args[0];
-    cb = args[2];
-    if (!g_ready || !sim_fast(self))
+    if (!g_ready || !sim_fast(args[0]))
         return PyObject_Vectorcall(g_py_sim_after, args, nargs, NULL);
-    delay = PyLong_AsLongLong(args[1]);
-    if (delay == -1 && PyErr_Occurred())
+    if (as_ll(args[1], &delay) < 0)
         return NULL;
-    now = slot_ll(self, S.now, "now", &err);
-    if (err)
+    now = slot_ll(args[0], S.now, "now", &err);
+    if (err || add_ll(now, delay, &t) < 0)
         return NULL;
-    t = now + delay;
-    if (t < now) {
-        PyObject *t_obj = PyLong_FromLongLong(t);
-        if (t_obj != NULL) {
-            raise_past_error(self, t_obj, cb);
-            Py_DECREF(t_obj);
-        }
-        return NULL;
-    }
-    if (nargs == 3) {
-        rest = g_empty;
-        Py_INCREF(rest);
-    }
-    else {
-        rest = PyTuple_New(nargs - 3);
-        if (rest == NULL)
-            return NULL;
-        for (i = 3; i < nargs; i++) {
-            Py_INCREF(args[i]);
-            PyTuple_SET_ITEM(rest, i - 3, args[i]);
-        }
-    }
-    if (schedule_heap(self, t, cb, rest) < 0) {
-        Py_DECREF(rest);
-        return NULL;
-    }
-    Py_DECREF(rest);
-    Py_RETURN_NONE;
+    return schedule_call(args[0], t, now, NULL, args, nargs);
 }
 
 /* ---------------------------------------------------------------- at_many */
 
-/* Build the 4-entry (t_obj, seq, cb, cargs) from a (t, cb, cargs) triple.
- * Borrows `triple`; returns new ref. */
-static PyObject *
-entry_from_triple(PyObject *triple, long long seq)
-{
-    PyObject *entry = PyTuple_New(4);
-    PyObject *seq_obj;
-    if (entry == NULL)
-        return NULL;
-    seq_obj = PyLong_FromLongLong(seq);
-    if (seq_obj == NULL) {
-        Py_DECREF(entry);
-        return NULL;
-    }
-    Py_INCREF(PyTuple_GET_ITEM(triple, 0));
-    PyTuple_SET_ITEM(entry, 0, PyTuple_GET_ITEM(triple, 0));
-    PyTuple_SET_ITEM(entry, 1, seq_obj);
-    Py_INCREF(PyTuple_GET_ITEM(triple, 1));
-    PyTuple_SET_ITEM(entry, 2, PyTuple_GET_ITEM(triple, 1));
-    Py_INCREF(PyTuple_GET_ITEM(triple, 2));
-    PyTuple_SET_ITEM(entry, 3, PyTuple_GET_ITEM(triple, 2));
-    return entry;
-}
-
+/* Bulk-schedule a list of exact (int time, callback, args tuple) triples
+ * (mirror of Simulator.at_many) onto a fast-path simulator. */
 static PyObject *
 c_at_many_impl(PyObject *self, PyObject *entries)
 {
     Py_ssize_t n, i, start;
-    long long now, seq, gap, prev, prev_t, t = 0;
-    int err = 0, coalesce, pre_sorted;
-    PyObject *heap, *block;
-    int owned;
+    long long now, seq, gap, prev = 0, start_t, prev_t, t = 0;
+    int err = 0, coalesce, pre_sorted = 1, owned;
+    PyObject *block;
+    EventHeap *h;
 
     n = PyList_GET_SIZE(entries);
     if (n == 0)
@@ -548,71 +604,41 @@ c_at_many_impl(PyObject *self, PyObject *entries)
     coalesce = PyObject_IsTrue(SLOT(self, S.coalesce));
     if (coalesce < 0)
         return NULL;
-    heap = slot_get(self, S.heap, "_heap");
-    if (heap == NULL)
-        return NULL;
-    seq = slot_ll(self, S.seq, "_seq", &err);
-    if (err)
-        return NULL;
 
     if (!coalesce || n == 1) {
         for (i = 0; i < n; i++) {
             PyObject *triple = PyList_GET_ITEM(entries, i);
-            PyObject *entry;
-            long long ti = PyLong_AsLongLong(PyTuple_GET_ITEM(triple, 0));
-            if (ti == -1 && PyErr_Occurred()) {
-                slot_set_ll(self, S.seq, seq);
+            if (as_ll(PyTuple_GET_ITEM(triple, 0), &t) < 0)
                 return NULL;
-            }
-            if (ti < now) {
-                /* self._seq = seq; raise — entries already pushed stay. */
-                if (slot_set_ll(self, S.seq, seq) < 0)
-                    return NULL;
+            if (t < now) {
+                /* Entries already pushed stay, as in Python. */
                 raise_past_error(self, PyTuple_GET_ITEM(triple, 0),
                                  PyTuple_GET_ITEM(triple, 1));
                 return NULL;
             }
-            seq += 1;
-            entry = entry_from_triple(triple, seq);
-            if (entry == NULL || heap_push(heap, entry) < 0) {
-                Py_XDECREF(entry);
-                slot_set_ll(self, S.seq, seq);
+            if (schedule_heap(self, t, PyTuple_GET_ITEM(triple, 1),
+                              PyTuple_GET_ITEM(triple, 2)) < 0)
                 return NULL;
-            }
-            Py_DECREF(entry);
         }
-        if (slot_set_ll(self, S.seq, seq) < 0)
-            return NULL;
         Py_RETURN_NONE;
     }
 
     /* Validation pass: past check + pre-sorted detection. */
-    prev = PyLong_AsLongLong(PyTuple_GET_ITEM(PyList_GET_ITEM(entries, 0), 0));
-    if (prev == -1 && PyErr_Occurred())
-        return NULL;
-    if (prev < now) {
-        PyObject *triple = PyList_GET_ITEM(entries, 0);
-        raise_past_error(self, PyTuple_GET_ITEM(triple, 0),
-                         PyTuple_GET_ITEM(triple, 1));
-        return NULL;
-    }
-    pre_sorted = 1;
     for (i = 0; i < n; i++) {
         PyObject *triple = PyList_GET_ITEM(entries, i);
-        long long ti = PyLong_AsLongLong(PyTuple_GET_ITEM(triple, 0));
-        if (ti == -1 && PyErr_Occurred())
+        if (as_ll(PyTuple_GET_ITEM(triple, 0), &t) < 0)
             return NULL;
-        if (ti < now) {
+        if (t < now) {
             raise_past_error(self, PyTuple_GET_ITEM(triple, 0),
                              PyTuple_GET_ITEM(triple, 1));
             return NULL;
         }
-        if (ti < prev)
+        if (i > 0 && t < prev)
             pre_sorted = 0;
-        prev = ti;
+        prev = t;
     }
     if (pre_sorted) {
-        block = entries;
+        block = entries; /* caller-owned; groups are sliced out below */
         Py_INCREF(block);
         owned = 0;
     }
@@ -626,25 +652,18 @@ c_at_many_impl(PyObject *self, PyObject *entries)
             return NULL;
         owned = 1;
     }
+    h = need_heap(self);
     gap = slot_ll(self, S.gap, "_gap", &err);
-    if (err) {
-        Py_DECREF(block);
-        return NULL;
-    }
+    if (h == NULL || err ||
+        as_ll(PyTuple_GET_ITEM(PyList_GET_ITEM(block, 0), 0), &prev_t) < 0)
+        goto fail;
     start = 0;
-    prev_t =
-        PyLong_AsLongLong(PyTuple_GET_ITEM(PyList_GET_ITEM(block, 0), 0));
-    if (prev_t == -1 && PyErr_Occurred()) {
-        Py_DECREF(block);
-        return NULL;
-    }
+    start_t = prev_t;
     i = 1;
     for (;;) {
-        PyObject *entry;
+        int rc;
         if (i < n) {
-            t = PyLong_AsLongLong(
-                PyTuple_GET_ITEM(PyList_GET_ITEM(block, i), 0));
-            if (t == -1 && PyErr_Occurred())
+            if (as_ll(PyTuple_GET_ITEM(PyList_GET_ITEM(block, i), 0), &t) < 0)
                 goto fail;
             if (t - prev_t <= gap) {
                 prev_t = t;
@@ -652,16 +671,17 @@ c_at_many_impl(PyObject *self, PyObject *entries)
                 continue;
             }
         }
-        seq += 1;
+        if (add_ll(h->seq, 1, &seq) < 0)
+            goto fail;
         if (i - start == 1) {
-            entry = entry_from_triple(PyList_GET_ITEM(block, start), seq);
-            if (entry == NULL)
-                goto fail;
+            PyObject *triple = PyList_GET_ITEM(block, start);
+            rc = eh_push(h, start_t, seq, PyTuple_GET_ITEM(triple, 1),
+                         PyTuple_GET_ITEM(triple, 2));
         }
         else {
-            PyObject *group, *targs, *seq_obj, *pos_obj;
+            PyObject *group, *targs;
             if (owned && start == 0 && i == n) {
-                group = block;
+                group = block; /* the sort already copied it */
                 Py_INCREF(group);
             }
             else {
@@ -675,93 +695,86 @@ c_at_many_impl(PyObject *self, PyObject *entries)
                 Py_DECREF(group);
                 goto fail;
             }
-            pos_obj = PyLong_FromLong(0);
-            targs = (pos_obj == NULL)
-                        ? NULL
-                        : PyTuple_Pack(2, group, pos_obj);
-            Py_XDECREF(pos_obj);
-            seq_obj = PyLong_FromLongLong(seq);
-            if (targs == NULL || seq_obj == NULL) {
-                Py_XDECREF(targs);
-                Py_XDECREF(seq_obj);
-                Py_DECREF(group);
-                goto fail;
-            }
-            entry = PyTuple_New(4);
-            if (entry == NULL) {
-                Py_DECREF(targs);
-                Py_DECREF(seq_obj);
-                Py_DECREF(group);
-                goto fail;
-            }
-            Py_INCREF(PyTuple_GET_ITEM(PyList_GET_ITEM(group, 0), 0));
-            PyTuple_SET_ITEM(
-                entry, 0, PyTuple_GET_ITEM(PyList_GET_ITEM(group, 0), 0));
-            PyTuple_SET_ITEM(entry, 1, seq_obj);
-            Py_INCREF(g_train);
-            PyTuple_SET_ITEM(entry, 2, g_train);
-            PyTuple_SET_ITEM(entry, 3, targs);
+            targs = PyTuple_Pack(2, group, g_zero);
             Py_DECREF(group);
+            if (targs == NULL)
+                goto fail;
+            rc = eh_push(h, start_t, seq, g_train, targs);
+            Py_DECREF(targs);
         }
-        if (heap_push(heap, entry) < 0) {
-            Py_DECREF(entry);
+        if (rc < 0)
             goto fail;
-        }
-        Py_DECREF(entry);
+        h->seq = seq;
         if (i == n)
             break;
         start = i;
-        prev_t = t;
+        start_t = prev_t = t;
         i += 1;
     }
     Py_DECREF(block);
-    if (slot_set_ll(self, S.seq, seq) < 0)
-        return NULL;
     Py_RETURN_NONE;
 
 fail:
     Py_DECREF(block);
-    slot_set_ll(self, S.seq, seq);
     return NULL;
+}
+
+/* True when `entries` is what c_at_many_impl reads directly: an exact
+ * list of exact (int, callback, tuple) triples. */
+static int
+entries_conform(PyObject *entries)
+{
+    Py_ssize_t i, n;
+    if (!PyList_CheckExact(entries))
+        return 0;
+    n = PyList_GET_SIZE(entries);
+    for (i = 0; i < n; i++) {
+        PyObject *e = PyList_GET_ITEM(entries, i);
+        if (!PyTuple_CheckExact(e) || PyTuple_GET_SIZE(e) != 3 ||
+            !PyLong_CheckExact(PyTuple_GET_ITEM(e, 0)) ||
+            !PyTuple_Check(PyTuple_GET_ITEM(e, 2)))
+            return 0;
+    }
+    return 1;
 }
 
 static PyObject *
 c_sim_at_many(PyObject *Py_UNUSED(mod), PyObject *const *args,
               Py_ssize_t nargs)
 {
-    Py_ssize_t i, n;
+    PyObject *entries, *r;
     if (nargs != 2) {
         PyErr_SetString(PyExc_TypeError, "at_many() takes (self, entries)");
         return NULL;
     }
-    if (!g_ready || !sim_fast(args[0]) || !PyList_CheckExact(args[1]))
+    if (!g_ready || !sim_fast(args[0]))
         return PyObject_Vectorcall(g_py_sim_at_many, args, nargs, NULL);
-    /* Malformed entries take the Python path for its exceptions. */
-    n = PyList_GET_SIZE(args[1]);
-    for (i = 0; i < n; i++) {
-        PyObject *e = PyList_GET_ITEM(args[1], i);
-        if (!PyTuple_CheckExact(e) || PyTuple_GET_SIZE(e) != 3 ||
-            !PyLong_CheckExact(PyTuple_GET_ITEM(e, 0)))
-            return PyObject_Vectorcall(g_py_sim_at_many, args, nargs, NULL);
-    }
-    return c_at_many_impl(args[0], args[1]);
+    if (entries_conform(args[1]))
+        return c_at_many_impl(args[0], args[1]);
+    /* Any other input the Python at_many accepts: normalize it, since the
+     * native heap cannot take the Python path. */
+    entries = PyObject_CallOneArg(g_py_conform_entries, args[1]);
+    if (entries == NULL)
+        return NULL;
+    r = c_at_many_impl(args[0], entries);
+    Py_DECREF(entries);
+    return r;
 }
 
 /* -------------------------------------------------------------------- run */
 
-/* Dispatch elements of a just-popped train (mirror of _run_train).
- * `seq_obj` is the popped entry's sequence object. Returns the element
- * count, or -1 on error (exception propagates; no re-push — exactly as
- * the Python version loses the train when a callback raises). */
+/* Dispatch elements of a just-popped train (mirror of _run_train) whose
+ * entry carried `seq` and args `targs`. Returns the element count, or -1
+ * on error (exception propagates; no re-push — exactly as the Python
+ * version loses the train when a callback raises). */
 static long long
-c_run_train(PyObject *self, long long seq, PyObject *seq_obj, PyObject *targs,
-            int has_until, long long until, int has_budget, long long budget,
-            PyObject *heap)
+c_run_train(PyObject *self, EventHeap *h, long long seq, PyObject *targs,
+            int has_until, long long until, int has_budget, long long budget)
 {
     PyObject *elements = PyTuple_GET_ITEM(targs, 0);
     Py_ssize_t pos, n;
     long long count = 0, t_next = 0;
-    int err = 0;
+    int rc;
 
     pos = PyLong_AsSsize_t(PyTuple_GET_ITEM(targs, 1));
     if (pos == -1 && PyErr_Occurred())
@@ -787,79 +800,47 @@ c_run_train(PyObject *self, long long seq, PyObject *seq_obj, PyObject *targs,
                 return -1;
             return count;
         }
-        t_next = PyLong_AsLongLong(
-            PyTuple_GET_ITEM(PyList_GET_ITEM(elements, pos), 0));
-        if (t_next == -1 && PyErr_Occurred())
+        if (as_ll(PyTuple_GET_ITEM(PyList_GET_ITEM(elements, pos), 0),
+                  &t_next) < 0)
             return -1;
         if ((has_until && t_next > until) || (has_budget && count >= budget))
             break;
-        if (PyList_GET_SIZE(heap) > 0) {
-            long long ht, hs;
-            if (entry_key(((PyListObject *)heap)->ob_item[0], &ht, &hs) < 0)
-                return -1;
-            if (ht < t_next || (ht == t_next && hs < seq))
-                break;
-        }
+        if (h->len > 0 &&
+            (h->ev[0].time < t_next ||
+             (h->ev[0].time == t_next && h->ev[0].seq < seq)))
+            break;
     }
-    /* Preempted or cut: remainder rides the original entry again. */
+    /* Preempted or cut: the remainder rides the original entry again. */
     if (slot_add_ll(self, S.train_extra, "_train_extra", -1) < 0 ||
         slot_add_ll(self, S.train_events, "train_events", count) < 0 ||
         slot_add_ll(self, S.train_repushes, "train_repushes", 1) < 0)
         return -1;
-    {
-        PyObject *entry;
-        if (pos == n - 1) {
-            PyObject *triple = PyList_GET_ITEM(elements, pos);
-            entry = PyTuple_New(4);
-            if (entry == NULL)
-                return -1;
-            Py_INCREF(PyTuple_GET_ITEM(triple, 0));
-            PyTuple_SET_ITEM(entry, 0, PyTuple_GET_ITEM(triple, 0));
-            Py_INCREF(seq_obj);
-            PyTuple_SET_ITEM(entry, 1, seq_obj);
-            Py_INCREF(PyTuple_GET_ITEM(triple, 1));
-            PyTuple_SET_ITEM(entry, 2, PyTuple_GET_ITEM(triple, 1));
-            Py_INCREF(PyTuple_GET_ITEM(triple, 2));
-            PyTuple_SET_ITEM(entry, 3, PyTuple_GET_ITEM(triple, 2));
-        }
-        else {
-            PyObject *pos_obj = PyLong_FromSsize_t(pos);
-            PyObject *new_targs;
-            if (pos_obj == NULL)
-                return -1;
-            new_targs = PyTuple_Pack(2, elements, pos_obj);
-            Py_DECREF(pos_obj);
-            if (new_targs == NULL)
-                return -1;
-            entry = PyTuple_New(4);
-            if (entry == NULL) {
-                Py_DECREF(new_targs);
-                return -1;
-            }
-            Py_INCREF(PyTuple_GET_ITEM(PyList_GET_ITEM(elements, pos), 0));
-            PyTuple_SET_ITEM(
-                entry, 0,
-                PyTuple_GET_ITEM(PyList_GET_ITEM(elements, pos), 0));
-            Py_INCREF(seq_obj);
-            PyTuple_SET_ITEM(entry, 1, seq_obj);
-            Py_INCREF(g_train);
-            PyTuple_SET_ITEM(entry, 2, g_train);
-            PyTuple_SET_ITEM(entry, 3, new_targs);
-        }
-        err = heap_push(heap, entry);
-        Py_DECREF(entry);
-        if (err < 0)
-            return -1;
+    if (pos == n - 1) {
+        PyObject *triple = PyList_GET_ITEM(elements, pos);
+        rc = eh_push(h, t_next, seq, PyTuple_GET_ITEM(triple, 1),
+                     PyTuple_GET_ITEM(triple, 2));
     }
-    return count;
+    else {
+        PyObject *pos_obj = PyLong_FromSsize_t(pos);
+        PyObject *new_targs;
+        if (pos_obj == NULL)
+            return -1;
+        new_targs = PyTuple_Pack(2, elements, pos_obj);
+        Py_DECREF(pos_obj);
+        if (new_targs == NULL)
+            return -1;
+        rc = eh_push(h, t_next, seq, g_train, new_targs);
+        Py_DECREF(new_targs);
+    }
+    return rc < 0 ? -1 : count;
 }
 
 static PyObject *
 c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"", "until_ps", "max_events", NULL};
-    PyObject *self, *until_obj = Py_None, *max_obj = Py_None;
-    PyObject *heap;
+    PyObject *self, *until_obj = Py_None, *max_obj = Py_None, *ret = NULL;
+    EventHeap *h;
     long long processed = 0, until = 0, maxev = 0, now;
     int has_until, has_max, quiet, err = 0;
 
@@ -871,71 +852,58 @@ c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
                                             max_obj, NULL);
     has_until = until_obj != Py_None;
     has_max = max_obj != Py_None;
-    if (has_until) {
-        until = PyLong_AsLongLong(until_obj);
-        if (until == -1 && PyErr_Occurred())
-            return NULL;
-    }
-    if (has_max) {
-        maxev = PyLong_AsLongLong(max_obj);
-        if (maxev == -1 && PyErr_Occurred())
-            return NULL;
-    }
-    heap = slot_get(self, S.heap, "_heap");
-    if (heap == NULL)
+    if ((has_until && as_ll(until_obj, &until) < 0) ||
+        (has_max && as_ll(max_obj, &maxev) < 0))
         return NULL;
+    /* Held for the whole run: callbacks cannot free it under us. */
+    h = sim_heap(self);
+    Py_INCREF(h);
 
-    while (PyList_GET_SIZE(heap) > 0) {
-        PyObject *entry, *cb, *r;
-        long long t0, s0;
-        if (entry_key(((PyListObject *)heap)->ob_item[0], &t0, &s0) < 0)
-            return NULL;
-        if (has_until && t0 > until)
+    while (h->len > 0) {
+        Event e;
+        PyObject *r;
+        if (has_until && h->ev[0].time > until)
             break;
         if (has_max && processed >= maxev)
             break;
-        entry = heap_pop(heap);
-        if (entry == NULL)
-            return NULL;
-        cb = PyTuple_GET_ITEM(entry, 2);
-        if (cb == g_train) {
-            long long c = c_run_train(
-                self, s0, PyTuple_GET_ITEM(entry, 1),
-                PyTuple_GET_ITEM(entry, 3), has_until, until, has_max,
-                has_max ? maxev - processed : 0, heap);
-            Py_DECREF(entry);
+        eh_pop(h, &e);
+        if (e.cb == g_train) {
+            long long c =
+                c_run_train(self, h, e.seq, e.args, has_until, until,
+                            has_max, has_max ? maxev - processed : 0);
+            Py_DECREF(e.cb);
+            Py_DECREF(e.args);
             if (c < 0)
-                return NULL;
+                goto done;
             processed += c;
             continue;
         }
-        slot_set(self, S.now, PyTuple_GET_ITEM(entry, 0));
-        r = PyObject_Call(cb, PyTuple_GET_ITEM(entry, 3), NULL);
-        Py_DECREF(entry);
+        if (slot_set_ll(self, S.now, e.time) < 0) {
+            Py_DECREF(e.cb);
+            Py_DECREF(e.args);
+            goto done;
+        }
+        r = PyObject_Call(e.cb, e.args, NULL);
+        Py_DECREF(e.cb);
+        Py_DECREF(e.args);
         if (r == NULL)
-            return NULL; /* events_processed not updated — as in Python */
+            goto done; /* events_processed not updated — as in Python */
         Py_DECREF(r);
         processed += 1;
     }
-    if (PyList_GET_SIZE(heap) == 0)
-        quiet = 1;
-    else if (has_until) {
-        long long ht, hs;
-        if (entry_key(((PyListObject *)heap)->ob_item[0], &ht, &hs) < 0)
-            return NULL;
-        quiet = ht > until;
-    }
-    else
-        quiet = 0;
+    quiet = h->len == 0 || (has_until && h->ev[0].time > until);
     now = slot_ll(self, S.now, "now", &err);
     if (err)
-        return NULL;
+        goto done;
     if (has_until && now < until && quiet && (!has_max || processed < maxev))
         slot_set(self, S.now, until_obj);
     if (slot_add_ll(self, S.events_processed, "events_processed",
                     processed) < 0)
-        return NULL;
-    return PyLong_FromLongLong(processed);
+        goto done;
+    ret = PyLong_FromLongLong(processed);
+done:
+    Py_DECREF(h);
+    return ret;
 }
 
 /* ------------------------------------------------------------------- Port */
@@ -972,6 +940,7 @@ expire_committed(PyObject *self, PyObject *committed, long long now)
         Py_ssize_t len = PyObject_Length(committed);
         PyObject *first, *popped;
         long long t0, size;
+        int err;
         if (len < 0)
             return -1;
         if (len == 0)
@@ -979,18 +948,18 @@ expire_committed(PyObject *self, PyObject *committed, long long now)
         first = PySequence_GetItem(committed, 0);
         if (first == NULL)
             return -1;
-        t0 = PyLong_AsLongLong(PyTuple_GET_ITEM(first, 0));
+        err = as_ll(PyTuple_GET_ITEM(first, 0), &t0);
         Py_DECREF(first);
-        if (t0 == -1 && PyErr_Occurred())
+        if (err < 0)
             return -1;
         if (t0 > now)
             return 0;
         popped = PyObject_CallMethodNoArgs(committed, s_popleft);
         if (popped == NULL)
             return -1;
-        size = PyLong_AsLongLong(PyTuple_GET_ITEM(popped, 1));
+        err = as_ll(PyTuple_GET_ITEM(popped, 1), &size);
         Py_DECREF(popped);
-        if (size == -1 && PyErr_Occurred())
+        if (err < 0)
             return -1;
         if (slot_add_ll(self, P.bytes_control, "_bytes_control", -size) < 0)
             return -1;
@@ -1053,15 +1022,14 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start,
 {
     int err = 0;
     long long size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-    long long per_byte, done, prop;
+    long long per_byte, done = 0, prop, arrive;
     PyObject *stats, *deliver = NULL, *start_obj;
 
     if (err)
         return -1;
     per_byte = slot_ll(self, P.ps_per_byte, "_ps_per_byte", &err);
-    if (err)
+    if (err || wire_done(start, size, per_byte, &done) < 0)
         return -1;
-    done = start + size * per_byte;
     if (slot_set_ll(self, P.busy_until, done) < 0)
         return -1;
     stats = slot_get(self, P.stats, "stats");
@@ -1113,7 +1081,7 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start,
         return done;
     }
     prop = slot_ll(self, P.propagation_ps, "propagation_ps", &err);
-    if (err) {
+    if (err || add_ll(done, prop, &arrive) < 0) {
         Py_DECREF(deliver);
         return -1;
     }
@@ -1124,7 +1092,7 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start,
             return -1;
         }
         if (out != NULL) {
-            PyObject *t_obj = PyLong_FromLongLong(done + prop);
+            PyObject *t_obj = PyLong_FromLongLong(arrive);
             PyObject *e;
             if (t_obj == NULL) {
                 Py_DECREF(deliver);
@@ -1141,7 +1109,7 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start,
                 return -1;
         }
         else {
-            err = schedule_heap(sim, done + prop, deliver, recv_args);
+            err = schedule_heap(sim, arrive, deliver, recv_args);
             Py_DECREF(deliver);
             if (err < 0)
                 return -1;
@@ -1214,7 +1182,7 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
             if (slot_add_ll(stats, ST.trimmed, "trimmed", 1) < 0)
                 return NULL;
             priority = g_prio_control;
-            size = PyLong_AsLongLong(g_header_bytes);
+            size = g_header_ll;
         }
     }
     now = slot_ll(sim, S.now, "now", &err);
@@ -1278,11 +1246,10 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
              * hottest path in the engine). */
             long long per_byte =
                 slot_ll(self, P.ps_per_byte, "_ps_per_byte", &err);
-            long long done, prop;
+            long long done = 0, prop, arrive;
             PyObject *deliver = NULL;
-            if (err)
+            if (err || wire_done(now, size, per_byte, &done) < 0)
                 return NULL;
-            done = now + size * per_byte;
             if (slot_set_ll(self, P.busy_until, done) < 0)
                 return NULL;
             if (slot_add_ll(stats, ST.sent_packets, "sent_packets", 1) < 0 ||
@@ -1308,7 +1275,7 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
                 Py_RETURN_TRUE;
             }
             prop = slot_ll(self, P.propagation_ps, "propagation_ps", &err);
-            if (err) {
+            if (err || add_ll(done, prop, &arrive) < 0) {
                 Py_DECREF(deliver);
                 return NULL;
             }
@@ -1319,7 +1286,7 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
                     Py_DECREF(deliver);
                     return NULL;
                 }
-                err = schedule_heap(sim, done + prop, deliver, recv_args);
+                err = schedule_heap(sim, arrive, deliver, recv_args);
                 Py_DECREF(deliver);
                 if (err < 0)
                     return NULL;
@@ -1847,14 +1814,11 @@ src_emit(PyObject *self, PyObject *seq_obj)
         PyObject *sz = PyObject_GetAttr(record, s_size_bytes);
         if (sz == NULL)
             goto done;
-        size_ll = PyLong_AsLongLong(sz);
+        err = as_ll(sz, &size_ll);
         Py_DECREF(sz);
-        if (size_ll == -1 && PyErr_Occurred())
+        if (err < 0 || as_ll(seq_obj, &seq_ll) < 0)
             goto done;
     }
-    seq_ll = PyLong_AsLongLong(seq_obj);
-    if (seq_ll == -1 && PyErr_Occurred())
-        goto done;
     remaining = size_ll - seq_ll * payload;
     b = payload < remaining ? payload : remaining;
     if (b < 1)
@@ -2238,12 +2202,9 @@ c_sink_on_packet(PyObject *Py_UNUSED(mod), PyObject *const *args,
                 sz = PyObject_GetAttr(srecord, s_size_bytes);
                 if (sz == NULL)
                     return NULL;
-                size_ll = PyLong_AsLongLong(sz);
+                err = as_ll(sz, &size_ll);
                 Py_DECREF(sz);
-                if (size_ll == -1 && PyErr_Occurred())
-                    return NULL;
-                seq_ll = PyLong_AsLongLong(seq_obj);
-                if (seq_ll == -1 && PyErr_Occurred())
+                if (err < 0 || as_ll(seq_obj, &seq_ll) < 0)
                     return NULL;
                 remaining = size_ll - seq_ll * payload;
                 b = payload < remaining ? payload : remaining;
@@ -2383,9 +2344,9 @@ c_pacer_tick(PyObject *Py_UNUSED(mod), PyObject *const *args,
                 long long now = slot_ll(sim, S.now, "now", &err);
                 long long interval =
                     slot_ll(self, PP.interval_ps, "interval_ps", &err);
-                if (err)
-                    return NULL;
-                if (schedule_heap(sim, now + interval, tick, g_empty) < 0)
+                long long next;
+                if (err || add_ll(now, interval, &next) < 0 ||
+                    schedule_heap(sim, next, tick, g_empty) < 0)
                     return NULL;
             }
             else {
@@ -2465,9 +2426,7 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     t_sim = (PyTypeObject *)cls;
     Py_INCREF(cls);
     OFF(cls, "now", S.now);
-    OFF(cls, "_wheel", S.wheel);
     OFF(cls, "_heap", S.heap);
-    OFF(cls, "_seq", S.seq);
     OFF(cls, "_gap", S.gap);
     OFF(cls, "coalesce", S.coalesce);
     OFF(cls, "_train_extra", S.train_extra);
@@ -2627,14 +2586,15 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     CFG_OBJ(tmp, "POOL_MAX");
     g_pool_max = PyLong_AsLong(tmp);
     CFG_OBJ(tmp, "MAX_HOPS");
-    g_max_hops = PyLong_AsLongLong(tmp);
+    if (as_ll(tmp, &g_max_hops) < 0)
+        return NULL;
     CFG_OBJ(g_header_bytes, "HEADER_BYTES");
-    g_header_ll = PyLong_AsLongLong(g_header_bytes);
-    if (g_header_ll == -1 && PyErr_Occurred())
+    if (as_ll(g_header_bytes, &g_header_ll) < 0)
         return NULL;
     CFG_OBJ(g_py_sim_at, "py_at");
     CFG_OBJ(g_py_sim_after, "py_after");
     CFG_OBJ(g_py_sim_at_many, "py_at_many");
+    CFG_OBJ(g_py_conform_entries, "py_conform_entries");
     CFG_OBJ(g_py_sim_run, "py_run");
     CFG_OBJ(g_py_past_error, "py_past_error");
     CFG_OBJ(g_py_port_enqueue, "py_enqueue");
@@ -2771,9 +2731,16 @@ PyInit__ckernel(void)
 {
     PyObject *m, *builtins;
 
+    if (PyType_Ready(&EventHeap_Type) < 0)
+        return NULL;
     m = PyModule_Create(&ckernel_module);
     if (m == NULL)
         return NULL;
+    Py_INCREF(&EventHeap_Type);
+    if (PyModule_AddObject(m, "EventHeap", (PyObject *)&EventHeap_Type) < 0) {
+        Py_DECREF(&EventHeap_Type);
+        goto fail;
+    }
     s_receive_cb = PyUnicode_InternFromString("receive_cb");
     s_receive = PyUnicode_InternFromString("receive");
     s_popleft = PyUnicode_InternFromString("popleft");

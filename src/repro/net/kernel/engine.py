@@ -4,17 +4,22 @@ Importing this module requires the compiled extension
 (:mod:`repro.net.kernel._ckernel`); :func:`repro.net.kernel.engine_classes`
 catches the ``ImportError`` and falls back to the pure-Python engine.
 
-The ``CK*`` classes add **no state** (``__slots__ = ()``) — they only
-rebind the hot methods to the C implementations, which operate on the
-base classes' ``__slots__`` through member-descriptor offsets captured by
-``_ckernel.init`` below. Everything else (construction, cold paths,
+The ``CK*`` classes add no slots (``__slots__ = ()``) — they rebind the
+hot methods to the C implementations, which operate on the base classes'
+``__slots__`` through member-descriptor offsets captured by
+``_ckernel.init`` below. One slot changes type: :class:`CKSimulator`
+stores a native ``_ckernel.EventHeap`` in ``_heap`` instead of the
+oracle's list of ``(time_ps, seq, callback, args)`` tuples (see
+:mod:`repro.net.kernel`). Everything else (construction, cold paths,
 introspection, repr) is inherited from the pure-Python classes, and the
 C functions themselves delegate any call they cannot prove is on the
-fast path (wheel scheduler, non-integral line rate, subclasses, test
+fast path (no native heap, non-integral line rate, subclasses, test
 doubles) back to the pure-Python implementations passed to ``init``.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .. import sim as _sim_mod
 from ..link import _LAZY, Port, PortStats
@@ -41,6 +46,13 @@ __all__ = [
     "CKNdpSink",
     "CKPullPacer",
 ]
+
+
+def _conform_entries(entries):
+    """Any sequence of ``(time_ps, callback, args)`` triples, as the list of
+    exact ``(int, callback, tuple)`` triples the compiled ``at_many`` reads."""
+    return [(index(t), callback, tuple(args)) for t, callback, args in entries]
+
 
 _ckernel.init(
     {
@@ -72,6 +84,7 @@ _ckernel.init(
         "py_at": Simulator.at,
         "py_after": Simulator.after,
         "py_at_many": Simulator.at_many,
+        "py_conform_entries": _conform_entries,
         "py_run": Simulator.run,
         "py_past_error": Simulator._past_error,
         "py_enqueue": Port.enqueue,
@@ -87,9 +100,34 @@ _ckernel.init(
 
 
 class CKSimulator(Simulator):
-    """Simulator with the scheduling/run loop compiled."""
+    """Simulator with the scheduling/run loop compiled.
+
+    On the heap scheduler the event heap is a native
+    ``_ckernel.EventHeap``: int64 ``(time, seq)`` keys instead of boxed
+    tuples, and the heap owns the sequence counter (``_seq`` is unused).
+    ``len(self._heap)`` still counts pending entries, so :attr:`pending`
+    is unchanged. The wheel scheduler keeps the Python structures and
+    every method delegates to the pure-Python engine.
+    """
 
     __slots__ = ()
+
+    def __init__(
+        self,
+        scheduler: str | None = None,
+        coalesce: bool | None = None,
+        coalesce_gap_ps: int | None = None,
+    ) -> None:
+        super().__init__(scheduler, coalesce, coalesce_gap_ps)
+        if self._wheel is None:
+            self._heap = _ckernel.EventHeap()
+
+    @property
+    def sched_pushes(self) -> int:
+        """:attr:`Simulator.sched_pushes`, counted by the native heap."""
+        heap = self._heap
+        seq = self._seq if heap.__class__ is list else heap.seq
+        return seq + self.train_repushes
 
     at = _ckernel.at
     after = _ckernel.after

@@ -301,9 +301,11 @@ class Port:
                 deliver = self._deliver = (
                     getattr(target, "receive_cb", None) or target.receive  # type: ignore[attr-defined]
                 )
-            if sim._wheel is None:
-                # Inlined sim.at fast path; the past-time guard holds by
-                # construction (asserted, as sim.at would).
+            if sim._wheel is None and sim._heap.__class__ is list:
+                # Inlined sim.at fast path onto the oracle's list heap (a
+                # compiled simulator's native heap takes sim.at); the
+                # past-time guard holds by construction (asserted, as
+                # sim.at would).
                 assert done + self.propagation_ps >= sim.now
                 sim._seq = seq = sim._seq + 1
                 heappush(
@@ -373,11 +375,12 @@ class Port:
             )
         if out is not None:
             out.append((done + self.propagation_ps, deliver, packet.recv_args))
-        elif sim._wheel is None:
+        elif sim._wheel is None and sim._heap.__class__ is list:
             # Delivery is the engine's single hottest schedule call: push
-            # straight onto the heap (sim.at minus one frame; the time is
-            # computed from now + positive delays, never in the past —
-            # asserted below, mirroring sim.at's guard).
+            # straight onto the list heap (sim.at minus one frame; the time
+            # is computed from now + positive delays, never in the past —
+            # asserted below, mirroring sim.at's guard). A compiled
+            # simulator's native heap takes sim.at.
             assert done + self.propagation_ps >= sim.now
             sim._seq = seq = sim._seq + 1
             heappush(

@@ -249,3 +249,177 @@ class TestKernelRunnerDifferential:
             cache=ResultCache(tmp_path), executor="distributed", workers=2
         ).run(names=["fig07"], overrides=tiny)[0]
         assert dist.value == plain
+
+
+# ---------------------------------------------------------------- native heap
+
+#: Timestamps around CPython's one-digit int boundary (2**30) and far
+#: beyond it, where the compiled heap's int64 keys must still order
+#: exactly like the oracle's Python ints.
+INT64_EDGES = (2**30 - 1, 2**30, 2**31, 2**60, 2**62)
+
+
+def int64_cascade(kernel, scheduler, coalesce, seed):
+    """Seeded cascade whose events cluster around each of INT64_EDGES."""
+    sim = engine_classes(kernel).Simulator(scheduler=scheduler, coalesce=coalesce)
+    rng = random.Random(seed)
+    trace = []
+
+    def fire(tag, depth):
+        trace.append((sim.now, tag))
+        if not depth:
+            return
+        sim.at_many(
+            [
+                (sim.now + rng.choice((0, 1, rng.randrange(2, 200_000))),
+                 fire, (f"{tag}.{i}", depth - 1))
+                for i in range(rng.randrange(0, 4))
+            ]
+        )
+        if rng.random() < 0.5:
+            sim.after(rng.randrange(0, 1_000), fire, f"{tag}.a", depth - 1)
+
+    for edge in INT64_EDGES:
+        for i in range(6):
+            sim.at(edge + rng.randrange(-3, 4), fire, f"{edge}.{i}", 3)
+    chunks = []
+    for edge in INT64_EDGES:
+        sim.run(until_ps=edge, max_events=40)
+        chunks.append((sim.now, sim.events_processed, sim.pending))
+        sim.run(until_ps=edge + 100_000)
+        chunks.append((sim.now, sim.events_processed, sim.pending))
+    sim.run()
+    return (tuple(trace), tuple(chunks), sim.now, sim.events_processed,
+            sim.pending, sim.sched_pushes)
+
+
+@requires_c
+class TestKernelInt64Edges:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cascade_across_int_digit_boundaries_identical(self, seed):
+        for coalesce in (False, True):
+            py = int64_cascade("py", "heap", coalesce, seed)
+            assert len(py[0]) > 100
+            assert int64_cascade("c", "heap", coalesce, seed) == py, coalesce
+
+    @pytest.mark.parametrize("kernel", ["py", "c"])
+    def test_overflowing_schedules(self, kernel):
+        # The py kernel's ints are unbounded; the compiled heap's keys are
+        # int64, and every overflow raises the one hinted OverflowError.
+        sim_cls = engine_classes(kernel).Simulator
+
+        def overflowing(call):
+            sim = sim_cls()
+            sim.at(2**63 - 10, lambda: None)
+            sim.run()
+            assert sim.now == 2**63 - 10
+            if kernel == "py":
+                call(sim)
+            else:
+                with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
+                    call(sim)
+
+        overflowing(lambda sim: sim.at(2**63, lambda: None))
+        overflowing(lambda sim: sim.run(until_ps=2**63))
+        overflowing(lambda sim: sim.after(100, lambda: None))
+
+
+@requires_c
+class TestNativeHeap:
+    def test_compiled_simulator_owns_the_native_heap(self):
+        sim_cls = engine_classes("c").Simulator
+        assert type(sim_cls()._heap).__name__ == "EventHeap"
+        # The wheel keeps the Python structures (and the Python paths).
+        assert type(sim_cls(scheduler="wheel")._heap) is list
+
+    def test_finished_network_is_collected(self, monkeypatch):
+        # Pending kick/pacer events keep callbacks -> ports -> simulator
+        # alive through the native heap; the collector must still see
+        # (and break) that cycle once the network is dropped.
+        import gc
+        import weakref
+
+        from repro.experiments.fctsim import build_network
+
+        monkeypatch.setenv("REPRO_KERNEL", "c")
+        net = build_network("clos", k=8, n_racks=8, seed=3)
+        assert type(net.sim).__name__ == "CKSimulator"
+        for i in range(8):
+            net.start_low_latency_flow(i, 31 - i, 200_000, 1_000 * i)
+        net.run(until_ps=20_000_000)
+        assert net.sim.pending > 0
+        record = weakref.ref(next(iter(net.stats.flows.values())))
+        heap = net.sim._heap
+        assert gc.is_tracked(heap)
+        del net, heap
+        gc.collect()
+        assert record() is None
+
+
+def serializer_run(sim_cls, port_cls, rate_bps):
+    """The serializer pins of test_link_serializer on any class pair."""
+    from test_link_serializer import ArrivalLog, control_packet, make_packet
+
+    sim = sim_cls()
+    sink = ArrivalLog(sim)
+    port = port_cls(sim, "t", resolver=lambda _p, _n: sink, rate_bps=rate_bps)
+    port.enqueue(make_packet(0))  # idle line: delivery pushed inline
+    port.enqueue(make_packet(1))  # busy line: queued behind a kick
+    for seq in (10, 11, 12):  # control burst: committed by one kick
+        port.enqueue(control_packet(seq))
+    sim.at(600_000, port.enqueue, control_packet(99))
+    observed = [(sim.now, sim.events_processed, sim.pending)]
+    sim.run(max_events=2)
+    observed.append((sim.now, sim.events_processed, sim.pending))
+    sim.run(until_ps=5_000_000)
+    observed.append((sim.now, sim.events_processed, sim.pending))
+    sim.run()
+    observed.append((sim.now, sim.events_processed, sim.pending))
+    return sink.arrivals, observed
+
+
+@requires_c
+class TestPythonFallbacksOnCompiledSim:
+    """Python paths that schedule must work on a compiled simulator.
+
+    The C fast path declines a port whose line rate does not divide 8
+    bits/ps (exact big-int serialization) and a simulator without a
+    native heap; those calls run the pure-Python bodies, which must
+    schedule onto whatever heap the simulator owns.
+    """
+
+    @pytest.mark.parametrize("rate_bps", [3_000_000_000, 10_000_000_000])
+    def test_serializer_identical_on_every_class_pairing(self, rate_bps):
+        py = engine_classes("py")
+        ck = engine_classes("c")
+        baseline = serializer_run(py.Simulator, py.Port, rate_bps)
+        assert len(baseline[0]) == 6
+        for sim_cls, port_cls in (
+            (ck.Simulator, ck.Port),  # compiled port declines (3 Gb/s)
+            (ck.Simulator, py.Port),  # Python port on the native heap
+            (py.Simulator, ck.Port),  # compiled port on a plain Simulator
+        ):
+            run = serializer_run(sim_cls, port_cls, rate_bps)
+            assert run == baseline, (sim_cls.__name__, port_cls.__name__)
+
+    @pytest.mark.parametrize("scheduler,coalesce", COMBOS)
+    def test_python_path_at_many_identical(self, scheduler, coalesce):
+        # Inputs the compiled at_many does not take verbatim: a tuple of
+        # entries, list entries, list args.
+        def run(kernel):
+            sim = engine_classes(kernel).Simulator(
+                scheduler=scheduler, coalesce=coalesce
+            )
+            seen = []
+
+            def note(tag):
+                seen.append((sim.now, tag, sim.pending))
+
+            sim.at_many(((30, note, ("c",)), (10, note, ("a",))))
+            sim.at_many([[20, note, ["b"]], (20, note, ("b2",)), (21, note, ("e",))])
+            sim.run(max_events=1)
+            sim.at_many(((25, note, ("d",)),))
+            sim.run()
+            return seen, sim.now, sim.events_processed, sim.pending, sim.sched_pushes
+
+        assert run("c") == run("py")
