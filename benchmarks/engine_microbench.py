@@ -41,10 +41,12 @@ Two further phases feed the artifact:
   paper-scale pending depths (prefill N events, then pop-one/push-one).
   The per-profile default scheduler (``fctsim.SCHEDULER_BY_SCALE``) is
   picked from its committed results.
-* ``--sharded-workers N[,M...]`` — the sharded fig07 grid through the
-  scenario Runner at ``--sharded-scale``, recording wall and cells/sec
-  per worker count (the CI perf-smoke job gates on cells/sec with the
-  same >2x rule as events/sec).
+* ``--sharded SCALE:W1[,W2...]`` — the sharded fig07 grid through the
+  scenario Runner at SCALE, recording wall and cells/sec per worker
+  count (the CI perf-smoke job gates on cells/sec with the same >2x rule
+  as events/sec), plus ``chaos_overhead``: the same grid on the
+  distributed executor with the chaos injector off and armed-but-quiet,
+  interleaved, with every sample, the best and the spread per side.
 * ``--faults`` — price the dynamic failure subsystem: armed-but-empty
   vs uninstalled walls (the deterministic observables must be identical
   or the bench aborts) plus an active 25% link draw, differentially
@@ -646,6 +648,57 @@ def run_telemetry_overhead(repeat: int = 3) -> dict:
 # ----------------------------------------------------------- sharded fig07
 
 
+#: Off/armed pairs behind ``chaos_overhead``.
+CHAOS_PAIRS = 3
+
+
+def _sweep_fig07(scale: str, workers: int, executor: str | None):
+    """One cold-cache fig07 sweep: ``(result, wall seconds)``."""
+    from repro.scenarios import ResultCache, Runner
+
+    with tempfile.TemporaryDirectory() as tmp:
+        start = time.perf_counter()
+        result = Runner(
+            workers=workers, cache=ResultCache(tmp), executor=executor
+        ).run(names=["fig07"], overrides={"scale": scale})[0]
+        return result, time.perf_counter() - start
+
+
+def run_chaos_overhead(scale: str, workers: int, pairs: int = CHAOS_PAIRS) -> dict:
+    """Price the chaos harness at rest, where its seams live.
+
+    The frame seam (``protocol.send_msg``), the worker's lease decisions
+    and the auth seam run only on the distributed and service paths; the
+    pool executor reads an armed injector once, for ``crash_coordinator``.
+    So the pair always runs the distributed executor. Armed means
+    ``REPRO_CHAOS`` with only a seed: every fault probability is zero,
+    leaving one env lookup plus one rng draw per frame/lease decision.
+    Off and armed sweeps alternate, ``pairs`` of each, so run order
+    (first-run warm-up) cannot pass for a price.
+    """
+    samples: dict[str, list[float]] = {"off": [], "armed": []}
+    saved = os.environ.pop("REPRO_CHAOS", None)
+    try:
+        for _ in range(pairs):
+            samples["off"].append(_sweep_fig07(scale, workers, "distributed")[1])
+            os.environ["REPRO_CHAOS"] = "seed=1"
+            samples["armed"].append(_sweep_fig07(scale, workers, "distributed")[1])
+            del os.environ["REPRO_CHAOS"]
+    finally:
+        os.environ.pop("REPRO_CHAOS", None)
+        if saved is not None:
+            os.environ["REPRO_CHAOS"] = saved
+    record: dict = {"executor": "distributed", "workers": workers}
+    for side, walls in samples.items():
+        record[side] = {
+            "samples_s": [round(w, 4) for w in walls],
+            "best_s": round(min(walls), 4),
+            "spread_s": round(max(walls) - min(walls), 4),
+        }
+    record["ratio"] = round(min(samples["armed"]) / min(samples["off"]), 4)
+    return record
+
+
 def run_sharded_bench(
     scale: str, workers_list: tuple[int, ...], executor: str | None = None
 ) -> dict:
@@ -656,20 +709,17 @@ def run_sharded_bench(
     scheduling-level throughput number the CI gate tracks. ``executor``
     selects the Runner backend (``--sharded-executor distributed``
     measures the TCP coordinator/worker path, auto-spawned local workers,
-    including their process-startup cost).
+    including their process-startup cost). ``chaos_overhead`` runs on the
+    distributed executor whatever ``executor`` says
+    (:func:`run_chaos_overhead`).
     """
-    from repro.scenarios import ResultCache, Runner, get
+    from repro.scenarios import get
 
     plan = get("fig07").shard_plan(**get("fig07").bind({"scale": scale}))
     runs = {}
     base_wall = None
     for workers in workers_list:
-        with tempfile.TemporaryDirectory() as tmp:
-            start = time.perf_counter()
-            result = Runner(
-                workers=workers, cache=ResultCache(tmp), executor=executor
-            ).run(names=["fig07"], overrides={"scale": scale})[0]
-            wall = time.perf_counter() - start
+        result, wall = _sweep_fig07(scale, workers, executor)
         assert result.cells is not None and result.cells[0] == len(plan)
         if base_wall is None:
             base_wall = wall
@@ -680,43 +730,14 @@ def run_sharded_bench(
             "cells_per_sec": round(len(plan) / wall, 4),
             "speedup_vs_first": round(base_wall / wall, 2),
         }
-    # Price the chaos harness at rest: the same workload with the
-    # injector armed but every fault probability zero (REPRO_CHAOS with
-    # only a seed) costs one env lookup plus one rng draw per frame/lease
-    # decision. The ratio pins that "armed but quiet" stays noise — the
-    # seam must be free when nobody is injecting faults.
-    chaos_wall = None
-    if workers_list:
-        saved = os.environ.get("REPRO_CHAOS")
-        os.environ["REPRO_CHAOS"] = "seed=1"
-        try:
-            with tempfile.TemporaryDirectory() as tmp:
-                start = time.perf_counter()
-                Runner(
-                    workers=workers_list[0],
-                    cache=ResultCache(tmp),
-                    executor=executor,
-                ).run(names=["fig07"], overrides={"scale": scale})
-                chaos_wall = time.perf_counter() - start
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_CHAOS", None)
-            else:
-                os.environ["REPRO_CHAOS"] = saved
-
     record = {
         "scale": scale,
         "cells": len(plan),
         "cpu_count": os.cpu_count(),
         "runs": runs,
     }
-    if chaos_wall is not None:
-        record["chaos_overhead"] = {
-            "workers": workers_list[0],
-            "off_wall_s": round(base_wall, 4),
-            "armed_wall_s": round(chaos_wall, 4),
-            "ratio": round(chaos_wall / base_wall, 4),
-        }
+    if workers_list:
+        record["chaos_overhead"] = run_chaos_overhead(scale, workers_list[0])
     if executor is not None:
         record["executor"] = executor
     return record
@@ -801,10 +822,12 @@ def format_rows(doc: dict) -> list[str]:
             )
         chaos = record.get("chaos_overhead")
         if chaos:
+            off, armed = chaos["off"], chaos["armed"]
             rows.append(
-                f"sharded fig07 ({scale}) chaos armed-but-quiet: "
-                f"{chaos['armed_wall_s']:.2f} s vs {chaos['off_wall_s']:.2f} s "
-                f"off = {chaos['ratio']:.3f}x"
+                f"sharded fig07 ({scale}) chaos armed-but-quiet on "
+                f"{chaos['executor']}: best {armed['best_s']:.2f} s "
+                f"(spread {armed['spread_s']:.2f}) vs {off['best_s']:.2f} s "
+                f"off (spread {off['spread_s']:.2f}) = {chaos['ratio']:.3f}x"
             )
     return rows
 

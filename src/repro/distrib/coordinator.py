@@ -50,7 +50,13 @@ from typing import Any, Callable, Iterator
 from .auth import new_nonce, verify_mac
 from .chaos import ChaosCrash
 from .jobs import Job, JobQueue, ServiceError
-from .protocol import PROTO_VERSION, FrameReader, ProtocolError, send_msg
+from .protocol import (
+    PROTO_VERSION,
+    FrameReader,
+    ProtocolError,
+    apply_socket_policy,
+    send_msg,
+)
 
 __all__ = ["Coordinator"]
 
@@ -496,6 +502,7 @@ class Coordinator:
             try:
                 sock, addr = self._listener.accept()
                 sock.settimeout(_SEND_TIMEOUT_S)
+                apply_socket_policy(sock)
             except (BlockingIOError, OSError):
                 return
             now = time.monotonic()

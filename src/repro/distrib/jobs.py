@@ -37,6 +37,7 @@ from .chaos import backoff_delays
 from .protocol import (
     ProtocolError,
     ProtocolTimeout,
+    apply_socket_policy,
     parse_address,
     recv_msg,
     send_msg,
@@ -378,6 +379,7 @@ def _dial(
     """Connect + v2 handshake as a ``client`` peer; bounded by ``timeout``."""
     sock = socket.create_connection(address, timeout=timeout)
     try:
+        apply_socket_policy(sock)
         client_handshake(sock, role="client", secret=secret)
     except socket.timeout:
         sock.close()

@@ -20,6 +20,22 @@ peers (which never read a handshake reply) keep working on trusted
 networks — but a coordinator *with a shared secret armed* refuses v1
 peers outright, because v1 cannot authenticate.
 
+Socket policy: every protocol socket — the worker's dial, the client
+dial behind ``repro submit``/``jobs``/``cancel``, the status poll, and
+each connection the coordinator accepts — passes through
+:func:`apply_socket_policy`, which disables Nagle's algorithm
+(``TCP_NODELAY``). The lease loop needs it: a worker reports a unit as
+two small writes, ``result`` then ``ready``, and then blocks reading its
+next ``lease``. With Nagle on, ``ready`` is held back until the peer
+ACKs ``result``, and the peer's kernel delays that ACK (40 ms on Linux),
+so every unit paid one delayed-ACK timeout between its result and the
+next lease. On the 120-cell ci-scale fig07 sweep over two local workers
+on a 2-vCPU host that cost a third of the sweep: 8.21 s median with
+Nagle on, 5.63 s with it off, and each worker's busy share (run time
+over first lease to last result) rose from 59–61 % to 91 %. Frames are
+whole application messages already, so there is nothing for Nagle to
+coalesce.
+
 Core message types (``{"type": ...}``):
 
 ``hello``      peer -> coordinator, once: ``proto``, ``role``
@@ -69,6 +85,7 @@ __all__ = [
     "recv_msg",
     "FrameReader",
     "parse_address",
+    "apply_socket_policy",
     "fetch_status",
 ]
 
@@ -123,6 +140,15 @@ def parse_address(text: str | tuple[str, int]) -> tuple[str, int]:
     if not sep or not host:
         raise ValueError(f"expected HOST:PORT, got {text!r}")
     return host, int(port)
+
+
+def apply_socket_policy(sock: socket.socket) -> None:
+    """Configure one connected protocol socket: Nagle off.
+
+    Called on every socket the protocol dials and on every connection the
+    coordinator accepts (see "Socket policy" in the module docstring).
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def encode_frame(msg: dict[str, Any]) -> bytes:
@@ -249,6 +275,7 @@ def fetch_status(
         with socket.create_connection((host, port), timeout=timeout) as sock:
             # create_connection's timeout persists as the per-op recv/send
             # timeout, which is exactly the bound we want on every frame.
+            apply_socket_policy(sock)
             if secret is not None:
                 from .auth import client_handshake
 

@@ -58,7 +58,13 @@ from typing import Any
 
 from .auth import AuthError, client_handshake, load_secret
 from .chaos import backoff_delays, injector
-from .protocol import ProtocolError, parse_address, recv_msg, send_msg
+from .protocol import (
+    ProtocolError,
+    apply_socket_policy,
+    parse_address,
+    recv_msg,
+    send_msg,
+)
 
 __all__ = ["serve", "main", "KILLED_EXIT", "AUTH_EXIT", "HEARTBEAT_S"]
 
@@ -97,6 +103,7 @@ def _connect(address: tuple[str, int], timeout: float) -> socket.socket:
     for delay in backoff_delays(total=timeout):
         try:
             sock = socket.create_connection(address, timeout=5.0)
+            apply_socket_policy(sock)
             # create_connection's timeout would otherwise persist as a 5s
             # *recv* timeout — and an idle worker (queue drained, another
             # worker holding the long tail unit) must block on the next

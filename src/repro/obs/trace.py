@@ -170,11 +170,22 @@ def build_spans(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     """Fold an event stream into per-unit spans plus run-level facts.
 
     Returns ``{"run": ..., "t0": ..., "wall_s": ..., "crashed": ...,
-    "units": ..., "cache_hits": [...], "spans": {uid: span}}`` where each
-    span carries ``label``, ``queued_t``, ``first_leased_t``,
-    ``completed_t``, ``duration_s``, ``attempts`` (lease count, 1 for
-    local/pool execution), ``worker``, ``failed``/``quarantined`` and the
-    unit's ``telemetry`` snapshot when one was recorded.
+    "units": ..., "cache_hits": [...], "spans": {uid: span},
+    "workers": {name: summary}}`` where each span carries ``label``,
+    ``queued_t``, ``first_leased_t``, ``completed_t``, ``duration_s``,
+    ``attempts`` (lease count, 1 for local/pool execution), ``worker``,
+    ``failed``/``quarantined`` and the unit's ``telemetry`` snapshot when
+    one was recorded.
+
+    ``workers`` covers every worker that took a lease (empty for local
+    and pool runs): ``units`` it completed, ``busy_s`` (the sum of their
+    ``duration_s``), ``first_leased_t``, ``last_completed_t`` and
+    ``span_s`` between the two (``None`` until it completes a unit).
+    ``busy_s / span_s`` is the worker's busy share. It is deliberately
+    not built from completed-to-next-lease gaps: ``completed`` is stamped
+    when the Runner consumes a result, which can come after the
+    coordinator has already leased that worker its next unit, so such a
+    gap would measure a whole unit instead of the wire.
     """
     out: dict[str, Any] = {
         "run": None,
@@ -184,8 +195,10 @@ def build_spans(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
         "units": None,
         "cache_hits": [],
         "spans": {},
+        "workers": {},
     }
     spans: dict[int, dict[str, Any]] = {}
+    workers: dict[str, dict[str, Any]] = out["workers"]
 
     def span(uid: int) -> dict[str, Any]:
         sp = spans.get(uid)
@@ -226,6 +239,14 @@ def build_spans(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
             if sp["first_leased_t"] is None:
                 sp["first_leased_t"] = t
             sp["worker"] = ev.get("worker")
+            if sp["worker"] and sp["worker"] not in workers:
+                workers[sp["worker"]] = {
+                    "units": 0,
+                    "busy_s": 0.0,
+                    "first_leased_t": t,
+                    "last_completed_t": None,
+                    "span_s": None,
+                }
         elif kind == "completed":
             sp = span(ev["uid"])
             sp["label"] = ev.get("label", sp["label"])
@@ -235,6 +256,12 @@ def build_spans(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
             sp["quarantined"] = bool(ev.get("quarantined"))
             if ev.get("worker"):
                 sp["worker"] = ev["worker"]
+            w = workers.get(sp["worker"])
+            if w is not None:
+                w["units"] += 1
+                w["busy_s"] += sp["duration_s"] or 0.0
+                w["last_completed_t"] = t
+                w["span_s"] = t - w["first_leased_t"]
             if sp["attempts"] == 0:
                 sp["attempts"] = 1  # local/pool execution: no lease events
             if "telemetry" in ev:
@@ -253,7 +280,7 @@ def _fmt_t(t: float | None, t0: float | None) -> str:
 
 
 def render_trace(events: Iterable[dict[str, Any]]) -> list[str]:
-    """Human view of one trace: timeline, stragglers, critical path."""
+    """Human view of one trace: timeline, stragglers, critical path, workers."""
     doc = build_spans(events)
     spans = sorted(
         doc["spans"].values(),
@@ -321,6 +348,19 @@ def render_trace(events: Iterable[dict[str, Any]]) -> list[str]:
                 + ")"
             )
         rows.append(crit)
+    if doc["workers"]:
+        rows.append(
+            "worker busy share (run time over first lease -> last completion):"
+        )
+        for name, w in sorted(doc["workers"].items()):
+            if w["span_s"]:
+                share = (
+                    f"{w['busy_s']:7.2f}s / {w['span_s']:7.2f}s "
+                    f"{100.0 * w['busy_s'] / w['span_s']:4.0f}% busy"
+                )
+            else:
+                share = "no completed unit"
+            rows.append(f"  {name:<24s} {w['units']:4d} unit(s)  {share}")
     telem = [s["telemetry"] for s in spans if s.get("telemetry")]
     if telem:
         from .metrics import merge_snapshots, validate_snapshot

@@ -204,6 +204,84 @@ class TestProtocol:
         with pytest.raises(ValueError):
             parse_address("7077")
 
+    def test_every_protocol_socket_disables_nagle(self, monkeypatch):
+        # A worker reports a unit as two small writes (result, ready) and
+        # then reads its next lease; with Nagle on, ready waits out the
+        # coordinator's delayed ACK on every unit. Each dial path and the
+        # coordinator's accept must apply the protocol's socket policy.
+        # The spy reads the option as each dial applies the policy, so
+        # fetch_status, which closes its socket before returning, is
+        # covered too.
+        from repro.distrib import jobs, protocol, worker
+
+        def nodelay(sock: socket.socket) -> int:
+            return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+        applied: dict[str, list[int]] = {}
+        real = protocol.apply_socket_policy
+        for mod in (worker, jobs, protocol):
+            def spy(sock, _site=mod.__name__):
+                real(sock)
+                applied.setdefault(_site, []).append(nodelay(sock))
+
+            monkeypatch.setattr(mod, "apply_socket_policy", spy)
+
+        coord = Coordinator(poll_s=0.01)
+
+        def dial_while_ticking(dial):
+            # The handshake and status dials need the coordinator's event
+            # loop to answer, so the dial runs on a thread while this one
+            # ticks; the coordinator's state is only touched from here.
+            box: dict = {}
+
+            def target():
+                try:
+                    box["value"] = dial()
+                except Exception as exc:  # re-raised on the test thread
+                    box["error"] = exc
+
+            thread = threading.Thread(target=target, daemon=True)
+            thread.start()
+            deadline = time.monotonic() + 10
+            while thread.is_alive() and time.monotonic() < deadline:
+                coord._tick()
+            thread.join(timeout=1)
+            assert not thread.is_alive(), "dial did not finish"
+            if "error" in box:
+                raise box["error"]
+            return box["value"]
+
+        dialled = []
+        try:
+            dialled.append(
+                dial_while_ticking(lambda: worker._connect(coord.address, 10))
+            )
+            dialled.append(
+                dial_while_ticking(
+                    lambda: jobs._dial(coord.address, secret=None, timeout=10)
+                )
+            )
+            status = dial_while_ticking(
+                lambda: protocol.fetch_status(coord.address)
+            )
+            assert isinstance(status, dict)
+            assert {site: len(v) for site, v in applied.items()} == {
+                "repro.distrib.worker": 1,
+                "repro.distrib.jobs": 1,
+                "repro.distrib.protocol": 1,
+            }
+            assert all(v for values in applied.values() for v in values)
+            assert all(nodelay(sock) for sock in dialled)
+            # The worker and client connections stay open, so at least
+            # their two accepted sockets are still registered.
+            accepted = list(coord._conns)
+            assert len(accepted) >= 2
+            assert all(nodelay(sock) for sock in accepted)
+        finally:
+            for sock in dialled:
+                sock.close()
+            coord.close()
+
 
 # -------------------------------------------------------------- coordinator
 

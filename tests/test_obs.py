@@ -411,6 +411,54 @@ class TestTraceStream:
         assert "fig07:opera@0.1" in text and "w1" in text
         assert "stragglers:" in text and "critical path:" in text
         assert "42 events" in text and "7 packet hops" in text
+        # No lease events (local/pool execution): no worker section.
+        assert "busy" not in text
+        assert build_spans(events)["workers"] == {}
+
+    def test_worker_busy_share(self):
+        def completed(uid, worker, duration, t):
+            return {
+                "ev": "completed", "uid": uid, "label": f"u{uid}",
+                "worker": worker, "duration_s": duration, "failed": False,
+                "quarantined": False, "done": uid + 1, "total": 4,
+                "eta_s": None, "t": t,
+            }
+
+        events = [
+            {"ev": "run-start", "run": "r", "units": 4, "t": 0.0},
+            {"ev": "leased", "uid": 0, "worker": "w1", "t": 1.0},
+            {"ev": "leased", "uid": 2, "worker": "w2", "t": 1.0},
+            {"ev": "leased", "uid": 3, "worker": "w3", "t": 1.1},
+            {"ev": "released", "uid": 3, "worker": "w3", "t": 1.2},
+            completed(2, "w2", 0.4, 1.5),
+            {"ev": "leased", "uid": 3, "worker": "w2", "t": 1.6},
+            completed(3, "w2", 0.35, 2.0),
+            # The coordinator leases w1 its next unit before the Runner
+            # consumes (and stamps) w1's previous result: pairing u0's
+            # completion with w1's next lease would find none, or a whole
+            # unit later; busy share is order-independent.
+            {"ev": "leased", "uid": 1, "worker": "w1", "t": 2.02},
+            completed(0, "w1", 1.0, 2.05),
+            completed(1, "w1", 1.0, 3.05),
+            {"ev": "run-end", "wall_s": 3.05, "crashed": False, "t": 3.05},
+        ]
+        workers = build_spans(events)["workers"]
+        assert set(workers) == {"w1", "w2", "w3"}
+        w1, w2, w3 = workers["w1"], workers["w2"], workers["w3"]
+        assert w1["units"] == 2 and w1["busy_s"] == pytest.approx(2.0)
+        assert w1["first_leased_t"] == 1.0 and w1["last_completed_t"] == 3.05
+        assert w1["span_s"] == pytest.approx(2.05)
+        assert w2["units"] == 2 and w2["busy_s"] == pytest.approx(0.75)
+        assert w2["span_s"] == pytest.approx(1.0)
+        # A worker that died holding its only lease completed nothing.
+        assert w3["units"] == 0 and w3["span_s"] is None
+        text = "\n".join(render_trace(events))
+        assert "worker busy share" in text
+        lines = {line.split()[0]: line for line in text.splitlines()
+                 if line.startswith("  w")}
+        assert lines["w1"].endswith("98% busy") and "2 unit(s)" in lines["w1"]
+        assert lines["w2"].endswith("75% busy")
+        assert lines["w3"].endswith("no completed unit")
 
 
 # --------------------------------------------------------- runner telemetry
