@@ -8,12 +8,4 @@ from repro.experiments import fig04_path_lengths as exp
 def test_fig04_path_lengths(benchmark):
     data = run_scenario(benchmark, "fig04", k=12, n_racks=108, seed=0, n_slices=27)
     emit("Figure 4: path length CDFs (648-host trio)", exp.format_rows(data))
-    opera, expander, clos = data["opera"], data["expander"], data["clos"]
-    # Paper: Opera's paths are almost always substantially shorter than the
-    # folded Clos's and only marginally longer than the u=7 expander's.
-    assert opera.average() < clos.average()
-    assert expander.average() <= opera.average() + 1.0
-    # Nearly all Opera paths fit in 5 hops (the epsilon budget).
-    assert opera.fraction_at_most(5) > 0.99
-    # Clos paths are 2 (intra-pod) or 4 (cross-pod) switch hops.
-    assert set(clos.counts) == {2, 4}
+    # The figure's shape is asserted in tests/test_paper_claims.py.

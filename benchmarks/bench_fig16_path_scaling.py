@@ -8,11 +8,4 @@ from repro.experiments import fig16_path_scaling as exp
 def test_fig16_path_scaling(benchmark):
     rows = run_scenario(benchmark, "fig16", radices=(12, 16, 24))
     emit("Figure 16: average path length vs scale", exp.format_rows(rows))
-    # Paper: Opera's average path length stays within ~1 hop of the
-    # cost-comparable expanders and converges at larger scale.
-    for row in rows:
-        statics = [v for key, v in row.items() if key.startswith("expander")]
-        assert min(statics) - 0.5 < row["opera"] < max(statics) + 1.2
-    # Path lengths grow modestly (log-like), not linearly, with scale.
-    operas = [r["opera"] for r in rows]
-    assert operas[-1] < operas[0] + 1.5
+    # The figure's shape is asserted in tests/test_paper_claims.py.

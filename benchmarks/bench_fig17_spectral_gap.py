@@ -8,18 +8,4 @@ from repro.experiments import fig17_spectral as exp
 def test_fig17_spectral_gap(benchmark):
     data = run_scenario(benchmark, "fig17")
     emit("Figure 17: spectral gaps", exp.format_rows(data))
-    opera = data["opera"]
-    statics = {r.label: r for r in data["static"]}
-    # Every slice is a genuine expander (positive spectral gap).
-    assert all(r.spectral_gap > 0 for r in opera)
-    # Paper: Opera's average path length comes very close to the best
-    # achievable by a static expander at equal cost (u=6 has the same
-    # per-slice degree budget as Opera's 5 active uplinks + identity).
-    opera_avg = sum(r.average_path_length for r in opera) / len(opera)
-    best_static = min(r.average_path_length for r in statics.values())
-    assert opera_avg < best_static + 1.0
-    # More uplinks -> shorter static paths (u=8 beats u=5).
-    assert (
-        statics["expander-u8"].average_path_length
-        < statics["expander-u5"].average_path_length
-    )
+    # The figure's shape is asserted in tests/test_paper_claims.py.

@@ -13,18 +13,29 @@ build: mypyc (and Cython) are not part of the pinned offline toolchain,
 and the hot methods manipulate the engine's ``__slots__`` layout and
 heap entries directly, which a hand-written extension can do with zero
 per-event allocation.
+
+The build bakes the sha256 of ``_ckernel.c`` into the module as
+``SOURCE_SHA256``; ``repro.net.kernel`` compares it with the source beside
+the module and refuses a stale build (see its docstring).
 """
 
+import hashlib
 import os
 
 from setuptools import Extension, setup
 
+CKERNEL_SOURCE = "src/repro/net/kernel/_ckernel.c"
+
 ext_modules = []
 if not os.environ.get("REPRO_NO_CKERNEL"):
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, CKERNEL_SOURCE), "rb") as fh:
+        source_sha256 = hashlib.sha256(fh.read()).hexdigest()
     ext_modules.append(
         Extension(
             "repro.net.kernel._ckernel",
-            sources=["src/repro/net/kernel/_ckernel.c"],
+            sources=[CKERNEL_SOURCE],
+            define_macros=[("CKERNEL_SOURCE_SHA256", f'"{source_sha256}"')],
             optional=True,  # build failure -> pure-Python engine, not error
         )
     )

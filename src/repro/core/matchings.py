@@ -16,6 +16,19 @@ diagonal of the all-ones matrix and brings the count to ``n``.
 The factorization is randomized by conjugating every matching with a common
 random relabeling of the racks, which preserves both the involution property
 and the exact-cover property.
+
+:func:`random_factorization` (Opera's and RotorNet's topology draw) spends
+nearly all its time in the random-walk repair of
+:func:`_random_perfect_matching`. That walk has an exact compiled twin,
+``random_perfect_matching`` in ``repro/net/kernel/_ckernel.c``: for the same
+``remaining`` and a generator in the same state it returns the same matching
+and leaves the generator in the same state, so topologies do not depend on
+which walk ran. ``random_factorization`` runs the compiled walk when the
+extension is built, matches its source (``repro.net.kernel.compiled_walk``)
+and the generator is exactly :class:`random.Random`; a subclass, a missing
+or stale extension, or a platform without a compiler runs the Python walk,
+which stays the oracle. ``REPRO_KERNEL`` selects engine classes, not the
+walk.
 """
 
 from __future__ import annotations
@@ -173,6 +186,22 @@ def _random_perfect_matching(
     return None
 
 
+def _matching_walk(rng: random.Random):
+    """The perfect-matching walk :func:`random_factorization` runs with ``rng``.
+
+    The compiled walk replays the generator's own ``random`` and
+    ``getrandbits`` exactly as :class:`random.Random` consumes them, so it
+    is used only for that exact class.
+    """
+    if type(rng) is random.Random:
+        from ..net.kernel import compiled_walk
+
+        walk = compiled_walk()
+        if walk is not None:
+            return walk
+    return _random_perfect_matching
+
+
 def random_factorization(
     n: int,
     rng: random.Random | None = None,
@@ -201,6 +230,7 @@ def random_factorization(
     rng = rng or random.Random()
     if n == 2:
         return [(1, 0), (0, 1)]
+    walk = _matching_walk(rng)
 
     remaining: list[set[int]] = [set(range(n)) - {v} for v in range(n)]
     factors: list[list[int]] = []
@@ -208,7 +238,7 @@ def random_factorization(
     while len(factors) < n - 1:
         matching = None
         for _ in range(color_attempts):
-            matching = _random_perfect_matching(remaining, rng)
+            matching = walk(remaining, rng)
             if matching is not None:
                 break
         if matching is not None:

@@ -1,6 +1,21 @@
-/* Compiled engine kernel: the enqueue/serialize/dispatch hot path in C.
+/* Compiled kernel: two compiled paths in one CPython extension.
  *
- * Design: ONE data layout, TWO method implementations — with one
+ *  1. The packet engine's enqueue/serialize/dispatch hot path, selected
+ *     by REPRO_KERNEL (repro.net.kernel.engine_classes). Most of this file.
+ *  2. The factorization walk (random_perfect_matching, near the end): an
+ *     exact twin of repro.core.matchings._random_perfect_matching, which
+ *     random_factorization runs for every Opera and RotorNet topology
+ *     draw. It consumes the generator exactly as the Python walk does, so
+ *     topologies are the same whichever walk runs; its section states the
+ *     contract. REPRO_KERNEL does not select it.
+ *
+ * setup.py compiles in CKERNEL_SOURCE_SHA256, the sha256 of this file,
+ * exported as SOURCE_SHA256. repro.net.kernel refuses a module whose hash
+ * differs from the _ckernel.c beside it (or that has none): REPRO_KERNEL=c
+ * raises, anything else falls back to Python with a one-time warning.
+ * After editing this file, rebuild: python setup.py build_ext --inplace.
+ *
+ * Engine design: ONE data layout, TWO method implementations — with one
  * exception, the event heap. Every function reads and writes the
  * existing `__slots__` of the pure-Python engine classes (Simulator /
  * Port / Packet / Host / SwitchNode / PortStats) through member-
@@ -2649,6 +2664,299 @@ c_register(PyObject *Py_UNUSED(mod), PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* ----------------------------------------------------- factorization walk
+ *
+ * repro.core.matchings._random_perfect_matching, transcribed exactly: for
+ * the same `remaining` and generators in the same state it returns the
+ * same list (or None) and leaves the generator in the same state. The
+ * Python walk is the oracle (tests/test_compiled_walk.py); the contract:
+ *
+ *  - The generator is touched only through its own bound `random` and
+ *    `getrandbits`, looked up once per call, in the Python walk's order:
+ *    first n random() calls for the sort keys, in vertex order 0..n-1;
+ *    then every choice(seq) as CPython's _randbelow_with_getrandbits
+ *    (len(seq)): k = m.bit_length(), redraw getrandbits(k) until the
+ *    draw is below m. No native Mersenne Twister, no getstate().
+ *  - Vertices are ordered by (degree, key) with a stable sort.
+ *  - Each vertex's neighbours are read once per call, in the set's own
+ *    iteration order, which is what tuple(s) and a comprehension over s
+ *    see. No set changes during a call.
+ *  - The result is the partner list, or None on an empty neighbourhood,
+ *    an exhausted walk_limit or a failed final involution check.
+ *  - `remaining` must be a list of sets of ints in [0, n), random() must
+ *    return a float in [0, 1) and getrandbits(k) an int in [0, 2**k);
+ *    anything else raises. Memory is O(sum of degrees). */
+
+typedef struct {
+    PyObject *getrandbits;
+    Py_ssize_t *nbr;   /* every set's members, in iteration order */
+    Py_ssize_t *start; /* vertex v's members are nbr[start[v]:start[v+1]] */
+    Py_ssize_t *partner;
+    Py_ssize_t *pool;  /* free neighbours of one vertex */
+} Walk;
+
+/* rng.choice over m >= 1 items: the index it picks, or -1 on error. */
+static Py_ssize_t
+walk_randbelow(Walk *w, Py_ssize_t m)
+{
+    int k = 0;
+    long long r;
+    PyObject *k_obj;
+    for (r = m; r; r >>= 1)
+        k++;
+    k_obj = PyLong_FromLong(k);
+    if (k_obj == NULL)
+        return -1;
+    do {
+        int overflow;
+        PyObject *draw = PyObject_CallOneArg(w->getrandbits, k_obj);
+        if (draw == NULL) {
+            Py_DECREF(k_obj);
+            return -1;
+        }
+        r = PyLong_CheckExact(draw)
+                ? PyLong_AsLongLongAndOverflow(draw, &overflow)
+                : -1;
+        Py_DECREF(draw);
+        if (r == -1 && PyErr_Occurred()) {
+            Py_DECREF(k_obj);
+            return -1;
+        }
+        if (r < 0 || (r >> k) != 0) {
+            PyErr_Format(PyExc_ValueError,
+                         "getrandbits(%d) must return an int in [0, 2**%d)",
+                         k, k);
+            Py_DECREF(k_obj);
+            return -1;
+        }
+    } while (r >= m);
+    Py_DECREF(k_obj);
+    return (Py_ssize_t)r;
+}
+
+/* The free (unpartnered) neighbours of v, in set order, into w->pool. */
+static Py_ssize_t
+walk_free(Walk *w, Py_ssize_t v)
+{
+    Py_ssize_t j, nf = 0;
+    for (j = w->start[v]; j < w->start[v + 1]; j++)
+        if (w->partner[w->nbr[j]] < 0)
+            w->pool[nf++] = w->nbr[j];
+    return nf;
+}
+
+/* Read the sets (a tuple snapshot of `remaining`) into w->start and
+ * w->nbr, checking every member. */
+static int
+walk_read(Walk *w, PyObject *sets, Py_ssize_t n)
+{
+    Py_ssize_t v, total = 0, pos = 0;
+    for (v = 0; v < n; v++) {
+        PyObject *s = PyTuple_GET_ITEM(sets, v);
+        if (!PyAnySet_CheckExact(s)) {
+            PyErr_Format(PyExc_TypeError,
+                         "remaining[%zd] must be a set, not %.100s", v,
+                         Py_TYPE(s)->tp_name);
+            return -1;
+        }
+        total += PySet_GET_SIZE(s);
+    }
+    w->nbr = PyMem_New(Py_ssize_t, total > 0 ? total : 1);
+    if (w->nbr == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (v = 0; v < n; v++) {
+        PyObject *item, *it = PyObject_GetIter(PyTuple_GET_ITEM(sets, v));
+        if (it == NULL)
+            return -1;
+        w->start[v] = pos;
+        while ((item = PyIter_Next(it)) != NULL) {
+            Py_ssize_t u =
+                PyLong_CheckExact(item) ? PyLong_AsSsize_t(item) : -2;
+            Py_DECREF(item);
+            if (u == -1 && PyErr_Occurred()) {
+                Py_DECREF(it);
+                return -1;
+            }
+            if (u < 0 || u >= n || pos >= total) {
+                PyErr_Format(u == -2 ? PyExc_TypeError : PyExc_ValueError,
+                             "remaining[%zd] must hold ints in [0, %zd)", v,
+                             n);
+                Py_DECREF(it);
+                return -1;
+            }
+            w->nbr[pos++] = u;
+        }
+        Py_DECREF(it);
+        if (PyErr_Occurred())
+            return -1;
+    }
+    w->start[n] = pos;
+    return 0;
+}
+
+/* Stable insertion sort of order[0..n) by (degree, key). */
+static void
+walk_sort(Walk *w, Py_ssize_t *order, const double *key, Py_ssize_t n)
+{
+    Py_ssize_t i, j;
+    for (i = 0; i < n; i++) {
+        Py_ssize_t v = i;
+        Py_ssize_t dv = w->start[v + 1] - w->start[v];
+        for (j = i; j > 0; j--) {
+            Py_ssize_t u = order[j - 1];
+            Py_ssize_t du = w->start[u + 1] - w->start[u];
+            if (du < dv || (du == dv && key[u] <= key[v]))
+                break;
+            order[j] = u;
+        }
+        order[j] = v;
+    }
+}
+
+static PyObject *
+c_random_perfect_matching(PyObject *Py_UNUSED(mod), PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    PyObject *remaining, *rng, *sets = NULL, *random_fn = NULL,
+        *result = NULL;
+    Py_ssize_t n, v, i, walk_limit = 2000;
+    Py_ssize_t *order = NULL;
+    double *key = NULL;
+    Walk w = {NULL, NULL, NULL, NULL, NULL};
+
+    if (nargs < 2 || nargs > 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "random_perfect_matching(remaining, rng, "
+                        "walk_limit=2000)");
+        return NULL;
+    }
+    remaining = args[0];
+    rng = args[1];
+    if (nargs == 3) {
+        walk_limit = PyNumber_AsSsize_t(args[2], NULL); /* clamps */
+        if (walk_limit == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    if (!PyList_Check(remaining)) {
+        PyErr_Format(PyExc_TypeError, "remaining must be a list, not %.100s",
+                     Py_TYPE(remaining)->tp_name);
+        return NULL;
+    }
+    sets = PyList_AsTuple(remaining);
+    if (sets == NULL)
+        return NULL;
+    n = PyTuple_GET_SIZE(sets);
+    w.start = PyMem_New(Py_ssize_t, n + 1);
+    w.partner = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
+    w.pool = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
+    order = PyMem_New(Py_ssize_t, n > 0 ? n : 1);
+    key = PyMem_New(double, n > 0 ? n : 1);
+    if (w.start == NULL || w.partner == NULL || w.pool == NULL ||
+        order == NULL || key == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (walk_read(&w, sets, n) < 0)
+        goto done;
+    random_fn = PyObject_GetAttrString(rng, "random");
+    if (random_fn == NULL)
+        goto done;
+    w.getrandbits = PyObject_GetAttrString(rng, "getrandbits");
+    if (w.getrandbits == NULL)
+        goto done;
+
+    for (v = 0; v < n; v++) {
+        PyObject *draw = PyObject_CallNoArgs(random_fn);
+        if (draw == NULL)
+            goto done;
+        key[v] = PyFloat_Check(draw) ? PyFloat_AS_DOUBLE(draw) : -1.0;
+        Py_DECREF(draw);
+        if (!(key[v] >= 0.0 && key[v] < 1.0)) {
+            PyErr_SetString(PyExc_ValueError,
+                            "rng.random() must return a float in [0, 1)");
+            goto done;
+        }
+        w.partner[v] = -1;
+    }
+    walk_sort(&w, order, key, n);
+
+    for (i = 0; i < n; i++) {
+        Py_ssize_t nf, cur, step, pick;
+        v = order[i];
+        if (w.partner[v] >= 0)
+            continue;
+        nf = walk_free(&w, v);
+        if (nf) {
+            if ((pick = walk_randbelow(&w, nf)) < 0)
+                goto done;
+            w.partner[v] = w.pool[pick];
+            w.partner[w.pool[pick]] = v;
+            continue;
+        }
+        cur = v;
+        for (step = 0; step < walk_limit; step++) {
+            Py_ssize_t nb, displaced;
+            Py_ssize_t deg = w.start[cur + 1] - w.start[cur];
+            if (deg == 0)
+                goto none;
+            if ((pick = walk_randbelow(&w, deg)) < 0)
+                goto done;
+            nb = w.nbr[w.start[cur] + pick];
+            displaced = w.partner[nb];
+            w.partner[cur] = nb;
+            w.partner[nb] = cur;
+            if (displaced < 0 || displaced == cur)
+                break;
+            w.partner[displaced] = -1;
+            nf = walk_free(&w, displaced);
+            if (nf) {
+                if ((pick = walk_randbelow(&w, nf)) < 0)
+                    goto done;
+                w.partner[displaced] = w.pool[pick];
+                w.partner[w.pool[pick]] = displaced;
+                break;
+            }
+            cur = displaced;
+        }
+        if (step >= walk_limit)
+            goto none;
+    }
+    for (v = 0; v < n; v++)
+        if (w.partner[v] < 0 || w.partner[v] == v)
+            goto none;
+    for (v = 0; v < n; v++)
+        if (w.partner[w.partner[v]] != v)
+            goto none;
+    result = PyList_New(n);
+    if (result == NULL)
+        goto done;
+    for (v = 0; v < n; v++) {
+        PyObject *p = PyLong_FromSsize_t(w.partner[v]);
+        if (p == NULL) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyList_SET_ITEM(result, v, p);
+    }
+    goto done;
+none:
+    Py_INCREF(Py_None);
+    result = Py_None;
+done:
+    Py_XDECREF(sets);
+    Py_XDECREF(random_fn);
+    Py_XDECREF(w.getrandbits);
+    PyMem_Free(w.nbr);
+    PyMem_Free(w.start);
+    PyMem_Free(w.partner);
+    PyMem_Free(w.pool);
+    PyMem_Free(order);
+    PyMem_Free(key);
+    return result;
+}
+
 /* ----------------------------------------------------------------- module */
 
 static PyMethodDef module_fns[] = {
@@ -2658,6 +2966,10 @@ static PyMethodDef module_fns[] = {
      "Register the CK* classes for exact-type fast paths."},
     {"make_dispatch", (PyCFunction)c_make_dispatch, METH_VARARGS,
      "Build the fused C dispatch callable for a switch."},
+    {"random_perfect_matching", (PyCFunction)c_random_perfect_matching,
+     METH_FASTCALL,
+     "random_perfect_matching(remaining, rng, walk_limit=2000): the exact\n"
+     "compiled twin of repro.core.matchings._random_perfect_matching."},
     {NULL, NULL, 0, NULL}};
 
 /* Methods exported as instancemethod descriptors (class-dict rebinding). */
@@ -2720,8 +3032,9 @@ add_instancemethod(PyObject *m, PyMethodDef *def, PyObject **keep)
 static struct PyModuleDef ckernel_module = {
     PyModuleDef_HEAD_INIT,
     "repro.net.kernel._ckernel",
-    "Compiled engine kernel: enqueue/serialize/dispatch in C over the\n"
-    "pure-Python engine's __slots__ layout. See repro.net.kernel.",
+    "Compiled kernel: enqueue/serialize/dispatch in C over the pure-Python\n"
+    "engine's __slots__ layout, and the exact factorization walk.\n"
+    "See repro.net.kernel.",
     -1,
     module_fns,
 };
@@ -2741,6 +3054,13 @@ PyInit__ckernel(void)
         Py_DECREF(&EventHeap_Type);
         goto fail;
     }
+#ifdef CKERNEL_SOURCE_SHA256
+    /* setup.py passes the sha256 of this file; repro.net.kernel refuses a
+     * module whose hash differs from the _ckernel.c beside it. */
+    if (PyModule_AddStringConstant(m, "SOURCE_SHA256", CKERNEL_SOURCE_SHA256) <
+        0)
+        goto fail;
+#endif
     s_receive_cb = PyUnicode_InternFromString("receive_cb");
     s_receive = PyUnicode_InternFromString("receive");
     s_popleft = PyUnicode_InternFromString("popleft");

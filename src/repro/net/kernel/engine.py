@@ -2,7 +2,9 @@
 
 Importing this module requires the compiled extension
 (:mod:`repro.net.kernel._ckernel`); :func:`repro.net.kernel.engine_classes`
-catches the ``ImportError`` and falls back to the pure-Python engine.
+imports it only once the checked loader has found the extension present
+and built from its source, and otherwise falls back to the pure-Python
+engine.
 
 The ``CK*`` classes add no slots (``__slots__ = ()``) — they rebind the
 hot methods to the C implementations, which operate on the base classes'

@@ -13,11 +13,19 @@ seam mechanics themselves (env parsing, graceful fallback when the
 compiled module is absent).
 """
 
+import hashlib
+import os
 import random
+import shutil
+import subprocess
+import sys
+import types
 import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.net import kernel as kernel_mod
 from repro.net.kernel import compiled_available, engine_classes, kernel_default
 
@@ -109,6 +117,78 @@ class TestKernelSeam:
             warnings.simplefilter("error")
             assert engine_classes("c").name == "py"
             assert engine_classes("auto").name == "py"
+
+
+def loaded_ckernel():
+    """The compiled module as imported, skipping where it does not load."""
+    try:
+        from repro.net.kernel import _ckernel
+    except ImportError:
+        pytest.skip("compiled kernel (_ckernel) not built for this interpreter")
+    return _ckernel
+
+
+class TestStaleModule:
+    """A module built from another ``_ckernel.c`` never runs silently."""
+
+    def test_loaded_module_carries_its_source_hash(self):
+        module = loaded_ckernel()
+        source = Path(module.__file__).with_name("_ckernel.c")
+        assert module.SOURCE_SHA256 == hashlib.sha256(source.read_bytes()).hexdigest()
+
+    def test_source_mismatch_reasons(self, tmp_path):
+        source = tmp_path / "_ckernel.c"
+        source.write_bytes(b"/* kernel */\n")
+        module = types.SimpleNamespace(__file__=str(tmp_path / "_ckernel.so"))
+        assert "no source hash" in kernel_mod._source_mismatch(module)
+        module.SOURCE_SHA256 = hashlib.sha256(b"/* other */\n").hexdigest()
+        assert "another _ckernel.c" in kernel_mod._source_mismatch(module)
+        module.SOURCE_SHA256 = hashlib.sha256(source.read_bytes()).hexdigest()
+        assert kernel_mod._source_mismatch(module) is None
+        source.unlink()  # installed without sources: nothing to compare
+        del module.SOURCE_SHA256
+        assert kernel_mod._source_mismatch(module) is None
+
+    def test_stale_copy_falls_back_under_auto_and_raises_under_c(self, tmp_path):
+        loaded_ckernel()
+        shutil.copytree(
+            Path(repro.__file__).parent,
+            tmp_path / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        with open(tmp_path / "repro" / "net" / "kernel" / "_ckernel.c", "a") as fh:
+            fh.write("/* edited after the build */\n")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(tmp_path)
+        probe = (
+            "import random\n"
+            "from repro.core.matchings import random_factorization\n"
+            "from repro.net.kernel import compiled_available, compiled_walk, engine_classes\n"
+            "print(compiled_available(), engine_classes().name, compiled_walk())\n"
+            "print(len(random_factorization(8, random.Random(0))))\n"
+        )
+
+        def run(kernel):
+            return subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**env, "REPRO_KERNEL": kernel},
+                cwd=tmp_path,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+
+        auto = run("auto")
+        assert auto.returncode == 0, auto.stderr
+        assert auto.stdout.split() == ["False", "py", "None", "8"]
+        assert "another _ckernel.c" in auto.stderr
+        assert "falling back" in auto.stderr
+        assert kernel_mod.REBUILD in auto.stderr
+
+        strict = run("c")
+        assert strict.returncode != 0
+        assert "RuntimeError" in strict.stderr
+        assert "python setup.py build_ext --inplace" in strict.stderr
 
 
 def kernel_cascade(kernel, scheduler, coalesce, seed):
