@@ -6,9 +6,10 @@ request a unit, run it through the *same* executor functions the
 in-process and pool paths use (:func:`repro.scenarios.runner._execute` /
 ``_execute_cell``), and stream the resulting document back. A daemon
 thread heartbeats every couple of seconds so the coordinator can tell a
-long cell from a dead worker. The heavy ``repro.experiments`` import is
-deferred to the first lease, so a worker is on the wire within
-milliseconds of starting.
+long cell from a dead worker. The scenario import is deferred to the
+first lease, so a worker is on the wire within milliseconds of starting,
+and it imports only the leased scenario's experiment module (a fig07
+worker never loads the other experiments, or numpy).
 
 Connection lifecycle: dialing retries with jittered exponential backoff
 (:func:`repro.distrib.chaos.backoff_delays`) until ``connect_timeout``
@@ -131,8 +132,8 @@ def _execute_lease(msg: dict[str, Any]) -> dict[str, Any]:
     to the next worker, and the whole fleet would fall over serially.
     """
     try:
-        # Deferred import: pulls in repro.experiments (the whole
-        # simulator) only once real work arrives.
+        # Deferred import: the simulator and the leased scenario's
+        # experiment module load only once real work arrives.
         from ..scenarios.encode import from_portable
         from ..scenarios.runner import _execute, _execute_cell
 

@@ -186,6 +186,11 @@ def build_spans(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     when the Runner consumes a result, which can come after the
     coordinator has already leased that worker its next unit, so such a
     gap would measure a whole unit instead of the wire.
+    ``first_unit_overhead_s`` is the worker's first completion minus its
+    first lease minus that unit's ``duration_s`` (``None`` until it
+    completes a unit): its start-up, imports included, plus one round
+    trip. Later units do not pay it, and one unit in a lease-overhead
+    percentile hides it.
     """
     out: dict[str, Any] = {
         "run": None,
@@ -246,6 +251,7 @@ def build_spans(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
                     "first_leased_t": t,
                     "last_completed_t": None,
                     "span_s": None,
+                    "first_unit_overhead_s": None,
                 }
         elif kind == "completed":
             sp = span(ev["uid"])
@@ -258,6 +264,10 @@ def build_spans(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
                 sp["worker"] = ev["worker"]
             w = workers.get(sp["worker"])
             if w is not None:
+                if not w["units"]:
+                    w["first_unit_overhead_s"] = (
+                        t - w["first_leased_t"] - (sp["duration_s"] or 0.0)
+                    )
                 w["units"] += 1
                 w["busy_s"] += sp["duration_s"] or 0.0
                 w["last_completed_t"] = t
@@ -350,11 +360,14 @@ def render_trace(events: Iterable[dict[str, Any]]) -> list[str]:
         rows.append(crit)
     if doc["workers"]:
         rows.append(
-            "worker busy share (run time over first lease -> last completion):"
+            "worker busy share (run time over first lease -> last completion)"
+            " and first-unit overhead (first completion - first lease - its"
+            " run time):"
         )
         for name, w in sorted(doc["workers"].items()):
             if w["span_s"]:
                 share = (
+                    f"first-unit overhead {w['first_unit_overhead_s']:.2f}s  "
                     f"{w['busy_s']:7.2f}s / {w['span_s']:7.2f}s "
                     f"{100.0 * w['busy_s'] / w['span_s']:4.0f}% busy"
                 )

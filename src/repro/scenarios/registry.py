@@ -13,8 +13,12 @@ and a cost hint. Experiment modules register themselves with the
     def run(k: int = 12, n_racks: int | None = None, seed: int = 0): ...
 
 Registration is import-time and side-effect free beyond the registry
-dict, so worker processes reconstruct the full registry simply by
-importing :mod:`repro.experiments` (see :func:`load_builtin`).
+dict. :data:`repro.experiments.SCENARIO_MODULES` maps each bundled name
+and alias to the module that registers it, so :func:`get` and an
+exact-name :func:`select` import only the modules they name: a pool child
+or distributed worker running fig07 loads ``fig07_datamining`` alone.
+Globs, tags, :func:`all_scenarios`, :func:`all_tags` and ``repro list``
+import every bundled module (:func:`load_builtin`).
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ import inspect
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
+
+# The name -> module table only: importing the package imports no experiment.
+from ..experiments import SCENARIO_MODULES
 
 __all__ = [
     "Param",
@@ -309,18 +316,34 @@ def scenario(
     return decorate
 
 
+def _import_builtin(module: str) -> None:
+    importlib.import_module(f"repro.experiments.{module}")
+
+
 def load_builtin() -> None:
     """Import every bundled experiment module (idempotent).
 
     Registration happens as a decorator side effect, so importing the
-    :mod:`repro.experiments` package populates the registry — in the parent
-    process and in every worker alike.
+    modules populates the registry. Only whole-registry views need this
+    (globs, tags, :func:`all_scenarios`, ``repro list``); :func:`get` and
+    exact-name :func:`select` import just the modules they name.
     """
-    importlib.import_module("repro.experiments")
+    for module in SCENARIO_MODULES.values():
+        _import_builtin(module)
 
 
 def get(name: str) -> Scenario:
-    load_builtin()
+    """The scenario named ``name`` (or aliased so).
+
+    A bundled name imports only its own module; any other name loads every
+    bundled module first, so a third-party registration still resolves
+    and an unknown name's error lists every scenario.
+    """
+    module = SCENARIO_MODULES.get(name)
+    if module is None:
+        load_builtin()
+    else:
+        _import_builtin(module)
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -351,18 +374,25 @@ def select(
 
     Order follows the registry's sorted order; unknown names (that match
     nothing, even as a glob) and unknown tags raise :class:`ScenarioError`.
+    A selection of bundled names and aliases alone imports only their
+    modules; a glob, a tag or any other name imports every bundled module.
     """
-    load_builtin()
     names = list(names)
     tags = list(tags)
-    known_tags = set(all_tags())
+    if not tags and all(token in SCENARIO_MODULES for token in names):
+        for token in names:
+            _import_builtin(SCENARIO_MODULES[token])
+    else:
+        load_builtin()
+    known_tags = {t for sc in _REGISTRY.values() for t in sc.tags}
     for tag in tags:
         if tag not in known_tags:
             raise ScenarioError(
                 f"unknown tag {tag!r}; known: {', '.join(sorted(known_tags))}"
             )
     picked: list[Scenario] = []
-    for sc in all_scenarios():
+    for name in sorted(_REGISTRY):
+        sc = _REGISTRY[name]
         if any(sc.matches(token) for token in names) or any(
             t in sc.tags for t in tags
         ):

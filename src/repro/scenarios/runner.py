@@ -4,9 +4,10 @@ The :class:`Runner` is the single execution path shared by the CLI, the
 pytest-benchmark harness, and the test suite: resolve a selection of
 registered scenarios, bind parameter overrides, derive deterministic
 per-scenario seeds, consult the content-addressed cache, and fan the
-remaining work out over a ``multiprocessing`` pool. Workers rebuild the
-registry by importing :mod:`repro.experiments` — only the picklable job
-descriptor crosses the process boundary, never a function object.
+remaining work out over a ``multiprocessing`` pool. Only the picklable
+job descriptor crosses the process boundary, never a function object: a
+worker resolves the scenario by name, which imports just the experiment
+module that registers it (see :mod:`.registry`).
 
 Sharded execution
 -----------------
@@ -243,7 +244,6 @@ def _attach_telemetry(doc: dict[str, Any]) -> None:
 
 def _execute(name: str, params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     """Run one scenario; return (cacheable doc, raw python value)."""
-    registry.load_builtin()
     sc = registry.get(name)
     if _telemetry_armed():
         _METRICS.reset()  # per-unit snapshots, whichever process runs us
@@ -286,7 +286,6 @@ def _execute_cell(
     cell value outside the portable vocabulary is an execution error (there
     is no rows-only fallback at cell granularity).
     """
-    registry.load_builtin()
     sc = registry.get(name)
     if _telemetry_armed():
         _METRICS.reset()

@@ -1,4 +1,9 @@
-"""Workloads: published flow-size distributions and synthetic patterns."""
+"""Workloads: published flow-size distributions and synthetic patterns.
+
+The traffic-matrix and flow-list builders live in
+:mod:`repro.workloads.patterns`, imported from there: they need numpy,
+which the packet experiments never load otherwise.
+"""
 
 from .arrivals import FlowArrival, PoissonArrivals
 from .distributions import (
@@ -7,15 +12,6 @@ from .distributions import (
     HADOOP,
     WEBSEARCH,
     FlowSizeDistribution,
-)
-from .patterns import (
-    all_to_all_matrix,
-    hot_rack_matrix,
-    permutation_flows,
-    permutation_matrix,
-    shuffle_flows,
-    skew_matrix,
-    websearch_background_matrix,
 )
 
 __all__ = [
@@ -26,11 +22,4 @@ __all__ = [
     "HADOOP",
     "WEBSEARCH",
     "FlowSizeDistribution",
-    "all_to_all_matrix",
-    "hot_rack_matrix",
-    "permutation_flows",
-    "permutation_matrix",
-    "shuffle_flows",
-    "skew_matrix",
-    "websearch_background_matrix",
 ]

@@ -71,16 +71,6 @@ TINY_FIG07 = {
 
 
 @pytest.fixture
-def scratch_registry():
-    """Allow tests to register throwaway scenarios without leaking them."""
-    registry_mod.load_builtin()  # snapshot *after* the lazy builtin import
-    before = dict(registry_mod._REGISTRY)
-    yield registry_mod._REGISTRY
-    registry_mod._REGISTRY.clear()
-    registry_mod._REGISTRY.update(before)
-
-
-@pytest.fixture
 def fresh_degrade_warnings():
     """Reset the one-time degradation-warning dedup between tests."""
     runner_mod._DEGRADE_WARNED.clear()

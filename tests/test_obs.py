@@ -452,12 +452,19 @@ class TestTraceStream:
         assert w2["span_s"] == pytest.approx(1.0)
         # A worker that died holding its only lease completed nothing.
         assert w3["units"] == 0 and w3["span_s"] is None
+        # First-unit overhead: first completion - first lease - its run
+        # time. w2's second unit (0.05 s of wire) does not enter it.
+        assert w1["first_unit_overhead_s"] == pytest.approx(0.05)
+        assert w2["first_unit_overhead_s"] == pytest.approx(0.1)
+        assert w3["first_unit_overhead_s"] is None
         text = "\n".join(render_trace(events))
         assert "worker busy share" in text
         lines = {line.split()[0]: line for line in text.splitlines()
                  if line.startswith("  w")}
         assert lines["w1"].endswith("98% busy") and "2 unit(s)" in lines["w1"]
+        assert "first-unit overhead 0.05s" in lines["w1"]
         assert lines["w2"].endswith("75% busy")
+        assert "first-unit overhead 0.10s" in lines["w2"]
         assert lines["w3"].endswith("no completed unit")
 
 

@@ -22,21 +22,11 @@ from repro.scenarios import (
     select,
     to_jsonable,
 )
-from repro.scenarios import registry as registry_mod
 
 
 def _exploding_formatter(value):
     """Module-level formatter target for the formatter-crash test."""
     raise KeyError("missing column")
-
-
-@pytest.fixture
-def scratch_registry():
-    """Allow tests to register throwaway scenarios without leaking them."""
-    before = dict(registry_mod._REGISTRY)
-    yield registry_mod._REGISTRY
-    registry_mod._REGISTRY.clear()
-    registry_mod._REGISTRY.update(before)
 
 
 class TestParamCoercion:

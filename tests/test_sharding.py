@@ -37,7 +37,6 @@ from repro.scenarios import (
     to_portable,
     validate_plan,
 )
-from repro.scenarios import registry as registry_mod
 
 #: A fig07 configuration small enough for unit tests (4 packet cells of a
 #: quarter-horizon 8-rack run each).
@@ -47,14 +46,6 @@ TINY_FIG07 = {
     "duration_ms": 0.4,
     "scale": "ci",
 }
-
-
-@pytest.fixture
-def scratch_registry():
-    before = dict(registry_mod._REGISTRY)
-    yield registry_mod._REGISTRY
-    registry_mod._REGISTRY.clear()
-    registry_mod._REGISTRY.update(before)
 
 
 # ----------------------------------------------------------------- encoding
