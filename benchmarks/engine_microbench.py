@@ -2,11 +2,11 @@
 
 Runs the Figure 7 reduced-scale workload (Datamining arrivals at 10% load
 over all five evaluation networks, 4 ms of arrivals + 10 ms drain) under
-each scheduler x kernel (``REPRO_KERNEL=py|c``, compiled records suffixed
-``-c``) and records throughput to ``BENCH_engine.json`` so the engine's
-perf trajectory is tracked from PR 2 on. The c-kernel records double as a
-differential check: their deterministic observables (events, entries,
-hops, trains) must equal the py oracle's exactly or the bench aborts.
+each kernel (``REPRO_KERNEL=py|c``) and records throughput to
+``BENCH_engine.json`` so the engine's perf trajectory is tracked. The
+pure-Python record is ``heap``, the compiled one ``heap-c``; the latter
+doubles as a differential check: its deterministic observables (events,
+entries, hops) must equal the py oracle's exactly or the bench aborts.
 
 Metrics per engine configuration:
 
@@ -18,35 +18,29 @@ Metrics per engine configuration:
   event-structure-independent measure.
 * ``sched_entries`` / ``events_per_hop`` — scheduler insertions actually
   performed and their ratio to packet hops: the per-event interpreter
-  cost the coalescing engine attacks. Both are deterministic (no wall
-  clock involved), so the CI gate on ``events_per_hop`` has zero runner
-  noise. The default engines run with coalescing on; the ``heap-legacy``
-  record is the same workload with ``REPRO_COALESCE=0`` (one entry per
-  event), pinning what coalescing saves — and, because coalesced runs
-  are bit-identical, its ``events``/``packet_hops`` double as a
-  differential check.
+  cost. Both are deterministic (no wall clock involved), so the CI gate
+  on ``events_per_hop`` has zero runner noise.
 * ``reference_events_per_sec`` — the pre-PR engine's event count for this
   exact workload divided by the current wall time: throughput denominated
   in the *reference* event stream, directly comparable across engine
   rewrites (this is the number the CI perf-smoke gate and the >=3x
   acceptance threshold use).
 
-``--profile N`` runs the heap pass under ``cProfile`` and prints the
+``--profile N`` runs the py pass under ``cProfile`` and prints the
 top-N cumulative functions, so per-event interpreter-cost claims stay
 attributable to specific code.
 
-Two further phases feed the artifact:
+Further phases feed the artifact. Each subsystem price runs
+:data:`PRICE_PAIRS` interleaved off/armed pairs and records every
+sample, the best and the spread per side (:func:`price_pairs`), with a
+deterministic check on every pair:
 
-* ``--depths`` — a synthetic heap-vs-wheel steady-state bench at
-  paper-scale pending depths (prefill N events, then pop-one/push-one).
-  The per-profile default scheduler (``fctsim.SCHEDULER_BY_SCALE``) is
-  picked from its committed results.
 * ``--sharded SCALE:W1[,W2...]`` — the sharded fig07 grid through the
   scenario Runner at SCALE, recording wall and cells/sec per worker
   count (the CI perf-smoke job gates on cells/sec with the same >2x rule
   as events/sec), plus ``chaos_overhead``: the same grid on the
-  distributed executor with the chaos injector off and armed-but-quiet,
-  interleaved, with every sample, the best and the spread per side.
+  distributed executor with the chaos injector off and armed-but-quiet
+  (rows must be identical).
 * ``--faults`` — price the dynamic failure subsystem: armed-but-empty
   vs uninstalled walls (the deterministic observables must be identical
   or the bench aborts) plus an active 25% link draw, differentially
@@ -62,13 +56,14 @@ Usage::
 
     PYTHONPATH=src python benchmarks/engine_microbench.py \
         --output BENCH_engine.json [--check BENCH_engine.json] [--repeat 3] \
-        [--profile 25] [--depths] [--sharded ci:1,2]
+        [--profile 25] [--sharded ci:2] [--telemetry] [--faults]
 
 ``--check`` compares the fresh run against a committed artifact and exits
 non-zero on a >2x regression of ``reference_events_per_sec``, a >10%
-regression of the deterministic ``events_per_hop`` event-count gate, or a
->2x regression of sharded cells/sec when both artifacts carry the sharded
-phase.
+regression of the deterministic ``events_per_hop`` event-count gate, a
+>2x regression of the ``heap-c`` record or a compiled-kernel speedup
+below 1.8x, or a >2x regression of sharded cells/sec when both
+artifacts carry the sharded phase.
 """
 
 from __future__ import annotations
@@ -79,12 +74,10 @@ import os
 import sys
 import tempfile
 import time
-from heapq import heappop, heappush
 from pathlib import Path
 
 from repro.experiments.fctsim import build_network
 from repro.net.kernel import compiled_available
-from repro.net.wheel import TimingWheel
 from repro.obs.metrics import iter_ports as _all_ports
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.distributions import DATAMINING
@@ -113,28 +106,14 @@ PRE_PR_REFERENCE = {
     "events_per_sec": 304_845,
 }
 
-#: The PR-4 heap record on this workload (pre-coalescing: every event was
-#: its own scheduler entry), the anchor for the event-coalescing PR's
-#: ``events_per_hop`` and ``hops_per_sec`` comparisons.
-PR4_REFERENCE = {
-    "events": 623_430,
-    "packet_hops": 456_832,
-    "events_per_hop": 1.3647,
-    "hops_per_sec": 456_811,
-}
+#: The engine records, named by kernel: ``heap`` keeps its historical
+#: name so the artifact stays comparable across PRs.
+ENGINES = {"heap": "py", "heap-c": "c"}
 
 
-def run_network(
-    kind: str, scheduler: str, coalesce: bool = True, kernel: str = "py"
-) -> dict:
+def run_network(kind: str, kernel: str = "py") -> dict:
     """One network of the workload; returns events/entries/hops/wall."""
-    import os
-
-    prev = os.environ.get("REPRO_SCHEDULER")
-    prev_coalesce = os.environ.get("REPRO_COALESCE")
     prev_kernel = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_SCHEDULER"] = scheduler
-    os.environ["REPRO_COALESCE"] = "1" if coalesce else "0"
     os.environ["REPRO_KERNEL"] = kernel
     try:
         t0 = time.perf_counter()
@@ -165,14 +144,6 @@ def run_network(
         )
         wall = time.perf_counter() - t0
     finally:
-        if prev is None:
-            os.environ.pop("REPRO_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SCHEDULER"] = prev
-        if prev_coalesce is None:
-            os.environ.pop("REPRO_COALESCE", None)
-        else:
-            os.environ["REPRO_COALESCE"] = prev_coalesce
         if prev_kernel is None:
             os.environ.pop("REPRO_KERNEL", None)
         else:
@@ -182,7 +153,6 @@ def run_network(
         "network": kind,
         "events": net.sim.events_processed,
         "sched_entries": net.sim.sched_pushes,
-        "trains": net.sim.trains_formed,
         "packet_hops": hops,
         "wall_s": wall,
         "flows": len(net.stats.flows),
@@ -190,20 +160,15 @@ def run_network(
     }
 
 
-def _assemble_engine(
-    scheduler: str, coalesce: bool, kernel: str, best: list[dict]
-) -> dict:
+def _assemble_engine(kernel: str, best: list[dict]) -> dict:
     events = sum(r["events"] for r in best)
     entries = sum(r["sched_entries"] for r in best)
     hops = sum(r["packet_hops"] for r in best)
     wall = sum(r["wall_s"] for r in best)
     return {
-        "scheduler": scheduler,
-        "coalesce": coalesce,
         "kernel": kernel,
         "events": events,
         "sched_entries": entries,
-        "trains": sum(r["trains"] for r in best),
         "packet_hops": hops,
         "events_per_hop": round(entries / hops, 4),
         "wall_s": round(wall, 4),
@@ -214,22 +179,15 @@ def _assemble_engine(
     }
 
 
-def run_microbench(
-    schedulers: tuple[str, ...] = ("heap", "wheel"),
-    repeat: int = 1,
-    legacy: bool = True,
-    kernels: tuple[str, ...] = ("py", "c"),
-) -> dict:
+def run_microbench(repeat: int = 1, kernels: tuple[str, ...] = ("py", "c")) -> dict:
     # Engine configurations are measured round-robin (one full pass per
     # configuration per round, best-of-`repeat` rounds) so slow drift of
     # the host — tens of percent over minutes on shared 1-core boxes —
     # biases no configuration: back-to-back passes see the same machine.
     #
-    # Kernel naming: the pure-Python records keep their historical names
-    # ("heap", "wheel") so the artifact stays comparable across PRs; the
-    # compiled-kernel records are suffixed "-c" ("heap-c"). REPRO_KERNEL=c
-    # is never benchmarked when the compiled module is absent — the auto
-    # fallback would silently produce py numbers under a c label.
+    # REPRO_KERNEL=c is never benchmarked when the compiled module is
+    # absent — the auto fallback would silently produce py numbers under
+    # a c label.
     if "c" in kernels and not compiled_available():
         print(
             "note: compiled kernel (_ckernel) not built; skipping the "
@@ -237,62 +195,38 @@ def run_microbench(
             "--inplace`)"
         )
         kernels = tuple(k for k in kernels if k != "c")
-    configs: list[tuple[str, str, bool, str]] = []
-    for kernel in kernels:
-        suffix = "" if kernel == "py" else f"-{kernel}"
-        configs.extend((f"{s}{suffix}", s, True, kernel) for s in schedulers)
-    if legacy and "py" in kernels:
-        # The uncoalesced heap path: pins what coalescing saves, and its
-        # (deterministic) events/hops double as a differential check
-        # against the coalesced record.
-        configs.append(("heap-legacy", "heap", False, "py"))
+    configs = [(name, kernel) for name, kernel in ENGINES.items() if kernel in kernels]
     best: dict[str, list[dict]] = {}
     for _ in range(repeat):
-        for name, scheduler, coalesce, kernel in configs:
-            rows = [
-                run_network(kind, scheduler, coalesce, kernel)
-                for kind in WORKLOAD["networks"]
-            ]
+        for name, kernel in configs:
+            rows = [run_network(kind, kernel) for kind in WORKLOAD["networks"]]
             if name not in best or sum(r["wall_s"] for r in rows) < sum(
                 r["wall_s"] for r in best[name]
             ):
                 best[name] = rows
-    engines = {
-        name: _assemble_engine(scheduler, coalesce, kernel, best[name])
-        for name, scheduler, coalesce, kernel in configs
-    }
+    engines = {name: _assemble_engine(kernel, best[name]) for name, kernel in configs}
     # The c kernel is a differential fast path: its deterministic
     # observables must equal the py oracle's exactly — a bench run that
     # ever saw them diverge must not produce an artifact.
-    for name, eng in engines.items():
-        if eng["kernel"] == "py" or f"{eng['scheduler']}" not in engines:
-            continue
-        oracle = engines[eng["scheduler"]]
-        for field in ("events", "sched_entries", "trains", "packet_hops"):
-            if eng[field] != oracle[field]:
+    if "heap" in engines and "heap-c" in engines:
+        oracle, compiled = engines["heap"], engines["heap-c"]
+        for field in ("events", "sched_entries", "packet_hops"):
+            if compiled[field] != oracle[field]:
                 raise SystemExit(
-                    f"kernel differential FAILED: {name}.{field}="
-                    f"{eng[field]} != {eng['scheduler']}.{field}="
-                    f"{oracle[field]}"
+                    f"kernel differential FAILED: heap-c.{field}="
+                    f"{compiled[field]} != heap.{field}={oracle[field]}"
                 )
     heap = engines.get("heap") or next(iter(engines.values()))
     doc = {
         "benchmark": "fig07-engine-microbench",
         "workload": WORKLOAD,
         "pre_pr_reference": PRE_PR_REFERENCE,
-        "pr4_reference": PR4_REFERENCE,
         "engines": engines,
         "speedup_wall_vs_pre_pr": round(
             PRE_PR_REFERENCE["wall_s"] / heap["wall_s"], 2
         ),
         "speedup_reference_eps_vs_pre_pr": round(
             heap["reference_events_per_sec"] / PRE_PR_REFERENCE["events_per_sec"], 2
-        ),
-        "events_per_hop_vs_pr4": round(
-            heap["events_per_hop"] / PR4_REFERENCE["events_per_hop"], 4
-        ),
-        "hops_per_sec_vs_pr4": round(
-            heap["hops_per_sec"] / PR4_REFERENCE["hops_per_sec"], 2
         ),
     }
     if "heap-c" in engines and "heap" in engines:
@@ -319,7 +253,7 @@ def run_profile(top_n: int) -> None:
     profiler = cProfile.Profile()
     profiler.enable()
     for kind in WORKLOAD["networks"]:
-        run_network(kind, "heap")
+        run_network(kind)
     profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")
@@ -327,86 +261,58 @@ def run_profile(top_n: int) -> None:
     stats.print_stats(top_n)
 
 
-# ---------------------------------------------------------- depth microbench
+# ------------------------------------------------------------ subsystem prices
 
-#: Pending-event depths the scale profiles actually reach, estimated from
-#: deployment size (ports + in-flight flows scale with hosts): ci = 64
-#: hosts, default = 64 hosts at full horizon, paper = 648 hosts.
-PROFILE_DEPTH_ESTIMATE = {"ci": 512, "default": 4096, "paper": 32768}
-
-DEPTHS = (512, 4096, 32768, 262144)
+#: Off/armed pairs behind every subsystem price.
+PRICE_PAIRS = 3
 
 
-def _depth_point(scheduler: str, depth: int, ops: int) -> float:
-    """Steady-state ops/sec at ``depth`` pending events (pop one, push one).
+def price_pairs(run_off, run_armed, what: str, pairs: int = PRICE_PAIRS) -> dict:
+    """Price an armed-but-quiet subsystem from interleaved off/armed runs.
 
-    Delays follow a deterministic LCG over the engine's real magnitudes
-    (0.5-2.5 us in integer picoseconds — packet serialization and
-    propagation steps), so bucket spread matches what the wheel sees in a
-    packet run.
+    ``run_off`` and ``run_armed`` each perform one run and return
+    ``(wall_s, observable)``. Off and armed alternate, ``pairs`` of each,
+    so run order (first-run warm-up, host drift) cannot pass for a price.
+    Every pair's observables must be equal — the subsystem must not
+    perturb what it observes — or the bench aborts naming ``what``.
+    Returns every sample, the best and the spread per side, and ``ratio``
+    as armed best over off best.
     """
-    x = 0x2545F4914F6CDD1D
-    def delay() -> int:
-        nonlocal x
-        x = (x * 6364136223846793005 + 1442695040888963407) & (2**64 - 1)
-        return 500_000 + (x >> 40) % 2_000_000
-
-    now = 0
-    seq = 0
-    if scheduler == "heap":
-        heap: list = []
-        for _ in range(depth):
-            seq += 1
-            heappush(heap, (now + delay(), seq, None, ()))
-        start = time.perf_counter()
-        for _ in range(ops):
-            now = heap[0][0]
-            heappop(heap)
-            seq += 1
-            heappush(heap, (now + delay(), seq, None, ()))
-        return ops / (time.perf_counter() - start)
-    wheel = TimingWheel()
-    for _ in range(depth):
-        seq += 1
-        wheel.push(now + delay(), seq, None, ())
-    start = time.perf_counter()
-    for _ in range(ops):
-        entry = wheel.pop()
-        now = entry[0]
-        seq += 1
-        wheel.push(now + delay(), seq, None, ())
-    return ops / (time.perf_counter() - start)
-
-
-def run_depth_bench(depths: tuple[int, ...] = DEPTHS, ops: int = 100_000) -> dict:
-    """Heap vs wheel ops/sec per pending depth + winner per scale profile."""
-    per_depth = {}
-    for depth in depths:
-        heap_ops = _depth_point("heap", depth, ops)
-        wheel_ops = _depth_point("wheel", depth, ops)
-        per_depth[str(depth)] = {
-            "heap_ops_per_sec": int(heap_ops),
-            "wheel_ops_per_sec": int(wheel_ops),
-            "winner": "heap" if heap_ops >= wheel_ops else "wheel",
+    samples: dict[str, list[float]] = {"off": [], "armed": []}
+    for _ in range(pairs):
+        off_wall, off_seen = run_off()
+        armed_wall, armed_seen = run_armed()
+        if armed_seen != off_seen:
+            raise SystemExit(
+                f"{what} differential FAILED: armed {armed_seen!r} != "
+                f"off {off_seen!r}"
+            )
+        samples["off"].append(off_wall)
+        samples["armed"].append(armed_wall)
+    record: dict = {}
+    for side, walls in samples.items():
+        record[side] = {
+            "samples_s": [round(w, 4) for w in walls],
+            "best_s": round(min(walls), 4),
+            "spread_s": round(max(walls) - min(walls), 4),
         }
-    winner_by_profile = {}
-    for profile, estimate in PROFILE_DEPTH_ESTIMATE.items():
-        nearest = min(depths, key=lambda d: abs(d - estimate))
-        winner_by_profile[profile] = per_depth[str(nearest)]["winner"]
-    return {
-        "ops_per_point": ops,
-        "per_depth": per_depth,
-        "profile_depth_estimate": PROFILE_DEPTH_ESTIMATE,
-        "winner_by_profile": winner_by_profile,
-    }
+    record["ratio"] = round(min(samples["armed"]) / min(samples["off"]), 4)
+    return record
+
+
+def _price_row(label: str, record: dict, note: str) -> str:
+    off, armed = record["off"], record["armed"]
+    return (
+        f"{label}: best {armed['best_s']:.3f} s (spread "
+        f"{armed['spread_s']:.3f}) vs {off['best_s']:.3f} s off (spread "
+        f"{off['spread_s']:.3f}) = {record['ratio']:.3f}x ({note})"
+    )
 
 
 # --------------------------------------------------------- faults overhead
 
 
-def _run_opera_faulted(
-    schedule, scheduler: str = "heap", kernel: str = "py"
-) -> dict:
+def _run_opera_faulted(schedule, kernel: str = "py") -> dict:
     """The opera leg of the workload with the failure subsystem armed.
 
     ``schedule=None`` runs uninstalled; an empty schedule arms the
@@ -414,12 +320,7 @@ def _run_opera_faulted(
     observables plus wall time, so callers can both price the seam and
     differential-check it.
     """
-    prev = {
-        key: os.environ.get(key)
-        for key in ("REPRO_SCHEDULER", "REPRO_COALESCE", "REPRO_KERNEL")
-    }
-    os.environ["REPRO_SCHEDULER"] = scheduler
-    os.environ["REPRO_COALESCE"] = "1"
+    prev_kernel = os.environ.get("REPRO_KERNEL")
     os.environ["REPRO_KERNEL"] = kernel
     try:
         t0 = time.perf_counter()
@@ -453,11 +354,10 @@ def _run_opera_faulted(
         )
         wall = time.perf_counter() - t0
     finally:
-        for key, value in prev.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if prev_kernel is None:
+            os.environ.pop("REPRO_KERNEL", None)
+        else:
+            os.environ["REPRO_KERNEL"] = prev_kernel
     stats = net.stats
     return {
         "events": net.sim.events_processed,
@@ -473,26 +373,29 @@ def _run_opera_faulted(
 def run_faults_overhead() -> dict:
     """Price the dynamic failure subsystem on the opera workload.
 
-    Three records: uninstalled, armed-but-empty (must be event-for-event
-    identical — the seam's cost is one box read per routed packet), and a
-    mid-run 25% link draw (the recovery machinery actually working).
-    When the compiled kernel is present the active draw is repeated under
-    ``REPRO_KERNEL=c`` and every deterministic observable must match the
-    py record — a bench run that saw the kernels diverge under failures
-    must not produce an artifact.
+    :func:`price_pairs` of uninstalled vs armed-but-empty runs (every
+    pair must be event-for-event identical — the seam's cost is one box
+    read per routed packet), plus a mid-run 25% link draw (the recovery
+    machinery actually working). When the compiled kernel is present the
+    active draw is repeated under ``REPRO_KERNEL=c`` and every
+    deterministic observable must match the py record — a bench run that
+    saw the kernels diverge under failures must not produce an artifact.
     """
     import random as _random
 
     from repro.core.faults import FailureSchedule
 
-    off = _run_opera_faulted(None)
-    armed = _run_opera_faulted(FailureSchedule.empty())
-    for field in ("events", "sched_entries", "packet_hops"):
-        if armed[field] != off[field]:
-            raise SystemExit(
-                f"faults differential FAILED: armed-but-empty {field}="
-                f"{armed[field]} != uninstalled {field}={off[field]}"
-            )
+    def run(schedule):
+        rec = _run_opera_faulted(schedule)
+        return rec["wall_s"], {
+            field: rec[field] for field in ("events", "sched_entries", "packet_hops")
+        }
+
+    record = price_pairs(
+        lambda: run(None),
+        lambda: run(FailureSchedule.empty()),
+        "faults armed-but-empty vs uninstalled",
+    )
 
     def draw():
         return FailureSchedule.random(
@@ -505,19 +408,14 @@ def run_faults_overhead() -> dict:
         )
 
     active = _run_opera_faulted(draw())
-    record = {
-        "off_wall_s": round(off["wall_s"], 4),
-        "armed_wall_s": round(armed["wall_s"], 4),
-        "ratio": round(armed["wall_s"] / off["wall_s"], 4),
-        "active": {
-            "fraction": 0.25,
-            "component": "link",
-            "wall_s": round(active["wall_s"], 4),
-            "events": active["events"],
-            "blackholed_packets": active["blackholed_packets"],
-            "completed": active["completed"],
-            "unrecoverable": active["unrecoverable"],
-        },
+    record["active"] = {
+        "fraction": 0.25,
+        "component": "link",
+        "wall_s": round(active["wall_s"], 4),
+        "events": active["events"],
+        "blackholed_packets": active["blackholed_packets"],
+        "completed": active["completed"],
+        "unrecoverable": active["unrecoverable"],
     }
     if compiled_available():
         active_c = _run_opera_faulted(draw(), kernel="c")
@@ -552,17 +450,7 @@ def _run_opera_telemetry(armed: bool, kernel: str = "py"):
     from repro.experiments.fctsim import run_fct_cell
     from repro.obs.metrics import REGISTRY
 
-    prev = {
-        key: os.environ.get(key)
-        for key in (
-            "REPRO_SCHEDULER",
-            "REPRO_COALESCE",
-            "REPRO_KERNEL",
-            "REPRO_TELEMETRY",
-        )
-    }
-    os.environ["REPRO_SCHEDULER"] = "heap"
-    os.environ["REPRO_COALESCE"] = "1"
+    prev = {key: os.environ.get(key) for key in ("REPRO_KERNEL", "REPRO_TELEMETRY")}
     os.environ["REPRO_KERNEL"] = kernel
     os.environ["REPRO_TELEMETRY"] = "1" if armed else "0"
     REGISTRY.reset()
@@ -588,42 +476,33 @@ def _run_opera_telemetry(armed: bool, kernel: str = "py"):
     return result, snapshot, wall
 
 
-def run_telemetry_overhead(repeat: int = 3) -> dict:
+def run_telemetry_overhead() -> dict:
     """Price the metrics subsystem on the opera fig07 cell.
 
-    Alternating off/armed passes (best-of-``repeat`` each, so host drift
-    biases neither side): the armed run's :class:`FctResult` must equal
-    the off run's exactly — telemetry is pure observation after the
-    simulation, and a bench run that ever saw it perturb a simulated
-    observable must not produce an artifact. When the compiled kernel is
-    present the armed cell is repeated under ``REPRO_KERNEL=c`` and both
-    the result *and* the drained metric snapshot must match the py
-    record: the counters live in shared ``__slots__`` both kernels
-    write, so snapshot equality is the seam's whole contract.
+    :func:`price_pairs` of off vs armed runs: every armed run's
+    :class:`FctResult` must equal its off partner's exactly — telemetry
+    is pure observation after the simulation, and a bench run that ever
+    saw it perturb a simulated observable must not produce an artifact.
+    When the compiled kernel is present the armed cell is repeated under
+    ``REPRO_KERNEL=c`` and both the result *and* the drained metric
+    snapshot must match the py record: the counters live in shared
+    ``__slots__`` both kernels write, so snapshot equality is the seam's
+    whole contract.
     """
-    off_wall = armed_wall = None
-    off_result = armed_result = snapshot = None
-    for _ in range(repeat):
-        result, _, wall = _run_opera_telemetry(False)
-        if off_wall is None or wall < off_wall:
-            off_wall = wall
-        off_result = result
-        result, snap, wall = _run_opera_telemetry(True)
-        if armed_wall is None or wall < armed_wall:
-            armed_wall = wall
-        armed_result, snapshot = result, snap
-    if armed_result != off_result:
-        raise SystemExit(
-            "telemetry differential FAILED: armed FctResult != off "
-            f"FctResult ({armed_result!r} vs {off_result!r})"
-        )
-    record = {
-        "off_wall_s": round(off_wall, 4),
-        "armed_wall_s": round(armed_wall, 4),
-        "ratio": round(armed_wall / off_wall, 4),
-        # Counters + gauges + histograms actually drained, not sections.
-        "metrics": sum(len(section) for section in snapshot.values()),
-    }
+    armed_seen: dict = {}
+
+    def run(armed: bool):
+        result, snapshot, wall = _run_opera_telemetry(armed)
+        if armed:
+            armed_seen.update(result=result, snapshot=snapshot)
+        return wall, result
+
+    record = price_pairs(
+        lambda: run(False), lambda: run(True), "telemetry armed vs off FctResult"
+    )
+    armed_result, snapshot = armed_seen["result"], armed_seen["snapshot"]
+    # Counters + gauges + histograms actually drained, not sections.
+    record["metrics"] = sum(len(section) for section in snapshot.values())
     if compiled_available():
         result_c, snap_c, _ = _run_opera_telemetry(True, kernel="c")
         if result_c != armed_result:
@@ -648,10 +527,6 @@ def run_telemetry_overhead(repeat: int = 3) -> dict:
 # ----------------------------------------------------------- sharded fig07
 
 
-#: Off/armed pairs behind ``chaos_overhead``.
-CHAOS_PAIRS = 3
-
-
 def _sweep_fig07(scale: str, workers: int, executor: str | None):
     """One cold-cache fig07 sweep: ``(result, wall seconds)``."""
     from repro.scenarios import ResultCache, Runner
@@ -664,7 +539,7 @@ def _sweep_fig07(scale: str, workers: int, executor: str | None):
         return result, time.perf_counter() - start
 
 
-def run_chaos_overhead(scale: str, workers: int, pairs: int = CHAOS_PAIRS) -> dict:
+def run_chaos_overhead(scale: str, workers: int, pairs: int = PRICE_PAIRS) -> dict:
     """Price the chaos harness at rest, where its seams live.
 
     The frame seam (``protocol.send_msg``), the worker's lease decisions
@@ -672,31 +547,29 @@ def run_chaos_overhead(scale: str, workers: int, pairs: int = CHAOS_PAIRS) -> di
     pool executor reads an armed injector once, for ``crash_coordinator``.
     So the pair always runs the distributed executor. Armed means
     ``REPRO_CHAOS`` with only a seed: every fault probability is zero,
-    leaving one env lookup plus one rng draw per frame/lease decision.
-    Off and armed sweeps alternate, ``pairs`` of each, so run order
-    (first-run warm-up) cannot pass for a price.
+    leaving one env lookup plus one rng draw per frame/lease decision,
+    and the rows must equal the off sweep's.
     """
-    samples: dict[str, list[float]] = {"off": [], "armed": []}
+
+    def sweep(armed: bool):
+        if armed:
+            os.environ["REPRO_CHAOS"] = "seed=1"
+        try:
+            result, wall = _sweep_fig07(scale, workers, "distributed")
+        finally:
+            os.environ.pop("REPRO_CHAOS", None)
+        return wall, result.rows
+
     saved = os.environ.pop("REPRO_CHAOS", None)
     try:
-        for _ in range(pairs):
-            samples["off"].append(_sweep_fig07(scale, workers, "distributed")[1])
-            os.environ["REPRO_CHAOS"] = "seed=1"
-            samples["armed"].append(_sweep_fig07(scale, workers, "distributed")[1])
-            del os.environ["REPRO_CHAOS"]
+        record = price_pairs(
+            lambda: sweep(False), lambda: sweep(True), "chaos armed-but-quiet rows",
+            pairs,
+        )
     finally:
-        os.environ.pop("REPRO_CHAOS", None)
         if saved is not None:
             os.environ["REPRO_CHAOS"] = saved
-    record: dict = {"executor": "distributed", "workers": workers}
-    for side, walls in samples.items():
-        record[side] = {
-            "samples_s": [round(w, 4) for w in walls],
-            "best_s": round(min(walls), 4),
-            "spread_s": round(max(walls) - min(walls), 4),
-        }
-    record["ratio"] = round(min(samples["armed"]) / min(samples["off"]), 4)
-    return record
+    return {"executor": "distributed", "workers": workers, **record}
 
 
 def run_sharded_bench(
@@ -763,11 +636,6 @@ def format_rows(doc: dict) -> list[str]:
         f"speedup vs pre-PR: {doc['speedup_wall_vs_pre_pr']}x wall, "
         f"{doc['speedup_reference_eps_vs_pre_pr']}x reference events/sec"
     )
-    if "events_per_hop_vs_pr4" in doc:
-        rows.append(
-            f"vs PR-4 heap record: {doc['events_per_hop_vs_pr4']:.4f}x "
-            f"entries/hop, {doc['hops_per_sec_vs_pr4']}x hops/sec"
-        )
     if "kernel_speedup_hops_per_sec" in doc:
         rows.append(
             f"compiled kernel: {doc['kernel_speedup_hops_per_sec']}x "
@@ -775,11 +643,7 @@ def format_rows(doc: dict) -> list[str]:
         )
     faults = doc.get("faults_overhead")
     if faults:
-        rows.append(
-            f"faults armed-but-empty: {faults['armed_wall_s']:.3f} s vs "
-            f"{faults['off_wall_s']:.3f} s off = {faults['ratio']:.3f}x "
-            f"(events identical)"
-        )
+        rows.append(_price_row("faults armed-but-empty", faults, "events identical"))
         active = faults["active"]
         rows.append(
             f"faults active ({active['component']} {active['fraction']:.0%}): "
@@ -794,23 +658,12 @@ def format_rows(doc: dict) -> list[str]:
     telemetry = doc.get("telemetry_overhead")
     if telemetry:
         rows.append(
-            f"telemetry armed: {telemetry['armed_wall_s']:.3f} s vs "
-            f"{telemetry['off_wall_s']:.3f} s off = {telemetry['ratio']:.3f}x "
-            f"({telemetry['metrics']} metrics, results identical"
-            + (", py==c snapshots" if telemetry.get("kernel_identical") else "")
-            + ")"
-        )
-    if "scheduler_depths" in doc:
-        for depth, point in doc["scheduler_depths"]["per_depth"].items():
-            rows.append(
-                f"depth {int(depth):7,d}: heap {point['heap_ops_per_sec']:>10,d} "
-                f"ops/s  wheel {point['wheel_ops_per_sec']:>10,d} ops/s  "
-                f"-> {point['winner']}"
+            _price_row(
+                "telemetry armed",
+                telemetry,
+                f"{telemetry['metrics']} metrics, results identical"
+                + (", py==c snapshots" if telemetry.get("kernel_identical") else ""),
             )
-        winners = doc["scheduler_depths"]["winner_by_profile"]
-        rows.append(
-            "scheduler per profile: "
-            + "  ".join(f"{p}={w}" for p, w in winners.items())
         )
     for scale, record in doc.get("sharded", {}).items():
         for run in record["runs"].values():
@@ -822,12 +675,13 @@ def format_rows(doc: dict) -> list[str]:
             )
         chaos = record.get("chaos_overhead")
         if chaos:
-            off, armed = chaos["off"], chaos["armed"]
             rows.append(
-                f"sharded fig07 ({scale}) chaos armed-but-quiet on "
-                f"{chaos['executor']}: best {armed['best_s']:.2f} s "
-                f"(spread {armed['spread_s']:.2f}) vs {off['best_s']:.2f} s "
-                f"off (spread {off['spread_s']:.2f}) = {chaos['ratio']:.3f}x"
+                _price_row(
+                    f"sharded fig07 ({scale}) chaos armed-but-quiet on "
+                    f"{chaos['executor']}",
+                    chaos,
+                    "rows identical",
+                )
             )
     return rows
 
@@ -849,12 +703,10 @@ def check_regression(doc: dict, committed_path: Path) -> int:
     Gates ``reference_events_per_sec`` (>2x rule: the margin absorbs
     hosted-runner hardware variance), the deterministic event-count gate
     ``events_per_hop`` (>10% rule — no wall clock involved, so
-    entry-count bloat fails crisply even on a noisy 1-core runner)
-    together with an exact train-liveness pin (coalescing shifts
-    ``events_per_hop`` by well under 10% on this dense workload, so the
-    ratio alone cannot notice train formation dying), and sharded
-    cells/sec under the >2x rule whenever both the fresh run and the
-    committed artifact carry the sharded phase.
+    entry-count bloat fails crisply even on a noisy 1-core runner), the
+    compiled-kernel gates, and sharded cells/sec under the >2x rule
+    whenever both the fresh run and the committed artifact carry the
+    sharded phase.
     """
     committed = json.loads(committed_path.read_text())
     baseline = committed["engines"]["heap"]["reference_events_per_sec"]
@@ -879,24 +731,6 @@ def check_regression(doc: dict, committed_path: Path) -> int:
         if fresh_eph > ceiling:
             print(
                 "perf-smoke: FAIL — >10% events-per-hop regression "
-                "(event-count gate)",
-                file=sys.stderr,
-            )
-            status = 1
-    # Coalescing saves only a fraction of a percent of entries on this
-    # dense workload, so the ratio ceiling alone cannot notice train
-    # formation silently dying; the train count is deterministic too, so
-    # pin liveness exactly.
-    committed_trains = committed["engines"]["heap"].get("trains", 0)
-    fresh_trains = doc["engines"]["heap"].get("trains", 0)
-    if committed_trains > 0:
-        print(
-            f"perf-smoke: fresh {fresh_trains:,d} trains vs committed "
-            f"{committed_trains:,d} (must stay > 0)"
-        )
-        if fresh_trains == 0:
-            print(
-                "perf-smoke: FAIL — coalescing formed no trains "
                 "(event-count gate)",
                 file=sys.stderr,
             )
@@ -976,8 +810,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="committed BENCH_engine.json to gate against")
     parser.add_argument("--repeat", type=int, default=1,
                         help="take the best of N runs per engine")
-    parser.add_argument("--schedulers", default="heap,wheel",
-                        help="comma-separated scheduler list")
     parser.add_argument("--kernels", default="py,c",
                         help="comma-separated kernel list (py, c); c is "
                         "skipped with a note when the compiled module is "
@@ -985,10 +817,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--profile", type=int, default=0, metavar="N",
                         help="run the fig07 workload under cProfile and "
                         "print the top-N cumulative functions")
-    parser.add_argument("--no-legacy", action="store_true",
-                        help="skip the uncoalesced heap-legacy record")
-    parser.add_argument("--depths", action="store_true",
-                        help="run the heap-vs-wheel pending-depth bench")
     parser.add_argument("--faults", action="store_true",
                         help="price the dynamic failure subsystem "
                         "(armed-but-empty vs off, plus an active draw)")
@@ -1004,7 +832,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="Runner backend for --sharded runs (default: "
                         "pool when workers > 1)")
     args = parser.parse_args(argv)
-    schedulers = tuple(s for s in args.schedulers.split(",") if s)
     # Validate every --sharded spec up front: a typo must not cost the
     # minutes the main microbench takes before erroring.
     sharded_specs: list[tuple[str, tuple[int, ...]]] = []
@@ -1019,23 +846,11 @@ def main(argv: list[str] | None = None) -> int:
         sharded_specs.append((scale, workers_list))
     if args.profile:
         run_profile(args.profile)
-        if (
-            args.output is None
-            and args.check is None
-            and not args.depths
-            and not sharded_specs
-        ):
+        if args.output is None and args.check is None and not sharded_specs:
             # Profiling only: skip the timed phases, nothing else asked.
             return 0
     kernels = tuple(k for k in args.kernels.split(",") if k)
-    doc = run_microbench(
-        schedulers,
-        repeat=args.repeat,
-        legacy=not args.no_legacy,
-        kernels=kernels,
-    )
-    if args.depths:
-        doc["scheduler_depths"] = run_depth_bench()
+    doc = run_microbench(repeat=args.repeat, kernels=kernels)
     if args.faults:
         doc["faults_overhead"] = run_faults_overhead()
     if args.telemetry:

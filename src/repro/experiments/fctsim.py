@@ -14,7 +14,6 @@ vs low-latency splits) is what carries over across profiles.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,7 +45,6 @@ __all__ = [
     "run_fct_cell",
     "merge_fct_cells",
     "SCALE_PROFILES",
-    "SCHEDULER_BY_SCALE",
     "SIZE_BUCKETS",
 ]
 
@@ -82,30 +80,13 @@ def resolve_scale(scale: str) -> tuple[int, int, float]:
         raise ValueError(f"unknown scale profile {scale!r}; known: {known}") from None
 
 
-#: Default event scheduler per scale profile, picked from the pending-depth
-#: microbenchmark (``benchmarks/engine_microbench.py --depths``, recorded in
-#: ``BENCH_engine.json`` under ``scheduler_depths``): the C heap wins at
-#: every depth the profiles reach — including the paper profile's tens of
-#: thousands of pending events, where the wheel's constant-factor overhead
-#: still outweighs its O(1) insertion. Revisit if the depth bench flips.
-SCHEDULER_BY_SCALE: dict[str, str] = {
-    "ci": "heap",
-    "default": "heap",
-    "paper": "heap",
-}
-
-
 def scheduler_for_scale(scale: str) -> str:
-    """Scheduler the FCT harness uses at ``scale``.
+    """The event scheduler at ``scale``: always the one binary heap.
 
-    An explicit ``REPRO_SCHEDULER`` in the environment always wins (the
-    differential scheduler tests and the microbenchmark rely on that);
-    otherwise the profile's measured default applies.
+    Kept only because the sweep benchmark (``perfbench/run.py``) imports
+    it to record the effective scheduler in its environment record.
     """
-    env = os.environ.get("REPRO_SCHEDULER")
-    if env:
-        return env
-    return SCHEDULER_BY_SCALE.get(scale, "heap")
+    return "heap"
 
 
 @dataclass
@@ -169,34 +150,9 @@ def run_fct_experiment(
     k: int = 8,
     n_racks: int = 8,
     seed: int = 0,
-    scheduler: str | None = None,
-    coalesce: bool | None = None,
 ) -> FctResult:
-    """Poisson flows at ``load`` over network ``kind``; FCTs per bucket.
-
-    ``scheduler`` picks the event scheduler for this run's Simulator and
-    ``coalesce`` toggles its event-coalescing fast path (both are
-    bit-identical on every flow observable, so these are purely
-    wall-clock choices); ``None`` keeps the engine's ambient default, and
-    an explicit ``REPRO_SCHEDULER`` / ``REPRO_COALESCE`` in the
-    environment always wins (the differential tests rely on that).
-    """
-    # The Simulator reads both env knobs at construction; scope the
-    # overrides to the network build so nothing leaks to other runs.
-    overrides: dict[str, str] = {}
-    if scheduler is not None and not os.environ.get("REPRO_SCHEDULER"):
-        overrides["REPRO_SCHEDULER"] = scheduler
-    if coalesce is not None and not os.environ.get("REPRO_COALESCE"):
-        overrides["REPRO_COALESCE"] = "1" if coalesce else "0"
-    if overrides:
-        os.environ.update(overrides)
-        try:
-            net = build_network(kind, k=k, n_racks=n_racks, seed=seed)
-        finally:
-            for key in overrides:
-                del os.environ[key]
-    else:
-        net = build_network(kind, k=k, n_racks=n_racks, seed=seed)
+    """Poisson flows at ``load`` over network ``kind``; FCTs per bucket."""
+    net = build_network(kind, k=k, n_racks=n_racks, seed=seed)
     hosts_per_rack = sum(1 for h in net.hosts if h.rack == 0)
     arrivals = PoissonArrivals(
         distribution.truncated(size_cap),
@@ -383,7 +339,6 @@ def run_fct_cell(
         k=k,
         n_racks=n_racks,
         seed=seed,
-        scheduler=scheduler_for_scale(scale),
     )
 
 

@@ -28,7 +28,7 @@ from ..core.topology import OperaNetwork
 from ..net import OperaSimNetwork
 from ..scenarios import Cell, derive_cell_seed, scenario
 from ..workloads.arrivals import PoissonArrivals
-from .fctsim import DISTRIBUTIONS, MS, resolve_scale, scheduler_for_scale
+from .fctsim import DISTRIBUTIONS, MS, resolve_scale
 
 __all__ = [
     "DynamicFaultResult",
@@ -147,19 +147,7 @@ def run_cell(
     inject_ms = min(inject_ms, duration_ms / 2)
     inject_ps = int(inject_ms * MS)
 
-    overrides: dict[str, str] = {}
-    scheduler = scheduler_for_scale(scale)
-    if not os.environ.get("REPRO_SCHEDULER"):
-        overrides["REPRO_SCHEDULER"] = scheduler
-    if overrides:
-        os.environ.update(overrides)
-        try:
-            net = OperaSimNetwork(OperaNetwork(k=k, n_racks=n_racks, seed=0))
-        finally:
-            for key in overrides:
-                del os.environ[key]
-    else:
-        net = OperaSimNetwork(OperaNetwork(k=k, n_racks=n_racks, seed=0))
+    net = OperaSimNetwork(OperaNetwork(k=k, n_racks=n_racks, seed=0))
 
     if component == "none":
         schedule = FailureSchedule.empty()

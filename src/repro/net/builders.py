@@ -51,10 +51,9 @@ class SimNetwork:
 
     The engine classes (``Simulator``/``Port``/``Host``/``SwitchNode``)
     are resolved through the kernel seam at construction time
-    (``REPRO_KERNEL``, see :mod:`repro.net.kernel`), the same way the
-    scheduler and coalescing policies resolve per instance — so a
-    network built under ``REPRO_KERNEL=c`` runs the compiled hot path
-    while the pure-Python oracle stays one env var away.
+    (``REPRO_KERNEL``, see :mod:`repro.net.kernel`) — so a network
+    built under ``REPRO_KERNEL=c`` runs the compiled hot path while the
+    pure-Python oracle stays one env var away.
     """
 
     def __init__(self, rate_bps: int = DEFAULT_RATE, prop_ps: int = DEFAULT_PROP_PS):

@@ -12,13 +12,10 @@ pure-Python oracle it must match bit for bit:
 One checked loader serves both, so neither can run a stale build (see
 *The stale-source check* below).
 
-PR 5's profile evidence was unambiguous: after coalescing, batched slice
-boundaries and allocation-free dispatch, the remaining per-event cost of
-the packet engine lives in the *bodies* of the hot callbacks —
-``Port.enqueue``, the serializer commit, endpoint dispatch — not in event
-structure. This package provides a compiled kernel for exactly that inner
-loop, selected with ``REPRO_KERNEL`` (mirroring ``REPRO_SCHEDULER`` /
-``REPRO_COALESCE``):
+Profiles of the pure-Python engine put the per-event cost in the *bodies*
+of the hot callbacks — ``Port.enqueue``, the serializer commit, endpoint
+dispatch — not in event structure. This package provides a compiled
+kernel for exactly that inner loop, selected with ``REPRO_KERNEL``:
 
 * ``py``   — the pure-Python engine classes, unchanged. This path is the
   differential oracle: every observable of a ``c``-kernel run must be
@@ -33,7 +30,7 @@ write the *existing* ``__slots__`` of ``Simulator`` / ``Port`` /
 ``Packet`` / ``Host`` / ``SwitchNode`` through member-descriptor
 offsets, plus thin subclasses (:mod:`.engine`) that rebind only the hot
 methods to those C implementations. Packets are the same free-listed
-``Packet`` objects and trains the same ``(group, pos)`` entries.
+``Packet`` objects.
 
 The event heap is the one structure the kernels do not share. A native
 sampling profile of the fig07 Clos 25%-load cell under ``c`` (SIGPROF
@@ -47,12 +44,12 @@ it dispatches in the oracle's ``(time, seq)`` order bit for bit, and its
 ``len()`` keeps ``pending`` identical. What stays shared: the clock,
 every counter slot, the callbacks and their args tuples. Python code
 that schedules onto a compiled simulator — the pure-Python bodies the C
-entry points fall back to — goes through ``sim.at`` / ``at_many``, never
-``heapq``; a simulator without a native heap (a plain ``Simulator``, the
-wheel scheduler) keeps the oracle's structures, and every C path that
-would schedule onto it delegates to the pure-Python implementation.
+entry points fall back to — goes through ``sim.at`` / ``sim.after``,
+never ``heapq``; a simulator without a native heap (a plain
+``Simulator``) keeps the oracle's list, and every C path that would
+schedule onto it delegates to the pure-Python implementation.
 Bit-identity reduces to the C code replicating the Python control flow —
-which the differential tests pin per scheduler x coalesce x executor.
+which the differential tests pin per executor.
 
 The compiled module is built by ``setup.py`` (``pip install -e .`` or
 ``python setup.py build_ext --inplace``) from the hand-written CPython

@@ -23,9 +23,9 @@
  * therefore remains the differential oracle: a REPRO_KERNEL=c run must
  * be bit-identical to =py in every observable.
  *
- * The event heap: a compiled simulator (CKSimulator on the heap
- * scheduler) keeps an EventHeap, defined below, in its `_heap` slot
- * instead of the oracle's list of (time_ps, seq, callback, args) tuples.
+ * The event heap: a compiled simulator (CKSimulator) keeps an EventHeap,
+ * defined below, in its `_heap` slot instead of the oracle's list of
+ * (time_ps, seq, callback, args) tuples.
  * It is a binary heap of {int64 time, int64 seq, callback, args} structs
  * and owns the sequence counter, so a push allocates no tuple and no int
  * and a sift step compares two machine words. A native sampling profile
@@ -34,14 +34,13 @@
  * the total order on (time, seq) — keys are unique, so any correct heap
  * dispatches exactly as heapq does. What stays shared with the oracle:
  * every other slot (clock, counters, ports, packets), the callbacks and
- * their args tuples, and the train entries ((group, pos) args under the
- * sim._TRAIN callback). Python code that schedules onto a compiled
- * simulator goes through sim.at / at_many, never through heapq.
+ * their args tuples. Python code that schedules onto a compiled simulator
+ * goes through sim.at / sim.after, never through heapq.
  *
  * Every function guards its fast path with *exact* type checks against
  * the CK* classes registered by kernel/engine.py and delegates anything
- * else — simulators without an EventHeap (plain Simulator, wheel
- * scheduler), non-integral line rates, subclasses, test doubles — to the
+ * else — simulators without an EventHeap (a plain Simulator),
+ * non-integral line rates, subclasses, test doubles — to the
  * stored pure-Python implementation, so semantics can never diverge on
  * paths the C code does not model.
  *
@@ -58,8 +57,7 @@
 /* ------------------------------------------------------------------ state */
 
 typedef struct {
-    Py_ssize_t now, heap, gap, coalesce, train_extra, events_processed,
-        trains_formed, train_events, train_repushes;
+    Py_ssize_t now, heap, events_processed;
 } SimOffsets;
 
 typedef struct {
@@ -67,7 +65,7 @@ typedef struct {
         control_queue_bytes, bulk_queue_bytes, trimming, on_undeliverable,
         on_bulk_drop, stats, q_control, q_data, q_bulk, bytes_control,
         bytes_data, bytes_bulk, busy_until, kick_pending, ps_per_byte,
-        target, committed_control, deliver, kick_cb, undeliv_cb, burst;
+        target, committed_control, deliver, kick_cb, undeliv_cb;
 } PortOffsets;
 
 typedef struct {
@@ -113,7 +111,6 @@ static SinkOffsets NK;
 static PacerOffsets PP;
 
 /* Sentinels / enum members / shared objects (all owned references). */
-static PyObject *g_train;        /* sim._TRAIN */
 static PyObject *g_lazy;         /* link._LAZY */
 static PyObject *g_consumed;     /* node.CONSUMED */
 static PyObject *g_prio_control, *g_prio_low, *g_prio_bulk;
@@ -127,13 +124,11 @@ static PyObject *g_pool;         /* packet._POOL (the module-global list) */
 static long g_pool_max;
 static long long g_max_hops;
 static PyObject *g_header_bytes; /* packet.HEADER_BYTES int object */
-static PyObject *g_sorted;       /* builtins.sorted */
-static PyObject *g_sort_kwargs;  /* {"key": sim._T0} */
 static PyObject *g_empty;        /* () */
 
 /* Pure-Python fallbacks (unbound functions). */
-static PyObject *g_py_sim_at, *g_py_sim_after, *g_py_sim_at_many,
-    *g_py_conform_entries, *g_py_sim_run, *g_py_past_error,
+static PyObject *g_py_sim_at, *g_py_sim_after, *g_py_sim_run,
+    *g_py_past_error,
     *g_py_port_enqueue, *g_py_port_kick,
     *g_py_host_receive, *g_py_acquire, *g_py_src_on_packet,
     *g_py_sink_on_packet, *g_py_emit_pull, *g_py_pacer_tick;
@@ -279,9 +274,8 @@ slot_add_ll(PyObject *o, Py_ssize_t off, const char *name, long long delta)
 /* ------------------------------------------------------------- event heap
  *
  * A binary min-heap of events ordered by (time, seq). Sequence numbers
- * are unique among pending events (a cut train is re-pushed under its
- * popped number), so the order is total and dispatch matches heapq's on
- * the oracle's tuples exactly. Entries own their callback and args.
+ * are unique, so the order is total and dispatch matches heapq's on the
+ * oracle's tuples exactly. Entries own their callback and args.
  *
  * The type is GC-tracked: pending kick, pacer and slice events hold
  * bound methods that lead back to the simulator, so a finished network
@@ -481,8 +475,8 @@ sim_heap(PyObject *sim)
 }
 
 /* Fast-path eligibility: a compiled simulator that owns an EventHeap.
- * Anything else (plain Simulator, wheel scheduler) takes the Python
- * paths, which schedule onto its list or wheel. */
+ * Anything else (a plain Simulator) takes the Python paths, which
+ * schedule onto its list. */
 static inline int
 sim_fast(PyObject *sim)
 {
@@ -597,258 +591,7 @@ c_sim_after(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
     return schedule_call(args[0], t, now, NULL, args, nargs);
 }
 
-/* ---------------------------------------------------------------- at_many */
-
-/* Bulk-schedule a list of exact (int time, callback, args tuple) triples
- * (mirror of Simulator.at_many) onto a fast-path simulator. */
-static PyObject *
-c_at_many_impl(PyObject *self, PyObject *entries)
-{
-    Py_ssize_t n, i, start;
-    long long now, seq, gap, prev = 0, start_t, prev_t, t = 0;
-    int err = 0, coalesce, pre_sorted = 1, owned;
-    PyObject *block;
-    EventHeap *h;
-
-    n = PyList_GET_SIZE(entries);
-    if (n == 0)
-        Py_RETURN_NONE;
-    now = slot_ll(self, S.now, "now", &err);
-    if (err)
-        return NULL;
-    coalesce = PyObject_IsTrue(SLOT(self, S.coalesce));
-    if (coalesce < 0)
-        return NULL;
-
-    if (!coalesce || n == 1) {
-        for (i = 0; i < n; i++) {
-            PyObject *triple = PyList_GET_ITEM(entries, i);
-            if (as_ll(PyTuple_GET_ITEM(triple, 0), &t) < 0)
-                return NULL;
-            if (t < now) {
-                /* Entries already pushed stay, as in Python. */
-                raise_past_error(self, PyTuple_GET_ITEM(triple, 0),
-                                 PyTuple_GET_ITEM(triple, 1));
-                return NULL;
-            }
-            if (schedule_heap(self, t, PyTuple_GET_ITEM(triple, 1),
-                              PyTuple_GET_ITEM(triple, 2)) < 0)
-                return NULL;
-        }
-        Py_RETURN_NONE;
-    }
-
-    /* Validation pass: past check + pre-sorted detection. */
-    for (i = 0; i < n; i++) {
-        PyObject *triple = PyList_GET_ITEM(entries, i);
-        if (as_ll(PyTuple_GET_ITEM(triple, 0), &t) < 0)
-            return NULL;
-        if (t < now) {
-            raise_past_error(self, PyTuple_GET_ITEM(triple, 0),
-                             PyTuple_GET_ITEM(triple, 1));
-            return NULL;
-        }
-        if (i > 0 && t < prev)
-            pre_sorted = 0;
-        prev = t;
-    }
-    if (pre_sorted) {
-        block = entries; /* caller-owned; groups are sliced out below */
-        Py_INCREF(block);
-        owned = 0;
-    }
-    else {
-        PyObject *argtup = PyTuple_Pack(1, entries);
-        if (argtup == NULL)
-            return NULL;
-        block = PyObject_Call(g_sorted, argtup, g_sort_kwargs);
-        Py_DECREF(argtup);
-        if (block == NULL)
-            return NULL;
-        owned = 1;
-    }
-    h = need_heap(self);
-    gap = slot_ll(self, S.gap, "_gap", &err);
-    if (h == NULL || err ||
-        as_ll(PyTuple_GET_ITEM(PyList_GET_ITEM(block, 0), 0), &prev_t) < 0)
-        goto fail;
-    start = 0;
-    start_t = prev_t;
-    i = 1;
-    for (;;) {
-        int rc;
-        if (i < n) {
-            if (as_ll(PyTuple_GET_ITEM(PyList_GET_ITEM(block, i), 0), &t) < 0)
-                goto fail;
-            if (t - prev_t <= gap) {
-                prev_t = t;
-                i += 1;
-                continue;
-            }
-        }
-        if (add_ll(h->seq, 1, &seq) < 0)
-            goto fail;
-        if (i - start == 1) {
-            PyObject *triple = PyList_GET_ITEM(block, start);
-            rc = eh_push(h, start_t, seq, PyTuple_GET_ITEM(triple, 1),
-                         PyTuple_GET_ITEM(triple, 2));
-        }
-        else {
-            PyObject *group, *targs;
-            if (owned && start == 0 && i == n) {
-                group = block; /* the sort already copied it */
-                Py_INCREF(group);
-            }
-            else {
-                group = PyList_GetSlice(block, start, i);
-                if (group == NULL)
-                    goto fail;
-            }
-            if (slot_add_ll(self, S.train_extra, "_train_extra",
-                            (long long)(i - start - 1)) < 0 ||
-                slot_add_ll(self, S.trains_formed, "trains_formed", 1) < 0) {
-                Py_DECREF(group);
-                goto fail;
-            }
-            targs = PyTuple_Pack(2, group, g_zero);
-            Py_DECREF(group);
-            if (targs == NULL)
-                goto fail;
-            rc = eh_push(h, start_t, seq, g_train, targs);
-            Py_DECREF(targs);
-        }
-        if (rc < 0)
-            goto fail;
-        h->seq = seq;
-        if (i == n)
-            break;
-        start = i;
-        start_t = prev_t = t;
-        i += 1;
-    }
-    Py_DECREF(block);
-    Py_RETURN_NONE;
-
-fail:
-    Py_DECREF(block);
-    return NULL;
-}
-
-/* True when `entries` is what c_at_many_impl reads directly: an exact
- * list of exact (int, callback, tuple) triples. */
-static int
-entries_conform(PyObject *entries)
-{
-    Py_ssize_t i, n;
-    if (!PyList_CheckExact(entries))
-        return 0;
-    n = PyList_GET_SIZE(entries);
-    for (i = 0; i < n; i++) {
-        PyObject *e = PyList_GET_ITEM(entries, i);
-        if (!PyTuple_CheckExact(e) || PyTuple_GET_SIZE(e) != 3 ||
-            !PyLong_CheckExact(PyTuple_GET_ITEM(e, 0)) ||
-            !PyTuple_Check(PyTuple_GET_ITEM(e, 2)))
-            return 0;
-    }
-    return 1;
-}
-
-static PyObject *
-c_sim_at_many(PyObject *Py_UNUSED(mod), PyObject *const *args,
-              Py_ssize_t nargs)
-{
-    PyObject *entries, *r;
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "at_many() takes (self, entries)");
-        return NULL;
-    }
-    if (!g_ready || !sim_fast(args[0]))
-        return PyObject_Vectorcall(g_py_sim_at_many, args, nargs, NULL);
-    if (entries_conform(args[1]))
-        return c_at_many_impl(args[0], args[1]);
-    /* Any other input the Python at_many accepts: normalize it, since the
-     * native heap cannot take the Python path. */
-    entries = PyObject_CallOneArg(g_py_conform_entries, args[1]);
-    if (entries == NULL)
-        return NULL;
-    r = c_at_many_impl(args[0], entries);
-    Py_DECREF(entries);
-    return r;
-}
-
 /* -------------------------------------------------------------------- run */
-
-/* Dispatch elements of a just-popped train (mirror of _run_train) whose
- * entry carried `seq` and args `targs`. Returns the element count, or -1
- * on error (exception propagates; no re-push — exactly as the Python
- * version loses the train when a callback raises). */
-static long long
-c_run_train(PyObject *self, EventHeap *h, long long seq, PyObject *targs,
-            int has_until, long long until, int has_budget, long long budget)
-{
-    PyObject *elements = PyTuple_GET_ITEM(targs, 0);
-    Py_ssize_t pos, n;
-    long long count = 0, t_next = 0;
-    int rc;
-
-    pos = PyLong_AsSsize_t(PyTuple_GET_ITEM(targs, 1));
-    if (pos == -1 && PyErr_Occurred())
-        return -1;
-    n = PyList_GET_SIZE(elements);
-    for (;;) {
-        PyObject *triple = PyList_GET_ITEM(elements, pos);
-        PyObject *r;
-        if (count) {
-            if (slot_add_ll(self, S.train_extra, "_train_extra", -1) < 0)
-                return -1;
-        }
-        slot_set(self, S.now, PyTuple_GET_ITEM(triple, 0));
-        r = PyObject_Call(PyTuple_GET_ITEM(triple, 1),
-                          PyTuple_GET_ITEM(triple, 2), NULL);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        pos += 1;
-        count += 1;
-        if (pos == n) {
-            if (slot_add_ll(self, S.train_events, "train_events", count) < 0)
-                return -1;
-            return count;
-        }
-        if (as_ll(PyTuple_GET_ITEM(PyList_GET_ITEM(elements, pos), 0),
-                  &t_next) < 0)
-            return -1;
-        if ((has_until && t_next > until) || (has_budget && count >= budget))
-            break;
-        if (h->len > 0 &&
-            (h->ev[0].time < t_next ||
-             (h->ev[0].time == t_next && h->ev[0].seq < seq)))
-            break;
-    }
-    /* Preempted or cut: the remainder rides the original entry again. */
-    if (slot_add_ll(self, S.train_extra, "_train_extra", -1) < 0 ||
-        slot_add_ll(self, S.train_events, "train_events", count) < 0 ||
-        slot_add_ll(self, S.train_repushes, "train_repushes", 1) < 0)
-        return -1;
-    if (pos == n - 1) {
-        PyObject *triple = PyList_GET_ITEM(elements, pos);
-        rc = eh_push(h, t_next, seq, PyTuple_GET_ITEM(triple, 1),
-                     PyTuple_GET_ITEM(triple, 2));
-    }
-    else {
-        PyObject *pos_obj = PyLong_FromSsize_t(pos);
-        PyObject *new_targs;
-        if (pos_obj == NULL)
-            return -1;
-        new_targs = PyTuple_Pack(2, elements, pos_obj);
-        Py_DECREF(pos_obj);
-        if (new_targs == NULL)
-            return -1;
-        rc = eh_push(h, t_next, seq, g_train, new_targs);
-        Py_DECREF(new_targs);
-    }
-    return rc < 0 ? -1 : count;
-}
 
 static PyObject *
 c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
@@ -882,17 +625,6 @@ c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
         if (has_max && processed >= maxev)
             break;
         eh_pop(h, &e);
-        if (e.cb == g_train) {
-            long long c =
-                c_run_train(self, h, e.seq, e.args, has_until, until,
-                            has_max, has_max ? maxev - processed : 0);
-            Py_DECREF(e.cb);
-            Py_DECREF(e.args);
-            if (c < 0)
-                goto done;
-            processed += c;
-            continue;
-        }
         if (slot_set_ll(self, S.now, e.time) < 0) {
             Py_DECREF(e.cb);
             Py_DECREF(e.args);
@@ -1027,13 +759,11 @@ resolve_deliver(PyObject *self, PyObject *packet, PyObject *start_obj,
     return 0;
 }
 
-/* Put `packet` on the wire at start_ps (mirror of _transmit). With `out`
- * non-NULL the delivery entry is appended to it (burst commit); returns
+/* Put `packet` on the wire at start_ps (mirror of _transmit); returns
  * the line-free time or -1 on error. Caller guarantees _ps_per_byte > 0
  * and a heap simulator. */
 static long long
-c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start,
-           PyObject *out)
+c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start)
 {
     int err = 0;
     long long size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
@@ -1064,35 +794,16 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start,
     if (deliver == NULL) {
         /* Dark circuit: loss observed when the last bit leaves. */
         PyObject *undeliv = slot_get(self, P.undeliv_cb, "_undeliv_cb");
+        PyObject *cargs;
         if (undeliv == NULL)
             return -1;
-        if (out != NULL) {
-            PyObject *recv_args =
-                slot_get(packet, K.recv_args, "recv_args");
-            PyObject *done_obj, *e;
-            if (recv_args == NULL)
-                return -1;
-            done_obj = PyLong_FromLongLong(done);
-            if (done_obj == NULL)
-                return -1;
-            e = PyTuple_Pack(3, done_obj, undeliv, recv_args);
-            Py_DECREF(done_obj);
-            if (e == NULL)
-                return -1;
-            err = PyList_Append(out, e);
-            Py_DECREF(e);
-            if (err < 0)
-                return -1;
-        }
-        else {
-            PyObject *cargs = PyTuple_Pack(1, packet);
-            if (cargs == NULL)
-                return -1;
-            err = schedule_heap(sim, done, undeliv, cargs);
-            Py_DECREF(cargs);
-            if (err < 0)
-                return -1;
-        }
+        cargs = PyTuple_Pack(1, packet);
+        if (cargs == NULL)
+            return -1;
+        err = schedule_heap(sim, done, undeliv, cargs);
+        Py_DECREF(cargs);
+        if (err < 0)
+            return -1;
         return done;
     }
     prop = slot_ll(self, P.propagation_ps, "propagation_ps", &err);
@@ -1106,29 +817,10 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start,
             Py_DECREF(deliver);
             return -1;
         }
-        if (out != NULL) {
-            PyObject *t_obj = PyLong_FromLongLong(arrive);
-            PyObject *e;
-            if (t_obj == NULL) {
-                Py_DECREF(deliver);
-                return -1;
-            }
-            e = PyTuple_Pack(3, t_obj, deliver, recv_args);
-            Py_DECREF(t_obj);
-            Py_DECREF(deliver);
-            if (e == NULL)
-                return -1;
-            err = PyList_Append(out, e);
-            Py_DECREF(e);
-            if (err < 0)
-                return -1;
-        }
-        else {
-            err = schedule_heap(sim, arrive, deliver, recv_args);
-            Py_DECREF(deliver);
-            if (err < 0)
-                return -1;
-        }
+        err = schedule_heap(sim, arrive, deliver, recv_args);
+        Py_DECREF(deliver);
+        if (err < 0)
+            return -1;
     }
     return done;
 }
@@ -1391,119 +1083,64 @@ c_port_kick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
     if (qlen < 0)
         return NULL;
     if (qlen > 0) {
+        /* Commit the whole control queue back-to-back; each delivery is
+         * pushed as its packet is committed. */
         PyObject *committed =
             slot_get(self, P.committed_control, "_committed_control");
+        int first = 1;
         if (committed == NULL)
             return NULL;
-        if (qlen > 1) {
-            /* Packet train: commit the whole burst back-to-back and
-             * bulk-schedule its deliveries with one at_many call. */
-            PyObject *burst = slot_get(self, P.burst, "_burst");
-            int first = 1;
-            long long dlen, blen;
-            if (burst == NULL)
+        for (;;) {
+            Py_ssize_t left = PyObject_Length(q);
+            if (left < 0)
                 return NULL;
-            for (;;) {
-                Py_ssize_t left = PyObject_Length(q);
-                if (left < 0)
-                    return NULL;
-                if (left == 0)
-                    break;
-                packet = PyObject_CallMethodNoArgs(q, s_popleft);
-                if (packet == NULL)
-                    return NULL;
-                size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-                if (err) {
+            if (left == 0)
+                break;
+            packet = PyObject_CallMethodNoArgs(q, s_popleft);
+            if (packet == NULL)
+                return NULL;
+            size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
+            if (err) {
+                Py_DECREF(packet);
+                return NULL;
+            }
+            if (first) {
+                /* On the wire right now: out of the queue at once. */
+                if (slot_add_ll(self, P.bytes_control, "_bytes_control",
+                                -size) < 0) {
                     Py_DECREF(packet);
                     return NULL;
                 }
-                if (first) {
-                    /* On the wire right now: out of the queue at once. */
-                    if (slot_add_ll(self, P.bytes_control, "_bytes_control",
-                                    -size) < 0) {
-                        Py_DECREF(packet);
-                        return NULL;
-                    }
-                    first = 0;
-                }
-                else {
-                    /* Committed but not started: bytes stay in the
-                     * admission ledger until the wire-entry time. */
-                    PyObject *start_obj = PyLong_FromLongLong(start);
-                    PyObject *pair, *r;
-                    if (start_obj == NULL) {
-                        Py_DECREF(packet);
-                        return NULL;
-                    }
-                    pair = PyTuple_Pack(2, start_obj,
-                                        SLOT(packet, K.size_bytes));
-                    Py_DECREF(start_obj);
-                    if (pair == NULL) {
-                        Py_DECREF(packet);
-                        return NULL;
-                    }
-                    r = PyObject_CallMethodOneArg(committed, s_append, pair);
-                    Py_DECREF(pair);
-                    if (r == NULL) {
-                        Py_DECREF(packet);
-                        return NULL;
-                    }
-                    Py_DECREF(r);
-                }
-                start = c_transmit(self, sim, packet, start, burst);
-                Py_DECREF(packet);
-                if (start < 0 && PyErr_Occurred())
-                    return NULL;
+                first = 0;
             }
-            dlen = PyObject_Length(slot_get(self, P.q_data, "_q_data"));
-            blen = PyObject_Length(slot_get(self, P.q_bulk, "_q_bulk"));
-            if (dlen < 0 || blen < 0)
-                return NULL;
-            if (dlen > 0 || blen > 0) {
-                long long busy =
-                    slot_ll(self, P.busy_until, "_busy_until", &err);
-                PyObject *busy_obj, *kick_cb, *e;
-                if (err)
+            else {
+                /* Committed but not started: bytes stay in the admission
+                 * ledger until the wire-entry time. */
+                PyObject *start_obj = PyLong_FromLongLong(start);
+                PyObject *pair, *r;
+                if (start_obj == NULL) {
+                    Py_DECREF(packet);
                     return NULL;
-                slot_set(self, P.kick_pending, Py_True);
-                kick_cb = slot_get(self, P.kick_cb, "_kick_cb");
-                if (kick_cb == NULL)
+                }
+                pair = PyTuple_Pack(2, start_obj, SLOT(packet, K.size_bytes));
+                Py_DECREF(start_obj);
+                if (pair == NULL) {
+                    Py_DECREF(packet);
                     return NULL;
-                busy_obj = PyLong_FromLongLong(busy);
-                if (busy_obj == NULL)
+                }
+                r = PyObject_CallMethodOneArg(committed, s_append, pair);
+                Py_DECREF(pair);
+                if (r == NULL) {
+                    Py_DECREF(packet);
                     return NULL;
-                e = PyTuple_Pack(3, busy_obj, kick_cb, g_empty);
-                Py_DECREF(busy_obj);
-                if (e == NULL)
-                    return NULL;
-                err = PyList_Append(burst, e);
-                Py_DECREF(e);
-                if (err < 0)
-                    return NULL;
-            }
-            {
-                PyObject *r = c_at_many_impl(sim, burst);
-                if (r == NULL)
-                    return NULL;
+                }
                 Py_DECREF(r);
             }
-            if (PyList_SetSlice(burst, 0, PyList_GET_SIZE(burst), NULL) < 0)
-                return NULL;
-            Py_RETURN_NONE;
-        }
-        packet = PyObject_CallMethodNoArgs(q, s_popleft);
-        if (packet == NULL)
-            return NULL;
-        size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-        if (err ||
-            slot_add_ll(self, P.bytes_control, "_bytes_control", -size) < 0) {
+            start = c_transmit(self, sim, packet, start);
             Py_DECREF(packet);
-            return NULL;
+            if (start < 0 && PyErr_Occurred())
+                return NULL;
         }
-        start = c_transmit(self, sim, packet, start, NULL);
-        Py_DECREF(packet);
-        if (start < 0 && PyErr_Occurred())
-            return NULL;
     }
     else {
         PyObject *qd = slot_get(self, P.q_data, "_q_data");
@@ -1523,7 +1160,7 @@ c_port_kick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
                 Py_DECREF(packet);
                 return NULL;
             }
-            start = c_transmit(self, sim, packet, start, NULL);
+            start = c_transmit(self, sim, packet, start);
             Py_DECREF(packet);
             if (start < 0 && PyErr_Occurred())
                 return NULL;
@@ -1547,7 +1184,7 @@ c_port_kick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
                 Py_DECREF(packet);
                 return NULL;
             }
-            start = c_transmit(self, sim, packet, start, NULL);
+            start = c_transmit(self, sim, packet, start);
             Py_DECREF(packet);
             if (start < 0 && PyErr_Occurred())
                 return NULL;
@@ -2442,13 +2079,7 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     Py_INCREF(cls);
     OFF(cls, "now", S.now);
     OFF(cls, "_heap", S.heap);
-    OFF(cls, "_gap", S.gap);
-    OFF(cls, "coalesce", S.coalesce);
-    OFF(cls, "_train_extra", S.train_extra);
     OFF(cls, "events_processed", S.events_processed);
-    OFF(cls, "trains_formed", S.trains_formed);
-    OFF(cls, "train_events", S.train_events);
-    OFF(cls, "train_repushes", S.train_repushes);
 
     /* Port offsets */
     CFG_OBJ(tmp, "Port");
@@ -2480,7 +2111,6 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     OFF(cls, "_deliver", P.deliver);
     OFF(cls, "_kick_cb", P.kick_cb);
     OFF(cls, "_undeliv_cb", P.undeliv_cb);
-    OFF(cls, "_burst", P.burst);
 
     /* Packet offsets */
     CFG_OBJ(tmp, "Packet");
@@ -2574,7 +2204,6 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     OFF(cls, "_running", PP.running);
     OFF(cls, "_tick_cb", PP.tick_cb);
 
-    CFG_OBJ(g_train, "TRAIN");
     CFG_OBJ(g_lazy, "LAZY");
     CFG_OBJ(g_consumed, "CONSUMED");
     CFG_OBJ(g_prio_control, "PRIO_CONTROL");
@@ -2608,8 +2237,6 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
         return NULL;
     CFG_OBJ(g_py_sim_at, "py_at");
     CFG_OBJ(g_py_sim_after, "py_after");
-    CFG_OBJ(g_py_sim_at_many, "py_at_many");
-    CFG_OBJ(g_py_conform_entries, "py_conform_entries");
     CFG_OBJ(g_py_sim_run, "py_run");
     CFG_OBJ(g_py_past_error, "py_past_error");
     CFG_OBJ(g_py_port_enqueue, "py_enqueue");
@@ -2620,12 +2247,6 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     CFG_OBJ(g_py_sink_on_packet, "py_sink_on_packet");
     CFG_OBJ(g_py_emit_pull, "py_emit_pull");
     CFG_OBJ(g_py_pacer_tick, "py_pacer_tick");
-    CFG_OBJ(tmp, "SORT_KEY");
-    Py_XDECREF(g_sort_kwargs);
-    g_sort_kwargs = PyDict_New();
-    if (g_sort_kwargs == NULL ||
-        PyDict_SetItemString(g_sort_kwargs, "key", tmp) < 0)
-        return NULL;
     Py_CLEAR(tmp);
     if (PyErr_Occurred())
         return NULL;
@@ -2977,8 +2598,6 @@ static PyMethodDef m_at = {"at", (PyCFunction)c_sim_at, METH_FASTCALL,
                            "Compiled Simulator.at."};
 static PyMethodDef m_after = {"after", (PyCFunction)c_sim_after,
                               METH_FASTCALL, "Compiled Simulator.after."};
-static PyMethodDef m_at_many = {"at_many", (PyCFunction)c_sim_at_many,
-                                METH_FASTCALL, "Compiled Simulator.at_many."};
 static PyMethodDef m_run = {"run", (PyCFunction)c_sim_run,
                             METH_VARARGS | METH_KEYWORDS,
                             "Compiled Simulator.run."};
@@ -3042,7 +2661,7 @@ static struct PyModuleDef ckernel_module = {
 PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
-    PyObject *m, *builtins;
+    PyObject *m;
 
     if (PyType_Ready(&EventHeap_Type) < 0)
         return NULL;
@@ -3098,13 +2717,8 @@ PyInit__ckernel(void)
     if (g_empty == NULL || g_src_salt == NULL || g_zero == NULL ||
         g_one == NULL)
         goto fail;
-    builtins = PyEval_GetBuiltins(); /* borrowed */
-    g_sorted = PyMapping_GetItemString(builtins, "sorted");
-    if (g_sorted == NULL)
-        goto fail;
     if (add_instancemethod(m, &m_at, NULL) < 0 ||
         add_instancemethod(m, &m_after, NULL) < 0 ||
-        add_instancemethod(m, &m_at_many, NULL) < 0 ||
         add_instancemethod(m, &m_run, NULL) < 0 ||
         add_instancemethod(m, &m_enqueue, &g_cf_enqueue) < 0 ||
         add_instancemethod(m, &m_kick, NULL) < 0 ||

@@ -21,9 +21,6 @@ doubles) back to the pure-Python implementations passed to ``init``.
 
 from __future__ import annotations
 
-from operator import index
-
-from .. import sim as _sim_mod
 from ..link import _LAZY, Port, PortStats
 from ..ndp import NdpSink, NdpSource, PullPacer
 from ..node import CONSUMED, MAX_HOPS, Host, SwitchNode
@@ -50,12 +47,6 @@ __all__ = [
 ]
 
 
-def _conform_entries(entries):
-    """Any sequence of ``(time_ps, callback, args)`` triples, as the list of
-    exact ``(int, callback, tuple)`` triples the compiled ``at_many`` reads."""
-    return [(index(t), callback, tuple(args)) for t, callback, args in entries]
-
-
 _ckernel.init(
     {
         "Simulator": Simulator,
@@ -64,7 +55,6 @@ _ckernel.init(
         "Host": Host,
         "SwitchNode": SwitchNode,
         "PortStats": PortStats,
-        "TRAIN": _sim_mod._TRAIN,
         "LAZY": _LAZY,
         "CONSUMED": CONSUMED,
         "PRIO_CONTROL": Priority.CONTROL,
@@ -82,11 +72,8 @@ _ckernel.init(
         "POOL_MAX": _POOL_MAX,
         "MAX_HOPS": MAX_HOPS,
         "HEADER_BYTES": HEADER_BYTES,
-        "SORT_KEY": _sim_mod._T0,
         "py_at": Simulator.at,
         "py_after": Simulator.after,
-        "py_at_many": Simulator.at_many,
-        "py_conform_entries": _conform_entries,
         "py_run": Simulator.run,
         "py_past_error": Simulator._past_error,
         "py_enqueue": Port.enqueue,
@@ -104,36 +91,25 @@ _ckernel.init(
 class CKSimulator(Simulator):
     """Simulator with the scheduling/run loop compiled.
 
-    On the heap scheduler the event heap is a native
-    ``_ckernel.EventHeap``: int64 ``(time, seq)`` keys instead of boxed
-    tuples, and the heap owns the sequence counter (``_seq`` is unused).
-    ``len(self._heap)`` still counts pending entries, so :attr:`pending`
-    is unchanged. The wheel scheduler keeps the Python structures and
-    every method delegates to the pure-Python engine.
+    The event heap is a native ``_ckernel.EventHeap``: int64 ``(time,
+    seq)`` keys instead of boxed tuples, and the heap owns the sequence
+    counter (``_seq`` is unused). ``len(self._heap)`` still counts
+    pending entries, so :attr:`pending` is unchanged.
     """
 
     __slots__ = ()
 
-    def __init__(
-        self,
-        scheduler: str | None = None,
-        coalesce: bool | None = None,
-        coalesce_gap_ps: int | None = None,
-    ) -> None:
-        super().__init__(scheduler, coalesce, coalesce_gap_ps)
-        if self._wheel is None:
-            self._heap = _ckernel.EventHeap()
+    def __init__(self) -> None:
+        super().__init__()
+        self._heap = _ckernel.EventHeap()
 
     @property
     def sched_pushes(self) -> int:
         """:attr:`Simulator.sched_pushes`, counted by the native heap."""
-        heap = self._heap
-        seq = self._seq if heap.__class__ is list else heap.seq
-        return seq + self.train_repushes
+        return self._heap.seq
 
     at = _ckernel.at
     after = _ckernel.after
-    at_many = _ckernel.at_many
     run = _ckernel.run
 
 

@@ -30,17 +30,10 @@ Hot-path design (the engine's fast path — see README "Engine internals"):
   strict-priority control queue, so committing the whole burst at once is
   timing-identical to one event per packet
   (``tests/test_link_serializer.py`` pins this equivalence).
-* Scheduling is allocation-free and coalescing-aware: deliveries are
-  emitted as preconstructed ``(deliver, packet.recv_args)`` pairs (the
-  receive callback is prebound per node, the args tuple lives on the
-  packet), and a kick that commits a back-to-back burst collects the
-  burst's deliveries (plus its own follow-up kick) into one reusable
-  list handed to :meth:`Simulator.at_many
-  <repro.net.sim.Simulator.at_many>` — with coalescing enabled
-  (``Simulator(coalesce=True)``, the default) the burst becomes **one
-  packet-train entry** in the scheduler instead of one entry per packet.
-  With coalescing off the same call degenerates to the legacy
-  one-push-per-event behaviour, bit-identically.
+* Scheduling is allocation-free: deliveries are pushed as preconstructed
+  ``(deliver, packet.recv_args)`` pairs (the receive callback is prebound
+  per node, the args tuple lives on the packet), one scheduler entry per
+  delivery, straight onto the simulator's list heap when it has one.
 """
 
 from __future__ import annotations
@@ -151,7 +144,6 @@ class Port:
         "_deliver",
         "_kick_cb",
         "_undeliv_cb",
-        "_burst",
     )
 
     def __init__(
@@ -205,9 +197,6 @@ class Port:
         self._deliver = None if target is None else _LAZY
         self._kick_cb = self._kick
         self._undeliv_cb = self._undeliverable
-        #: Reusable buffer for back-to-back burst commits (``at_many``
-        #: copies what it keeps, so the buffer never escapes).
-        self._burst: list[tuple[int, Callable[..., None], tuple]] = []
         self.stats = PortStats()
 
     # ----------------------------------------------------------------- queue
@@ -301,7 +290,7 @@ class Port:
                 deliver = self._deliver = (
                     getattr(target, "receive_cb", None) or target.receive  # type: ignore[attr-defined]
                 )
-            if sim._wheel is None and sim._heap.__class__ is list:
+            if sim._heap.__class__ is list:
                 # Inlined sim.at fast path onto the oracle's list heap (a
                 # compiled simulator's native heap takes sim.at); the
                 # past-time guard holds by construction (asserted, as
@@ -331,18 +320,8 @@ class Port:
 
     # ------------------------------------------------------------ serializer
 
-    def _transmit(
-        self,
-        packet: Packet,
-        start_ps: int,
-        out: "list[tuple[int, Callable[..., None], tuple]] | None" = None,
-    ) -> int:
-        """Put ``packet`` on the wire at ``start_ps``; returns line-free time.
-
-        With ``out`` given (a burst being committed back-to-back), the
-        delivery entry is appended there instead of being pushed — the
-        caller hands the whole burst to ``sim.at_many`` in one call.
-        """
+    def _transmit(self, packet: Packet, start_ps: int) -> int:
+        """Put ``packet`` on the wire at ``start_ps``; returns line-free time."""
         size = packet.size_bytes
         per_byte = self._ps_per_byte
         if per_byte:
@@ -362,10 +341,7 @@ class Port:
                 # Dark circuit: the loss is observed when the last bit
                 # leaves, exactly when the old one-event-per-packet engine
                 # reported it.
-                if out is not None:
-                    out.append((done, self._undeliv_cb, packet.recv_args))
-                else:
-                    sim.at(done, self._undeliv_cb, packet)
+                sim.at(done, self._undeliv_cb, packet)
                 return done
             deliver = getattr(target, "receive_cb", None) or target.receive  # type: ignore[attr-defined]
         elif deliver is _LAZY:
@@ -373,9 +349,7 @@ class Port:
             deliver = self._deliver = (
                 getattr(target, "receive_cb", None) or target.receive  # type: ignore[attr-defined]
             )
-        if out is not None:
-            out.append((done + self.propagation_ps, deliver, packet.recv_args))
-        elif sim._wheel is None and sim._heap.__class__ is list:
+        if sim._heap.__class__ is list:
             # Delivery is the engine's single hottest schedule call: push
             # straight onto the list heap (sim.at minus one frame; the time
             # is computed from now + positive delays, never in the past —
@@ -397,42 +371,26 @@ class Port:
         The whole control queue is committed back-to-back in one event:
         control has strict priority and is FIFO within itself, so a control
         packet arriving while the burst drains would have queued behind it
-        anyway — the commitment changes no timestamps. A burst's delivery
-        entries (and the follow-up kick, when lower queues remain) are
-        scheduled with one ``at_many`` call, which the coalescing engine
-        turns into a single packet-train entry. Lower priorities start one
-        packet per kick, because a later control arrival *is* allowed to
-        jump ahead of a not-yet-started data/bulk packet.
+        anyway — the commitment changes no timestamps. Each committed
+        packet's delivery is pushed as it is committed. Lower priorities
+        start one packet per kick, because a later control arrival *is*
+        allowed to jump ahead of a not-yet-started data/bulk packet.
         """
         self._kick_pending = False
         start = self.sim.now
         queue = self._q_control
         if queue:
-            committed = self._committed_control
-            if len(queue) > 1:
-                # Packet train: collect the burst, bulk-schedule it once.
-                burst = self._burst
-                first = True
-                while queue:
-                    packet = queue.popleft()
-                    if first:
-                        # On the wire right now: out of the queue at once.
-                        self._bytes_control -= packet.size_bytes
-                        first = False
-                    else:
-                        # Committed but not started: keep its bytes in the
-                        # admission ledger until its wire-entry time.
-                        committed.append((start, packet.size_bytes))
-                    start = self._transmit(packet, start, burst)
-                if self._q_data or self._q_bulk:
-                    self._kick_pending = True
-                    burst.append((self._busy_until, self._kick_cb, ()))
-                self.sim.at_many(burst)
-                burst.clear()
-                return
+            # On the wire right now: out of the queue at once.
             packet = queue.popleft()
             self._bytes_control -= packet.size_bytes
-            self._transmit(packet, start)
+            start = self._transmit(packet, start)
+            committed = self._committed_control
+            while queue:
+                # Committed but not started: keep its bytes in the
+                # admission ledger until its wire-entry time.
+                packet = queue.popleft()
+                committed.append((start, packet.size_bytes))
+                start = self._transmit(packet, start)
         elif self._q_data:
             packet = self._q_data.popleft()
             self._bytes_data -= packet.size_bytes

@@ -98,7 +98,7 @@ class StatsCollector:
         ``ports`` (an iterable of :class:`~repro.net.link.Port`). The
         ledgers are disjoint by design (see the class docstring), so
         ``total`` is their straight sum — the invariant
-        ``tests/test_obs.py`` pins across scheduler x kernel.
+        ``tests/test_obs.py`` pins under both kernels.
         """
         queue_overflow = 0
         undeliverable = 0

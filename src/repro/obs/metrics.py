@@ -13,8 +13,8 @@ Engine instruments
 The packet engine is *not* instrumented with new hooks. Every engine
 metric drains from counters the ``__slots__`` layout already carries and
 both kernels already bump — ``Simulator.events_processed`` /
-``sched_pushes`` / the train counters, the per-port :class:`~repro.net.
-link.PortStats` (sent/trimmed/dropped by cause), and the
+``sched_pushes``, the per-port :class:`~repro.net.link.PortStats`
+(sent/trimmed/dropped by cause), and the
 :class:`~repro.net.stats.StatsCollector` failure ledger. The compiled
 kernel writes those slots through the same member descriptors the python
 engine uses (see :mod:`repro.net.kernel`), so a ``REPRO_KERNEL=py`` and a
@@ -50,7 +50,7 @@ __all__ = [
     "validate_snapshot",
 ]
 
-#: Falsy spellings of ``REPRO_TELEMETRY`` (mirrors ``REPRO_COALESCE``).
+#: Falsy spellings of ``REPRO_TELEMETRY``.
 _OFF = ("", "0", "false", "off")
 
 #: Fixed FCT histogram bucket upper bounds, in whole microseconds. Fixed

@@ -3,14 +3,12 @@
 The kernel contract is that the compiled fast path is *invisible*: a run
 under ``REPRO_KERNEL=c`` must be bit-identical to the pure-Python oracle
 (``REPRO_KERNEL=py``) — same timestamps, tie-breaks, FCT rows, hop and
-drop counts, ``events_processed`` and ``pending`` — across every other
-engine axis (scheduler x coalesce x executor). These tests extend the
-PR 2/PR 5 differential pattern with the kernel axis: random event
-cascades, full packet workloads on every network kind compared
-observable-by-observable, scenario Runner rows (including a distributed
-smoke run whose spawned workers inherit the kernel selection), and the
-seam mechanics themselves (env parsing, graceful fallback when the
-compiled module is absent).
+drop counts, ``events_processed`` and ``pending`` — on every executor.
+These tests pin that with random event cascades, full packet workloads on
+every network kind compared observable-by-observable, scenario Runner
+rows (including a distributed smoke run whose spawned workers inherit the
+kernel selection), and the seam mechanics themselves (env parsing,
+graceful fallback when the compiled module is absent).
 """
 
 import hashlib
@@ -26,10 +24,11 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments.fctsim import MS, build_network
 from repro.net import kernel as kernel_mod
 from repro.net.kernel import compiled_available, engine_classes, kernel_default
-
-from test_coalescing import COMBOS, packet_workload
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.distributions import DATAMINING
 
 requires_c = pytest.mark.skipif(
     not compiled_available(),
@@ -39,19 +38,62 @@ requires_c = pytest.mark.skipif(
 NETWORK_KINDS = ["opera", "expander", "clos", "rotornet", "rotornet-hybrid"]
 
 
-def kernel_workload(kernel, scheduler, coalesce, kind="opera", seed=11, monkeypatch=None):
-    """packet_workload with the kernel axis pinned via the env seam."""
-    import os
-
-    saved = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_KERNEL"] = kernel
-    try:
-        return packet_workload(scheduler, coalesce, kind=kind, seed=seed)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_KERNEL", None)
+def packet_workload(kind="opera", seed=11):
+    """A small mixed fig07-style run; returns the full observable state."""
+    net = build_network(kind, k=8, n_racks=8, seed=seed)
+    arrivals = PoissonArrivals(
+        DATAMINING.truncated(500_000),
+        load=0.15,
+        n_hosts=len(net.hosts),
+        hosts_per_rack=4,
+        seed=seed,
+    )
+    threshold = getattr(
+        getattr(net, "network", None), "bulk_threshold_bytes", 1 << 62
+    )
+    for flow in arrivals.flows(duration_ps=int(1.0 * MS)):
+        if flow.size_bytes >= threshold:
+            net.start_bulk_flow(
+                flow.src_host, flow.dst_host, flow.size_bytes, flow.time_ps
+            )
         else:
-            os.environ["REPRO_KERNEL"] = saved
+            net.start_low_latency_flow(
+                flow.src_host, flow.dst_host, flow.size_bytes, flow.time_ps
+            )
+    net.run(until_ps=int(5.0 * MS))
+    ports = {}
+    for host in net.hosts:
+        ports[f"nic{host.host_id}"] = host.nic
+    ports.update({f"down{h}": p for h, p in getattr(net, "host_ports", {}).items()})
+    for i, group in enumerate(getattr(net, "uplink_ports", [])):
+        ports.update({f"up{i}.{w}": p for w, p in group.items()})
+    return {
+        "events": net.sim.events_processed,
+        "final_now": net.sim.now,
+        "pending": net.sim.pending,
+        "fcts": [
+            (fid, rec.fct_ps, rec.delivered_bytes, rec.retransmissions)
+            for fid, rec in sorted(net.stats.flows.items())
+        ],
+        "port_stats": {
+            name: (
+                p.stats.sent_packets,
+                p.stats.sent_bytes,
+                p.stats.trimmed,
+                p.stats.dropped_control,
+                p.stats.dropped_bulk,
+                p.stats.undeliverable,
+            )
+            for name, p in ports.items()
+        },
+        "drops": [tor.drops for tor in getattr(net, "tors", [])],
+    }
+
+
+def kernel_workload(monkeypatch, kernel, kind="opera", seed=11):
+    """packet_workload with the kernel pinned via the env seam."""
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    return packet_workload(kind=kind, seed=seed)
 
 
 class TestKernelSeam:
@@ -191,23 +233,20 @@ class TestStaleModule:
         assert "python setup.py build_ext --inplace" in strict.stderr
 
 
-def kernel_cascade(kernel, scheduler, coalesce, seed):
+def kernel_cascade(kernel, seed):
     """Seeded self-scheduling storm on the selected kernel's Simulator."""
-    sim_cls = engine_classes(kernel).Simulator
-    sim = sim_cls(scheduler=scheduler, coalesce=coalesce)
+    sim = engine_classes(kernel).Simulator()
     rng = random.Random(seed)
     trace = []
 
     def fire(tag):
         trace.append((sim.now, tag))
         k = rng.choices((0, 1, 2, 3), weights=(5, 3, 2, 1))[0]
-        entries = []
         for i in range(k):
             delay = rng.choice(
                 (0, rng.randrange(1, 80_000), rng.randrange(1, 5_000_000_000))
             )
-            entries.append((sim.now + delay, fire, (f"{tag}.{i}",)))
-        sim.at_many(entries)
+            sim.at(sim.now + delay, fire, f"{tag}.{i}")
 
     for i in range(40):
         sim.at(rng.randrange(0, 50_000_000), fire, str(i))
@@ -224,13 +263,8 @@ def kernel_cascade(kernel, scheduler, coalesce, seed):
 @requires_c
 class TestKernelCascades:
     @pytest.mark.parametrize("seed", range(10))
-    def test_cascades_identical_across_kernel_and_combos(self, seed):
-        baseline = kernel_cascade("py", "heap", False, seed)
-        for scheduler, coalesce in COMBOS:
-            assert kernel_cascade("c", scheduler, coalesce, seed) == baseline, (
-                scheduler,
-                coalesce,
-            )
+    def test_cascades_identical_across_kernels(self, seed):
+        assert kernel_cascade("c", seed) == kernel_cascade("py", seed)
 
     def test_compiled_run_loop_is_exercised(self):
         # The c cascade must actually run through CKSimulator.run — pin
@@ -248,26 +282,19 @@ class TestKernelPacketDifferential:
     OBSERVABLES = ("events", "final_now", "pending", "fcts", "port_stats", "drops")
 
     @pytest.mark.parametrize("kind", NETWORK_KINDS)
-    def test_every_network_kind_bit_identical(self, kind):
-        py = kernel_workload("py", "heap", True, kind=kind)
-        ck = kernel_workload("c", "heap", True, kind=kind)
+    def test_every_network_kind_bit_identical(self, kind, monkeypatch):
+        py = kernel_workload(monkeypatch, "py", kind=kind)
+        ck = kernel_workload(monkeypatch, "c", kind=kind)
         for key in self.OBSERVABLES:
             assert ck[key] == py[key], (kind, key)
         # The runs do real work (the differential is not vacuous).
         assert py["events"] > 1_000 and py["fcts"]
 
-    def test_opera_bit_identical_across_scheduler_and_coalesce(self):
-        baseline = kernel_workload("py", "heap", False)
-        for scheduler, coalesce in COMBOS:
-            run = kernel_workload("c", scheduler, coalesce)
-            for key in self.OBSERVABLES:
-                assert run[key] == baseline[key], (scheduler, coalesce, key)
-
-    def test_retransmission_path_is_exercised_and_identical(self):
+    def test_retransmission_path_is_exercised_and_identical(self, monkeypatch):
         # Higher load on the small fabric forces trims -> NACK -> rtx, so
         # the kernel's NACK/PULL handlers are differentially covered.
-        py = kernel_workload("py", "heap", True, kind="clos", seed=5)
-        ck = kernel_workload("c", "heap", True, kind="clos", seed=5)
+        py = kernel_workload(monkeypatch, "py", kind="clos", seed=5)
+        ck = kernel_workload(monkeypatch, "c", kind="clos", seed=5)
         assert py["fcts"] == ck["fcts"]
         assert any(rtx for _fid, _fct, _b, rtx in py["fcts"]) or any(
             t for *_s, t in [(s[2],) for s in py["port_stats"].values()]
@@ -339,9 +366,9 @@ class TestKernelRunnerDifferential:
 INT64_EDGES = (2**30 - 1, 2**30, 2**31, 2**60, 2**62)
 
 
-def int64_cascade(kernel, scheduler, coalesce, seed):
+def int64_cascade(kernel, seed):
     """Seeded cascade whose events cluster around each of INT64_EDGES."""
-    sim = engine_classes(kernel).Simulator(scheduler=scheduler, coalesce=coalesce)
+    sim = engine_classes(kernel).Simulator()
     rng = random.Random(seed)
     trace = []
 
@@ -349,13 +376,11 @@ def int64_cascade(kernel, scheduler, coalesce, seed):
         trace.append((sim.now, tag))
         if not depth:
             return
-        sim.at_many(
-            [
-                (sim.now + rng.choice((0, 1, rng.randrange(2, 200_000))),
-                 fire, (f"{tag}.{i}", depth - 1))
-                for i in range(rng.randrange(0, 4))
-            ]
-        )
+        for i in range(rng.randrange(0, 4)):
+            sim.at(
+                sim.now + rng.choice((0, 1, rng.randrange(2, 200_000))),
+                fire, f"{tag}.{i}", depth - 1,
+            )
         if rng.random() < 0.5:
             sim.after(rng.randrange(0, 1_000), fire, f"{tag}.a", depth - 1)
 
@@ -377,10 +402,9 @@ def int64_cascade(kernel, scheduler, coalesce, seed):
 class TestKernelInt64Edges:
     @pytest.mark.parametrize("seed", range(3))
     def test_cascade_across_int_digit_boundaries_identical(self, seed):
-        for coalesce in (False, True):
-            py = int64_cascade("py", "heap", coalesce, seed)
-            assert len(py[0]) > 100
-            assert int64_cascade("c", "heap", coalesce, seed) == py, coalesce
+        py = int64_cascade("py", seed)
+        assert len(py[0]) > 100
+        assert int64_cascade("c", seed) == py
 
     @pytest.mark.parametrize("kernel", ["py", "c"])
     def test_overflowing_schedules(self, kernel):
@@ -409,8 +433,6 @@ class TestNativeHeap:
     def test_compiled_simulator_owns_the_native_heap(self):
         sim_cls = engine_classes("c").Simulator
         assert type(sim_cls()._heap).__name__ == "EventHeap"
-        # The wheel keeps the Python structures (and the Python paths).
-        assert type(sim_cls(scheduler="wheel")._heap) is list
 
     def test_finished_network_is_collected(self, monkeypatch):
         # Pending kick/pacer events keep callbacks -> ports -> simulator
@@ -481,25 +503,3 @@ class TestPythonFallbacksOnCompiledSim:
         ):
             run = serializer_run(sim_cls, port_cls, rate_bps)
             assert run == baseline, (sim_cls.__name__, port_cls.__name__)
-
-    @pytest.mark.parametrize("scheduler,coalesce", COMBOS)
-    def test_python_path_at_many_identical(self, scheduler, coalesce):
-        # Inputs the compiled at_many does not take verbatim: a tuple of
-        # entries, list entries, list args.
-        def run(kernel):
-            sim = engine_classes(kernel).Simulator(
-                scheduler=scheduler, coalesce=coalesce
-            )
-            seen = []
-
-            def note(tag):
-                seen.append((sim.now, tag, sim.pending))
-
-            sim.at_many(((30, note, ("c",)), (10, note, ("a",))))
-            sim.at_many([[20, note, ["b"]], (20, note, ("b2",)), (21, note, ("e",))])
-            sim.run(max_events=1)
-            sim.at_many(((25, note, ("d",)),))
-            sim.run()
-            return seen, sim.now, sim.events_processed, sim.pending, sim.sched_pushes
-
-        assert run("c") == run("py")

@@ -4,14 +4,14 @@ coordinator status — and the bitwise-invisibility contract.
 The load-bearing guarantees:
 
 * a telemetry-armed run produces simulated results bit-identical to a
-  telemetry-off run, across scheduler x coalesce x kernel, at the cell
-  level and through the full Runner (cached documents included: the
-  metric snapshot is a side channel, never cached bytes);
+  telemetry-off run, at the cell level and through the full Runner
+  (cached documents included: the metric snapshot is a side channel,
+  never cached bytes);
 * ``REPRO_KERNEL=py`` and ``=c`` runs of the same cell drain identical
   metric snapshots — the counters live in shared ``__slots__`` both
   kernels write, so equality is by construction;
 * every dropped packet is attributed to exactly one cause and the causes
-  sum to the total, across scheduler x kernel on a faulted run;
+  sum to the total, under both kernels on a faulted run;
 * the coordinator's status snapshot answers from cache, and a status
   poller is never mistaken for a worker.
 """
@@ -48,8 +48,6 @@ from repro.obs.trace import (
 )
 from repro.scenarios import Progress, ResultCache, Runner
 
-from test_coalescing import COMBOS
-
 requires_c = pytest.mark.skipif(
     not compiled_available(),
     reason="compiled kernel (_ckernel) not built in this environment",
@@ -79,12 +77,10 @@ def telemetry_hygiene(monkeypatch, tmp_path):
     REGISTRY.reset()
 
 
-def _run_cell(monkeypatch, scheduler="heap", coalesce=True, kernel="py"):
-    """One ci-scale opera fig07 cell under explicit engine seams."""
+def _run_cell(monkeypatch, kernel="py"):
+    """One ci-scale opera fig07 cell under an explicit kernel."""
     from repro.experiments.fctsim import run_fct_cell
 
-    monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
-    monkeypatch.setenv("REPRO_COALESCE", "1" if coalesce else "0")
     monkeypatch.setenv("REPRO_KERNEL", kernel)
     return run_fct_cell("opera", 0.1, "datamining", 4.0, 0, "ci")
 
@@ -230,28 +226,6 @@ class TestEngineDrain:
             "counters"
         ]["flows.completed"]
 
-    def test_snapshot_identical_across_scheduler_and_coalesce(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        reference = None
-        for scheduler, coalesce in COMBOS:
-            REGISTRY.reset()
-            _run_cell(monkeypatch, scheduler, coalesce)
-            snap = REGISTRY.snapshot()
-            # Coalescing changes scheduler-entry counts by design; every
-            # simulation-level metric must be identical.
-            for volatile in (
-                "engine.sched_entries",
-                "engine.trains",
-                "engine.train_events",
-                "engine.train_repushes",
-            ):
-                snap["counters"].pop(volatile)
-            snap["gauges"].pop("engine.sched_depth_at_drain")
-            if reference is None:
-                reference = snap
-            else:
-                assert snap == reference, (scheduler, coalesce)
-
     @requires_c
     def test_snapshot_identical_across_kernels(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
@@ -269,7 +243,7 @@ class TestEngineDrain:
 class TestDropCauses:
     INJECT_PS = int(0.5 * MS)
 
-    def _faulted(self, kernel: str, scheduler: str):
+    def _faulted(self, kernel: str):
         from repro.core.faults import FailureSchedule
 
         from test_faults_dynamic import build_net, fault_workload
@@ -283,34 +257,33 @@ class TestDropCauses:
             self.INJECT_PS,
             random.Random(3),
         )
-        return fault_workload(schedule, kernel=kernel, scheduler=scheduler)
+        return fault_workload(schedule, kernel=kernel)
 
     def test_causes_partition_the_drops(self):
         # Property: every dropped packet has exactly one cause, so the
-        # causes sum to the total — across scheduler x kernel.
+        # causes sum to the total — under both kernels.
         kernels = ("py", "c") if compiled_available() else ("py",)
         reference = None
         for kernel in kernels:
-            for scheduler in ("heap", "wheel"):
-                run = self._faulted(kernel, scheduler)
-                causes = drop_cause_totals(run["net"])
-                assert causes["total"] == (
-                    causes["failure_blackhole"]
-                    + causes["queue_overflow"]
-                    + causes["undeliverable"]
-                )
-                assert causes["failure_blackhole"] == run["blackholed_packets"]
-                assert causes["failure_blackhole"] > 0  # the draw bit
-                if reference is None:
-                    reference = causes
-                else:
-                    assert causes == reference, (kernel, scheduler)
+            run = self._faulted(kernel)
+            causes = drop_cause_totals(run["net"])
+            assert causes["total"] == (
+                causes["failure_blackhole"]
+                + causes["queue_overflow"]
+                + causes["undeliverable"]
+            )
+            assert causes["failure_blackhole"] == run["blackholed_packets"]
+            assert causes["failure_blackhole"] > 0  # the draw bit
+            if reference is None:
+                reference = causes
+            else:
+                assert causes == reference, kernel
 
     def test_per_flow_recovery_time_pin(self):
         # Regression pin: the worst per-flow recovery time of this seeded
         # link draw is deterministic — integer picoseconds, no wall clock
         # — so pin it exactly, plus the max-over-flows identity.
-        run = self._faulted("py", "heap")
+        run = self._faulted("py")
         stats = run["net"].stats
         recovery = stats.recovery_time_ps(self.INJECT_PS)
         per_flow = {

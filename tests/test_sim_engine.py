@@ -129,6 +129,34 @@ class TestSimulator:
             sim.at(25, lambda: None)
 
 
+class TestSchedulingErrors:
+    def test_past_at_names_callback_and_times(self):
+        sim = Simulator()
+        sim.run(until_ps=100)
+
+        def my_callback():
+            pass  # pragma: no cover - never runs
+
+        with pytest.raises(ValueError) as err:
+            sim.at(50, my_callback)
+        message = str(err.value)
+        assert "my_callback" in message
+        assert "50 < now=100" in message
+
+    def test_past_after_names_callback(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match=r"append.*-1 < now=0"):
+            sim.after(-1, [].append)
+
+    def test_qualname_fallback_for_odd_callables(self):
+        from functools import partial
+
+        sim = Simulator()
+        sim.run(until_ps=10)
+        with pytest.raises(ValueError, match="partial"):
+            sim.at(5, partial(print, "x"))
+
+
 class TestPort:
     def _port(self, sim, sink, **kwargs):
         return Port(
