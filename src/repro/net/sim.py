@@ -65,8 +65,8 @@ class Simulator:
         return {
             "events": self.events_processed,
             "sched_entries": self.sched_pushes,
-            # Always 0 since packet trains were removed; kept because the
-            # sweep benchmark (perfbench/) still reads and compares it.
+            # Always 0: the engine forms no packet trains. Kept because
+            # the sweep benchmark (perfbench/) reads and compares it.
             "trains": 0,
             "pending": self.pending,
         }
