@@ -8,7 +8,7 @@ Three contracts are pinned here:
   flow that is physically recoverable: goodput dips, nothing wedges.
 * **Invisibility** — an armed-but-empty failure subsystem is bitwise
   identical to an uninstalled one, and ``REPRO_KERNEL=py`` == ``c`` under
-  *active* failures.
+  *active* failures of every component class, including a repaired draw.
 * **Differential reachability** — the packet engine's observed steady-state
   reachability under a failure set matches the static analysis exactly:
   a pair completes iff :meth:`OperaRouting.any_slice_reachable` says some
@@ -386,6 +386,30 @@ class TestKernelIdentityUnderFailures:
         ck = observables(fault_workload(self._schedule(), kernel="c"))
         assert ck == py
         assert py["blackholed_packets"] > 0  # the differential is not vacuous
+
+    def test_py_c_bitwise_across_combos(self):
+        # The other failure classes, and a draw that is repaired mid-run.
+        for component, repair_ps in (
+            ("rack", None),
+            ("switch", None),
+            ("link", int(4.0 * MS)),
+        ):
+
+            def schedule():
+                return FailureSchedule.random(
+                    8,
+                    4,
+                    component,
+                    0.25,
+                    int(0.5 * MS),
+                    random.Random(3),
+                    repair_at_ps=repair_ps,
+                )
+
+            py = observables(fault_workload(schedule(), kernel="py"))
+            ck = observables(fault_workload(schedule(), kernel="c"))
+            assert ck == py, (component, repair_ps)
+            assert py["blackholed_packets"] > 0, (component, repair_ps)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,12 @@ requires_c = pytest.mark.skipif(
 NETWORK_KINDS = ["opera", "expander", "clos", "rotornet", "rotornet-hybrid"]
 
 
-def packet_workload(kind="opera", seed=11):
-    """A small mixed fig07-style run; returns the full observable state."""
+def packet_workload(kind="opera", seed=11, step_ms=None):
+    """A small mixed fig07-style run; returns the full observable state.
+
+    ``step_ms`` drains the run in horizon steps of that length instead of
+    one call.
+    """
     net = build_network(kind, k=8, n_racks=8, seed=seed)
     arrivals = PoissonArrivals(
         DATAMINING.truncated(500_000),
@@ -60,7 +64,13 @@ def packet_workload(kind="opera", seed=11):
             net.start_low_latency_flow(
                 flow.src_host, flow.dst_host, flow.size_bytes, flow.time_ps
             )
-    net.run(until_ps=int(5.0 * MS))
+    horizon = int(5.0 * MS)
+    if step_ms is None:
+        net.run(until_ps=horizon)
+    else:
+        step = int(step_ms * MS)
+        for until_ps in (*range(step, horizon, step), horizon):
+            net.run(until_ps=until_ps)
     ports = {}
     for host in net.hosts:
         ports[f"nic{host.host_id}"] = host.nic
@@ -233,7 +243,20 @@ class TestStaleModule:
         assert "python setup.py build_ext --inplace" in strict.stderr
 
 
-def kernel_cascade(kernel, seed):
+#: Drain schedules a cascade is run under: horizons and event budgets
+#: that cut through the storm and resume it, and one uncut drain.
+DRAINS = {
+    "chunked": (
+        dict(until_ps=100_000_000, max_events=500),
+        dict(until_ps=2_000_000_000),
+        dict(max_events=3_000),
+        dict(),
+    ),
+    "one-shot": (dict(),),
+}
+
+
+def kernel_cascade(kernel, seed, drain="chunked"):
     """Seeded self-scheduling storm on the selected kernel's Simulator."""
     sim = engine_classes(kernel).Simulator()
     rng = random.Random(seed)
@@ -250,12 +273,7 @@ def kernel_cascade(kernel, seed):
 
     for i in range(40):
         sim.at(rng.randrange(0, 50_000_000), fire, str(i))
-    for chunk in (
-        dict(until_ps=100_000_000, max_events=500),
-        dict(until_ps=2_000_000_000),
-        dict(max_events=3_000),
-        dict(),
-    ):
+    for chunk in DRAINS[drain]:
         sim.run(**chunk)
     return tuple(trace), sim.now, sim.events_processed, sim.pending
 
@@ -263,8 +281,20 @@ def kernel_cascade(kernel, seed):
 @requires_c
 class TestKernelCascades:
     @pytest.mark.parametrize("seed", range(10))
-    def test_cascades_identical_across_kernels(self, seed):
-        assert kernel_cascade("c", seed) == kernel_cascade("py", seed)
+    def test_cascades_identical_across_kernel_and_combos(self, seed):
+        # Every kernel x drain combo: c == py in full, and where a drain
+        # is cut never changes what is dispatched, when, or how often.
+        runs = {
+            (kernel, drain): kernel_cascade(kernel, seed, drain)
+            for kernel in ("py", "c")
+            for drain in DRAINS
+        }
+        for drain in DRAINS:
+            assert runs["c", drain] == runs["py", drain], drain
+        trace, _now, events, pending = runs["py", "chunked"]
+        assert len(trace) == events and pending == 0
+        for combo, (other, _now, n, left) in runs.items():
+            assert (other, n, left) == (trace, events, pending), combo
 
     def test_compiled_run_loop_is_exercised(self):
         # The c cascade must actually run through CKSimulator.run — pin
