@@ -25,6 +25,11 @@ Metrics per engine configuration:
   in the *reference* event stream, directly comparable across engine
   rewrites (this is the number the CI perf-smoke gate and the >=3x
   acceptance threshold use).
+* ``reentries`` / ``reentries_per_hop`` (``heap-c`` only) — Python frames
+  the compiled kernel entered directly, counted by a profile hook in a
+  separate untimed pass per network (:func:`count_reentries`), so the
+  timed walls carry no hook. Deterministic like ``events_per_hop``: it
+  says how much Python the compiled path still runs per hop.
 
 ``--profile N`` runs the py pass under ``cProfile`` and prints the
 top-N cumulative functions, so per-event interpreter-cost claims stay
@@ -61,9 +66,10 @@ Usage::
 ``--check`` compares the fresh run against a committed artifact and exits
 non-zero on a >2x regression of ``reference_events_per_sec``, a >10%
 regression of the deterministic ``events_per_hop`` event-count gate, a
->2x regression of the ``heap-c`` record or a compiled-kernel speedup
-below 1.8x, or a >2x regression of sharded cells/sec when both
-artifacts carry the sharded phase.
+>2x regression of the ``heap-c`` record, a compiled-kernel speedup below
+1.8x or a >10% rise of any network's ``reentries_per_hop``, or a >2x
+regression of sharded cells/sec when both artifacts carry the sharded
+phase.
 """
 
 from __future__ import annotations
@@ -111,8 +117,37 @@ PRE_PR_REFERENCE = {
 ENGINES = {"heap": "py", "heap-c": "c"}
 
 
-def run_network(kind: str, kernel: str = "py") -> dict:
-    """One network of the workload; returns events/entries/hops/wall."""
+def count_reentries(sim, until_ps: int) -> int:
+    """``sim.run(until_ps=...)``, counting the Python frames it enters.
+
+    A profile hook counts ``call`` events of frames whose parent is this
+    function's frame: under the compiled kernel those are exactly the
+    Python callables ``c_sim_run`` calls itself (route closures,
+    resolvers, RotorLB, flow starts), not what they call in turn. Under
+    the py kernel the only such frame is ``Simulator.run``.
+    """
+    caller = sys._getframe()
+    count = 0
+
+    def hook(frame, event, _arg) -> None:
+        nonlocal count
+        if event == "call" and frame.f_back is caller:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        sim.run(until_ps=until_ps)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def run_network(kind: str, kernel: str = "py", reentries: bool = False) -> dict:
+    """One network of the workload; returns events/entries/hops/wall.
+
+    ``reentries`` runs the simulation under :func:`count_reentries` and
+    adds its count; the wall clock then includes the hook's cost.
+    """
     prev_kernel = os.environ.get("REPRO_KERNEL")
     os.environ["REPRO_KERNEL"] = kernel
     try:
@@ -139,9 +174,11 @@ def run_network(kind: str, kernel: str = "py") -> dict:
                 net.start_low_latency_flow(
                     flow.src_host, flow.dst_host, flow.size_bytes, flow.time_ps
                 )
-        net.run(
-            until_ps=int((WORKLOAD["duration_ms"] + WORKLOAD["drain_ms"]) * MS)
-        )
+        until_ps = int((WORKLOAD["duration_ms"] + WORKLOAD["drain_ms"]) * MS)
+        if reentries:
+            counted = count_reentries(net.sim, until_ps)
+        else:
+            net.run(until_ps=until_ps)
         wall = time.perf_counter() - t0
     finally:
         if prev_kernel is None:
@@ -149,7 +186,7 @@ def run_network(kind: str, kernel: str = "py") -> dict:
         else:
             os.environ["REPRO_KERNEL"] = prev_kernel
     hops = sum(port.stats.sent_packets for port in _all_ports(net))
-    return {
+    row = {
         "network": kind,
         "events": net.sim.events_processed,
         "sched_entries": net.sim.sched_pushes,
@@ -158,6 +195,37 @@ def run_network(kind: str, kernel: str = "py") -> dict:
         "flows": len(net.stats.flows),
         "completed": len(net.stats.completed_flows()),
     }
+    if reentries:
+        row["reentries"] = counted
+    return row
+
+
+#: Deterministic observables a counting pass must share with the timed one.
+DETERMINISTIC = ("events", "sched_entries", "packet_hops")
+
+
+def add_reentries(record: dict) -> None:
+    """Count the ``heap-c`` record's re-entries in one untimed pass.
+
+    Each network runs once more under :func:`count_reentries`; its
+    deterministic observables must equal the timed row's (the hook must
+    not perturb the run) or the bench aborts. Adds ``reentries`` and
+    ``reentries_per_hop`` per network and in total.
+    """
+    total = 0
+    for row in record["per_network"]:
+        counted = run_network(row["network"], "c", reentries=True)
+        for field in DETERMINISTIC:
+            if counted[field] != row[field]:
+                raise SystemExit(
+                    f"re-entry pass differential FAILED on {row['network']}: "
+                    f"{field}={counted[field]} != timed {row[field]}"
+                )
+        row["reentries"] = counted["reentries"]
+        row["reentries_per_hop"] = round(counted["reentries"] / row["packet_hops"], 4)
+        total += counted["reentries"]
+    record["reentries"] = total
+    record["reentries_per_hop"] = round(total / record["packet_hops"], 4)
 
 
 def _assemble_engine(kernel: str, best: list[dict]) -> dict:
@@ -210,12 +278,14 @@ def run_microbench(repeat: int = 1, kernels: tuple[str, ...] = ("py", "c")) -> d
     # ever saw them diverge must not produce an artifact.
     if "heap" in engines and "heap-c" in engines:
         oracle, compiled = engines["heap"], engines["heap-c"]
-        for field in ("events", "sched_entries", "packet_hops"):
+        for field in DETERMINISTIC:
             if compiled[field] != oracle[field]:
                 raise SystemExit(
                     f"kernel differential FAILED: heap-c.{field}="
                     f"{compiled[field]} != heap.{field}={oracle[field]}"
                 )
+    if "heap-c" in engines:
+        add_reentries(engines["heap-c"])
     heap = engines.get("heap") or next(iter(engines.values()))
     doc = {
         "benchmark": "fig07-engine-microbench",
@@ -627,6 +697,15 @@ def format_rows(doc: dict) -> list[str]:
             f"({eng['hops_per_sec']:>9,d} hops/s, "
             f"{eng['reference_events_per_sec']:>9,d} ref-ev/s)"
         )
+        if "reentries" in eng:
+            per_network = ", ".join(
+                f"{r['network']} {r['reentries_per_hop']:.3f}"
+                for r in eng["per_network"]
+            )
+            rows.append(
+                f"{name:>11s}: {eng['reentries']:8d} Python re-entries "
+                f"({eng['reentries_per_hop']:.4f}/hop; {per_network})"
+            )
     ref = doc["pre_pr_reference"]
     rows.append(
         f"pre-PR: {ref['events']:8d} events in {ref['wall_s']:6.3f} s "
@@ -697,6 +776,45 @@ def _best_cells_per_sec(doc: dict, scale: str) -> float | None:
 KERNEL_SPEEDUP_FLOOR = 1.8
 
 
+def check_reentries(fresh_c: dict, committed_c: dict) -> bool:
+    """The re-entry gate: True when a network re-enters Python >10% more.
+
+    Per network, against the committed ``heap-c`` record, with the same
+    >10% rule as ``events_per_hop`` (the count is deterministic too).
+    Skipped with a note when the committed record carries no count.
+    """
+    committed = {
+        r["network"]: r["reentries_per_hop"]
+        for r in committed_c["per_network"]
+        if "reentries_per_hop" in r
+    }
+    if not committed:
+        print(
+            "perf-smoke [heap-c]: note — committed artifact has no "
+            "re-entry count; skipping the re-entry gate"
+        )
+        return False
+    failed = False
+    for row in fresh_c["per_network"]:
+        before = committed.get(row["network"])
+        if before is None or "reentries_per_hop" not in row:
+            continue
+        ceiling = before * 1.10
+        print(
+            f"perf-smoke [heap-c]: {row['network']} "
+            f"{row['reentries_per_hop']:.4f} re-entries/hop vs committed "
+            f"{before:.4f} (ceiling {ceiling:.4f}, deterministic)"
+        )
+        if row["reentries_per_hop"] > ceiling:
+            print(
+                f"perf-smoke: FAIL — >10% re-entries-per-hop regression on "
+                f"{row['network']} (re-entry gate)",
+                file=sys.stderr,
+            )
+            failed = True
+    return failed
+
+
 def check_regression(doc: dict, committed_path: Path) -> int:
     """Exit status: non-zero on a regression.
 
@@ -704,7 +822,8 @@ def check_regression(doc: dict, committed_path: Path) -> int:
     hosted-runner hardware variance), the deterministic event-count gate
     ``events_per_hop`` (>10% rule — no wall clock involved, so
     entry-count bloat fails crisply even on a noisy 1-core runner), the
-    compiled-kernel gates, and sharded cells/sec under the >2x rule
+    compiled-kernel gates (the re-entry gate among them:
+    :func:`check_reentries`), and sharded cells/sec under the >2x rule
     whenever both the fresh run and the committed artifact carry the
     sharded phase.
     """
@@ -782,6 +901,8 @@ def check_regression(doc: dict, committed_path: Path) -> int:
                     file=sys.stderr,
                 )
                 status = 1
+        if check_reentries(fresh_c, committed_c):
+            status = 1
     shared_scales = set(doc.get("sharded", {})) & set(committed.get("sharded", {}))
     for scale in sorted(shared_scales):
         fresh_cells = _best_cells_per_sec(doc, scale)

@@ -2,8 +2,9 @@
 
 ``tests/golden/<name>.json`` freezes the exact output (rows + canonical
 JSON payload) of a few scenarios: three cheap analysis ones at registry
-defaults, and the packet-engine scenarios ``fig07``, ``fig09`` and
-``fig11_dynamic`` at ``ci`` scale (overrides in ``GOLDEN_OVERRIDES``). The
+defaults, the packet-engine scenarios ``fig07``, ``fig09`` and
+``fig11_dynamic`` at ``ci`` scale, and one default-scale ``fig07``
+expander cell (scenario and overrides per fixture in ``GOLDEN``). The
 packet fixtures pin the engine's rows across commits, which no py-vs-c
 differential of one commit can do. The runner must
 reproduce them bit-for-bit live, through a cold cache write, and through a
@@ -18,7 +19,7 @@ Regenerate deliberately (after an intended change) with::
 import json
 
 import pytest
-from regen_golden import GOLDEN_DIR, GOLDEN_NAMES, GOLDEN_OVERRIDES
+from regen_golden import GOLDEN, GOLDEN_DIR, GOLDEN_NAMES
 
 from repro.scenarios import ResultCache, Runner
 
@@ -38,9 +39,8 @@ def test_every_fixture_on_disk_is_in_the_golden_set():
 class TestGoldenOutputs:
     def test_cache_off_reproduces_fixture(self, name):
         golden = load_golden(name)
-        res = Runner(cache=None).run(
-            names=[name], overrides=GOLDEN_OVERRIDES[name]
-        )[0]
+        scenario, overrides = GOLDEN[name]
+        res = Runner(cache=None).run(names=[scenario], overrides=overrides)[0]
         assert res.cached is False
         assert res.rows == golden["rows"]
         assert res.payload == golden["payload"]
@@ -48,9 +48,9 @@ class TestGoldenOutputs:
     def test_cache_on_reproduces_fixture_cold_and_warm(self, name, tmp_path):
         golden = load_golden(name)
         runner = Runner(cache=ResultCache(tmp_path))
-        overrides = GOLDEN_OVERRIDES[name]
-        cold = runner.run(names=[name], overrides=overrides)[0]
-        warm = runner.run(names=[name], overrides=overrides)[0]
+        scenario, overrides = GOLDEN[name]
+        cold = runner.run(names=[scenario], overrides=overrides)[0]
+        warm = runner.run(names=[scenario], overrides=overrides)[0]
         assert (cold.cached, warm.cached) == (False, True)
         for res in (cold, warm):
             assert res.rows == golden["rows"]
@@ -61,7 +61,6 @@ class TestGoldenOutputs:
     def test_fixture_params_match_current_schema(self, name):
         """A schema-default change must be a conscious fixture regeneration."""
         golden = load_golden(name)
-        res = Runner(cache=None).resolve(
-            names=[name], overrides=GOLDEN_OVERRIDES[name]
-        )[0]
+        scenario, overrides = GOLDEN[name]
+        res = Runner(cache=None).resolve(names=[scenario], overrides=overrides)[0]
         assert json.loads(json.dumps(res.params)) == golden["params"]
