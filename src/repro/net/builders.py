@@ -26,9 +26,9 @@ from ..topologies.expander import ExpanderTopology
 from ..topologies.folded_clos import FoldedClos
 from ..topologies.rotornet import RotorNetTopology
 from .kernel import engine_classes
-from .link import Port
+from .link import Port, SliceResolver
 from .ndp import PullPacer, start_ndp_flow
-from .node import CONSUMED, Host, SwitchNode
+from .node import CONSUMED, Host, RouteTable, SwitchNode
 from .packet import Packet, PacketKind, Priority, release
 from .rotorlb import BulkFlow, BulkSink, RotorLBAgent
 from .sim import Simulator
@@ -92,6 +92,13 @@ class SimNetwork:
             rate_bps=self.rate_bps,
             propagation_ps=self.prop_ps,
         )
+
+    def _rack_host_ports(self, rack: int, hosts_per_rack: int) -> list[Port]:
+        """A ToR's host ports, in rack-local host order (a route table's)."""
+        return [
+            self.host_ports[host]
+            for host in range(rack * hosts_per_rack, (rack + 1) * hosts_per_rack)
+        ]
 
     def next_flow_id(self) -> int:
         self._flow_id += 1
@@ -176,13 +183,9 @@ class OperaSimNetwork(SimNetwork):
         timing = network.timing
         self.slice_ps = timing.slice_ps
         self._cycle_slices = sched.cycle_slices
-        #: Failure seam. ``_fault_cell`` is a one-slot box the install-once
-        #: route closures capture: ``[None]`` fault-free, rebound to the
-        #: live :class:`~repro.net.failures.FaultContext` by
-        #: :meth:`install_failures` (state mutates; closures never do).
-        self._fault_cell: list = [None]
-        #: Every router's memoized next-hop table, so detection epochs can
-        #: invalidate stale routes in one pass.
+        #: Every fault-aware router's memoized next hops (filled by
+        #: :meth:`install_failures`), so detection epochs can invalidate
+        #: stale routes in one pass.
         self._hop_caches: list[dict] = []
         self.faults = None  # FailureInjector | None
         self._make_hosts(network.n_hosts, network.hosts_per_rack)
@@ -233,7 +236,7 @@ class OperaSimNetwork(SimNetwork):
                 ],
             )
             self.agents.append(agent)
-            tor.router = self._make_router(rack, agent)
+            tor.router = self._route_table(rack, agent)
         for agent in self.agents:
             agent.peers = {r: self.agents[r] for r in range(network.n_racks)}
         self._schedule_slices()
@@ -248,54 +251,41 @@ class OperaSimNetwork(SimNetwork):
         offset = now_ps % self.slice_ps
         return offset >= self.network.timing.epsilon_ps
 
-    def _uplink_resolver(self, rack: int, switch: int, ctx=None):
-        # Per-slice peer/down lookups are pure functions of the schedule;
-        # precompute them once per port so the per-packet resolver is two
-        # integer ops and a table index.
+    def _uplink_resolver(self, rack: int, switch: int) -> SliceResolver:
+        # Per-slice peers and dark windows are pure functions of the
+        # schedule: a table both kernels read with two integer ops.
         sched = self.network.schedule
-        cycle = sched.cycle_slices
-        tors = self.tors
-        peer_tor: list[SwitchNode | None] = []
-        peer_rack: list[int] = []
-        down: list[bool] = []
-        for s in range(cycle):
-            peer = sched.matching_of(switch, s)[rack]
-            peer_tor.append(None if peer == rack else tors[peer])
-            peer_rack.append(peer)
-            down.append(sched.is_down(switch, s))
         slice_ps = self.slice_ps
         epsilon_ps = self.network.timing.epsilon_ps
+        peers: list[SwitchNode | None] = []
+        dark_from: list[int] = []
+        for s in range(sched.cycle_slices):
+            peer = sched.matching_of(switch, s)[rack]
+            peers.append(None if peer == rack else self.tors[peer])
+            # Dark from epsilon while the mirrors retarget, else never.
+            dark_from.append(epsilon_ps if sched.is_down(switch, s) else slice_ps)
+        return SliceResolver(slice_ps, peers, dark_from)
 
-        if ctx is None:
-
-            def resolve(_packet: Packet, now_ps: int):
-                s = (now_ps // slice_ps) % cycle
-                if down[s] and now_ps % slice_ps >= epsilon_ps:
-                    return None  # circuit dark while mirrors retarget
-                return peer_tor[s]  # None on identity assignment: port idles
-
-            return resolve
-
+    def _faulty_resolver(self, rack: int, switch: int, resolve: SliceResolver, ctx):
         # Failure-armed variant (swapped in by install_failures; ports read
         # ``resolver`` per packet in both kernels, so the swap is live).
         # The *actual* failure sets are captured as locals — the injector
         # mutates them in place — and a packet launched into a physically
         # dead circuit lands in this rack's blackhole: light simply stops
         # arriving, with none of the queue-drop recovery paths firing.
+        sched = self.network.schedule
+        cycle = sched.cycle_slices
+        peer_rack = [sched.matching_of(switch, s)[rack] for s in range(cycle)]
+        slice_ps = self.slice_ps
         links_down = ctx.links_down
         racks_down = ctx.racks_down
         switches_down = ctx.switches_down
         blackhole = ctx.blackholes[rack]
 
-        def resolve_faulty(_packet: Packet, now_ps: int):
-            s = (now_ps // slice_ps) % cycle
-            if down[s] and now_ps % slice_ps >= epsilon_ps:
-                return None
-            peer = peer_tor[s]
-            if peer is None:
-                return None
-            if ctx.any_down:
-                pr = peer_rack[s]
+        def resolve_faulty(packet: Packet, now_ps: int):
+            peer = resolve(packet, now_ps)
+            if peer is not None and ctx.any_down:
+                pr = peer_rack[(now_ps // slice_ps) % cycle]
                 if (
                     switch in switches_down
                     or rack in racks_down
@@ -325,24 +315,60 @@ class OperaSimNetwork(SimNetwork):
 
         return handle
 
-    def _make_router(self, rack: int, agent: RotorLBAgent):
-        routing = self.pipeline.routing
+    def _route_table(self, rack: int, agent: RotorLBAgent) -> RouteTable:
+        # Stamped expander routing for every (slice, destination), filled
+        # once: ``options[stamp][dst_rack]`` are the uplinks of the
+        # slice's equal-cost next hops. A ToR has few distinct option
+        # sets (subsets of its uplinks), so equal ones share one tuple.
+        uplinks = self.uplink_ports[rack]
+        n_racks = self.network.n_racks
+        shared: dict[tuple[int, ...], tuple[Port, ...]] = {}
+        options = []
+        for routes in self.pipeline.routing.all_slices():
+            row = []
+            for dst_rack in range(n_racks):
+                switches = tuple(
+                    switch for _peer, switch in routes.next_hops(rack, dst_rack)
+                )
+                ports = shared.get(switches)
+                if ports is None:
+                    ports = shared[switches] = tuple(uplinks[w] for w in switches)
+                row.append(ports)
+            options.append(row)
+        hosts_per_rack = self.network.hosts_per_rack
+        return RouteTable(
+            rack,
+            hosts_per_rack,
+            self._rack_host_ports(rack, hosts_per_rack),
+            options,
+            bumps=[True] * n_racks,
+            relay=agent.accept_relay,
+            sim=self.sim,
+            slice_ps=self.slice_ps,
+        )
+
+    def _fault_router(self, rack: int, ctx):
+        """The ToR's route while failures are armed (the table's fallback).
+
+        Routes on the *detected* view (``ctx.routing``), blackholes what a
+        physically dead ToR would switch, parks packets a slice when the
+        detected routing has no path now but has one later, and feeds the
+        blackhole when no slice has one.
+        """
         hosts_per_rack = self.network.hosts_per_rack
         host_ports = self.host_ports
+        uplinks = self.uplink_ports[rack]
+        agent = self.agents[rack]
         slice_ps = self.slice_ps
         cycle = self._cycle_slices
         sim = self.sim
         _BULK = Priority.BULK
         _DATA = PacketKind.DATA
-        # Failure seam: routers are install-once (ports cache the fused
-        # dispatch closure), so dynamic failure state is read through this
-        # one-slot box — [None] until install_failures arms it. Both
-        # kernels invoke this same Python closure per packet.
-        fault_cell = self._fault_cell
-        # Equal-cost option lists are pure functions of (stamp, dst_rack);
-        # memoize them per router so the per-packet cost is one dict hit.
-        # Registered with the network: detection epochs clear it so the
-        # next miss repopulates from the epoch's detected-failure routing.
+        # Equal-cost option lists are pure functions of (stamp, dst_rack)
+        # within a routing epoch; memoize them per router so the
+        # per-packet cost is one dict hit. Registered with the network:
+        # detection epochs clear it so the next miss repopulates from the
+        # epoch's detected-failure routing.
         hop_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._hop_caches.append(hop_cache)
         # dst_rack -> any-slice reachability under the epoch's detected
@@ -354,17 +380,14 @@ class OperaSimNetwork(SimNetwork):
             key = (stamp, dst_rack)
             options = hop_cache.get(key)
             if options is None:
-                ctx = fault_cell[0]
-                tables = routing if ctx is None else ctx.routing
-                options = tables.routes(stamp).next_hops(rack, dst_rack)
+                options = ctx.routing.routes(stamp).next_hops(rack, dst_rack)
                 hop_cache[key] = options
             if not options:
                 return None
             return options[salt % len(options)]
 
         def route(_switch: SwitchNode, packet: Packet):
-            ctx = fault_cell[0]
-            if ctx is not None and rack in ctx.racks_down:
+            if rack in ctx.racks_down:
                 # This ToR is physically dead: everything it would have
                 # switched — host-bound deliveries included — is lost.
                 ctx.blackholes[rack].receive(packet)
@@ -389,9 +412,7 @@ class OperaSimNetwork(SimNetwork):
                 stamp = packet.slice_stamp = (sim.now // slice_ps) % cycle
                 hop = next_hop(dst_rack, stamp, packet.salt + packet.hops)
                 if hop is None:
-                    if ctx is not None and (
-                        ctx.any_down or ctx.detected is not None
-                    ):
+                    if ctx.any_down or ctx.detected is not None:
                         if ctx.detected is not None:
                             reachable = reach_cache.get(dst_rack)
                             if reachable is None:
@@ -426,7 +447,7 @@ class OperaSimNetwork(SimNetwork):
                         return CONSUMED
                     return None
             packet.hops += 1
-            return self.uplink_ports[rack][hop[1]]
+            return uplinks[hop[1]]
 
         return route
 
@@ -464,10 +485,12 @@ class OperaSimNetwork(SimNetwork):
 
         Must run before the first ``run()`` (routers are install-once and
         the injector replays hello-protocol detection delays from t=0).
-        Swaps every uplink resolver for its failure-aware variant and arms
-        the route closures through ``_fault_cell``; with an empty schedule
-        the armed network is bitwise identical to an unarmed one (priced
-        as ``faults_overhead`` in the engine microbench).
+        Swaps every uplink resolver for its failure-aware variant and
+        hands every ToR's route table a fault-aware Python ``fallback``
+        (so failures add no kernel code: both kernels call the same
+        closures); with an empty schedule the armed network is bitwise
+        identical to an unarmed one (priced as ``faults_overhead`` in the
+        engine microbench).
 
         ``rtx_timeout_ps`` is the NDP blackhole-timeout clock period; it
         defaults to one rotor cycle *plus one slice*: the cycle part
@@ -509,8 +532,10 @@ class OperaSimNetwork(SimNetwork):
         )
         for rack, uplinks in enumerate(self.uplink_ports):
             for switch, port in uplinks.items():
-                port.resolver = self._uplink_resolver(rack, switch, ctx)
-        self._fault_cell[0] = ctx
+                port.resolver = self._faulty_resolver(
+                    rack, switch, port.resolver, ctx
+                )
+            self.tors[rack].router.fallback = self._fault_router(rack, ctx)
         self.faults = injector
         return injector
 
@@ -571,32 +596,25 @@ class ExpanderSimNetwork(SimNetwork):
                     propagation_ps=prop_ps,
                 )
             self.uplink_ports.append(ports)
-            tor.router = self._make_router(rack)
+            tor.router = self._route_table(rack)
 
-    def _make_router(self, rack: int):
+    def _route_table(self, rack: int) -> RouteTable:
+        # Equal-cost shortest-path uplinks per destination rack; every
+        # forwarded hop bumps.
         routes = self.topology.routes
-        hosts_per_rack = self.topology.hosts_per_rack
-        host_ports = self.host_ports
         uplinks = self.uplink_ports[rack]
-        # Memoize the equal-cost option list per destination rack (the
-        # static expander's tables never change).
-        hop_cache: dict[int, list[tuple[int, int]]] = {}
-
-        def route(_switch: SwitchNode, packet: Packet):
-            dst_rack = packet.dst_host // hosts_per_rack
-            if dst_rack == rack:
-                return host_ports[packet.dst_host]
-            options = hop_cache.get(dst_rack)
-            if options is None:
-                options = routes.next_hops(rack, dst_rack)
-                hop_cache[dst_rack] = options
-            if not options:
-                return None
-            hop = options[(packet.salt + packet.hops) % len(options)]
-            packet.hops += 1
-            return uplinks[hop[1]]
-
-        return route
+        n_racks = self.topology.n_racks
+        hosts_per_rack = self.topology.hosts_per_rack
+        return RouteTable(
+            rack,
+            hosts_per_rack,
+            self._rack_host_ports(rack, hosts_per_rack),
+            [
+                [uplinks[switch] for _peer, switch in routes.next_hops(rack, dst)]
+                for dst in range(n_racks)
+            ],
+            bumps=[True] * n_racks,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +672,6 @@ class ClosSimNetwork(SimNetwork):
                     for agg in clos.tor_agg_links(rack)
                 }
             )
-            tor.router = self._tor_router(rack)
         for agg_id, agg in enumerate(self.aggs):
             pod = agg_id // clos.aggs_per_pod
             self.agg_down.append(
@@ -671,7 +688,6 @@ class ClosSimNetwork(SimNetwork):
                     for core in clos.agg_core_links(agg_id)
                 }
             )
-            agg.router = self._agg_router(agg_id)
         for core_id, core in enumerate(self.cores):
             self.core_down.append(
                 {
@@ -679,60 +695,51 @@ class ClosSimNetwork(SimNetwork):
                     for agg in clos.core_agg_links(core_id)
                 }
             )
-            core.router = self._core_router(core_id)
-
-    def _tor_router(self, rack: int):
+        # Routes: per-packet ECMP up, deterministic down. ToRs and aggs bump
+        # only going up; a core always bumps. The hop count salts the next
+        # tier's choice.
         clos = self.clos
         hosts_per_rack = clos.hosts_per_rack
-        host_ports = self.host_ports
-        tor_up = self.tor_up[rack]
-        up_ports = [tor_up[agg] for agg in clos.tor_agg_links(rack)]
-        n_up = len(up_ports)
-
-        def route(_switch: SwitchNode, packet: Packet):
-            dst_rack = packet.dst_host // hosts_per_rack
-            if dst_rack == rack:
-                return host_ports[packet.dst_host]
-            port = up_ports[(packet.salt + packet.hops) % n_up]
-            packet.hops += 1
-            return port
-
-        return route
-
-    def _agg_router(self, agg_id: int):
-        clos = self.clos
-        pod = agg_id // clos.aggs_per_pod
-        hosts_per_rack = clos.hosts_per_rack
-        tors_per_pod = clos.tors_per_pod
-        agg_down = self.agg_down[agg_id]
-        agg_up = self.agg_up[agg_id]
-        up_ports = [agg_up[core] for core in clos.agg_core_links(agg_id)]
-        n_up = len(up_ports)
-
-        def route(_switch: SwitchNode, packet: Packet):
-            dst_rack = packet.dst_host // hosts_per_rack
-            if dst_rack // tors_per_pod == pod:
-                return agg_down[dst_rack]
-            port = up_ports[(packet.salt + packet.hops) % n_up]
-            packet.hops += 1
-            return port
-
-        return route
-
-    def _core_router(self, core_id: int):
-        clos = self.clos
-        hosts_per_rack = clos.hosts_per_rack
-        tors_per_pod = clos.tors_per_pod
-        aggs_per_pod = clos.aggs_per_pod
-        group = core_id // clos.cores_per_group
-        core_down = self.core_down[core_id]
-
-        def route(_switch: SwitchNode, packet: Packet):
-            dst_pod = packet.dst_host // hosts_per_rack // tors_per_pod
-            packet.hops += 1
-            return core_down[dst_pod * aggs_per_pod + group]
-
-        return route
+        racks = range(clos.n_racks)
+        for rack, tor in enumerate(self.tors):
+            up = [self.tor_up[rack][agg] for agg in clos.tor_agg_links(rack)]
+            tor.router = RouteTable(
+                rack,
+                hosts_per_rack,
+                self._rack_host_ports(rack, hosts_per_rack),
+                [() if dst == rack else up for dst in racks],
+                bumps=[True] * clos.n_racks,
+            )
+        for agg_id, agg in enumerate(self.aggs):
+            pod = agg_id // clos.aggs_per_pod
+            up = [self.agg_up[agg_id][core] for core in clos.agg_core_links(agg_id)]
+            down = [dst // clos.tors_per_pod == pod for dst in racks]
+            agg.router = RouteTable(
+                -1,
+                hosts_per_rack,
+                (),
+                [
+                    (self.agg_down[agg_id][dst],) if down[dst] else up
+                    for dst in racks
+                ],
+                bumps=[not d for d in down],
+            )
+        for core_id, core in enumerate(self.cores):
+            group = core_id // clos.cores_per_group
+            core.router = RouteTable(
+                -1,
+                hosts_per_rack,
+                (),
+                [
+                    (
+                        self.core_down[core_id][
+                            dst // clos.tors_per_pod * clos.aggs_per_pod + group
+                        ],
+                    )
+                    for dst in racks
+                ],
+                bumps=[True] * clos.n_racks,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +780,6 @@ class RotorNetSimNetwork(SimNetwork):
 
         if topology.hybrid:
             self.fabric = self.kernel.SwitchNode(self.sim, "pkt-fabric")
-            self.fabric.router = self._fabric_router()
 
         for rack, tor in enumerate(self.tors):
             for host_id in range(
@@ -835,7 +841,17 @@ class RotorNetSimNetwork(SimNetwork):
                 ],
             )
             self.agents.append(agent)
-            tor.router = self._make_router(rack, agent)
+            tor.router = self._route_table(rack, agent)
+        if topology.hybrid:
+            # The packet fabric delivers straight to the destination ToR.
+            n_racks = topology.n_racks
+            self.fabric.router = RouteTable(
+                -1,
+                topology.hosts_per_rack,
+                (),
+                [(port,) for port in self.fabric_down],
+                bumps=[False] * n_racks,
+            )
         for agent in self.agents:
             agent.peers = {r: self.agents[r] for r in range(topology.n_racks)}
         self._schedule_slices()
@@ -844,25 +860,16 @@ class RotorNetSimNetwork(SimNetwork):
         now = self.sim.now if now_ps is None else now_ps
         return (now // self.slice_ps) % self.topology.schedule.cycle_slices
 
-    def _rotor_resolver(self, rack: int, switch: int):
+    def _rotor_resolver(self, rack: int, switch: int) -> SliceResolver:
+        # All rotors reconfigure in unison at each boundary: the fabric is
+        # dark for the final reconfiguration_ps of every slice.
         sched = self.topology.schedule
-        cycle = sched.cycle_slices
-        tors = self.tors
-        peer_tor: list[SwitchNode | None] = []
-        for s in range(cycle):
+        peers = []
+        for s in range(sched.cycle_slices):
             peer = sched.matching_of(switch, s)[rack]
-            peer_tor.append(None if peer == rack else tors[peer])
-        slice_ps = self.slice_ps
-        usable_ps = slice_ps - self.reconfiguration_ps
-
-        def resolve(_packet: Packet, now_ps: int):
-            # All rotors reconfigure in unison at each boundary: the fabric
-            # is dark for the final r of every slice.
-            if now_ps % slice_ps >= usable_ps:
-                return None
-            return peer_tor[(now_ps // slice_ps) % cycle]
-
-        return resolve
+            peers.append(None if peer == rack else self.tors[peer])
+        dark_from = self.slice_ps - self.reconfiguration_ps
+        return SliceResolver(self.slice_ps, peers, [dark_from] * len(peers))
 
     def _make_requeue(self, rack: int):
         def handle(packet: Packet) -> None:
@@ -873,43 +880,23 @@ class RotorNetSimNetwork(SimNetwork):
 
         return handle
 
-    def _fabric_router(self):
+    def _route_table(self, rack: int, agent: RotorLBAgent) -> RouteTable:
+        # Bulk relays through RotorLB; everything else foreign takes the
+        # packet fabric (bumping), when there is one. Non-hybrid RotorNet
+        # has no low-latency service: control and "low-latency" data alike
+        # must wait in RotorLB queues, which is exactly the paper's point
+        # (Figure 7c). They are treated as bulk at the flow level; anything
+        # else has no options here and is dropped.
         topology = self.topology
-
-        def route(_switch: SwitchNode, packet: Packet):
-            dst_rack = topology.host_rack(packet.dst_host)
-            return self.fabric_down[dst_rack]
-
-        return route
-
-    def _make_router(self, rack: int, agent: RotorLBAgent):
-        hosts_per_rack = self.topology.hosts_per_rack
-        host_ports = self.host_ports
-        hybrid = self.topology.hybrid
-        fabric_up = self.fabric_up[rack] if hybrid else None
-        _BULK = Priority.BULK
-        _DATA = PacketKind.DATA
-
-        def route(_switch: SwitchNode, packet: Packet):
-            dst_rack = packet.dst_host // hosts_per_rack
-            if packet.priority is _BULK and packet.kind is _DATA:
-                if dst_rack == rack:
-                    return host_ports[packet.dst_host]
-                packet.hops += 1
-                agent.accept_relay(packet)
-                return CONSUMED
-            if dst_rack == rack:
-                return host_ports[packet.dst_host]
-            if hybrid:
-                packet.hops += 1
-                return fabric_up
-            # Non-hybrid RotorNet has no low-latency service: control and
-            # "low-latency" data alike must wait in RotorLB queues, which is
-            # exactly the paper's point (Figure 7c). They are treated as
-            # bulk at the flow level; anything else is dropped here.
-            return None
-
-        return route
+        uplink = (self.fabric_up[rack],) if topology.hybrid else ()
+        return RouteTable(
+            rack,
+            topology.hosts_per_rack,
+            self._rack_host_ports(rack, topology.hosts_per_rack),
+            [() if dst == rack else uplink for dst in range(topology.n_racks)],
+            bumps=[True] * topology.n_racks,
+            relay=agent.accept_relay,
+        )
 
     def _schedule_slices(self) -> None:
         # Lockstep rotors: one reconfiguration event per slice rotates

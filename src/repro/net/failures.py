@@ -13,9 +13,10 @@ at a queue — light simply stops arriving. Uplink resolvers consult the
 circuits to a per-rack :class:`~repro.net.node.Blackhole`; a dead ToR's
 route closure absorbs its hosts' traffic the same way. Both engine
 kernels call the same Python resolver/route closures per packet
-(``REPRO_KERNEL=c`` reads ``Port.resolver`` per call and invokes the
-route closure from its fused dispatch), so failure state needs no
-kernel-specific plumbing and py/c stay bit-identical.
+(``REPRO_KERNEL=c`` reads ``Port.resolver`` per call, and its fused
+dispatch calls a route table's ``fallback`` whenever one is set), so
+failure state needs no kernel-specific plumbing and py/c stay
+bit-identical.
 
 **Detect (hello propagation).** Routing reacts on a *detected* view that
 lags the physical truth by the hello-protocol propagation delay, derived

@@ -58,23 +58,35 @@ toolchain, and hand-written C manipulates the ``__slots__`` layout
 directly); the extension is declared optional, so a missing compiler
 degrades to the pure-Python kernel instead of failing the install.
 
+**Routing as data.** Every switch forwards from a
+:class:`~repro.net.node.RouteTable` and every fault-free rotor port
+resolves through a :class:`~repro.net.link.SliceResolver`, tables the
+network builders fill once. Calling a table is its pure-Python
+interpretation, which the ``py`` kernel runs. ``_ckernel.init``
+registers both types, and the compiled dispatch and serializer
+interpret an exact instance natively (anything not provably in range
+goes to the Python interpretation, before any write), so a fault-free
+hop enters no Python frame unless it relays bulk to RotorLB.
+
 **The failure seam.** Live failure injection (``repro.core.faults`` +
 ``OperaSimNetwork.install_failures``) adds *zero* kernel code. Two
 deliberate properties of this seam make that possible:
 
-* The compiled ``SwitchNode`` calls the *Python* route closure per
-  packet (``_ckernel.c`` invokes ``route(switch, packet)`` exactly like
-  the pure engine), so blackholing on failed hops, dead-rack checks and
-  slice-parking live in one closure both kernels execute.
+* A route table's ``fallback`` slot is read per packet in both kernels.
+  Arming failures sets every Opera ToR's fallback to a *Python*
+  fault-aware route closure, which both kernels then call instead of
+  interpreting the table, so blackholing on failed hops, dead-rack
+  checks and slice-parking live in one closure both kernels execute.
 * ``Port.resolver`` is re-read on every transmit in both kernels, so
-  the injector can swap a failure-aware uplink resolver in live.
+  the injector can swap a failure-aware uplink resolver in live; any
+  resolver that is not a ``SliceResolver`` is called as Python.
 
-Dynamic state reaches the closures through one-slot mutable cells
-(actual failed sets mutated in place; the *detected* view swapped at
-hello epochs), never by reinstalling routers. Consequently ``py`` and
-``c`` runs stay byte-identical under active failures — CI's
-``faults-smoke`` job and ``tests/test_faults_dynamic.py`` pin this —
-and arming an empty schedule is bitwise invisible to either kernel.
+Dynamic state reaches the closures through objects mutated in place
+(actual failed sets; the *detected* view swapped at hello epochs),
+never by reinstalling routers. Consequently ``py`` and ``c`` runs stay
+byte-identical under active failures — CI's ``faults-smoke`` job and
+``tests/test_faults_dynamic.py`` pin this — and arming an empty
+schedule is bitwise invisible to either kernel.
 
 **The telemetry seam.** Metrics (``repro.obs.metrics``) likewise add
 *zero* kernel code. Every counter the snapshot reports already lives in

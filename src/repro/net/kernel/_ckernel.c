@@ -96,6 +96,15 @@ typedef struct {
 } SwitchOffsets;
 
 typedef struct {
+    Py_ssize_t rack, hosts_per_rack, host_ports, options, bumps, relay, sim,
+        slice_ps, fallback;
+} RouteTableOffsets;
+
+typedef struct {
+    Py_ssize_t slice_ps, peers, dark_from;
+} SliceResolverOffsets;
+
+typedef struct {
     Py_ssize_t sent_packets, sent_bytes, trimmed, dropped_control,
         dropped_bulk;
 } StatsOffsets;
@@ -109,6 +118,8 @@ static StatsOffsets ST;
 static SourceOffsets NS;
 static SinkOffsets NK;
 static PacerOffsets PP;
+static RouteTableOffsets RT;
+static SliceResolverOffsets SR;
 
 /* Sentinels / enum members / shared objects (all owned references). */
 static PyObject *g_lazy;         /* link._LAZY */
@@ -138,6 +149,9 @@ static PyTypeObject *t_sim, *t_port, *t_packet, *t_host, *t_switch;
 static PyTypeObject *t_cksim, *t_ckport, *t_ckhost, *t_ckswitch;
 static PyTypeObject *t_src, *t_sink, *t_pacer;
 static PyTypeObject *t_cksrc, *t_cksink, *t_ckpacer;
+/* The routing tables (node.RouteTable, link.SliceResolver): interpreted
+ * natively when a router or resolver is exactly one of these. */
+static PyTypeObject *t_route_table, *t_slice_resolver;
 
 /* The PyCFunction behind the exported `enqueue` instancemethod — lets the
  * NDP send path recognise `ckport.enqueue` bound methods and call the C
@@ -258,6 +272,18 @@ slot_set_ll(PyObject *o, Py_ssize_t off, long long v)
     SLOT(o, off) = num;
     Py_XDECREF(old);
     return 0;
+}
+
+/* v as int64 when it is an exact int that fits: 1, else 0. Never sets
+ * an exception: the table interpreters hand anything else to Python. */
+static inline int
+exact_ll(PyObject *v, long long *out)
+{
+    int overflow;
+    if (v == NULL || !PyLong_CheckExact(v))
+        return 0;
+    *out = PyLong_AsLongLongAndOverflow(v, &overflow);
+    return !overflow;
 }
 
 /* Add `delta` to an int slot (counter bump). */
@@ -713,23 +739,67 @@ expire_committed(PyObject *self, PyObject *committed, long long now)
     }
 }
 
+/* A SliceResolver's far end at `start`, natively (link.py's
+ * SliceResolver.__call__): 1 with *target set (borrowed; NULL when the
+ * circuit is dark or the slice is an identity assignment), or 0 when some
+ * value is not provably in range, so the caller calls the resolver. */
+static int
+slice_resolve(PyObject *resolver, long long start, PyObject **target)
+{
+    PyObject *peers = SLOT(resolver, SR.peers);
+    PyObject *dark_from = SLOT(resolver, SR.dark_from);
+    PyObject *peer;
+    long long slice_ps, dark;
+    Py_ssize_t cycle, s;
+
+    if (peers == NULL || dark_from == NULL || !PyTuple_CheckExact(peers) ||
+        !PyTuple_CheckExact(dark_from))
+        return 0;
+    cycle = PyTuple_GET_SIZE(peers);
+    if (cycle == 0 || PyTuple_GET_SIZE(dark_from) != cycle || start < 0 ||
+        !exact_ll(SLOT(resolver, SR.slice_ps), &slice_ps) || slice_ps <= 0)
+        return 0;
+    s = (Py_ssize_t)((start / slice_ps) % cycle);
+    if (!exact_ll(PyTuple_GET_ITEM(dark_from, s), &dark))
+        return 0;
+    peer = PyTuple_GET_ITEM(peers, s);
+    *target = (start % slice_ps >= dark || peer == Py_None) ? NULL : peer;
+    return 1;
+}
+
 /* Resolve the delivery callback for a packet leaving `self` at start_ps.
  * Mirrors the deliver-resolution block shared by enqueue/_transmit.
  * On a dark circuit (*deliver_out left NULL, no error) the caller must
  * schedule the undeliverable event at `done`. Returns -1 on error. */
 static int
-resolve_deliver(PyObject *self, PyObject *packet, PyObject *start_obj,
+resolve_deliver(PyObject *self, PyObject *packet, long long start,
                 PyObject **deliver_out)
 {
     PyObject *deliver = SLOT(self, P.deliver);
     *deliver_out = NULL;
     if (deliver == Py_None) {
         PyObject *resolver = slot_get(self, P.resolver, "resolver");
-        PyObject *target;
+        PyObject *target, *start_obj;
         if (resolver == NULL)
+            return -1;
+        if (Py_TYPE(resolver) == t_slice_resolver &&
+            slice_resolve(resolver, start, &target)) {
+            if (target == NULL)
+                return 0; /* dark circuit */
+            deliver = get_deliver(target);
+            if (deliver == NULL)
+                return -1;
+            *deliver_out = deliver; /* new ref */
+            return 0;
+        }
+        /* Any other resolver (a failure-aware closure, a test double) is
+         * called, as the Python engine does. */
+        start_obj = PyLong_FromLongLong(start);
+        if (start_obj == NULL)
             return -1;
         target =
             PyObject_CallFunctionObjArgs(resolver, packet, start_obj, NULL);
+        Py_DECREF(start_obj);
         if (target == NULL)
             return -1;
         if (target == Py_None) {
@@ -768,7 +838,7 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start)
     int err = 0;
     long long size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
     long long per_byte, done = 0, prop, arrive;
-    PyObject *stats, *deliver = NULL, *start_obj;
+    PyObject *stats, *deliver = NULL;
 
     if (err)
         return -1;
@@ -783,14 +853,8 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start)
     if (slot_add_ll(stats, ST.sent_packets, "sent_packets", 1) < 0 ||
         slot_add_ll(stats, ST.sent_bytes, "sent_bytes", size) < 0)
         return -1;
-    start_obj = PyLong_FromLongLong(start);
-    if (start_obj == NULL)
+    if (resolve_deliver(self, packet, start, &deliver) < 0)
         return -1;
-    if (resolve_deliver(self, packet, start_obj, &deliver) < 0) {
-        Py_DECREF(start_obj);
-        return -1;
-    }
-    Py_DECREF(start_obj);
     if (deliver == NULL) {
         /* Dark circuit: loss observed when the last bit leaves. */
         PyObject *undeliv = slot_get(self, P.undeliv_cb, "_undeliv_cb");
@@ -962,8 +1026,7 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
             if (slot_add_ll(stats, ST.sent_packets, "sent_packets", 1) < 0 ||
                 slot_add_ll(stats, ST.sent_bytes, "sent_bytes", size) < 0)
                 return NULL;
-            if (resolve_deliver(self, packet, SLOT(sim, S.now), &deliver) <
-                0)
+            if (resolve_deliver(self, packet, now, &deliver) < 0)
                 return NULL;
             if (deliver == NULL) {
                 /* Dark circuit. */
@@ -1270,21 +1333,146 @@ c_host_receive(PyObject *Py_UNUSED(mod), PyObject *const *args,
     Py_RETURN_NONE;
 }
 
-/* --------------------------------------------------------------- dispatch */
+/* --------------------------------------------------------------- dispatch
+ *
+ * Every router is a node.RouteTable, and this section is its native
+ * interpreter: RouteTable.__call__ line for line, on the same object.
+ * A fault-free hop therefore enters no Python frame unless it relays
+ * bulk to RotorLB. While the table's `fallback` is set (failures armed),
+ * the fallback closure is called instead, exactly as in Python, so the
+ * failure seam stays zero-kernel-code.
+ */
+
+/* table_route's egress lookup: row[dst_rack] when row is a tuple of
+ * tuples long enough (borrowed), else NULL. */
+static inline PyObject *
+table_ports(PyObject *row, long long dst_rack)
+{
+    PyObject *ports;
+    if (!PyTuple_CheckExact(row) || dst_rack >= PyTuple_GET_SIZE(row))
+        return NULL;
+    ports = PyTuple_GET_ITEM(row, dst_rack);
+    return PyTuple_CheckExact(ports) ? ports : NULL;
+}
+
+/* Route `packet` through a fault-free RouteTable whose TTL check passed
+ * at `hops`. 1 with *out a new reference to the egress port, Py_None
+ * (drop) or CONSUMED; -1 on error; 0 when some value is not provably in
+ * range. Every check precedes the first write, so 0 leaves the packet
+ * untouched and the caller runs the Python dispatch instead. */
+static int
+table_route(PyObject *table, PyObject *packet, long long hops,
+            PyObject **out)
+{
+    PyObject *relay, *options, *bumps, *bump, *ports;
+    long long dst_host, hpr, rack, dst_rack, salt, slice_ps, stamp = 0;
+    int restamp = 0;
+
+    if (!exact_ll(SLOT(packet, K.dst_host), &dst_host) || dst_host < 0 ||
+        !exact_ll(SLOT(table, RT.hosts_per_rack), &hpr) || hpr <= 0 ||
+        !exact_ll(SLOT(table, RT.rack), &rack))
+        return 0;
+    dst_rack = dst_host / hpr;
+    if (dst_rack == rack) {
+        PyObject *host_ports = SLOT(table, RT.host_ports);
+        long long i = dst_host % hpr;
+        if (host_ports == NULL || !PyTuple_CheckExact(host_ports) ||
+            i >= PyTuple_GET_SIZE(host_ports))
+            return 0;
+        *out = PyTuple_GET_ITEM(host_ports, i);
+        Py_INCREF(*out);
+        return 1;
+    }
+    relay = SLOT(table, RT.relay);
+    if (relay == NULL)
+        return 0;
+    if (relay != Py_None && SLOT(packet, K.priority) == g_prio_bulk &&
+        SLOT(packet, K.kind) == g_kind_data) {
+        /* Bulk on a foreign rack: RotorLB relay traffic. */
+        PyObject *r;
+        if (slot_set_ll(packet, K.hops, hops + 1) < 0)
+            return -1;
+        r = PyObject_CallOneArg(relay, packet);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+        Py_INCREF(g_consumed);
+        *out = g_consumed;
+        return 1;
+    }
+    options = SLOT(table, RT.options);
+    bumps = SLOT(table, RT.bumps);
+    if (options == NULL || !PyTuple_CheckExact(options) || bumps == NULL ||
+        !PyTuple_CheckExact(bumps) || dst_rack >= PyTuple_GET_SIZE(bumps) ||
+        !exact_ll(SLOT(packet, K.salt), &salt) || salt < 0 || hops < 0 ||
+        salt > LLONG_MAX - hops ||
+        !exact_ll(SLOT(table, RT.slice_ps), &slice_ps) || slice_ps < 0)
+        return 0;
+    bump = PyTuple_GET_ITEM(bumps, dst_rack);
+    if (bump != Py_True && bump != Py_False)
+        return 0;
+    if (slice_ps) {
+        /* Stamped (Opera): the first routed hop stamps the slice, and a
+         * stamp with no options is re-stamped from the current slice. */
+        PyObject *sim = SLOT(table, RT.sim);
+        PyObject *stamp_obj = SLOT(packet, K.slice_stamp);
+        Py_ssize_t cycle = PyTuple_GET_SIZE(options);
+        long long now, current;
+        if (sim == NULL || !PyObject_TypeCheck(sim, t_sim) || cycle == 0 ||
+            !exact_ll(SLOT(sim, S.now), &now) || now < 0 || stamp_obj == NULL)
+            return 0;
+        current = (now / slice_ps) % cycle;
+        if (stamp_obj == Py_None) {
+            stamp = current;
+            restamp = 1;
+        }
+        else if (!exact_ll(stamp_obj, &stamp) || stamp < 0 || stamp >= cycle)
+            return 0;
+        ports = table_ports(PyTuple_GET_ITEM(options, stamp), dst_rack);
+        if (ports == NULL)
+            return 0;
+        if (PyTuple_GET_SIZE(ports) == 0) {
+            stamp = current;
+            restamp = 1;
+            ports = table_ports(PyTuple_GET_ITEM(options, stamp), dst_rack);
+            if (ports == NULL)
+                return 0;
+        }
+    }
+    else {
+        ports = table_ports(options, dst_rack);
+        if (ports == NULL)
+            return 0;
+    }
+    /* Writes start here. */
+    if (restamp && slot_set_ll(packet, K.slice_stamp, stamp) < 0)
+        return -1;
+    if (PyTuple_GET_SIZE(ports) == 0) {
+        Py_INCREF(Py_None);
+        *out = Py_None;
+        return 1;
+    }
+    *out = PyTuple_GET_ITEM(ports, (salt + hops) % PyTuple_GET_SIZE(ports));
+    if (bump == Py_True && slot_set_ll(packet, K.hops, hops + 1) < 0)
+        return -1;
+    Py_INCREF(*out);
+    return 1;
+}
 
 /* Fused switch delivery: TTL guard, route, egress enqueue. Bound context
- * is (switch, route, py_dispatch); py_dispatch is the pure-Python fused
+ * is (switch, table, py_dispatch); py_dispatch is the pure-Python fused
  * closure, used verbatim for anything off the fast path. */
 static PyObject *
 c_dispatch(PyObject *ctx, PyObject *packet)
 {
     PyObject *sw = PyTuple_GET_ITEM(ctx, 0);
-    PyObject *route = PyTuple_GET_ITEM(ctx, 1);
-    PyObject *port;
+    PyObject *table = PyTuple_GET_ITEM(ctx, 1);
+    PyObject *fallback, *port;
     long long hops;
     int err = 0;
 
-    if (!g_ready || Py_TYPE(sw) != t_ckswitch || Py_TYPE(packet) != t_packet)
+    if (!g_ready || Py_TYPE(sw) != t_ckswitch || Py_TYPE(packet) != t_packet ||
+        Py_TYPE(table) != t_route_table)
         return PyObject_CallOneArg(PyTuple_GET_ITEM(ctx, 2), packet);
     hops = slot_ll(packet, K.hops, "hops", &err);
     if (err)
@@ -1296,9 +1484,20 @@ c_dispatch(PyObject *ctx, PyObject *packet)
             return NULL;
         Py_RETURN_NONE;
     }
-    port = PyObject_CallFunctionObjArgs(route, sw, packet, NULL);
-    if (port == NULL)
-        return NULL;
+    fallback = SLOT(table, RT.fallback);
+    if (fallback != NULL && fallback != Py_None) {
+        /* Failures armed: the fault-aware Python route decides. */
+        port = PyObject_CallFunctionObjArgs(fallback, sw, packet, NULL);
+        if (port == NULL)
+            return NULL;
+    }
+    else {
+        int rc = fallback == NULL ? 0 : table_route(table, packet, hops, &port);
+        if (rc < 0)
+            return NULL;
+        if (rc == 0)
+            return PyObject_CallOneArg(PyTuple_GET_ITEM(ctx, 2), packet);
+    }
     if (port == g_consumed) {
         Py_DECREF(port);
         Py_RETURN_NONE;
@@ -2151,6 +2350,32 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     t_switch = (PyTypeObject *)cls;
     Py_INCREF(cls);
     OFF(cls, "drops", W.drops);
+
+    /* RouteTable offsets (exact type: interpreted natively) */
+    CFG_OBJ(tmp, "RouteTable");
+    cls = tmp;
+    Py_XDECREF((PyObject *)t_route_table);
+    t_route_table = (PyTypeObject *)cls;
+    Py_INCREF(cls);
+    OFF(cls, "rack", RT.rack);
+    OFF(cls, "hosts_per_rack", RT.hosts_per_rack);
+    OFF(cls, "host_ports", RT.host_ports);
+    OFF(cls, "options", RT.options);
+    OFF(cls, "bumps", RT.bumps);
+    OFF(cls, "relay", RT.relay);
+    OFF(cls, "sim", RT.sim);
+    OFF(cls, "slice_ps", RT.slice_ps);
+    OFF(cls, "fallback", RT.fallback);
+
+    /* SliceResolver offsets (exact type: interpreted natively) */
+    CFG_OBJ(tmp, "SliceResolver");
+    cls = tmp;
+    Py_XDECREF((PyObject *)t_slice_resolver);
+    t_slice_resolver = (PyTypeObject *)cls;
+    Py_INCREF(cls);
+    OFF(cls, "slice_ps", SR.slice_ps);
+    OFF(cls, "peers", SR.peers);
+    OFF(cls, "dark_from", SR.dark_from);
 
     /* PortStats offsets */
     CFG_OBJ(tmp, "PortStats");

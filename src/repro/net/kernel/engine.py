@@ -12,18 +12,22 @@ hot methods to the C implementations, which operate on the base classes'
 ``_ckernel.init`` below. One slot changes type: :class:`CKSimulator`
 stores a native ``_ckernel.EventHeap`` in ``_heap`` instead of the
 oracle's list of ``(time_ps, seq, callback, args)`` tuples (see
-:mod:`repro.net.kernel`). Everything else (construction, cold paths,
-introspection, repr) is inherited from the pure-Python classes, and the
-C functions themselves delegate any call they cannot prove is on the
-fast path (no native heap, non-integral line rate, subclasses, test
-doubles) back to the pure-Python implementations passed to ``init``.
+:mod:`repro.net.kernel`). The routing tables need no subclass:
+``init`` registers :class:`~repro.net.node.RouteTable` and
+:class:`~repro.net.link.SliceResolver` themselves, and the C dispatch
+and serializer interpret an exact instance natively. Everything else
+(construction, cold paths, introspection, repr) is inherited from the
+pure-Python classes, and the C functions themselves delegate any call
+they cannot prove is on the fast path (no native heap, non-integral line
+rate, subclasses, test doubles) back to the pure-Python implementations
+passed to ``init``.
 """
 
 from __future__ import annotations
 
-from ..link import _LAZY, Port, PortStats
+from ..link import _LAZY, Port, PortStats, SliceResolver
 from ..ndp import NdpSink, NdpSource, PullPacer
-from ..node import CONSUMED, MAX_HOPS, Host, SwitchNode
+from ..node import CONSUMED, MAX_HOPS, Host, RouteTable, SwitchNode
 from ..packet import (
     _POOL,
     _POOL_MAX,
@@ -54,6 +58,8 @@ _ckernel.init(
         "Packet": Packet,
         "Host": Host,
         "SwitchNode": SwitchNode,
+        "RouteTable": RouteTable,
+        "SliceResolver": SliceResolver,
         "PortStats": PortStats,
         "LAZY": _LAZY,
         "CONSUMED": CONSUMED,
@@ -105,8 +111,13 @@ class CKSimulator(Simulator):
 
     @property
     def sched_pushes(self) -> int:
-        """:attr:`Simulator.sched_pushes`, counted by the native heap."""
-        return self._heap.seq
+        """:attr:`Simulator.sched_pushes`, counted by the native heap.
+
+        A list heap (the Python bodies schedule onto it) counts in
+        ``_seq``, as the oracle does.
+        """
+        heap = self._heap
+        return self._seq if heap.__class__ is list else heap.seq
 
     at = _ckernel.at
     after = _ckernel.after
@@ -136,11 +147,13 @@ class CKHost(Host):
 
 
 class CKSwitchNode(SwitchNode):
-    """Switch whose fused dispatch closure is built in C.
+    """Switch whose fused dispatch is built in C.
 
-    The base setter performs the install-once check and builds the
-    pure-Python fused closure; that closure is kept as the fallback for
-    packets/ports the C dispatch cannot prove are fast-path.
+    The base setter performs the install-once and table-type checks and
+    builds the pure-Python fused closure; that closure is kept as the
+    fallback for packets/tables the C dispatch cannot prove are fast-path.
+    The C dispatch interprets the :class:`~repro.net.node.RouteTable`
+    itself, or calls its ``fallback`` while failures are armed.
     """
 
     __slots__ = ()

@@ -40,13 +40,13 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..core.timing import PS_PER_S
 from .packet import HEADER_BYTES, Packet, PacketKind, Priority
 from .sim import Simulator
 
-__all__ = ["Port", "PortStats"]
+__all__ = ["Port", "PortStats", "SliceResolver"]
 
 _CONTROL = Priority.CONTROL
 _LOW_LATENCY = Priority.LOW_LATENCY
@@ -92,6 +92,42 @@ class PortStats:
         }
 
 
+class SliceResolver:
+    """A rotor port's far end per slice, as data: the fault-free resolver.
+
+    ``peers[s]`` is the node the circuit reaches in slice ``s`` (``None``
+    on an identity assignment, where the port idles), and ``dark_from[s]``
+    the offset into that slice from which the circuit is dark while the
+    switch reconfigures (``slice_ps`` or more: never dark). Opera's
+    uplinks go dark from ``epsilon_ps`` in the slices their switch
+    retargets; RotorNet's are dark for the final reconfiguration window
+    of every slice.
+
+    Calling it is the resolver contract (``resolver(packet, now_ps)``) and
+    its pure-Python interpretation. The compiled kernel interprets the
+    same object natively when it is the exact type; any other resolver
+    (the failure-aware closures, test lambdas) is called as usual.
+    """
+
+    __slots__ = ("slice_ps", "peers", "dark_from")
+
+    def __init__(
+        self, slice_ps: int, peers: Sequence[object | None], dark_from: Sequence[int]
+    ) -> None:
+        if len(peers) != len(dark_from) or not peers:
+            raise ValueError("one peer and one dark offset per slice")
+        self.slice_ps = slice_ps
+        self.peers = tuple(peers)
+        self.dark_from = tuple(dark_from)
+
+    def __call__(self, _packet: Packet, now_ps: int) -> object | None:
+        slice_ps = self.slice_ps
+        s = (now_ps // slice_ps) % len(self.peers)
+        if now_ps % slice_ps >= self.dark_from[s]:
+            return None
+        return self.peers[s]
+
+
 class Port:
     """Sender side of one directed link.
 
@@ -105,9 +141,11 @@ class Port:
         ``resolver(packet, now_ps)`` returns the receiving node (anything
         with ``receive(packet)``) or ``None`` when the circuit is dark /
         mismatched; ``None`` routes the packet to ``on_undeliverable``.
-        A *static* link may instead pass ``target=<node>`` (and no
-        resolver): the far end is then fixed for the port's lifetime and
-        the per-packet resolver call is skipped entirely.
+        A :class:`SliceResolver` is one the compiled kernel interprets
+        without calling Python. A *static* link may instead pass
+        ``target=<node>`` (and no resolver): the far end is then fixed for
+        the port's lifetime and the per-packet resolver call is skipped
+        entirely.
     data_queue_bytes:
         NDP trim threshold for the low-latency data queue (12 KB in §4.2.1;
         an equal-sized header queue backs it).

@@ -278,7 +278,7 @@ class TestDynamicRecovery:
         run = fault_workload(
             self._link_schedule(build_net(seed=11), fraction=0.4)
         )
-        ctx = run["net"]._fault_cell[0]
+        ctx = run["net"].faults.ctx
         assert ctx.slice_parks > 0
         stats = run["net"].stats
         wedged = [

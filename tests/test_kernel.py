@@ -464,6 +464,17 @@ class TestNativeHeap:
         sim_cls = engine_classes("c").Simulator
         assert type(sim_cls()._heap).__name__ == "EventHeap"
 
+    def test_list_heap_counts_pushes_in_seq(self):
+        # A compiled simulator handed a plain list heap runs the Python
+        # bodies, which count in _seq; sched_pushes and counters() must
+        # read it there instead of the native heap's counter.
+        sim = engine_classes("c").Simulator()
+        sim._heap = []
+        sim.at(5, print, "x")
+        assert sim.sched_pushes == 1
+        assert sim.counters()["sched_entries"] == 1
+        assert sim.pending == 1
+
     def test_finished_network_is_collected(self, monkeypatch):
         # Pending kick/pacer events keep callbacks -> ports -> simulator
         # alive through the native heap; the collector must still see
