@@ -35,10 +35,11 @@ Metrics per engine configuration:
 top-N cumulative functions, so per-event interpreter-cost claims stay
 attributable to specific code.
 
-Further phases feed the artifact. Each subsystem price runs
-:data:`PRICE_PAIRS` interleaved off/armed pairs and records every
-sample, the best and the spread per side (:func:`price_pairs`), with a
-deterministic check on every pair:
+Further phases feed the artifact. Each subsystem price runs one
+unrecorded warm-up per side, then :data:`PRICE_PAIRS` off/armed pairs in
+alternating order, and records every sample, the best and the spread
+per side (:func:`price_pairs`), with a deterministic check on every
+pair:
 
 * ``--sharded SCALE:W1[,W2...]`` — the sharded fig07 grid through the
   scenario Runner at SCALE, recording wall and cells/sec per worker
@@ -341,24 +342,29 @@ def price_pairs(run_off, run_armed, what: str, pairs: int = PRICE_PAIRS) -> dict
     """Price an armed-but-quiet subsystem from interleaved off/armed runs.
 
     ``run_off`` and ``run_armed`` each perform one run and return
-    ``(wall_s, observable)``. Off and armed alternate, ``pairs`` of each,
-    so run order (first-run warm-up, host drift) cannot pass for a price.
-    Every pair's observables must be equal — the subsystem must not
-    perturb what it observes — or the bench aborts naming ``what``.
-    Returns every sample, the best and the spread per side, and ``ratio``
-    as armed best over off best.
+    ``(wall_s, observable)``. Each side first runs once unrecorded, so
+    neither side's samples carry first-run warm-up. Then come ``pairs``
+    pairs whose order alternates (off first, then armed first, ...), so
+    run order and host drift cannot pass for a price. Every pair's
+    observables must be equal — the subsystem must not perturb what it
+    observes — or the bench aborts naming ``what``. Returns every sample,
+    the best and the spread per side, and ``ratio`` as armed best over
+    off best.
     """
+    runs = {"off": run_off, "armed": run_armed}
+    for run in runs.values():
+        run()  # warm-up, unrecorded
     samples: dict[str, list[float]] = {"off": [], "armed": []}
-    for _ in range(pairs):
-        off_wall, off_seen = run_off()
-        armed_wall, armed_seen = run_armed()
-        if armed_seen != off_seen:
+    for pair in range(pairs):
+        seen = {}
+        for side in ("off", "armed") if pair % 2 == 0 else ("armed", "off"):
+            wall, seen[side] = runs[side]()
+            samples[side].append(wall)
+        if seen["armed"] != seen["off"]:
             raise SystemExit(
-                f"{what} differential FAILED: armed {armed_seen!r} != "
-                f"off {off_seen!r}"
+                f"{what} differential FAILED: armed {seen['armed']!r} != "
+                f"off {seen['off']!r}"
             )
-        samples["off"].append(off_wall)
-        samples["armed"].append(armed_wall)
     record: dict = {}
     for side, walls in samples.items():
         record[side] = {

@@ -3,11 +3,17 @@
 cProfile cannot see inside the compiled kernel (``_ckernel.c``) or the
 interpreter. This script builds a small SIGPROF sampler
 (``benchmarks/native_sampler.c``) into ``build/native_profile/``, loads it
-with ctypes and runs the chosen fig07 cells in this process. Every 0.5 ms of
-CPU time the sampler takes a ``backtrace()`` and the current phase tag:
-``build`` around ``fctsim.build_network``, ``run`` around ``SimNetwork.run``
-and ``other`` for the rest (arrivals, flow setup, statistics). Frames are
-symbolized from ``/proc/self/maps`` and ``nm``.
+with ctypes and runs the chosen fig07 cells in this process. It arms
+``ITIMER_PROF`` for a sample every 500 us of CPU time, but the kernel
+delivers the signal at its own tick, so the real interval is usually
+coarser (about 3.6 ms per sample on a 2-vCPU Linux container). The
+report records the process CPU seconds over the sampled region and
+prints both the nominal and the effective interval (``cpu_s`` and
+``effective_interval_us`` in the JSON). At each sample the sampler takes
+a ``backtrace()`` and the current phase tag: ``build`` around
+``fctsim.build_network``, ``run`` around ``SimNetwork.run`` and ``other``
+for the rest (arrivals, flow setup, statistics). Frames are symbolized
+from ``/proc/self/maps`` and ``nm``.
 
 It prints the leaf symbols that took the most samples in each phase. For
 the run phase it also splits the samples inside the compiled ``c_sim_run``
@@ -38,6 +44,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -230,12 +237,14 @@ def profile(scale: str, seed: int, cells: list[str], cc: str, nm: str) -> dict:
     saved = fctsim.build_network, SimNetwork.run
     fctsim.build_network = tagged(saved[0], PHASES.index("build"))
     SimNetwork.run = tagged(saved[1], PHASES.index("run"))
+    cpu_start = time.process_time()
     sampler.start()
     try:
         for key in cells:
             fctsim.run_fct_cell(**plan[key].params)
     finally:
         sampler.stop()
+        cpu_s = time.process_time() - cpu_start
         fctsim.build_network, SimNetwork.run = saved
 
     raw, dropped = sampler.samples()
@@ -247,12 +256,16 @@ def profile(scale: str, seed: int, cells: list[str], cc: str, nm: str) -> dict:
             per_phase[PHASES[phase]].append(stack)
     split = split_kernel_run(per_phase["run"])
     inside = sum(split.values())
+    # Every delivered tick is a sample, kept or dropped.
+    ticks = len(raw) + dropped
     return {
         "scale": scale,
         "seed": seed,
         "cells": cells,
         "kernel": engine_classes().name,
         "interval_us": INTERVAL_US,
+        "cpu_s": round(cpu_s, 3),
+        "effective_interval_us": round(1e6 * cpu_s / ticks) if ticks else None,
         "samples": sum(len(s) for s in per_phase.values()),
         "dropped": dropped,
         "phases": {
@@ -269,13 +282,22 @@ def profile(scale: str, seed: int, cells: list[str], cc: str, nm: str) -> dict:
     }
 
 
+def interval_line(result: dict) -> str:
+    """How often the sampler really fired, against what it asked for."""
+    effective = result["effective_interval_us"]
+    return (
+        f"{result['samples']} samples over {result['cpu_s']:.2f} s of CPU: "
+        + (f"one per {effective} us" if effective is not None else "no samples")
+        + f" (nominal {result['interval_us']} us)"
+        + (f", {result['dropped']} dropped" if result["dropped"] else "")
+    )
+
+
 def report(result: dict) -> None:
     total = result["samples"] or 1
     print(
         f"native profile: fig07 {','.join(result['cells'])} scale={result['scale']} "
-        f"seed={result['seed']} kernel={result['kernel']} "
-        f"every {result['interval_us']} us: {result['samples']} samples"
-        + (f" ({result['dropped']} dropped)" if result["dropped"] else "")
+        f"seed={result['seed']} kernel={result['kernel']}: {interval_line(result)}"
     )
     for phase in PHASES:
         data = result["phases"][phase]

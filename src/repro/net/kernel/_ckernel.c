@@ -37,6 +37,12 @@
  * their args tuples. Python code that schedules onto a compiled simulator
  * goes through sim.at / sim.after, never through heapq.
  *
+ * Routing is data: every switch router is a node.RouteTable and every
+ * fault-free rotor-port resolver a link.SliceResolver, both plain Python
+ * classes whose calls are the oracle. The dispatch and the serializer
+ * interpret an exact instance natively (see the dispatch section), so a
+ * fault-free hop enters no Python frame unless it relays bulk to RotorLB.
+ *
  * Every function guards its fast path with *exact* type checks against
  * the CK* classes registered by kernel/engine.py and delegates anything
  * else — simulators without an EventHeap (a plain Simulator),
@@ -786,7 +792,9 @@ resolve_deliver(PyObject *self, PyObject *packet, long long start,
             slice_resolve(resolver, start, &target)) {
             if (target == NULL)
                 return 0; /* dark circuit */
+            Py_INCREF(target); /* borrowed from the table until here */
             deliver = get_deliver(target);
+            Py_DECREF(target);
             if (deliver == NULL)
                 return -1;
             *deliver_out = deliver; /* new ref */
@@ -1392,7 +1400,9 @@ table_route(PyObject *table, PyObject *packet, long long hops,
         PyObject *r;
         if (slot_set_ll(packet, K.hops, hops + 1) < 0)
             return -1;
+        Py_INCREF(relay); /* the slot's reference may go during the call */
         r = PyObject_CallOneArg(relay, packet);
+        Py_DECREF(relay);
         if (r == NULL)
             return -1;
         Py_DECREF(r);
@@ -1487,7 +1497,9 @@ c_dispatch(PyObject *ctx, PyObject *packet)
     fallback = SLOT(table, RT.fallback);
     if (fallback != NULL && fallback != Py_None) {
         /* Failures armed: the fault-aware Python route decides. */
+        Py_INCREF(fallback);
         port = PyObject_CallFunctionObjArgs(fallback, sw, packet, NULL);
+        Py_DECREF(fallback);
         if (port == NULL)
             return NULL;
     }

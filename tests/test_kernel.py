@@ -544,3 +544,147 @@ class TestPythonFallbacksOnCompiledSim:
         ):
             run = serializer_run(sim_cls, port_cls, rate_bps)
             assert run == baseline, (sim_cls.__name__, port_cls.__name__)
+
+
+class Egress:
+    """A stand-in egress port: records what it was handed."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def enqueue(self, packet):
+        return True
+
+
+def route_outcomes(kernel):
+    """Each branch of a RouteTable, routed through one switch of ``kernel``.
+
+    Three racks of two hosts; the switch is rack 1's. The stamped table
+    has two 100 ps slices: in slice 1 rack 0 has no options, so a packet
+    stamped there is re-stamped, or dropped when the current slice has
+    none either. Returns, per packet, where it went and the fields the
+    table writes, or the exception the table raised.
+    """
+    from repro.net.node import CONSUMED, RouteTable
+    from repro.net.packet import Packet, PacketKind, Priority
+
+    classes = engine_classes(kernel)
+    sim = classes.Simulator()
+    hosts = [Egress("h0"), Egress("h1")]
+    up = [Egress("u0"), Egress("u1"), Egress("u2")]
+    relayed = []
+    stamped = RouteTable(
+        1, 2, hosts,
+        [[(up[0], up[1]), (), (up[2],)], [(), (), (up[0], up[1], up[2])]],
+        bumps=[True, False, False],
+        relay=relayed.append,
+        sim=sim,
+        slice_ps=100,
+    )
+    flat = RouteTable(-1, 2, (), [(up[0],), (up[1], up[2]), ()], bumps=[True, False, True])
+    switches = {}
+    for name, table in (("stamped", stamped), ("flat", flat)):
+        switches[name] = classes.SwitchNode(sim, name)
+        switches[name].router = table
+    LL, BULK, DATA = Priority.LOW_LATENCY, Priority.BULK, PacketKind.DATA
+    cases = [
+        # (switch, now, dst_host, salt, hops, stamp, priority)
+        ("stamped", 0, 2, 0, 0, None, LL),  # local host 0
+        ("stamped", 0, 3, 9, 4, None, BULK),  # local bulk: host 1, no relay
+        ("stamped", 0, 0, 5, 0, None, BULK),  # foreign bulk: relay
+        ("stamped", 0, 0, 5, 1, None, LL),  # stamp slice 0, salt+hops picks
+        ("stamped", 50, 5, 3, 2, None, LL),  # no bump toward rack 2
+        ("stamped", 150, 0, 0, 0, None, LL),  # slice 1 empty twice: drop
+        ("stamped", 150, 0, 1, 0, 0, LL),  # a kept stamp
+        ("stamped", 50, 0, 1, 0, 1, LL),  # stale stamp: re-stamped to 0
+        ("stamped", 150, 4, 7, 1, None, LL),  # three-way choice
+        ("stamped", 0, 0, 0, 33, None, LL),  # past MAX_HOPS: drop
+        ("stamped", 0, 0, 0, 0, 5, LL),  # stamp out of range
+        ("flat", 0, 0, 0, 0, None, BULK),  # no relay: bulk is routed
+        ("flat", 0, 3, 6, 1, None, LL),  # two options, no bump
+        ("flat", 0, 5, 0, 0, None, LL),  # no options: drop
+        ("flat", 0, 7, 0, 0, None, LL),  # dst rack out of range
+    ]
+    outcomes = []
+    for name, now, dst, salt, hops, stamp, prio in cases:
+        sim.now = now
+        packet = Packet(1, DATA, 0, dst, 0, 1500, prio, stamp, salt, hops)
+        went = []
+        for egress in (*hosts, *up):
+            egress.enqueue = lambda p, _e=egress: went.append(_e.name)
+        before = (switches[name].drops, len(relayed))
+        try:
+            switches[name].receive_cb(packet)
+        except IndexError as exc:
+            outcomes.append(("raised", type(exc).__name__))
+            continue
+        drops, relays = switches[name].drops - before[0], len(relayed) - before[1]
+        outcomes.append((went, drops, relays, packet.hops, packet.slice_stamp))
+    # The fallback replaces the table outright (the failure seam).
+    stamped.fallback = lambda _switch, _packet: CONSUMED
+    packet = Packet(1, DATA, 0, 0, 0, 1500, LL, None, 0, 0)
+    switches["stamped"].receive_cb(packet)
+    outcomes.append(("fallback", packet.hops, packet.slice_stamp, len(relayed)))
+    return outcomes
+
+
+def resolver_outcomes(kernel):
+    """Where a SliceResolver port sends packets started at chosen times.
+
+    Three 10 us slices: slice 0 is never dark, slice 1 is an identity
+    assignment (the port idles, undeliverable), slice 2 is dark from 6 us
+    in.
+    """
+    from repro.net.link import SliceResolver
+    from repro.net.packet import Packet, PacketKind, Priority
+
+    classes = engine_classes(kernel)
+    sim = classes.Simulator()
+    arrivals = []
+
+    class Node:
+        def __init__(self, name):
+            self.receive_cb = lambda p: arrivals.append((name, p.seq))
+
+    resolver = SliceResolver(
+        10_000_000, [Node("a"), None, Node("b")], [10_000_000, 10_000_000, 6_000_000]
+    )
+    dark = []
+    port = classes.Port(
+        sim, "p", resolver=resolver, on_undeliverable=lambda p: dark.append(p.seq)
+    )
+    times = [0, 9_900_000, 10_000_000, 15_000_000, 20_000_000, 25_900_000,
+             26_000_000, 29_900_000, 30_000_000, 56_000_000]
+    for seq, t in enumerate(times):
+        packet = Packet(1, PacketKind.DATA, 0, 1, seq, 64, Priority.LOW_LATENCY)
+        sim.at(t, port.enqueue, packet)
+    sim.run()
+    return sorted(arrivals), dark
+
+
+@requires_c
+class TestRoutingTables:
+    """The compiled kernel interprets the routing tables as Python does."""
+
+    def test_every_route_table_branch_identical(self):
+        py, ck = route_outcomes("py"), route_outcomes("c")
+        assert ck == py
+        # Not vacuous: the re-stamp, the drop and the relay happened.
+        assert py[7] == (["u1"], 0, 0, 1, 0)
+        assert py[5] == ([], 1, 0, 0, 1)
+        assert py[2] == ([], 0, 1, 1, None)
+        assert py[10] == ("raised", "IndexError")
+        assert py[-1] == ("fallback", 0, None, 1)
+
+    def test_slice_resolver_identical(self):
+        py, ck = resolver_outcomes("py"), resolver_outcomes("c")
+        assert ck == py
+        assert py == (
+            [("a", 0), ("a", 1), ("a", 8), ("b", 4), ("b", 5)],
+            [2, 3, 6, 7, 9],
+        )
+
+    def test_router_must_be_a_route_table(self):
+        switch = engine_classes("c").SwitchNode(engine_classes("c").Simulator(), "s")
+        with pytest.raises(TypeError, match="RouteTable"):
+            switch.router = lambda _switch, _packet: None

@@ -1,7 +1,8 @@
-"""Smoke test for the native profiler (``benchmarks/native_profile.py``).
+"""Tests for the native profiler (``benchmarks/native_profile.py``).
 
-One ci-scale fig07 cell, profiled in a child process so the SIGPROF
-handler never touches the test process. It checks the report's
+A hand-built result pins the interval line the report prints. The smoke
+test profiles one ci-scale fig07 cell in a child process, so the SIGPROF
+handler never touches the test process; it checks the report's
 arithmetic, not any timing.
 """
 
@@ -15,6 +16,30 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+from native_profile import interval_line  # noqa: E402
+
+
+def test_interval_line_reports_effective_and_nominal_interval():
+    # 1,328 samples over 4.8 s of CPU: one per ~3.6 ms, though 500 us
+    # was asked for (the kernel delivers ITIMER_PROF at its own tick).
+    result = {
+        "samples": 1328,
+        "dropped": 0,
+        "cpu_s": 4.8,
+        "interval_us": 500,
+        "effective_interval_us": round(1e6 * 4.8 / 1328),
+    }
+    assert interval_line(result) == (
+        "1328 samples over 4.80 s of CPU: one per 3614 us (nominal 500 us)"
+    )
+    result.update(dropped=3)
+    assert interval_line(result).endswith("(nominal 500 us), 3 dropped")
+    result.update(samples=0, dropped=0, effective_interval_us=None)
+    assert interval_line(result) == (
+        "0 samples over 4.80 s of CPU: no samples (nominal 500 us)"
+    )
 
 
 @pytest.mark.skipif(
@@ -38,6 +63,7 @@ def test_one_ci_cell_shares_sum_to_100(tmp_path):
     result = json.loads(out.read_text())
     phases = result["phases"]
     assert result["samples"] > 0 and phases["run"]["samples"] > 0
+    assert result["cpu_s"] > 0 and result["effective_interval_us"] > 0
     shares = [100.0 * p["samples"] / result["samples"] for p in phases.values()]
     assert sum(shares) == pytest.approx(100.0)
     for phase in phases.values():
