@@ -123,9 +123,10 @@ def count_reentries(sim, until_ps: int) -> int:
 
     A profile hook counts ``call`` events of frames whose parent is this
     function's frame: under the compiled kernel those are exactly the
-    Python callables ``c_sim_run`` calls itself (route closures,
-    resolvers, RotorLB, flow starts), not what they call in turn. Under
-    the py kernel the only such frame is ``Simulator.run``.
+    Python callables ``c_sim_run`` calls itself (RotorLB, the stats
+    callback, flow starts, and any router or resolver that is not a
+    table), not what they call in turn. Under the py kernel the only
+    such frame is ``Simulator.run``.
     """
     caller = sys._getframe()
     count = 0
@@ -888,7 +889,7 @@ def check_regression(doc: dict, committed_path: Path) -> int:
             )
             status = 1
         # The kernel must stay a *speedup*: 2.75x when the native event
-        # heap landed (3.58x in the current artifact), gated low enough
+        # heap landed (4.18x in the current artifact), gated low enough
         # that hosted-runner noise cannot flake the job while a real
         # fast-path regression (compiled methods silently delegating to
         # Python) still fails crisply. The list-of-tuples heap it replaced
