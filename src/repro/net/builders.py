@@ -19,6 +19,7 @@ import random
 from typing import Sequence
 
 from ..core.forwarding import ForwardingPipeline, TrafficClass
+from ..core.routing import UNREACHABLE
 from ..core.schedule import slice_activations
 from ..core.timing import PS_PER_US
 from ..core.topology import OperaNetwork
@@ -320,16 +321,27 @@ class OperaSimNetwork(SimNetwork):
         # once: ``options[stamp][dst_rack]`` are the uplinks of the
         # slice's equal-cost next hops. A ToR has few distinct option
         # sets (subsets of its uplinks), so equal ones share one tuple.
+        # Each slice reads the rack's neighbours' distance rows once: an
+        # uplink leads toward ``dst_rack`` when its peer is one hop
+        # closer, kept in adjacency order (``SliceRoutes.next_hops``,
+        # without a call per destination).
         uplinks = self.uplink_ports[rack]
         n_racks = self.network.n_racks
         shared: dict[tuple[int, ...], tuple[Port, ...]] = {}
         options = []
         for routes in self.pipeline.routing.all_slices():
+            dist = routes.dist
+            mine = dist[rack]
+            via = [(dist[peer], switch) for peer, switch in routes.adjacency[rack]]
             row = []
             for dst_rack in range(n_racks):
-                switches = tuple(
-                    switch for _peer, switch in routes.next_hops(rack, dst_rack)
-                )
+                target = mine[dst_rack]
+                if dst_rack == rack or target == UNREACHABLE:
+                    switches: tuple[int, ...] = ()
+                else:
+                    switches = tuple(
+                        switch for far, switch in via if far[dst_rack] == target - 1
+                    )
                 ports = shared.get(switches)
                 if ports is None:
                     ports = shared[switches] = tuple(uplinks[w] for w in switches)

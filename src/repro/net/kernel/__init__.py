@@ -25,12 +25,12 @@ kernel for exactly that inner loop, selected with ``REPRO_KERNEL``:
 * ``auto`` (default) — ``c`` when the compiled module imports, else ``py``.
 
 Design: **one data layout, two method implementations — except the
-event heap.** The compiled kernel is a set of C functions that read and
-write the *existing* ``__slots__`` of ``Simulator`` / ``Port`` /
-``Packet`` / ``Host`` / ``SwitchNode`` through member-descriptor
-offsets, plus thin subclasses (:mod:`.engine`) that rebind only the hot
-methods to those C implementations. Packets are the same free-listed
-``Packet`` objects.
+event heap and the queues.** The compiled kernel is a set of C functions
+that read and write the *existing* ``__slots__`` of ``Simulator`` /
+``Port`` / ``Packet`` / ``Host`` / ``SwitchNode`` and the NDP endpoints
+through member-descriptor offsets, plus thin subclasses (:mod:`.engine`)
+that rebind only the hot methods to those C implementations. Packets are
+the same free-listed ``Packet`` objects.
 
 The event heap is the one structure the kernels do not share. A native
 sampling profile of the fig07 Clos 25%-load cell under ``c`` (SIGPROF
@@ -48,8 +48,25 @@ entry points fall back to — goes through ``sim.at`` / ``sim.after``,
 never ``heapq``; a simulator without a native heap (a plain
 ``Simulator``) keeps the oracle's list, and every C path that would
 schedule onto it delegates to the pure-Python implementation.
-Bit-identity reduces to the C code replicating the Python control flow —
-which the differential tests pin per executor.
+
+The queues are the other structures the kernels do not share. A compiled
+port holds native ``_ckernel.Fifo`` rings in ``_q_control`` / ``_q_data``
+/ ``_q_bulk``, a ``_ckernel.Ledger`` of int64 ``(start_ps, size)`` pairs
+in ``_committed_control`` and ``_ckernel.PortCounters`` (the six
+``PortStats`` counters as int64) in ``stats``; a compiled NDP source's
+``_rtx`` and a compiled pacer's ``_tokens`` are Fifos. The engine
+classes install them at construction. With the routing tables native,
+the largest C-API cost left in the ``clos@0.25`` cell was reaching those
+queues through by-name ``deque.append`` / ``popleft`` calls, packing a
+tuple per committed control packet and boxing every counter bump. Each
+native type offers the Python bodies exactly what they use on the
+object it replaces (``append``, ``popleft``, ``len()`` and truth; the
+ledger's ``[0]`` and tuples; the counters' names and ``counters()``),
+so a call handed back to Python runs unchanged on it. Every fast path
+checks the exact native type of each such slot before its first write
+and otherwise runs the Python body. Bit-identity reduces to the C code
+replicating the Python control flow — which the differential tests pin
+per executor.
 
 The compiled module is built by ``setup.py`` (``pip install -e .`` or
 ``python setup.py build_ext --inplace``) from the hand-written CPython
@@ -89,17 +106,19 @@ byte-identical under active failures — CI's ``faults-smoke`` job and
 schedule is bitwise invisible to either kernel.
 
 **The telemetry seam.** Metrics (``repro.obs.metrics``) likewise add
-*zero* kernel code. Every counter the snapshot reports already lives in
-shared ``__slots__`` both kernels write — ``Simulator.events_processed``
-and friends (via :meth:`~repro.net.sim.Simulator.counters`),
-``PortStats``'s per-port tallies, ``StatsCollector``'s flow records —
-and ``drain_network`` merely *reads* them into the registry after the
-run's observables are computed. Because the compiled kernel updates the
-same slots through member descriptors, a ``py`` and a ``c`` run of the
-same cell produce byte-identical metric snapshots by construction (CI's
-``telemetry-smoke`` job and ``tests/test_obs.py`` pin this), and an
-armed run's simulated results stay bitwise identical to an off run:
-observation happens strictly after simulation.
+*zero* kernel code. Every counter the snapshot reports is one both
+kernels already keep — ``Simulator.events_processed`` and friends in
+shared ``__slots__`` (via :meth:`~repro.net.sim.Simulator.counters`),
+each port's six tallies in its ``stats`` (a ``PortStats`` under ``py``,
+a native ``PortCounters`` with the same names and ``counters()`` under
+``c``), ``StatsCollector``'s flow records — and ``drain_network``
+merely *reads* them into the registry after the run's observables are
+computed. Because the compiled kernel counts the same events into the
+same names, a ``py`` and a ``c`` run of the same cell produce
+byte-identical metric snapshots (CI's ``telemetry-smoke`` job and
+``tests/test_obs.py`` pin this), and an armed run's simulated results
+stay bitwise identical to an off run: observation happens strictly
+after simulation.
 
 **The factorization walk.** ``random_factorization`` draws each Opera and
 RotorNet topology as random perfect matchings, and nearly all of its time

@@ -15,10 +15,10 @@
  * raises, anything else falls back to Python with a one-time warning.
  * After editing this file, rebuild: python setup.py build_ext --inplace.
  *
- * Engine design: ONE data layout, TWO method implementations — with one
- * exception, the event heap. Every function reads and writes the
+ * Engine design: ONE data layout, TWO method implementations — except
+ * for the event heap and the queues. Every function reads and writes the
  * existing `__slots__` of the pure-Python engine classes (Simulator /
- * Port / Packet / Host / SwitchNode / PortStats) through member-
+ * Port / Packet / Host / SwitchNode / the NDP endpoints) through member-
  * descriptor offsets captured at init time. The pure-Python engine
  * therefore remains the differential oracle: a REPRO_KERNEL=c run must
  * be bit-identical to =py in every observable.
@@ -37,6 +37,18 @@
  * their args tuples. Python code that schedules onto a compiled simulator
  * goes through sim.at / sim.after, never through heapq.
  *
+ * The queues: a compiled port keeps native Fifo rings in its three
+ * priority-queue slots, a native Ledger of int64 (start_ps, size) pairs
+ * as its committed-control ledger and native int64 PortCounters as its
+ * `stats`; a compiled NDP source's retransmit queue and a compiled
+ * pacer's PULL tokens are Fifos too (see the native-queues section).
+ * kernel/engine.py installs them at construction, the way CKSimulator
+ * installs its EventHeap. A queued hop therefore pushes, pops and counts
+ * on C structs: no by-name deque call, no ledger tuple, no boxed
+ * counter. Each type offers the Python bodies the API they use on the
+ * object it replaces, so a call handed back to Python runs on it
+ * unchanged.
+ *
  * Routing is data: every switch router is a node.RouteTable and every
  * fault-free rotor-port resolver a link.SliceResolver, both plain Python
  * classes whose calls are the oracle. The dispatch and the serializer
@@ -44,11 +56,13 @@
  * fault-free hop enters no Python frame unless it relays bulk to RotorLB.
  *
  * Every function guards its fast path with *exact* type checks against
- * the CK* classes registered by kernel/engine.py and delegates anything
- * else — simulators without an EventHeap (a plain Simulator),
- * non-integral line rates, subclasses, test doubles — to the
- * stored pure-Python implementation, so semantics can never diverge on
- * paths the C code does not model.
+ * the CK* classes registered by kernel/engine.py, and against the native
+ * type of every queue, ledger and counter slot it uses, before its first
+ * write. It delegates anything else — simulators without an EventHeap (a
+ * plain Simulator), ports or endpoints without their native queues,
+ * non-integral line rates, subclasses, test doubles — to the stored
+ * pure-Python implementation, so semantics can never diverge on paths
+ * the C code does not model.
  *
  * Limits: timestamps, sequence numbers and the other ints the kernel
  * reads must fit in int64 (9.2e18 ps is ~107 days of simulated time);
@@ -110,17 +124,11 @@ typedef struct {
     Py_ssize_t slice_ps, peers, dark_from;
 } SliceResolverOffsets;
 
-typedef struct {
-    Py_ssize_t sent_packets, sent_bytes, trimmed, dropped_control,
-        dropped_bulk;
-} StatsOffsets;
-
 static SimOffsets S;
 static PortOffsets P;
 static PacketOffsets K;
 static HostOffsets H;
 static SwitchOffsets W;
-static StatsOffsets ST;
 static SourceOffsets NS;
 static SinkOffsets NK;
 static PacerOffsets PP;
@@ -165,8 +173,7 @@ static PyTypeObject *t_route_table, *t_slice_resolver;
 static PyObject *g_cf_enqueue;
 
 /* Interned method-name strings. */
-static PyObject *s_receive_cb, *s_receive, *s_popleft, *s_append,
-    *s_on_packet, *s_enqueue, *s_add, *s_after, *s_request, *s_emit_pull,
+static PyObject *s_receive_cb, *s_receive, *s_on_packet, *s_enqueue, *s_add, *s_after, *s_request, *s_emit_pull,
     *s_finished, *s_payload_bytes, *s_delivered, *s_now, *s_flow_id,
     *s_src_host, *s_dst_host, *s_size_bytes, *s_end_ps, *s_retransmissions,
     *s_value;
@@ -407,13 +414,18 @@ eh_pop(EventHeap *h, Event *out)
     h->ev[pos] = last;
 }
 
+/* tp_new of every native type here: no arguments, and an empty, zeroed
+ * object (GC-tracked when its type is). */
 static PyObject *
-eh_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+native_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, ":EventHeap", kwlist))
+    if (PyTuple_GET_SIZE(args) != 0 ||
+        (kwds != NULL && PyDict_GET_SIZE(kwds) != 0)) {
+        PyErr_Format(PyExc_TypeError, "%.100s() takes no arguments",
+                     type->tp_name);
         return NULL;
-    return type->tp_alloc(type, 0); /* zeroed and GC-tracked */
+    }
+    return type->tp_alloc(type, 0);
 }
 
 static int
@@ -479,8 +491,358 @@ static PyTypeObject EventHeap_Type = {
     .tp_traverse = (traverseproc)eh_traverse,
     .tp_clear = (inquiry)eh_clear,
     .tp_members = eh_members,
-    .tp_new = eh_new,
+    .tp_new = native_new,
 };
+
+/* --------------------------------------------------------- native queues
+ *
+ * kernel/engine.py installs these in existing slots at construction: a
+ * compiled port's three priority queues are Fifos, its committed-control
+ * ledger a Ledger and its `stats` a PortCounters; a compiled NDP source's
+ * retransmit queue and a compiled pacer's PULL tokens are Fifos. Each type
+ * offers exactly what the pure-Python bodies use on the deque, deque of
+ * (start_ps, size) tuples or PortStats it replaces, so a call the kernel
+ * hands back to Python runs unchanged on it; the kernel itself pushes,
+ * pops and counts on the C structs.
+ */
+
+/* A ring of object references; cap is 0 or a power of two. */
+typedef struct {
+    PyObject_HEAD
+    PyObject **items; /* owned references */
+    Py_ssize_t head, len, cap;
+} Fifo;
+
+static PyTypeObject Fifo_Type;
+
+/* Append item (increfed). */
+static int
+fifo_push(Fifo *q, PyObject *item)
+{
+    if (q->len == q->cap) {
+        Py_ssize_t cap = q->cap ? 2 * q->cap : 8, i;
+        PyObject **items = PyMem_New(PyObject *, cap);
+        if (items == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (i = 0; i < q->len; i++)
+            items[i] = q->items[(q->head + i) & (q->cap - 1)];
+        PyMem_Free(q->items);
+        q->items = items;
+        q->head = 0;
+        q->cap = cap;
+    }
+    Py_INCREF(item);
+    q->items[(q->head + q->len) & (q->cap - 1)] = item;
+    q->len++;
+    return 0;
+}
+
+/* Pop the oldest item, whose reference passes to the caller. The ring
+ * must be non-empty. */
+static inline PyObject *
+fifo_pop(Fifo *q)
+{
+    PyObject *item = q->items[q->head];
+    q->head = (q->head + 1) & (q->cap - 1);
+    q->len--;
+    return item;
+}
+
+static int
+fifo_traverse(Fifo *q, visitproc visit, void *arg)
+{
+    Py_ssize_t i;
+    for (i = 0; i < q->len; i++)
+        Py_VISIT(q->items[(q->head + i) & (q->cap - 1)]);
+    return 0;
+}
+
+static int
+fifo_clear(Fifo *q)
+{
+    PyObject **items = q->items;
+    Py_ssize_t i, head = q->head, n = q->len, mask = q->cap - 1;
+    /* Detach before releasing: a finalizer may append to the ring. */
+    q->items = NULL;
+    q->head = q->len = q->cap = 0;
+    for (i = 0; i < n; i++)
+        Py_DECREF(items[(head + i) & mask]);
+    PyMem_Free(items);
+    return 0;
+}
+
+static void
+fifo_dealloc(Fifo *q)
+{
+    PyObject_GC_UnTrack(q);
+    fifo_clear(q);
+    Py_TYPE(q)->tp_free((PyObject *)q);
+}
+
+static Py_ssize_t
+fifo_length(Fifo *q)
+{
+    return q->len;
+}
+
+static PyObject *
+fifo_append(Fifo *q, PyObject *item)
+{
+    if (fifo_push(q, item) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+fifo_popleft(Fifo *q, PyObject *Py_UNUSED(ignored))
+{
+    if (q->len == 0) {
+        PyErr_SetString(PyExc_IndexError, "pop from an empty Fifo");
+        return NULL;
+    }
+    return fifo_pop(q);
+}
+
+static PySequenceMethods fifo_as_sequence = {
+    .sq_length = (lenfunc)fifo_length,
+};
+
+static PyMethodDef fifo_methods[] = {
+    {"append", (PyCFunction)fifo_append, METH_O, "Add an item at the back."},
+    {"popleft", (PyCFunction)fifo_popleft, METH_NOARGS,
+     "Remove and return the front item; IndexError when empty."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject Fifo_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.net.kernel._ckernel.Fifo",
+    .tp_basicsize = sizeof(Fifo),
+    .tp_dealloc = (destructor)fifo_dealloc,
+    .tp_as_sequence = &fifo_as_sequence,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Native FIFO of object references: append, popleft and "
+              "len(), as a deque offers them.",
+    .tp_traverse = (traverseproc)fifo_traverse,
+    .tp_clear = (inquiry)fifo_clear,
+    .tp_methods = fifo_methods,
+    .tp_new = native_new,
+};
+
+/* The committed-control ledger: a ring of int64 (start_ps, size) pairs.
+ * It holds no objects, so it is not GC-tracked. */
+typedef struct {
+    long long start, size;
+} Commit;
+
+typedef struct {
+    PyObject_HEAD
+    Commit *ring;
+    Py_ssize_t head, len, cap; /* cap is 0 or a power of two */
+} Ledger;
+
+static PyTypeObject Ledger_Type;
+
+static int
+ledger_push(Ledger *l, long long start, long long size)
+{
+    Commit *c;
+    if (l->len == l->cap) {
+        Py_ssize_t cap = l->cap ? 2 * l->cap : 8, i;
+        Commit *ring = PyMem_New(Commit, cap);
+        if (ring == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (i = 0; i < l->len; i++)
+            ring[i] = l->ring[(l->head + i) & (l->cap - 1)];
+        PyMem_Free(l->ring);
+        l->ring = ring;
+        l->head = 0;
+        l->cap = cap;
+    }
+    c = &l->ring[(l->head + l->len) & (l->cap - 1)];
+    c->start = start;
+    c->size = size;
+    l->len++;
+    return 0;
+}
+
+/* The entry at offset i from the front as a (start_ps, size) tuple. */
+static PyObject *
+ledger_item(Ledger *l, Py_ssize_t i)
+{
+    const Commit *c;
+    if (i < 0 || i >= l->len) {
+        PyErr_SetString(PyExc_IndexError, "Ledger index out of range");
+        return NULL;
+    }
+    c = &l->ring[(l->head + i) & (l->cap - 1)];
+    return Py_BuildValue("(LL)", c->start, c->size);
+}
+
+static void
+ledger_dealloc(Ledger *l)
+{
+    PyMem_Free(l->ring);
+    Py_TYPE(l)->tp_free((PyObject *)l);
+}
+
+static Py_ssize_t
+ledger_length(Ledger *l)
+{
+    return l->len;
+}
+
+static PyObject *
+ledger_append(Ledger *l, PyObject *pair)
+{
+    long long start, size;
+    if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "Ledger.append() takes a (start_ps, size) tuple, not "
+                     "%.100s",
+                     Py_TYPE(pair)->tp_name);
+        return NULL;
+    }
+    if (as_ll(PyTuple_GET_ITEM(pair, 0), &start) < 0 ||
+        as_ll(PyTuple_GET_ITEM(pair, 1), &size) < 0 ||
+        ledger_push(l, start, size) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+ledger_popleft(Ledger *l, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *front;
+    if (l->len == 0) {
+        PyErr_SetString(PyExc_IndexError, "pop from an empty Ledger");
+        return NULL;
+    }
+    front = ledger_item(l, 0);
+    if (front != NULL) {
+        l->head = (l->head + 1) & (l->cap - 1);
+        l->len--;
+    }
+    return front;
+}
+
+static PySequenceMethods ledger_as_sequence = {
+    .sq_length = (lenfunc)ledger_length,
+    .sq_item = (ssizeargfunc)ledger_item,
+};
+
+static PyMethodDef ledger_methods[] = {
+    {"append", (PyCFunction)ledger_append, METH_O,
+     "Commit a (start_ps, size) pair at the back."},
+    {"popleft", (PyCFunction)ledger_popleft, METH_NOARGS,
+     "Remove and return the front (start_ps, size) pair; IndexError when "
+     "empty."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject Ledger_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.net.kernel._ckernel.Ledger",
+    .tp_basicsize = sizeof(Ledger),
+    .tp_dealloc = (destructor)ledger_dealloc,
+    .tp_as_sequence = &ledger_as_sequence,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Native committed-control ledger of int64 (start_ps, size) "
+              "pairs: append, popleft, [i] and len(), as a deque of tuples "
+              "offers them.",
+    .tp_methods = ledger_methods,
+    .tp_new = native_new,
+};
+
+/* A port's six counters as int64, under link.PortStats's names. */
+typedef struct {
+    PyObject_HEAD
+    long long sent_packets, sent_bytes, trimmed, dropped_control,
+        dropped_bulk, undeliverable;
+} PortCounters;
+
+static PyTypeObject PortCounters_Type;
+
+static PyMemberDef pc_members[] = {
+    {"sent_packets", T_LONGLONG, offsetof(PortCounters, sent_packets), 0,
+     NULL},
+    {"sent_bytes", T_LONGLONG, offsetof(PortCounters, sent_bytes), 0, NULL},
+    {"trimmed", T_LONGLONG, offsetof(PortCounters, trimmed), 0, NULL},
+    {"dropped_control", T_LONGLONG, offsetof(PortCounters, dropped_control),
+     0, NULL},
+    {"dropped_bulk", T_LONGLONG, offsetof(PortCounters, dropped_bulk), 0,
+     NULL},
+    {"undeliverable", T_LONGLONG, offsetof(PortCounters, undeliverable), 0,
+     NULL},
+    {NULL, 0, 0, 0, NULL},
+};
+
+/* PortStats.counters(): all six counters as a dict, in member order. */
+static PyObject *
+pc_counters(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *d = PyDict_New();
+    const PyMemberDef *m;
+    if (d == NULL)
+        return NULL;
+    for (m = pc_members; m->name != NULL; m++) {
+        PyObject *v =
+            PyLong_FromLongLong(*(long long *)((char *)self + m->offset));
+        if (v == NULL || PyDict_SetItemString(d, m->name, v) < 0) {
+            Py_XDECREF(v);
+            Py_DECREF(d);
+            return NULL;
+        }
+        Py_DECREF(v);
+    }
+    return d;
+}
+
+static PyMethodDef pc_methods[] = {
+    {"counters", (PyCFunction)pc_counters, METH_NOARGS,
+     "All six counters as plain data (telemetry drain / summaries)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject PortCounters_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.net.kernel._ckernel.PortCounters",
+    .tp_basicsize = sizeof(PortCounters),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Native int64 port counters under link.PortStats's names, "
+              "with its counters().",
+    .tp_members = pc_members,
+    .tp_methods = pc_methods,
+    .tp_new = native_new,
+};
+
+/* The native object in slot `off` of `o`, re-read where it is used: an
+ * entry check found it of `type`, and Python code run since (a resolver,
+ * a handler) may have replaced it. RuntimeError then, as need_heap. */
+static void *
+need_native(PyObject *o, Py_ssize_t off, PyTypeObject *type)
+{
+    PyObject *v = SLOT(o, off);
+    if (v == NULL || Py_TYPE(v) != type) {
+        PyErr_Format(PyExc_RuntimeError,
+                     "ckernel: a %.100s slot was replaced during a call",
+                     type->tp_name);
+        return NULL;
+    }
+    return v;
+}
+
+/* True when slot `off` of `o` holds exactly a `type`. */
+static inline int
+slot_is(PyObject *o, Py_ssize_t off, PyTypeObject *type)
+{
+    PyObject *v = SLOT(o, off);
+    return v != NULL && Py_TYPE(v) == type;
+}
 
 /* ----------------------------------------------------------- scheduling */
 
@@ -711,38 +1073,24 @@ get_deliver(PyObject *target)
     return PyObject_GetAttr(target, s_receive);
 }
 
-/* Lazy committed-control ledger settlement (mirror _expire_committed). */
+/* Lazy committed-control ledger settlement (mirror of _expire_committed):
+ * drop every commitment whose wire entry is at or before `now`, and take
+ * their bytes off _bytes_control in one write. */
 static int
-expire_committed(PyObject *self, PyObject *committed, long long now)
+expire_committed(PyObject *self, Ledger *l, long long now)
 {
-    for (;;) {
-        Py_ssize_t len = PyObject_Length(committed);
-        PyObject *first, *popped;
-        long long t0, size;
-        int err;
-        if (len < 0)
+    long long freed = 0;
+    Py_ssize_t n = 0;
+    while (l->len > 0 && l->ring[l->head].start <= now) {
+        if (add_ll(freed, l->ring[l->head].size, &freed) < 0)
             return -1;
-        if (len == 0)
-            return 0;
-        first = PySequence_GetItem(committed, 0);
-        if (first == NULL)
-            return -1;
-        err = as_ll(PyTuple_GET_ITEM(first, 0), &t0);
-        Py_DECREF(first);
-        if (err < 0)
-            return -1;
-        if (t0 > now)
-            return 0;
-        popped = PyObject_CallMethodNoArgs(committed, s_popleft);
-        if (popped == NULL)
-            return -1;
-        err = as_ll(PyTuple_GET_ITEM(popped, 1), &size);
-        Py_DECREF(popped);
-        if (err < 0)
-            return -1;
-        if (slot_add_ll(self, P.bytes_control, "_bytes_control", -size) < 0)
-            return -1;
+        l->head = (l->head + 1) & (l->cap - 1);
+        l->len--;
+        n++;
     }
+    if (n == 0)
+        return 0;
+    return slot_add_ll(self, P.bytes_control, "_bytes_control", -freed);
 }
 
 /* A SliceResolver's far end at `start`, natively (link.py's
@@ -837,6 +1185,19 @@ resolve_deliver(PyObject *self, PyObject *packet, long long start,
     return 0;
 }
 
+/* stats.sent_packets += 1; stats.sent_bytes += size */
+static int
+count_sent(PyObject *self, long long size)
+{
+    PortCounters *c = need_native(self, P.stats, &PortCounters_Type);
+    long long bytes;
+    if (c == NULL || add_ll(c->sent_bytes, size, &bytes) < 0)
+        return -1;
+    c->sent_bytes = bytes;
+    c->sent_packets++;
+    return 0;
+}
+
 /* Put `packet` on the wire at start_ps (mirror of _transmit); returns
  * the line-free time or -1 on error. Caller guarantees _ps_per_byte > 0
  * and a heap simulator. */
@@ -846,20 +1207,14 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start)
     int err = 0;
     long long size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
     long long per_byte, done = 0, prop, arrive;
-    PyObject *stats, *deliver = NULL;
+    PyObject *deliver = NULL;
 
     if (err)
         return -1;
     per_byte = slot_ll(self, P.ps_per_byte, "_ps_per_byte", &err);
     if (err || wire_done(start, size, per_byte, &done) < 0)
         return -1;
-    if (slot_set_ll(self, P.busy_until, done) < 0)
-        return -1;
-    stats = slot_get(self, P.stats, "stats");
-    if (stats == NULL)
-        return -1;
-    if (slot_add_ll(stats, ST.sent_packets, "sent_packets", 1) < 0 ||
-        slot_add_ll(stats, ST.sent_bytes, "sent_bytes", size) < 0)
+    if (slot_set_ll(self, P.busy_until, done) < 0 || count_sent(self, size) < 0)
         return -1;
     if (resolve_deliver(self, packet, start, &deliver) < 0)
         return -1;
@@ -897,7 +1252,9 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start)
     return done;
 }
 
-/* Fast-path eligibility for enqueue/_kick on `self` with its sim. */
+/* Fast-path eligibility for enqueue/_kick on `self` with its sim: a
+ * compiled port on a compiled simulator, with an integral line rate and
+ * the native queues, ledger and counters that kernel/engine.py installs. */
 static inline int
 port_fast(PyObject *self, PyObject **sim_out, int *err)
 {
@@ -905,7 +1262,12 @@ port_fast(PyObject *self, PyObject **sim_out, int *err)
     if (!g_ready || Py_TYPE(self) != t_ckport)
         return 0;
     sim = SLOT(self, P.sim);
-    if (sim == NULL || !sim_fast(sim))
+    if (sim == NULL || !sim_fast(sim) ||
+        !slot_is(self, P.q_control, &Fifo_Type) ||
+        !slot_is(self, P.q_data, &Fifo_Type) ||
+        !slot_is(self, P.q_bulk, &Fifo_Type) ||
+        !slot_is(self, P.committed_control, &Ledger_Type) ||
+        !slot_is(self, P.stats, &PortCounters_Type))
         return 0;
     {
         long long per_byte = slot_ll(self, P.ps_per_byte, "_ps_per_byte", err);
@@ -921,12 +1283,11 @@ port_fast(PyObject *self, PyObject **sim_out, int *err)
 static PyObject *
 c_port_enqueue_impl(PyObject *self, PyObject *packet)
 {
-    PyObject *sim, *priority, *stats;
+    PyObject *sim, *priority;
+    PortCounters *stats;
     long long size, now;
     int err = 0, truth;
 
-    if (err)
-        return NULL;
     if (!port_fast(self, &sim, &err) || Py_TYPE(packet) != t_packet) {
         if (err)
             return NULL;
@@ -938,9 +1299,6 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
         return NULL;
     size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
     if (err)
-        return NULL;
-    stats = slot_get(self, P.stats, "stats");
-    if (stats == NULL)
         return NULL;
     if (priority == g_prio_low && SLOT(packet, K.kind) == g_kind_data) {
         long long qd = slot_ll(self, P.bytes_data, "_bytes_data", &err);
@@ -954,12 +1312,14 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
                 return NULL;
             if (!truth)
                 Py_RETURN_FALSE; /* drop-tail */
+            stats = need_native(self, P.stats, &PortCounters_Type);
+            if (stats == NULL)
+                return NULL;
             /* packet.trim(), inlined: kind is DATA (guarded above). */
             slot_set(packet, K.kind, g_kind_header);
             slot_set(packet, K.size_bytes, g_header_bytes);
             slot_set(packet, K.priority, g_prio_control);
-            if (slot_add_ll(stats, ST.trimmed, "trimmed", 1) < 0)
-                return NULL;
+            stats->trimmed++;
             priority = g_prio_control;
             size = g_header_ll;
         }
@@ -968,16 +1328,11 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
     if (err)
         return NULL;
     if (priority == g_prio_control) {
-        PyObject *committed =
-            slot_get(self, P.committed_control, "_committed_control");
+        Ledger *committed =
+            need_native(self, P.committed_control, &Ledger_Type);
         long long qc, cap;
-        Py_ssize_t clen;
-        if (committed == NULL)
-            return NULL;
-        clen = PyObject_Length(committed);
-        if (clen < 0)
-            return NULL;
-        if (clen > 0 && expire_committed(self, committed, now) < 0)
+        if (committed == NULL ||
+            (committed->len > 0 && expire_committed(self, committed, now) < 0))
             return NULL;
         qc = slot_ll(self, P.bytes_control, "_bytes_control", &err);
         cap = slot_ll(self, P.control_queue_bytes, "control_queue_bytes",
@@ -985,9 +1340,10 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
         if (err)
             return NULL;
         if (qc + size > cap) {
-            if (slot_add_ll(stats, ST.dropped_control, "dropped_control",
-                            1) < 0)
+            stats = need_native(self, P.stats, &PortCounters_Type);
+            if (stats == NULL)
                 return NULL;
+            stats->dropped_control++;
             Py_RETURN_FALSE;
         }
     }
@@ -999,8 +1355,10 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
             return NULL;
         if (qb + size > cap) {
             PyObject *handler;
-            if (slot_add_ll(stats, ST.dropped_bulk, "dropped_bulk", 1) < 0)
+            stats = need_native(self, P.stats, &PortCounters_Type);
+            if (stats == NULL)
                 return NULL;
+            stats->dropped_bulk++;
             handler = SLOT(self, P.on_bulk_drop);
             if (handler != NULL && handler != Py_None) {
                 PyObject *r =
@@ -1029,10 +1387,8 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
             PyObject *deliver = NULL;
             if (err || wire_done(now, size, per_byte, &done) < 0)
                 return NULL;
-            if (slot_set_ll(self, P.busy_until, done) < 0)
-                return NULL;
-            if (slot_add_ll(stats, ST.sent_packets, "sent_packets", 1) < 0 ||
-                slot_add_ll(stats, ST.sent_bytes, "sent_bytes", size) < 0)
+            if (slot_set_ll(self, P.busy_until, done) < 0 ||
+                count_sent(self, size) < 0)
                 return NULL;
             if (resolve_deliver(self, packet, now, &deliver) < 0)
                 return NULL;
@@ -1074,27 +1430,23 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
     }
     /* Busy line (or kick pending): join the queue. */
     {
-        PyObject *q, *r;
-        Py_ssize_t boff;
+        Py_ssize_t qoff, boff;
+        Fifo *q;
         if (priority == g_prio_control) {
-            q = slot_get(self, P.q_control, "_q_control");
+            qoff = P.q_control;
             boff = P.bytes_control;
         }
         else if (priority == g_prio_low) {
-            q = slot_get(self, P.q_data, "_q_data");
+            qoff = P.q_data;
             boff = P.bytes_data;
         }
         else {
-            q = slot_get(self, P.q_bulk, "_q_bulk");
+            qoff = P.q_bulk;
             boff = P.bytes_bulk;
         }
-        if (q == NULL)
-            return NULL;
-        r = PyObject_CallMethodOneArg(q, s_append, packet);
-        if (r == NULL)
-            return NULL;
-        Py_DECREF(r);
-        if (slot_add_ll(self, boff, "_bytes_*", size) < 0)
+        q = need_native(self, qoff, &Fifo_Type);
+        if (q == NULL || fifo_push(q, packet) < 0 ||
+            slot_add_ll(self, boff, "_bytes_*", size) < 0)
             return NULL;
     }
     if (!truth) {
@@ -1125,13 +1477,73 @@ c_port_enqueue(PyObject *Py_UNUSED(mod), PyObject *const *args,
     return c_port_enqueue_impl(args[0], args[1]);
 }
 
+/* Start the front packet of a data or bulk queue (one per kick): out of
+ * the queue and its byte count at once, then on the wire. */
+static int
+kick_one(PyObject *self, PyObject *sim, Fifo *q, Py_ssize_t boff,
+         const char *bname, long long start)
+{
+    PyObject *packet = fifo_pop(q);
+    int err = 0;
+    long long size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
+    if (err || slot_add_ll(self, boff, bname, -size) < 0 ||
+        (c_transmit(self, sim, packet, start) < 0 && PyErr_Occurred()))
+        err = 1;
+    Py_DECREF(packet);
+    return err ? -1 : 0;
+}
+
+/* Commit the whole control queue back-to-back from `start`; each
+ * delivery is pushed as its packet is committed. The queue and ledger
+ * are held across the burst, as the Python body holds them in locals. */
+static int
+kick_control(PyObject *self, PyObject *sim, Fifo *q, long long start)
+{
+    Ledger *committed = need_native(self, P.committed_control, &Ledger_Type);
+    int first = 1, rc = -1;
+
+    if (committed == NULL)
+        return -1;
+    Py_INCREF(q);
+    Py_INCREF(committed);
+    while (q->len > 0) {
+        PyObject *packet = fifo_pop(q);
+        int err = 0;
+        long long size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
+        if (!err) {
+            if (first) {
+                /* On the wire right now: out of the queue at once. */
+                err = slot_add_ll(self, P.bytes_control, "_bytes_control",
+                                  -size) < 0;
+                first = 0;
+            }
+            else
+                /* Committed but not started: bytes stay in the admission
+                 * ledger until the wire-entry time. */
+                err = ledger_push(committed, start, size) < 0;
+        }
+        if (!err) {
+            start = c_transmit(self, sim, packet, start);
+            err = start < 0 && PyErr_Occurred();
+        }
+        Py_DECREF(packet);
+        if (err)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_DECREF(committed);
+    Py_DECREF(q);
+    return rc;
+}
+
 static PyObject *
 c_port_kick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *self, *sim, *q, *packet;
-    long long start, size;
-    int err = 0;
-    Py_ssize_t qlen;
+    PyObject *self, *sim;
+    Fifo *qc, *qd, *qb;
+    long long start;
+    int err = 0, rc;
 
     if (nargs != 1) {
         PyErr_SetString(PyExc_TypeError, "_kick() takes (self)");
@@ -1147,140 +1559,36 @@ c_port_kick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
     start = slot_ll(sim, S.now, "now", &err);
     if (err)
         return NULL;
-    q = slot_get(self, P.q_control, "_q_control");
-    if (q == NULL)
+    qc = (Fifo *)SLOT(self, P.q_control);
+    qd = (Fifo *)SLOT(self, P.q_data);
+    qb = (Fifo *)SLOT(self, P.q_bulk);
+    if (qc->len > 0)
+        rc = kick_control(self, sim, qc, start);
+    else if (qd->len > 0)
+        rc = kick_one(self, sim, qd, P.bytes_data, "_bytes_data", start);
+    else if (qb->len > 0)
+        rc = kick_one(self, sim, qb, P.bytes_bulk, "_bytes_bulk", start);
+    else
+        Py_RETURN_NONE; /* kick only scheduled with work queued */
+    if (rc < 0)
         return NULL;
-    qlen = PyObject_Length(q);
-    if (qlen < 0)
-        return NULL;
-    if (qlen > 0) {
-        /* Commit the whole control queue back-to-back; each delivery is
-         * pushed as its packet is committed. */
-        PyObject *committed =
-            slot_get(self, P.committed_control, "_committed_control");
-        int first = 1;
-        if (committed == NULL)
-            return NULL;
-        for (;;) {
-            Py_ssize_t left = PyObject_Length(q);
-            if (left < 0)
-                return NULL;
-            if (left == 0)
-                break;
-            packet = PyObject_CallMethodNoArgs(q, s_popleft);
-            if (packet == NULL)
-                return NULL;
-            size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-            if (err) {
-                Py_DECREF(packet);
-                return NULL;
-            }
-            if (first) {
-                /* On the wire right now: out of the queue at once. */
-                if (slot_add_ll(self, P.bytes_control, "_bytes_control",
-                                -size) < 0) {
-                    Py_DECREF(packet);
-                    return NULL;
-                }
-                first = 0;
-            }
-            else {
-                /* Committed but not started: bytes stay in the admission
-                 * ledger until the wire-entry time. */
-                PyObject *start_obj = PyLong_FromLongLong(start);
-                PyObject *pair, *r;
-                if (start_obj == NULL) {
-                    Py_DECREF(packet);
-                    return NULL;
-                }
-                pair = PyTuple_Pack(2, start_obj, SLOT(packet, K.size_bytes));
-                Py_DECREF(start_obj);
-                if (pair == NULL) {
-                    Py_DECREF(packet);
-                    return NULL;
-                }
-                r = PyObject_CallMethodOneArg(committed, s_append, pair);
-                Py_DECREF(pair);
-                if (r == NULL) {
-                    Py_DECREF(packet);
-                    return NULL;
-                }
-                Py_DECREF(r);
-            }
-            start = c_transmit(self, sim, packet, start);
-            Py_DECREF(packet);
-            if (start < 0 && PyErr_Occurred())
-                return NULL;
-        }
-    }
-    else {
-        PyObject *qd = slot_get(self, P.q_data, "_q_data");
-        Py_ssize_t dlen;
-        if (qd == NULL)
-            return NULL;
-        dlen = PyObject_Length(qd);
-        if (dlen < 0)
-            return NULL;
-        if (dlen > 0) {
-            packet = PyObject_CallMethodNoArgs(qd, s_popleft);
-            if (packet == NULL)
-                return NULL;
-            size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-            if (err ||
-                slot_add_ll(self, P.bytes_data, "_bytes_data", -size) < 0) {
-                Py_DECREF(packet);
-                return NULL;
-            }
-            start = c_transmit(self, sim, packet, start);
-            Py_DECREF(packet);
-            if (start < 0 && PyErr_Occurred())
-                return NULL;
-        }
-        else {
-            PyObject *qb = slot_get(self, P.q_bulk, "_q_bulk");
-            Py_ssize_t blen;
-            if (qb == NULL)
-                return NULL;
-            blen = PyObject_Length(qb);
-            if (blen < 0)
-                return NULL;
-            if (blen == 0)
-                Py_RETURN_NONE; /* kick only scheduled with work queued */
-            packet = PyObject_CallMethodNoArgs(qb, s_popleft);
-            if (packet == NULL)
-                return NULL;
-            size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-            if (err ||
-                slot_add_ll(self, P.bytes_bulk, "_bytes_bulk", -size) < 0) {
-                Py_DECREF(packet);
-                return NULL;
-            }
-            start = c_transmit(self, sim, packet, start);
-            Py_DECREF(packet);
-            if (start < 0 && PyErr_Occurred())
-                return NULL;
-        }
-    }
     /* More work queued: schedule the next kick at the line-free time. */
-    {
-        Py_ssize_t c = PyObject_Length(slot_get(self, P.q_control,
-                                                "_q_control"));
-        Py_ssize_t d = PyObject_Length(slot_get(self, P.q_data, "_q_data"));
-        Py_ssize_t b = PyObject_Length(slot_get(self, P.q_bulk, "_q_bulk"));
-        if (c < 0 || d < 0 || b < 0)
+    qc = need_native(self, P.q_control, &Fifo_Type);
+    qd = need_native(self, P.q_data, &Fifo_Type);
+    qb = need_native(self, P.q_bulk, &Fifo_Type);
+    if (qc == NULL || qd == NULL || qb == NULL)
+        return NULL;
+    if (qc->len > 0 || qd->len > 0 || qb->len > 0) {
+        long long busy = slot_ll(self, P.busy_until, "_busy_until", &err);
+        PyObject *kick_cb;
+        if (err)
             return NULL;
-        if (c > 0 || d > 0 || b > 0) {
-            long long busy = slot_ll(self, P.busy_until, "_busy_until", &err);
-            PyObject *kick_cb;
-            if (err)
-                return NULL;
-            slot_set(self, P.kick_pending, Py_True);
-            kick_cb = slot_get(self, P.kick_cb, "_kick_cb");
-            if (kick_cb == NULL)
-                return NULL;
-            if (schedule_heap(sim, busy, kick_cb, g_empty) < 0)
-                return NULL;
-        }
+        slot_set(self, P.kick_pending, Py_True);
+        kick_cb = slot_get(self, P.kick_cb, "_kick_cb");
+        if (kick_cb == NULL)
+            return NULL;
+        if (schedule_heap(sim, busy, kick_cb, g_empty) < 0)
+            return NULL;
     }
     Py_RETURN_NONE;
 }
@@ -1298,6 +1606,9 @@ release_packet(PyObject *packet)
         return PyList_Append(g_pool, packet);
     return 0;
 }
+
+static PyObject *src_on_packet(PyObject *self, PyObject *packet);
+static PyObject *sink_on_packet(PyObject *self, PyObject *packet);
 
 static PyObject *
 c_host_receive(PyObject *Py_UNUSED(mod), PyObject *const *args,
@@ -1331,7 +1642,19 @@ c_host_receive(PyObject *Py_UNUSED(mod), PyObject *const *args,
             return NULL;
     }
     else {
-        PyObject *r = PyObject_CallMethodOneArg(endpoint, s_on_packet, packet);
+        /* A compiled NDP endpoint's on_packet is called directly, as
+         * do_send calls a compiled port's enqueue; any other endpoint
+         * (RotorLB's bulk sink, a test double) by name. The dict holds the
+         * endpoint only by a borrowed reference here. */
+        PyObject *r;
+        Py_INCREF(endpoint);
+        if (Py_TYPE(endpoint) == t_cksrc)
+            r = src_on_packet(endpoint, packet);
+        else if (Py_TYPE(endpoint) == t_cksink)
+            r = sink_on_packet(endpoint, packet);
+        else
+            r = PyObject_CallMethodOneArg(endpoint, s_on_packet, packet);
+        Py_DECREF(endpoint);
         if (r == NULL)
             return NULL;
         Py_DECREF(r);
@@ -1563,7 +1886,9 @@ c_make_dispatch(PyObject *Py_UNUSED(mod), PyObject *args)
  * pure-Python bodies on the per-packet path: every delivered data packet
  * runs sink.on_packet (ACK acquire + send + stats), most also run
  * source.on_packet (PULL release) and the pacer tick. The functions below
- * transcribe ndp.py exactly, sharing the same deques/sets/records.
+ * transcribe ndp.py exactly, sharing the same sets and records; a
+ * compiled source's retransmit queue and a compiled pacer's tokens are
+ * native Fifos, which the Python bodies use as they would a deque.
  */
 
 /* hash((a, b, c)) & 0x7FFFFFFF, as ndp.py computes packet salts. Built as
@@ -1723,22 +2048,15 @@ done:
 static int
 src_send_next(PyObject *self)
 {
-    PyObject *rtx = slot_get(self, NS.rtx, "_rtx");
-    Py_ssize_t n;
+    Fifo *rtx = need_native(self, NS.rtx, &Fifo_Type);
     long long next_new, n_packets;
     int err = 0;
 
     if (rtx == NULL)
         return -1;
-    n = PyObject_Length(rtx);
-    if (n < 0)
-        return -1;
-    if (n > 0) {
-        PyObject *seq_obj = PyObject_CallMethodNoArgs(rtx, s_popleft);
-        int rc;
-        if (seq_obj == NULL)
-            return -1;
-        rc = src_emit(self, seq_obj);
+    if (rtx->len > 0) {
+        PyObject *seq_obj = fifo_pop(rtx);
+        int rc = src_emit(self, seq_obj);
         Py_DECREF(seq_obj);
         return rc < 0 ? -1 : 1;
     }
@@ -1762,20 +2080,18 @@ src_send_next(PyObject *self)
     return 0;
 }
 
+/* NdpSource.on_packet: a compiled source with its native retransmit
+ * queue, else the Python body. */
 static PyObject *
-c_src_on_packet(PyObject *Py_UNUSED(mod), PyObject *const *args,
-                Py_ssize_t nargs)
+src_on_packet(PyObject *self, PyObject *packet)
 {
-    PyObject *self, *packet, *kind, *seq_obj, *acked;
+    PyObject *kind, *seq_obj, *acked;
 
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "on_packet() takes (self, packet)");
-        return NULL;
+    if (!g_ready || Py_TYPE(self) != t_cksrc || Py_TYPE(packet) != t_packet ||
+        !slot_is(self, NS.rtx, &Fifo_Type)) {
+        PyObject *args[2] = {self, packet};
+        return PyObject_Vectorcall(g_py_src_on_packet, args, 2, NULL);
     }
-    self = args[0];
-    packet = args[1];
-    if (!g_ready || Py_TYPE(self) != t_cksrc || Py_TYPE(packet) != t_packet)
-        return PyObject_Vectorcall(g_py_src_on_packet, args, nargs, NULL);
     kind = SLOT(packet, K.kind);
     seq_obj = slot_get(packet, K.seq, "seq");
     if (seq_obj == NULL)
@@ -1805,16 +2121,12 @@ c_src_on_packet(PyObject *Py_UNUSED(mod), PyObject *const *args,
         if (has < 0)
             return NULL;
         if (!has) {
-            PyObject *rtx = slot_get(self, NS.rtx, "_rtx");
-            PyObject *record, *retr, *bumped, *r;
+            Fifo *rtx = need_native(self, NS.rtx, &Fifo_Type);
+            PyObject *record, *retr, *bumped;
             long long banked;
             int err = 0;
-            if (rtx == NULL)
+            if (rtx == NULL || fifo_push(rtx, seq_obj) < 0)
                 return NULL;
-            r = PyObject_CallMethodOneArg(rtx, s_append, seq_obj);
-            if (r == NULL)
-                return NULL;
-            Py_DECREF(r);
             record = slot_get(self, NS.record, "record");
             if (record == NULL)
                 return NULL;
@@ -1849,6 +2161,17 @@ c_src_on_packet(PyObject *Py_UNUSED(mod), PyObject *const *args,
             return NULL;
     }
     Py_RETURN_NONE;
+}
+
+static PyObject *
+c_src_on_packet(PyObject *Py_UNUSED(mod), PyObject *const *args,
+                Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "on_packet() takes (self, packet)");
+        return NULL;
+    }
+    return src_on_packet(args[0], args[1]);
 }
 
 /* NdpSink._control(kind, seq): acquire a control packet (reverse path). */
@@ -1945,21 +2268,17 @@ c_sink_emit_pull(PyObject *Py_UNUSED(mod), PyObject *const *args,
     Py_RETURN_NONE;
 }
 
-/* pacer.request(sink), inlined for known pacer layouts. */
+/* pacer.request(sink), inlined for a compiled pacer with its native
+ * tokens; any other pacer is asked by name. */
 static int
 pacer_request(PyObject *pacer, PyObject *sink)
 {
-    if (g_ready &&
-        (Py_TYPE(pacer) == t_ckpacer || Py_TYPE(pacer) == t_pacer)) {
-        PyObject *tokens = slot_get(pacer, PP.tokens, "_tokens");
-        PyObject *r;
+    PyObject *r;
+    if (g_ready && Py_TYPE(pacer) == t_ckpacer &&
+        slot_is(pacer, PP.tokens, &Fifo_Type)) {
         int truth;
-        if (tokens == NULL)
+        if (fifo_push((Fifo *)SLOT(pacer, PP.tokens), sink) < 0)
             return -1;
-        r = PyObject_CallMethodOneArg(tokens, s_append, sink);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
         truth = PyObject_IsTrue(SLOT(pacer, PP.running));
         if (truth < 0)
             return -1;
@@ -1984,30 +2303,25 @@ pacer_request(PyObject *pacer, PyObject *sink)
         }
         return 0;
     }
-    {
-        PyObject *r = PyObject_CallMethodObjArgs(pacer, s_request, sink, NULL);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        return 0;
-    }
+    r = PyObject_CallMethodObjArgs(pacer, s_request, sink, NULL);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
 }
 
+/* NdpSink.on_packet: a compiled sink, else the Python body. */
 static PyObject *
-c_sink_on_packet(PyObject *Py_UNUSED(mod), PyObject *const *args,
-                 Py_ssize_t nargs)
+sink_on_packet(PyObject *self, PyObject *packet)
 {
-    PyObject *self, *packet, *kind, *seq_obj, *send, *ctl;
+    PyObject *kind, *seq_obj, *send, *ctl;
     int fin;
 
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "on_packet() takes (self, packet)");
-        return NULL;
+    if (!g_ready || Py_TYPE(self) != t_cksink ||
+        Py_TYPE(packet) != t_packet) {
+        PyObject *args[2] = {self, packet};
+        return PyObject_Vectorcall(g_py_sink_on_packet, args, 2, NULL);
     }
-    self = args[0];
-    packet = args[1];
-    if (!g_ready || Py_TYPE(self) != t_cksink || Py_TYPE(packet) != t_packet)
-        return PyObject_Vectorcall(g_py_sink_on_packet, args, nargs, NULL);
     kind = SLOT(packet, K.kind);
     if (kind != g_kind_data && kind != g_kind_header)
         Py_RETURN_NONE;
@@ -2140,32 +2454,40 @@ c_sink_on_packet(PyObject *Py_UNUSED(mod), PyObject *const *args,
 }
 
 static PyObject *
+c_sink_on_packet(PyObject *Py_UNUSED(mod), PyObject *const *args,
+                 Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "on_packet() takes (self, packet)");
+        return NULL;
+    }
+    return sink_on_packet(args[0], args[1]);
+}
+
+static PyObject *
 c_pacer_tick(PyObject *Py_UNUSED(mod), PyObject *const *args,
              Py_ssize_t nargs)
 {
-    PyObject *self, *tokens;
+    PyObject *self;
 
     if (nargs != 1) {
         PyErr_SetString(PyExc_TypeError, "_tick() takes (self)");
         return NULL;
     }
     self = args[0];
-    if (!g_ready || Py_TYPE(self) != t_ckpacer)
+    if (!g_ready || Py_TYPE(self) != t_ckpacer ||
+        !slot_is(self, PP.tokens, &Fifo_Type))
         return PyObject_Vectorcall(g_py_pacer_tick, args, nargs, NULL);
-    tokens = slot_get(self, PP.tokens, "_tokens");
-    if (tokens == NULL)
-        return NULL;
     for (;;) {
-        Py_ssize_t n = PyObject_Length(tokens);
+        /* Re-read per token, as `while self._tokens` does. */
+        Fifo *tokens = need_native(self, PP.tokens, &Fifo_Type);
         PyObject *sink;
         int fin;
-        if (n < 0)
+        if (tokens == NULL)
             return NULL;
-        if (n == 0)
+        if (tokens->len == 0)
             break;
-        sink = PyObject_CallMethodNoArgs(tokens, s_popleft);
-        if (sink == NULL)
-            return NULL;
+        sink = fifo_pop(tokens);
         if (Py_TYPE(sink) == t_cksink || Py_TYPE(sink) == t_sink)
             fin = sink_finished(sink, NK.record);
         else {
@@ -2388,15 +2710,6 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     OFF(cls, "slice_ps", SR.slice_ps);
     OFF(cls, "peers", SR.peers);
     OFF(cls, "dark_from", SR.dark_from);
-
-    /* PortStats offsets */
-    CFG_OBJ(tmp, "PortStats");
-    cls = tmp;
-    OFF(cls, "sent_packets", ST.sent_packets);
-    OFF(cls, "sent_bytes", ST.sent_bytes);
-    OFF(cls, "trimmed", ST.trimmed);
-    OFF(cls, "dropped_control", ST.dropped_control);
-    OFF(cls, "dropped_bulk", ST.dropped_bulk);
 
     /* NdpSource offsets */
     CFG_OBJ(tmp, "NdpSource");
@@ -2900,16 +3213,17 @@ PyInit__ckernel(void)
 {
     PyObject *m;
 
-    if (PyType_Ready(&EventHeap_Type) < 0)
+    if (PyType_Ready(&EventHeap_Type) < 0 || PyType_Ready(&Fifo_Type) < 0 ||
+        PyType_Ready(&Ledger_Type) < 0 || PyType_Ready(&PortCounters_Type) < 0)
         return NULL;
     m = PyModule_Create(&ckernel_module);
     if (m == NULL)
         return NULL;
-    Py_INCREF(&EventHeap_Type);
-    if (PyModule_AddObject(m, "EventHeap", (PyObject *)&EventHeap_Type) < 0) {
-        Py_DECREF(&EventHeap_Type);
+    if (PyModule_AddType(m, &EventHeap_Type) < 0 ||
+        PyModule_AddType(m, &Fifo_Type) < 0 ||
+        PyModule_AddType(m, &Ledger_Type) < 0 ||
+        PyModule_AddType(m, &PortCounters_Type) < 0)
         goto fail;
-    }
 #ifdef CKERNEL_SOURCE_SHA256
     /* setup.py passes the sha256 of this file; repro.net.kernel refuses a
      * module whose hash differs from the _ckernel.c beside it. */
@@ -2919,8 +3233,6 @@ PyInit__ckernel(void)
 #endif
     s_receive_cb = PyUnicode_InternFromString("receive_cb");
     s_receive = PyUnicode_InternFromString("receive");
-    s_popleft = PyUnicode_InternFromString("popleft");
-    s_append = PyUnicode_InternFromString("append");
     s_on_packet = PyUnicode_InternFromString("on_packet");
     s_enqueue = PyUnicode_InternFromString("enqueue");
     s_add = PyUnicode_InternFromString("add");
@@ -2938,10 +3250,9 @@ PyInit__ckernel(void)
     s_end_ps = PyUnicode_InternFromString("end_ps");
     s_retransmissions = PyUnicode_InternFromString("retransmissions");
     s_value = PyUnicode_InternFromString("value");
-    if (s_receive_cb == NULL || s_receive == NULL || s_popleft == NULL ||
-        s_append == NULL || s_on_packet == NULL || s_enqueue == NULL ||
-        s_add == NULL || s_after == NULL || s_request == NULL ||
-        s_emit_pull == NULL || s_finished == NULL ||
+    if (s_receive_cb == NULL || s_receive == NULL || s_on_packet == NULL ||
+        s_enqueue == NULL || s_add == NULL || s_after == NULL ||
+        s_request == NULL || s_emit_pull == NULL || s_finished == NULL ||
         s_payload_bytes == NULL || s_delivered == NULL || s_now == NULL ||
         s_flow_id == NULL || s_src_host == NULL || s_dst_host == NULL ||
         s_size_bytes == NULL || s_end_ps == NULL ||

@@ -9,23 +9,28 @@ engine.
 The ``CK*`` classes add no slots (``__slots__ = ()``) — they rebind the
 hot methods to the C implementations, which operate on the base classes'
 ``__slots__`` through member-descriptor offsets captured by
-``_ckernel.init`` below. One slot changes type: :class:`CKSimulator`
-stores a native ``_ckernel.EventHeap`` in ``_heap`` instead of the
-oracle's list of ``(time_ps, seq, callback, args)`` tuples (see
-:mod:`repro.net.kernel`). The routing tables need no subclass:
+``_ckernel.init`` below. Some slots change type, installed at
+construction (see :mod:`repro.net.kernel`): :class:`CKSimulator` stores
+a native ``_ckernel.EventHeap`` in ``_heap`` instead of the oracle's
+list of ``(time_ps, seq, callback, args)`` tuples; :class:`CKPort`
+stores ``_ckernel.Fifo`` rings in its three queues, a
+``_ckernel.Ledger`` in ``_committed_control`` and a
+``_ckernel.PortCounters`` in ``stats``; :class:`CKNdpSource`'s ``_rtx``
+and :class:`CKPullPacer`'s ``_tokens`` are Fifos. The Python bodies run
+unchanged on each of them. The routing tables need no subclass:
 ``init`` registers :class:`~repro.net.node.RouteTable` and
 :class:`~repro.net.link.SliceResolver` themselves, and the C dispatch
 and serializer interpret an exact instance natively. Everything else
 (construction, cold paths, introspection, repr) is inherited from the
 pure-Python classes, and the C functions themselves delegate any call
-they cannot prove is on the fast path (no native heap, non-integral line
-rate, subclasses, test doubles) back to the pure-Python implementations
-passed to ``init``.
+they cannot prove is on the fast path (no native heap or queues,
+non-integral line rate, subclasses, test doubles) back to the
+pure-Python implementations passed to ``init``.
 """
 
 from __future__ import annotations
 
-from ..link import _LAZY, Port, PortStats, SliceResolver
+from ..link import _LAZY, Port, SliceResolver
 from ..ndp import NdpSink, NdpSource, PullPacer
 from ..node import CONSUMED, MAX_HOPS, Host, RouteTable, SwitchNode
 from ..packet import (
@@ -60,7 +65,6 @@ _ckernel.init(
         "SwitchNode": SwitchNode,
         "RouteTable": RouteTable,
         "SliceResolver": SliceResolver,
-        "PortStats": PortStats,
         "LAZY": _LAZY,
         "CONSUMED": CONSUMED,
         "PRIO_CONTROL": Priority.CONTROL,
@@ -129,10 +133,21 @@ class CKPort(Port):
 
     ``Port.__init__`` binds ``self._kick_cb = self._kick``, which resolves
     through the rebound class attribute — so every kick event a compiled
-    port schedules dispatches straight into C.
+    port schedules dispatches straight into C. The three priority queues
+    are native ``_ckernel.Fifo`` rings, the committed-control ledger a
+    ``_ckernel.Ledger`` and ``stats`` a ``_ckernel.PortCounters``; the
+    Python bodies run unchanged on them.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._q_control = _ckernel.Fifo()
+        self._q_data = _ckernel.Fifo()
+        self._q_bulk = _ckernel.Fifo()
+        self._committed_control = _ckernel.Ledger()
+        self.stats = _ckernel.PortCounters()
 
     enqueue = _ckernel.enqueue
     _kick = _ckernel._kick
@@ -170,9 +185,16 @@ class CKSwitchNode(SwitchNode):
 
 
 class CKNdpSource(NdpSource):
-    """NDP source with the ACK/NACK/PULL receive handler compiled."""
+    """NDP source with the ACK/NACK/PULL receive handler compiled.
+
+    Its retransmit queue is a native ``_ckernel.Fifo``.
+    """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._rtx = _ckernel.Fifo()
 
     on_packet = _ckernel.src_on_packet
 
@@ -191,10 +213,15 @@ class CKPullPacer(PullPacer):
 
     ``PullPacer.__init__`` binds ``self._tick_cb = self._tick``, which
     resolves through the rebound class attribute — so every pacer event a
-    compiled pacer schedules dispatches straight into C.
+    compiled pacer schedules dispatches straight into C. Its PULL tokens
+    are a native ``_ckernel.Fifo``.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._tokens = _ckernel.Fifo()
 
     _tick = _ckernel.pacer_tick
 

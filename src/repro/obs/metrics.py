@@ -11,16 +11,16 @@ of a pool pipe, a TCP frame, or a JSONL trace line.
 Engine instruments
 ------------------
 The packet engine is *not* instrumented with new hooks. Every engine
-metric drains from counters the ``__slots__`` layout already carries and
-both kernels already bump — ``Simulator.events_processed`` /
-``sched_pushes``, the per-port :class:`~repro.net.link.PortStats`
-(sent/trimmed/dropped by cause), and the
+metric drains from counters both kernels already bump —
+``Simulator.events_processed`` / ``sched_pushes``, each port's ``stats``
+(sent/trimmed/dropped by cause: a :class:`~repro.net.link.PortStats`
+under the python engine, the compiled kernel's native int64
+``PortCounters`` with the same names and ``counters()``), and the
 :class:`~repro.net.stats.StatsCollector` failure ledger. The compiled
-kernel writes those slots through the same member descriptors the python
-engine uses (see :mod:`repro.net.kernel`), so a ``REPRO_KERNEL=py`` and a
-``=c`` run of the same cell produce *identical* snapshots by
-construction, and draining at run end cannot perturb the simulation it
-measures. The one honest caveat: "scheduler depth" is the depth observed
+kernel counts the same events into the same names (see
+:mod:`repro.net.kernel`), so a ``REPRO_KERNEL=py`` and a ``=c`` run of
+the same cell produce *identical* snapshots, and draining at run end
+cannot perturb the simulation it measures. The one honest caveat: "scheduler depth" is the depth observed
 at drain time (a gauge), not a true high-water mark — tracking high-water
 would require a per-push hook in both kernels, i.e. exactly the armed-run
 perturbation this design refuses.

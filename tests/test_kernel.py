@@ -21,7 +21,11 @@ import types
 import warnings
 from pathlib import Path
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.experiments.fctsim import MS, build_network
@@ -494,9 +498,112 @@ class TestNativeHeap:
         record = weakref.ref(next(iter(net.stats.flows.values())))
         heap = net.sim._heap
         assert gc.is_tracked(heap)
-        del net, heap
+        # Queued packets and a pacer's sinks (which point back at the
+        # pacer) are reachable only through native Fifos.
+        nic = net.hosts[0].nic
+        assert all(
+            gc.is_tracked(q) for q in (nic._q_control, nic._q_data, nic._q_bulk)
+        )
+        assert gc.is_tracked(net.pacers[31]._tokens)
+        del net, heap, nic
         gc.collect()
         assert record() is None
+
+
+#: Queue operations for the replay below; appends outnumber pops, so a
+#: long sequence grows past the rings' initial capacity of 8 and wraps.
+QUEUE_OPS = st.lists(
+    st.sampled_from(["append", "append", "append", "popleft", "popleft", "front"]),
+    max_size=300,
+)
+
+
+def replay(queue, ops, values):
+    """Apply ``ops`` to ``queue``: what each returned or raised, and the size."""
+    out = []
+    for op, value in zip(ops, values):
+        try:
+            if op == "append":
+                out.append(queue.append(value))
+            elif op == "popleft":
+                out.append(queue.popleft())
+            else:
+                out.append(queue[0])
+        except IndexError:
+            out.append(IndexError)
+        out.append((len(queue), bool(queue)))
+    return out
+
+
+@requires_c
+class TestNativeQueues:
+    """The native types behave as the deque, tuples and PortStats they replace."""
+
+    @given(QUEUE_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_fifo_replays_like_a_deque(self, ops):
+        from repro.net.kernel._ckernel import Fifo
+
+        ops = [op for op in ops if op != "front"]  # a Fifo has no [i]
+        values = [object() for _ in ops]
+        assert replay(Fifo(), ops, values) == replay(deque(), ops, values)
+
+    @given(QUEUE_OPS, st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_ledger_replays_like_a_deque_of_tuples(self, ops, seed):
+        from repro.net.kernel._ckernel import Ledger
+
+        rng = random.Random(seed)
+        pairs = [(rng.getrandbits(63), rng.getrandbits(40)) for _ in ops]
+        assert replay(Ledger(), ops, pairs) == replay(deque(), ops, pairs)
+
+    def test_rings_grow_while_wrapped(self):
+        from repro.net.kernel._ckernel import Fifo, Ledger
+
+        # Six in, five out, then twenty in: the back wraps past the end of
+        # the first ring of 8, which then grows while wrapped (and again
+        # at 16); the last pop finds the ring empty.
+        ops = ["append"] * 6 + ["popleft"] * 5 + ["append"] * 20 + ["popleft"] * 22
+        items = [object() for _ in ops]
+        assert replay(Fifo(), ops, items) == replay(deque(), ops, items)
+        pairs = [(2**40 + i, i) for i in range(len(ops))]
+        ops[-1] = "front"
+        assert replay(Ledger(), ops, pairs) == replay(deque(), ops, pairs)
+
+    def test_port_counters_bumped_from_python_match_port_stats(self):
+        from repro.net.kernel._ckernel import PortCounters
+        from repro.net.link import PortStats
+
+        native, oracle = PortCounters(), PortStats()
+        assert native.counters() == oracle.counters()
+        for stats in (native, oracle):
+            stats.sent_packets += 3
+            stats.sent_bytes += 2**40
+            stats.trimmed += 1
+            stats.dropped_control += 2
+            stats.dropped_bulk += 5
+            stats.undeliverable += 1
+            stats.undeliverable += 1
+        assert native.counters() == oracle.counters()
+        assert list(native.counters()) == list(oracle.counters())
+        assert native.undeliverable == 2
+
+    def test_compiled_endpoints_hold_the_native_types(self, monkeypatch):
+        from repro.net.kernel import _ckernel
+
+        monkeypatch.setenv("REPRO_KERNEL", "c")
+        net = build_network("clos", k=8, n_racks=8, seed=0)
+        record = net.start_low_latency_flow(0, 31, 20_000)
+        port = net.hosts[0].nic
+        assert type(port).__name__ == "CKPort"
+        for name in ("_q_control", "_q_data", "_q_bulk"):
+            assert type(getattr(port, name)) is _ckernel.Fifo
+        assert type(port._committed_control) is _ckernel.Ledger
+        assert type(port.stats) is _ckernel.PortCounters
+        source = net.hosts[0].sources[record.flow_id]
+        assert type(source).__name__ == "CKNdpSource"
+        assert type(source._rtx) is _ckernel.Fifo
+        assert type(net.pacers[31]._tokens) is _ckernel.Fifo
 
 
 def serializer_run(sim_cls, port_cls, rate_bps):

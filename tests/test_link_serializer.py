@@ -6,12 +6,17 @@ bookkeeping, a single pending *kick* event, and back-to-back commitment of
 the control queue. These tests pin the observable behaviour to the old
 engine's exact packet timings: every delivery time below is the value the
 one-event-per-packet design produced.
+
+Each class runs on the pure-Python ``Port`` and ``Simulator``; its
+``*Compiled`` twin at the end runs the same tests on the compiled
+kernel's classes, whose port keeps native queues, a native ledger and
+native counters (skipped where the extension is not built).
 """
 
 import pytest
 
 from repro.core.timing import PS_PER_S
-from repro.net.link import Port
+from repro.net.kernel import compiled_available, engine_classes
 from repro.net.packet import (
     HEADER_BYTES,
     MTU_BYTES,
@@ -19,7 +24,6 @@ from repro.net.packet import (
     PacketKind,
     Priority,
 )
-from repro.net.sim import Simulator
 
 SER_MTU = 1_200_000  # 1500 B at 10 Gb/s
 SER_HDR = 51_200  # 64 B at 10 Gb/s
@@ -56,15 +60,26 @@ class ArrivalLog:
         self.arrivals.append((self.sim.now, packet.seq, packet.kind))
 
 
-def port_to(sim, sink, **kwargs):
-    return Port(sim, "t", resolver=lambda _p, _n: sink, **kwargs)
+class Engine:
+    """The engine classes a test builds from: ``kernel``'s."""
+
+    kernel = "py"
+
+    def sim(self):
+        return engine_classes(self.kernel).Simulator()
+
+    def port(self, sim, name, **kwargs):
+        return engine_classes(self.kernel).Port(sim, name, **kwargs)
+
+    def port_to(self, sim, sink, **kwargs):
+        return self.port(sim, "t", resolver=lambda _p, _n: sink, **kwargs)
 
 
-class TestBackToBackTiming:
+class TestBackToBackTiming(Engine):
     def test_single_packet_exact_times(self):
-        sim = Simulator()
+        sim = self.sim()
         sink = ArrivalLog(sim)
-        port = port_to(sim, sink)
+        port = self.port_to(sim, sink)
         port.enqueue(make_packet(0))
         sim.run()
         assert sink.arrivals == [(SER_MTU + PROP, 0, PacketKind.DATA)]
@@ -72,9 +87,9 @@ class TestBackToBackTiming:
     def test_burst_serializes_back_to_back(self):
         # Three MTUs enqueued at t=0: packet i's last bit leaves at
         # (i+1)*ser, arrives prop later — exactly the old per-event times.
-        sim = Simulator()
+        sim = self.sim()
         sink = ArrivalLog(sim)
-        port = port_to(sim, sink)
+        port = self.port_to(sim, sink)
         for seq in range(3):
             port.enqueue(make_packet(seq))
         sim.run()
@@ -88,9 +103,9 @@ class TestBackToBackTiming:
         # A data packet occupies the line; three ACKs queue behind it. The
         # fast path commits the whole control burst in one kick — the
         # delivery times must still be per-packet exact.
-        sim = Simulator()
+        sim = self.sim()
         sink = ArrivalLog(sim)
-        port = port_to(sim, sink)
+        port = self.port_to(sim, sink)
         port.enqueue(make_packet(0))
         for seq in (10, 11, 12):
             port.enqueue(control_packet(seq))
@@ -106,9 +121,9 @@ class TestBackToBackTiming:
     def test_control_preempts_queued_data_mid_burst(self):
         # d0 transmitting, d1 queued; an ACK arriving mid-serialization
         # jumps ahead of d1 but not d0 (old engine semantics, exact times).
-        sim = Simulator()
+        sim = self.sim()
         sink = ArrivalLog(sim)
-        port = port_to(sim, sink)
+        port = self.port_to(sim, sink)
         port.enqueue(make_packet(0))
         port.enqueue(make_packet(1))
         sim.at(600_000, port.enqueue, control_packet(99))
@@ -122,9 +137,9 @@ class TestBackToBackTiming:
     def test_enqueue_at_exact_line_free_instant_starts_immediately(self):
         # The line frees at t=ser; a packet enqueued by an event at exactly
         # that time starts serializing with no gap.
-        sim = Simulator()
+        sim = self.sim()
         sink = ArrivalLog(sim)
-        port = port_to(sim, sink)
+        port = self.port_to(sim, sink)
         port.enqueue(make_packet(0))
         sim.at(SER_MTU, port.enqueue, make_packet(1))
         sim.run()
@@ -134,9 +149,9 @@ class TestBackToBackTiming:
         ]
 
     def test_idle_gap_then_restart(self):
-        sim = Simulator()
+        sim = self.sim()
         sink = ArrivalLog(sim)
-        port = port_to(sim, sink)
+        port = self.port_to(sim, sink)
         port.enqueue(make_packet(0))
         sim.run()
         assert not port.busy
@@ -146,22 +161,22 @@ class TestBackToBackTiming:
         assert sink.arrivals[-1] == (11 * SER_MTU + PROP, 1, PacketKind.DATA)
 
     def test_busy_flag_during_and_after_transmission(self):
-        sim = Simulator()
+        sim = self.sim()
         sink = ArrivalLog(sim)
-        port = port_to(sim, sink)
+        port = self.port_to(sim, sink)
         port.enqueue(make_packet(0))
         assert port.busy
         sim.run()
         assert not port.busy
 
 
-class TestDropAndTrimTiming:
+class TestDropAndTrimTiming(Engine):
     def test_trimmed_header_checked_against_control_capacity(self):
         # Data overflowing the data queue trims to a header, which is then
         # admitted to (or dropped by) the *control* queue — both caps apply.
-        sim = Simulator()
+        sim = self.sim()
         sink = ArrivalLog(sim)
-        port = port_to(
+        port = self.port_to(
             sim, sink, data_queue_bytes=2 * MTU_BYTES, control_queue_bytes=HEADER_BYTES
         )
         results = [port.enqueue(make_packet(seq)) for seq in range(6)]
@@ -173,9 +188,9 @@ class TestDropAndTrimTiming:
     def test_undeliverable_reported_at_completion_time(self):
         # The old engine reported a dark-circuit loss when the last bit
         # left the serializer, not when transmission started.
-        sim = Simulator()
+        sim = self.sim()
         seen = []
-        port = Port(
+        port = self.port(
             sim,
             "dark",
             resolver=lambda _p, _n: None,
@@ -189,7 +204,7 @@ class TestDropAndTrimTiming:
     def test_resolver_sees_transmission_start_time(self):
         # Back-to-back batches resolve each packet at its own start time
         # ("the far end is fixed when the first bit enters the fiber").
-        sim = Simulator()
+        sim = self.sim()
         seen = []
 
         class Sink:
@@ -202,7 +217,7 @@ class TestDropAndTrimTiming:
             seen.append((now_ps, packet.seq))
             return sink
 
-        port = Port(sim, "t", resolver=resolver)
+        port = self.port(sim, "t", resolver=resolver)
         port.enqueue(make_packet(0))
         for seq in (1, 2):
             port.enqueue(control_packet(seq))
@@ -214,16 +229,16 @@ class TestDropAndTrimTiming:
         ]
 
 
-class TestControlAdmissionDuringBurst:
+class TestControlAdmissionDuringBurst(Engine):
     def test_committed_packets_still_occupy_the_control_queue(self):
         # An MTU on the wire, two ACKs filling a 128 B control queue. The
         # kick at t=ser commits both back-to-back, but the second only
         # enters the wire one header-time later: until then it must keep
         # occupying the queue, exactly as the one-event-per-packet engine
         # modeled it (one new ACK fits the freed slot, the next is dropped).
-        sim = Simulator()
+        sim = self.sim()
         sink = ArrivalLog(sim)
-        port = port_to(sim, sink, control_queue_bytes=2 * HEADER_BYTES)
+        port = self.port_to(sim, sink, control_queue_bytes=2 * HEADER_BYTES)
         port.enqueue(make_packet(0))
         assert port.enqueue(control_packet(1))
         assert port.enqueue(control_packet(2))
@@ -245,17 +260,17 @@ class TestControlAdmissionDuringBurst:
         assert [s for _t, s, _k in sink.arrivals] == [0, 1, 2, 4]
 
 
-class TestSerializationConstants:
+class TestSerializationConstants(Engine):
     def test_divisible_rate_uses_exact_per_byte_constant(self):
-        sim = Simulator()
-        port = port_to(sim, ArrivalLog(sim))
+        sim = self.sim()
+        port = self.port_to(sim, ArrivalLog(sim))
         assert port.serialization_ps(1500) == SER_MTU
         assert port.serialization_ps(64) == SER_HDR
 
     def test_non_divisible_rate_falls_back_to_exact_division(self):
-        sim = Simulator()
+        sim = self.sim()
         sink = ArrivalLog(sim)
-        port = port_to(sim, sink, rate_bps=3_000_000_000)
+        port = self.port_to(sim, sink, rate_bps=3_000_000_000)
         expected = (1500 * 8 * PS_PER_S) // 3_000_000_000
         assert port.serialization_ps(1500) == expected
         port.enqueue(make_packet(0))
@@ -263,17 +278,17 @@ class TestSerializationConstants:
         assert sink.arrivals == [(expected + PROP, 0, PacketKind.DATA)]
 
     def test_exactly_one_of_resolver_or_target(self):
-        sim = Simulator()
+        sim = self.sim()
         sink = ArrivalLog(sim)
         with pytest.raises(ValueError):
-            Port(sim, "neither")
+            self.port(sim, "neither")
         with pytest.raises(ValueError):
-            Port(sim, "both", resolver=lambda _p, _n: sink, target=sink)
+            self.port(sim, "both", resolver=lambda _p, _n: sink, target=sink)
 
     def test_static_target_port_delivers_identically(self):
-        sim = Simulator()
+        sim = self.sim()
         sink = ArrivalLog(sim)
-        port = Port(sim, "static", target=sink)
+        port = self.port(sim, "static", target=sink)
         for seq in range(2):
             port.enqueue(make_packet(seq))
         sim.run()
@@ -283,11 +298,11 @@ class TestSerializationConstants:
         ]
 
 
-class TestQueueAccounting:
+class TestQueueAccounting(Engine):
     def test_queued_bytes_per_priority_and_total(self):
-        sim = Simulator()
+        sim = self.sim()
         sink = ArrivalLog(sim)
-        port = port_to(sim, sink, bulk_queue_bytes=1 << 20)
+        port = self.port_to(sim, sink, bulk_queue_bytes=1 << 20)
         port.enqueue(make_packet(0))  # transmitting, not queued
         port.enqueue(make_packet(1))
         port.enqueue(control_packet(2))
@@ -300,3 +315,34 @@ class TestQueueAccounting:
         assert port.queued_bytes() == 0
         assert port.stats.sent_packets == 4
         assert port.stats.sent_bytes == 3 * MTU_BYTES + HEADER_BYTES
+
+
+requires_c = pytest.mark.skipif(
+    not compiled_available(),
+    reason="compiled kernel (_ckernel) not built in this environment",
+)
+
+
+@requires_c
+class TestBackToBackTimingCompiled(TestBackToBackTiming):
+    kernel = "c"
+
+
+@requires_c
+class TestDropAndTrimTimingCompiled(TestDropAndTrimTiming):
+    kernel = "c"
+
+
+@requires_c
+class TestControlAdmissionDuringBurstCompiled(TestControlAdmissionDuringBurst):
+    kernel = "c"
+
+
+@requires_c
+class TestSerializationConstantsCompiled(TestSerializationConstants):
+    kernel = "c"
+
+
+@requires_c
+class TestQueueAccountingCompiled(TestQueueAccounting):
+    kernel = "c"

@@ -70,6 +70,25 @@ class TestOperaLowLatency:
         assert all(r.complete for r in recs)
 
 
+class TestOperaRouteTables:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_entry_is_the_uplinks_of_next_hops(self, seed):
+        # The builder fills each ToR's table from the neighbours' distance
+        # rows; SliceRoutes.next_hops stays the reference it must match.
+        sim = fresh_opera(seed=seed)
+        slices = sim.pipeline.routing.all_slices()
+        n_racks = sim.network.n_racks
+        for rack, tor in enumerate(sim.tors):
+            uplinks = sim.uplink_ports[rack]
+            options = tor.router.options
+            assert len(options) == len(slices)
+            for row, routes in zip(options, slices):
+                assert row == tuple(
+                    tuple(uplinks[w] for _peer, w in routes.next_hops(rack, dst))
+                    for dst in range(n_racks)
+                )
+
+
 class TestOperaBulk:
     def test_bulk_waits_for_direct_circuit(self):
         sim = fresh_opera()
