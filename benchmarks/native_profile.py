@@ -25,6 +25,11 @@ three ways:
 * Python re-entry: a Python frame runs under ``c_sim_run`` (route
   closures, resolvers, RotorLB steps).
 
+It then charges every C-API sample to its nearest ``_ckernel`` frame and
+prints the most frequent ``(leaf, kernel frame)`` pairs: which call of
+which kernel function the C-API time goes to (``c_api_by_caller`` in the
+JSON, most frequent first).
+
 Usage (Linux; needs ``cc`` and ``nm``, and says so when either is missing)::
 
     PYTHONPATH=src python benchmarks/native_profile.py \\
@@ -57,7 +62,7 @@ INTERVAL_US = 500
 #: 50,000 samples is 25 s of CPU time; later samples are counted as dropped.
 MAX_SAMPLES = 50_000
 DEPTH = 64  # frames kept per sample
-TOP = 12  # leaf symbols printed per phase
+TOP = 12  # rows printed per table: leaves per phase, C-API pairs
 
 
 def build_sampler(cc: str) -> Path:
@@ -195,21 +200,42 @@ def symbolized(raw: list[int], symbolize: Symbolizer) -> list[tuple[str, str]]:
     return [symbolize(raw[leaf])] + [symbolize(pc - 1) for pc in raw[leaf + 1:]]
 
 
+def kernel_run_share(stack: list[tuple[str, str]]) -> tuple[str, str] | None:
+    """Where one sample inside ``c_sim_run`` goes: ``(share, kernel frame)``.
+
+    ``share`` is one of ``SPLIT``. The kernel frame is the ``_ckernel``
+    frame nearest the leaf, the function whose call the sample is in.
+    ``None`` for a sample outside ``c_sim_run``.
+    """
+    names = [name for _lib, name in stack]
+    if "c_sim_run" not in names:
+        return None
+    inner = stack[: names.index("c_sim_run") + 1]
+    if any(name.startswith("_PyEval_EvalFrame") for _lib, name in inner):
+        return "python", ""
+    frame = next(name for lib, name in inner if lib.startswith("_ckernel"))
+    return ("kernel_self" if inner[0][0].startswith("_ckernel") else "c_api"), frame
+
+
 def split_kernel_run(stacks: list[list[tuple[str, str]]]) -> Counter:
     """Three-way split of the samples inside ``c_sim_run``."""
-    split: Counter = Counter()
+    return Counter(
+        where[0] for where in map(kernel_run_share, stacks) if where is not None
+    )
+
+
+def c_api_by_caller(stacks: list[list[tuple[str, str]]]) -> Counter:
+    """Each C-API sample inside ``c_sim_run`` as a ``(leaf, kernel frame)`` pair.
+
+    Kernel-self and Python re-entry samples are not charged, so the
+    counts sum to the C-API share's samples.
+    """
+    pairs: Counter = Counter()
     for stack in stacks:
-        names = [name for _lib, name in stack]
-        if "c_sim_run" not in names:
-            continue
-        inner = names[: names.index("c_sim_run")]
-        if any(name.startswith("_PyEval_EvalFrame") for name in inner):
-            split["python"] += 1
-        elif stack[0][0].startswith("_ckernel"):
-            split["kernel_self"] += 1
-        else:
-            split["c_api"] += 1
-    return split
+        where = kernel_run_share(stack)
+        if where is not None and where[0] == "c_api":
+            pairs[stack[0][1], where[1]] += 1
+    return pairs
 
 
 def profile(scale: str, seed: int, cells: list[str], cc: str, nm: str) -> dict:
@@ -279,6 +305,7 @@ def profile(scale: str, seed: int, cells: list[str], cc: str, nm: str) -> dict:
             "samples": inside,
             **{k: 100.0 * split[k] / inside if inside else 0.0 for k in SPLIT},
         },
+        "c_api_by_caller": c_api_by_caller(per_phase["run"]).most_common(),
     }
 
 
@@ -313,6 +340,12 @@ def report(result: dict) -> None:
             f"{split['kernel_self']:.1f}%, C-API {split['c_api']:.1f}%, "
             f"Python re-entry {split['python']:.1f}%"
         )
+        print("\nC-API samples by nearest kernel frame (% of c_sim_run):")
+        for (leaf, frame), count in result["c_api_by_caller"][:TOP]:
+            print(
+                f"  {100.0 * count / split['samples']:5.1f}%  {count:6d}  "
+                f"{leaf} <- {frame}"
+            )
     elif result["phases"]["run"]["samples"]:
         print("\nc_sim_run: no samples (the run did not use the compiled kernel)")
 

@@ -25,14 +25,14 @@ kernel for exactly that inner loop, selected with ``REPRO_KERNEL``:
 * ``auto`` (default) — ``c`` when the compiled module imports, else ``py``.
 
 Design: **one data layout, two method implementations — except the
-event heap and the queues.** The compiled kernel is a set of C functions
-that read and write the *existing* ``__slots__`` of ``Simulator`` /
-``Port`` / ``Packet`` / ``Host`` / ``SwitchNode`` and the NDP endpoints
-through member-descriptor offsets, plus thin subclasses (:mod:`.engine`)
-that rebind only the hot methods to those C implementations. Packets are
-the same free-listed ``Packet`` objects.
+event heap, the queues and the native tails.** The compiled kernel is a
+set of C functions that read and write the *existing* ``__slots__`` of
+``Simulator`` / ``Port`` / ``Packet`` / ``Host`` / ``SwitchNode`` and the
+NDP endpoints through member-descriptor offsets, plus thin subclasses
+(:mod:`.engine`) that rebind only the hot methods to those C
+implementations. Packets are the same free-listed ``Packet`` objects.
 
-The event heap is the one structure the kernels do not share. A native
+The event heap is the first structure the kernels do not share. A native
 sampling profile of the fig07 Clos 25%-load cell under ``c`` (SIGPROF
 instruction-pointer samples) put 35% of engine time in unboxing the
 oracle's ``(time_ps, seq, callback, args)`` tuples — ``PyLong_AsLongLong``
@@ -41,10 +41,10 @@ the sift. So ``CKSimulator`` keeps a native ``_ckernel.EventHeap`` in its
 ``_heap`` slot: a binary heap of ``{int64 time, int64 seq, callback,
 args}`` structs that also owns the sequence counter. Keys are unique, so
 it dispatches in the oracle's ``(time, seq)`` order bit for bit, and its
-``len()`` keeps ``pending`` identical. What stays shared: the clock,
-every counter slot, the callbacks and their args tuples. Python code
-that schedules onto a compiled simulator — the pure-Python bodies the C
-entry points fall back to — goes through ``sim.at`` / ``sim.after``,
+``len()`` keeps ``pending`` identical. What stays shared: the
+simulator's counter slots, the callbacks and their args tuples. Python
+code that schedules onto a compiled simulator — the pure-Python bodies
+the C entry points fall back to — goes through ``sim.at`` / ``sim.after``,
 never ``heapq``; a simulator without a native heap (a plain
 ``Simulator``) keeps the oracle's list, and every C path that would
 schedule onto it delegates to the pure-Python implementation.
@@ -67,6 +67,28 @@ checks the exact native type of each such slot before its first write
 and otherwise runs the Python body. Bit-identity reduces to the C code
 replicating the Python control flow — which the differential tests pin
 per executor.
+
+The native tails hold the last per-hop ints. ``_ckernel.init`` derives
+``_ckernel.SimTail`` from :class:`~repro.net.sim.Simulator` and
+``_ckernel.PortTail`` from :class:`~repro.net.link.Port` with
+``PyType_FromSpecWithBases``; ``CKSimulator`` and ``CKPort`` subclass
+them. A tail appends int64 fields after the base's slots: the clock
+``now``; a port's ``_busy_until``, ``_bytes_control`` / ``_bytes_data`` /
+``_bytes_bulk``, ``_kick_pending`` (a flag), ``_ps_per_byte``,
+``propagation_ps`` and the three queue capacities. Getset descriptors
+named after the slots they shadow serve every Python reader unchanged
+(``Port.__init__``, the py bodies, ``queued_bytes``, ``busy``, RotorLB,
+``sim.now``), while the kernel reads and writes the fields in place. In
+the native profile of the ``clos@0.25`` cell, allocating, freeing and
+converting those ints had become the largest C-API cost: every event
+boxed the clock, every packet its line-free time, every queued packet
+its byte count twice. The setters take ints only (``TypeError``) that
+fit in int64 (the kernel's ``OverflowError``), so a bad value fails
+where it is assigned; the shadowed slots stay allocated but unset, as
+``_seq`` is on a compiled simulator. The sink boxes the clock once, for
+``stats.delivered``, and a stamped route table reads it from the tail of
+its simulator (from the slot of an exact ``Simulator``; any other
+simulator's goes to Python).
 
 The compiled module is built by ``setup.py`` (``pip install -e .`` or
 ``python setup.py build_ext --inplace``) from the hand-written CPython
@@ -107,8 +129,9 @@ schedule is bitwise invisible to either kernel.
 
 **The telemetry seam.** Metrics (``repro.obs.metrics``) likewise add
 *zero* kernel code. Every counter the snapshot reports is one both
-kernels already keep — ``Simulator.events_processed`` and friends in
-shared ``__slots__`` (via :meth:`~repro.net.sim.Simulator.counters`),
+kernels already keep — ``Simulator.events_processed`` in a shared slot
+and the scheduler's push count (the oracle's ``_seq``, the native heap's
+counter under ``c``), both via :meth:`~repro.net.sim.Simulator.counters`,
 each port's six tallies in its ``stats`` (a ``PortStats`` under ``py``,
 a native ``PortCounters`` with the same names and ``counters()`` under
 ``c``), ``StatsCollector``'s flow records — and ``drain_network``

@@ -16,12 +16,12 @@
  * After editing this file, rebuild: python setup.py build_ext --inplace.
  *
  * Engine design: ONE data layout, TWO method implementations — except
- * for the event heap and the queues. Every function reads and writes the
- * existing `__slots__` of the pure-Python engine classes (Simulator /
- * Port / Packet / Host / SwitchNode / the NDP endpoints) through member-
- * descriptor offsets captured at init time. The pure-Python engine
- * therefore remains the differential oracle: a REPRO_KERNEL=c run must
- * be bit-identical to =py in every observable.
+ * for the event heap, the queues and the native tails. Every function
+ * reads and writes the existing `__slots__` of the pure-Python engine
+ * classes (Simulator / Port / Packet / Host / SwitchNode / the NDP
+ * endpoints) through member-descriptor offsets captured at init time. The
+ * pure-Python engine therefore remains the differential oracle: a
+ * REPRO_KERNEL=c run must be bit-identical to =py in every observable.
  *
  * The event heap: a compiled simulator (CKSimulator) keeps an EventHeap,
  * defined below, in its `_heap` slot instead of the oracle's list of
@@ -33,9 +33,19 @@
  * tuples' ints (PyLong_AsLongLong) and 11% in the sift itself. Order is
  * the total order on (time, seq) — keys are unique, so any correct heap
  * dispatches exactly as heapq does. What stays shared with the oracle:
- * every other slot (clock, counters, ports, packets), the callbacks and
- * their args tuples. Python code that schedules onto a compiled simulator
- * goes through sim.at / sim.after, never through heapq.
+ * the simulator's counters, the ports' other slots, the packets, the
+ * callbacks and their args tuples. Python code that schedules onto a
+ * compiled simulator goes through sim.at / sim.after, never through
+ * heapq.
+ *
+ * The native tails: init() derives SimTail from Simulator and PortTail
+ * from Port (see the native-tails section), and CKSimulator and CKPort
+ * subclass them. A tail appends int64 fields to the object: the clock of
+ * a simulator; the line-free time, the three byte counts, the kick flag
+ * and the serializer and queue constants of a port. Getset descriptors
+ * named after the base slots they shadow let Python read and write them
+ * unchanged, and the kernel reads and writes them directly, so a hop
+ * boxes no clock, line-free time or byte count and unboxes no constant.
  *
  * The queues: a compiled port keeps native Fifo rings in its three
  * priority-queue slots, a native Ledger of int64 (start_ps, size) pairs
@@ -81,17 +91,14 @@ typedef struct {
 } SimOffsets;
 
 typedef struct {
-    Py_ssize_t sim, resolver, propagation_ps, data_queue_bytes,
-        control_queue_bytes, bulk_queue_bytes, trimming, on_undeliverable,
-        on_bulk_drop, stats, q_control, q_data, q_bulk, bytes_control,
-        bytes_data, bytes_bulk, busy_until, kick_pending, ps_per_byte,
-        target, committed_control, deliver, kick_cb, undeliv_cb;
+    Py_ssize_t sim, resolver, trimming, on_undeliverable, on_bulk_drop, stats,
+        q_control, q_data, q_bulk, target, committed_control, deliver,
+        kick_cb, undeliv_cb;
 } PortOffsets;
 
 typedef struct {
     Py_ssize_t flow_id, kind, src_host, dst_host, seq, size_bytes, priority,
-        slice_stamp, salt, hops, next_rack, relay_to, enqueued_ps, recv_args,
-        pooled;
+        slice_stamp, salt, hops, next_rack, relay_to, recv_args, pooled;
 } PacketOffsets;
 
 typedef struct {
@@ -844,6 +851,180 @@ slot_is(PyObject *o, Py_ssize_t off, PyTypeObject *type)
     return v != NULL && Py_TYPE(v) == type;
 }
 
+/* ---------------------------------------------------------- native tails
+ *
+ * init() derives SimTail from sim.Simulator and PortTail from link.Port
+ * with PyType_FromSpecWithBases; kernel/engine.py's CKSimulator and CKPort
+ * subclass them. A tail appends int64 fields after the base's slots, and
+ * a getset descriptor named after the slot each field shadows serves
+ * Python, so Port.__init__, the py bodies, queued_bytes, busy, RotorLB and
+ * sim.now run unchanged; the shadowed slots stay allocated but unset. The
+ * tails hold no object references: GC support, traverse and dealloc are
+ * the base's. The kernel reads and writes the fields in place.
+ */
+
+typedef struct {
+    long long now;
+} SimTail;
+
+typedef struct {
+    long long busy_until, bytes_control, bytes_data, bytes_bulk, ps_per_byte,
+        propagation_ps, data_queue_bytes, control_queue_bytes,
+        bulk_queue_bytes;
+    int kick_pending;
+} PortTail;
+
+/* Where each tail starts in an instance: its base's size rounded up to 8. */
+static Py_ssize_t g_sim_tail, g_port_tail;
+static PyTypeObject *t_simtail, *t_porttail;
+
+#define SIM_TAIL(o) ((SimTail *)((char *)(o) + g_sim_tail))
+#define PORT_TAIL(o) ((PortTail *)((char *)(o) + g_port_tail))
+
+/* A getset closure: the tail a field is in, its offset there, its name. */
+typedef struct {
+    const Py_ssize_t *tail;
+    Py_ssize_t offset;
+    const char *name;
+} TailField;
+
+static inline void *
+tail_field(PyObject *o, const TailField *f)
+{
+    return (char *)o + *f->tail + f->offset;
+}
+
+/* A value assigned to a tail field: an int that fits in int64. Anything
+ * else fails here, where it is assigned, not at the first hop. */
+static int
+tail_value(PyObject *v, const TailField *f, long long *out)
+{
+    if (v == NULL) {
+        PyErr_Format(PyExc_TypeError, "cannot delete %.100s", f->name);
+        return -1;
+    }
+    if (!PyLong_Check(v)) {
+        PyErr_Format(PyExc_TypeError, "%.100s must be an int, not %.100s",
+                     f->name, Py_TYPE(v)->tp_name);
+        return -1;
+    }
+    return as_ll(v, out);
+}
+
+static PyObject *
+tail_get_ll(PyObject *o, void *closure)
+{
+    return PyLong_FromLongLong(*(long long *)tail_field(o, closure));
+}
+
+static int
+tail_set_ll(PyObject *o, PyObject *v, void *closure)
+{
+    return tail_value(v, closure, (long long *)tail_field(o, closure));
+}
+
+static PyObject *
+tail_get_flag(PyObject *o, void *closure)
+{
+    return PyBool_FromLong(*(int *)tail_field(o, closure));
+}
+
+static int
+tail_set_flag(PyObject *o, PyObject *v, void *closure)
+{
+    long long x;
+    if (tail_value(v, closure, &x) < 0)
+        return -1;
+    *(int *)tail_field(o, closure) = x != 0;
+    return 0;
+}
+
+#define TAIL_LL(name, tail, type, field)                                      \
+    {name, tail_get_ll, tail_set_ll, NULL,                                    \
+     &(TailField){&tail, offsetof(type, field), name}}
+
+static PyGetSetDef sim_tail_getset[] = {
+    TAIL_LL("now", g_sim_tail, SimTail, now),
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyGetSetDef port_tail_getset[] = {
+    TAIL_LL("_busy_until", g_port_tail, PortTail, busy_until),
+    TAIL_LL("_bytes_control", g_port_tail, PortTail, bytes_control),
+    TAIL_LL("_bytes_data", g_port_tail, PortTail, bytes_data),
+    TAIL_LL("_bytes_bulk", g_port_tail, PortTail, bytes_bulk),
+    TAIL_LL("_ps_per_byte", g_port_tail, PortTail, ps_per_byte),
+    TAIL_LL("propagation_ps", g_port_tail, PortTail, propagation_ps),
+    TAIL_LL("data_queue_bytes", g_port_tail, PortTail, data_queue_bytes),
+    TAIL_LL("control_queue_bytes", g_port_tail, PortTail,
+            control_queue_bytes),
+    TAIL_LL("bulk_queue_bytes", g_port_tail, PortTail, bulk_queue_bytes),
+    {"_kick_pending", tail_get_flag, tail_set_flag, NULL,
+     &(TailField){&g_port_tail, offsetof(PortTail, kick_pending),
+                  "_kick_pending"}},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+/* Build the tail type `name` on `base` into *type, with `size` bytes of
+ * fields at *tail, after the base's slots, and publish it on the module.
+ * A base with a __dict__, a __weakref__ or items would put them where
+ * the tail goes, so it is refused. The type is built once: instances made
+ * since have their fields where it put them, so a later init() must pass
+ * the same base. */
+static int
+init_tail(PyObject *mod, PyObject *base, const char *name, const char *doc,
+          size_t size, PyGetSetDef *getset, Py_ssize_t *tail,
+          PyTypeObject **type)
+{
+    PyTypeObject *b = (PyTypeObject *)base;
+    unsigned long extras = 0;
+
+#ifdef Py_TPFLAGS_MANAGED_DICT
+    extras |= Py_TPFLAGS_MANAGED_DICT;
+#endif
+#ifdef Py_TPFLAGS_MANAGED_WEAKREF
+    extras |= Py_TPFLAGS_MANAGED_WEAKREF;
+#endif
+    if (*type != NULL) {
+        if ((PyObject *)(*type)->tp_base != base) {
+            PyErr_Format(PyExc_RuntimeError,
+                         "ckernel init: %.100s is already built on another "
+                         "base",
+                         name);
+            return -1;
+        }
+    }
+    else if (!PyType_Check(base) || b->tp_dictoffset != 0 ||
+             b->tp_weaklistoffset != 0 || b->tp_itemsize != 0 ||
+             (b->tp_flags & extras)) {
+        PyErr_Format(PyExc_TypeError,
+                     "ckernel init: %.100s needs a base with __slots__ and "
+                     "no __dict__, __weakref__ or items",
+                     name);
+        return -1;
+    }
+    else {
+        PyType_Slot slots[] = {
+            {Py_tp_getset, getset},
+            {Py_tp_doc, (void *)doc},
+            {0, NULL},
+        };
+        PyType_Spec spec = {name, 0, 0,
+                            Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE, slots};
+        PyObject *bases = PyTuple_Pack(1, base);
+        if (bases == NULL)
+            return -1;
+        *tail = (b->tp_basicsize + 7) & ~(Py_ssize_t)7;
+        spec.basicsize = (int)(*tail + (Py_ssize_t)size);
+        *type = (PyTypeObject *)PyType_FromSpecWithBases(&spec, bases);
+        Py_DECREF(bases);
+        if (*type == NULL)
+            return -1;
+    }
+    return PyModule_AddObjectRef(mod, strrchr(name, '.') + 1,
+                                 (PyObject *)*type);
+}
+
 /* ----------------------------------------------------------- scheduling */
 
 /* raise sim._past_error(time_ps, callback) */
@@ -946,8 +1127,7 @@ schedule_call(PyObject *self, long long t, long long now, PyObject *t_obj,
 static PyObject *
 c_sim_at(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 {
-    long long t, now;
-    int err = 0;
+    long long t;
 
     if (nargs < 3) {
         PyErr_SetString(PyExc_TypeError,
@@ -958,17 +1138,14 @@ c_sim_at(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
         return PyObject_Vectorcall(g_py_sim_at, args, nargs, NULL);
     if (as_ll(args[1], &t) < 0)
         return NULL;
-    now = slot_ll(args[0], S.now, "now", &err);
-    if (err)
-        return NULL;
-    return schedule_call(args[0], t, now, args[1], args, nargs);
+    return schedule_call(args[0], t, SIM_TAIL(args[0])->now, args[1], args,
+                         nargs);
 }
 
 static PyObject *
 c_sim_after(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 {
     long long delay, now, t;
-    int err = 0;
 
     if (nargs < 3) {
         PyErr_SetString(PyExc_TypeError,
@@ -979,8 +1156,8 @@ c_sim_after(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
         return PyObject_Vectorcall(g_py_sim_after, args, nargs, NULL);
     if (as_ll(args[1], &delay) < 0)
         return NULL;
-    now = slot_ll(args[0], S.now, "now", &err);
-    if (err || add_ll(now, delay, &t) < 0)
+    now = SIM_TAIL(args[0])->now;
+    if (add_ll(now, delay, &t) < 0)
         return NULL;
     return schedule_call(args[0], t, now, NULL, args, nargs);
 }
@@ -993,8 +1170,9 @@ c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
     static char *kwlist[] = {"", "until_ps", "max_events", NULL};
     PyObject *self, *until_obj = Py_None, *max_obj = Py_None, *ret = NULL;
     EventHeap *h;
-    long long processed = 0, until = 0, maxev = 0, now;
-    int has_until, has_max, quiet, err = 0;
+    SimTail *clock;
+    long long processed = 0, until = 0, maxev = 0;
+    int has_until, has_max, quiet;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|OO:run", kwlist, &self,
                                      &until_obj, &max_obj))
@@ -1007,9 +1185,11 @@ c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
     if ((has_until && as_ll(until_obj, &until) < 0) ||
         (has_max && as_ll(max_obj, &maxev) < 0))
         return NULL;
-    /* Held for the whole run: callbacks cannot free it under us. */
+    /* Held for the whole run: callbacks cannot free it under us. The
+     * clock lives in self, which the caller holds. */
     h = sim_heap(self);
     Py_INCREF(h);
+    clock = SIM_TAIL(self);
 
     while (h->len > 0) {
         Event e;
@@ -1019,11 +1199,7 @@ c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
         if (has_max && processed >= maxev)
             break;
         eh_pop(h, &e);
-        if (slot_set_ll(self, S.now, e.time) < 0) {
-            Py_DECREF(e.cb);
-            Py_DECREF(e.args);
-            goto done;
-        }
+        clock->now = e.time;
         r = PyObject_Call(e.cb, e.args, NULL);
         Py_DECREF(e.cb);
         Py_DECREF(e.args);
@@ -1033,11 +1209,9 @@ c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
         processed += 1;
     }
     quiet = h->len == 0 || (has_until && h->ev[0].time > until);
-    now = slot_ll(self, S.now, "now", &err);
-    if (err)
-        goto done;
-    if (has_until && now < until && quiet && (!has_max || processed < maxev))
-        slot_set(self, S.now, until_obj);
+    if (has_until && clock->now < until && quiet &&
+        (!has_max || processed < maxev))
+        clock->now = until;
     if (slot_add_ll(self, S.events_processed, "events_processed",
                     processed) < 0)
         goto done;
@@ -1073,24 +1247,32 @@ get_deliver(PyObject *target)
     return PyObject_GetAttr(target, s_receive);
 }
 
+/* *bytes -= size, a byte count leaving a queue, or the int64
+ * OverflowError. */
+static inline int
+sub_bytes(long long *bytes, long long size)
+{
+    if (__builtin_sub_overflow(*bytes, size, bytes)) {
+        raise_int64_overflow();
+        return -1;
+    }
+    return 0;
+}
+
 /* Lazy committed-control ledger settlement (mirror of _expire_committed):
  * drop every commitment whose wire entry is at or before `now`, and take
  * their bytes off _bytes_control in one write. */
 static int
-expire_committed(PyObject *self, Ledger *l, long long now)
+expire_committed(PortTail *t, Ledger *l, long long now)
 {
     long long freed = 0;
-    Py_ssize_t n = 0;
     while (l->len > 0 && l->ring[l->head].start <= now) {
         if (add_ll(freed, l->ring[l->head].size, &freed) < 0)
             return -1;
         l->head = (l->head + 1) & (l->cap - 1);
         l->len--;
-        n++;
     }
-    if (n == 0)
-        return 0;
-    return slot_add_ll(self, P.bytes_control, "_bytes_control", -freed);
+    return sub_bytes(&t->bytes_control, freed);
 }
 
 /* A SliceResolver's far end at `start`, natively (link.py's
@@ -1204,17 +1386,16 @@ count_sent(PyObject *self, long long size)
 static long long
 c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start)
 {
+    PortTail *t = PORT_TAIL(self);
     int err = 0;
     long long size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-    long long per_byte, done = 0, prop, arrive;
+    long long done = 0, arrive;
     PyObject *deliver = NULL;
 
-    if (err)
+    if (err || wire_done(start, size, t->ps_per_byte, &done) < 0)
         return -1;
-    per_byte = slot_ll(self, P.ps_per_byte, "_ps_per_byte", &err);
-    if (err || wire_done(start, size, per_byte, &done) < 0)
-        return -1;
-    if (slot_set_ll(self, P.busy_until, done) < 0 || count_sent(self, size) < 0)
+    t->busy_until = done;
+    if (count_sent(self, size) < 0)
         return -1;
     if (resolve_deliver(self, packet, start, &deliver) < 0)
         return -1;
@@ -1233,8 +1414,7 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start)
             return -1;
         return done;
     }
-    prop = slot_ll(self, P.propagation_ps, "propagation_ps", &err);
-    if (err || add_ll(done, prop, &arrive) < 0) {
+    if (add_ll(done, t->propagation_ps, &arrive) < 0) {
         Py_DECREF(deliver);
         return -1;
     }
@@ -1253,13 +1433,15 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start)
 }
 
 /* Fast-path eligibility for enqueue/_kick on `self` with its sim: a
- * compiled port on a compiled simulator, with an integral line rate and
- * the native queues, ledger and counters that kernel/engine.py installs. */
+ * compiled port on a compiled simulator, with an integral line rate (a
+ * zero _ps_per_byte takes the exact big-int division) and the native
+ * queues, ledger and counters that kernel/engine.py installs. */
 static inline int
-port_fast(PyObject *self, PyObject **sim_out, int *err)
+port_fast(PyObject *self, PyObject **sim_out)
 {
     PyObject *sim;
-    if (!g_ready || Py_TYPE(self) != t_ckport)
+    if (!g_ready || Py_TYPE(self) != t_ckport ||
+        PORT_TAIL(self)->ps_per_byte == 0)
         return 0;
     sim = SLOT(self, P.sim);
     if (sim == NULL || !sim_fast(sim) ||
@@ -1269,13 +1451,6 @@ port_fast(PyObject *self, PyObject **sim_out, int *err)
         !slot_is(self, P.committed_control, &Ledger_Type) ||
         !slot_is(self, P.stats, &PortCounters_Type))
         return 0;
-    {
-        long long per_byte = slot_ll(self, P.ps_per_byte, "_ps_per_byte", err);
-        if (*err)
-            return 0;
-        if (per_byte == 0)
-            return 0; /* non-integral ps/byte: exact big-int division */
-    }
     *sim_out = sim;
     return 1;
 }
@@ -1285,15 +1460,14 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
 {
     PyObject *sim, *priority;
     PortCounters *stats;
-    long long size, now;
-    int err = 0, truth;
+    PortTail *t;
+    long long size, now, queued;
+    int err = 0, kick_pending;
 
-    if (!port_fast(self, &sim, &err) || Py_TYPE(packet) != t_packet) {
-        if (err)
-            return NULL;
+    if (!port_fast(self, &sim) || Py_TYPE(packet) != t_packet)
         return PyObject_CallFunctionObjArgs(g_py_port_enqueue, self, packet,
                                             NULL);
-    }
+    t = PORT_TAIL(self);
     priority = slot_get(packet, K.priority, "priority");
     if (priority == NULL)
         return NULL;
@@ -1301,13 +1475,10 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
     if (err)
         return NULL;
     if (priority == g_prio_low && SLOT(packet, K.kind) == g_kind_data) {
-        long long qd = slot_ll(self, P.bytes_data, "_bytes_data", &err);
-        long long cap = slot_ll(self, P.data_queue_bytes, "data_queue_bytes",
-                                &err);
-        if (err)
+        if (add_ll(t->bytes_data, size, &queued) < 0)
             return NULL;
-        if (qd + size > cap) {
-            truth = PyObject_IsTrue(SLOT(self, P.trimming));
+        if (queued > t->data_queue_bytes) {
+            int truth = PyObject_IsTrue(SLOT(self, P.trimming));
             if (truth < 0)
                 return NULL;
             if (!truth)
@@ -1324,22 +1495,15 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
             size = g_header_ll;
         }
     }
-    now = slot_ll(sim, S.now, "now", &err);
-    if (err)
-        return NULL;
+    now = SIM_TAIL(sim)->now;
     if (priority == g_prio_control) {
         Ledger *committed =
             need_native(self, P.committed_control, &Ledger_Type);
-        long long qc, cap;
         if (committed == NULL ||
-            (committed->len > 0 && expire_committed(self, committed, now) < 0))
+            (committed->len > 0 && expire_committed(t, committed, now) < 0) ||
+            add_ll(t->bytes_control, size, &queued) < 0)
             return NULL;
-        qc = slot_ll(self, P.bytes_control, "_bytes_control", &err);
-        cap = slot_ll(self, P.control_queue_bytes, "control_queue_bytes",
-                      &err);
-        if (err)
-            return NULL;
-        if (qc + size > cap) {
+        if (queued > t->control_queue_bytes) {
             stats = need_native(self, P.stats, &PortCounters_Type);
             if (stats == NULL)
                 return NULL;
@@ -1348,12 +1512,9 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
         }
     }
     else if (priority == g_prio_bulk) {
-        long long qb = slot_ll(self, P.bytes_bulk, "_bytes_bulk", &err);
-        long long cap =
-            slot_ll(self, P.bulk_queue_bytes, "bulk_queue_bytes", &err);
-        if (err)
+        if (add_ll(t->bytes_bulk, size, &queued) < 0)
             return NULL;
-        if (qb + size > cap) {
+        if (queued > t->bulk_queue_bytes) {
             PyObject *handler;
             stats = need_native(self, P.stats, &PortCounters_Type);
             if (stats == NULL)
@@ -1370,97 +1531,81 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
             Py_RETURN_FALSE;
         }
     }
-    slot_set(packet, K.enqueued_ps, SLOT(sim, S.now));
-    truth = PyObject_IsTrue(SLOT(self, P.kick_pending));
-    if (truth < 0)
-        return NULL;
-    if (!truth) {
-        long long busy = slot_ll(self, P.busy_until, "_busy_until", &err);
-        if (err)
+    kick_pending = t->kick_pending;
+    if (!kick_pending && t->busy_until <= now) {
+        /* Idle line, empty queues: transmit immediately (the single
+         * hottest path in the engine). */
+        long long done = 0, arrive;
+        PyObject *deliver = NULL;
+        if (wire_done(now, size, t->ps_per_byte, &done) < 0)
             return NULL;
-        if (busy <= now) {
-            /* Idle line, empty queues: transmit immediately (the single
-             * hottest path in the engine). */
-            long long per_byte =
-                slot_ll(self, P.ps_per_byte, "_ps_per_byte", &err);
-            long long done = 0, prop, arrive;
-            PyObject *deliver = NULL;
-            if (err || wire_done(now, size, per_byte, &done) < 0)
+        t->busy_until = done;
+        if (count_sent(self, size) < 0 ||
+            resolve_deliver(self, packet, now, &deliver) < 0)
+            return NULL;
+        if (deliver == NULL) {
+            /* Dark circuit. */
+            PyObject *undeliv = slot_get(self, P.undeliv_cb, "_undeliv_cb");
+            PyObject *cargs;
+            if (undeliv == NULL)
                 return NULL;
-            if (slot_set_ll(self, P.busy_until, done) < 0 ||
-                count_sent(self, size) < 0)
+            cargs = PyTuple_Pack(1, packet);
+            if (cargs == NULL)
                 return NULL;
-            if (resolve_deliver(self, packet, now, &deliver) < 0)
+            err = schedule_heap(sim, done, undeliv, cargs);
+            Py_DECREF(cargs);
+            if (err < 0)
                 return NULL;
-            if (deliver == NULL) {
-                /* Dark circuit. */
-                PyObject *undeliv =
-                    slot_get(self, P.undeliv_cb, "_undeliv_cb");
-                PyObject *cargs;
-                if (undeliv == NULL)
-                    return NULL;
-                cargs = PyTuple_Pack(1, packet);
-                if (cargs == NULL)
-                    return NULL;
-                err = schedule_heap(sim, done, undeliv, cargs);
-                Py_DECREF(cargs);
-                if (err < 0)
-                    return NULL;
-                Py_RETURN_TRUE;
-            }
-            prop = slot_ll(self, P.propagation_ps, "propagation_ps", &err);
-            if (err || add_ll(done, prop, &arrive) < 0) {
-                Py_DECREF(deliver);
-                return NULL;
-            }
-            {
-                PyObject *recv_args =
-                    slot_get(packet, K.recv_args, "recv_args");
-                if (recv_args == NULL) {
-                    Py_DECREF(deliver);
-                    return NULL;
-                }
-                err = schedule_heap(sim, arrive, deliver, recv_args);
-                Py_DECREF(deliver);
-                if (err < 0)
-                    return NULL;
-            }
             Py_RETURN_TRUE;
         }
+        if (add_ll(done, t->propagation_ps, &arrive) < 0) {
+            Py_DECREF(deliver);
+            return NULL;
+        }
+        {
+            PyObject *recv_args = slot_get(packet, K.recv_args, "recv_args");
+            if (recv_args == NULL) {
+                Py_DECREF(deliver);
+                return NULL;
+            }
+            err = schedule_heap(sim, arrive, deliver, recv_args);
+            Py_DECREF(deliver);
+            if (err < 0)
+                return NULL;
+        }
+        Py_RETURN_TRUE;
     }
     /* Busy line (or kick pending): join the queue. */
     {
-        Py_ssize_t qoff, boff;
+        Py_ssize_t qoff;
+        long long *bytes;
         Fifo *q;
         if (priority == g_prio_control) {
             qoff = P.q_control;
-            boff = P.bytes_control;
+            bytes = &t->bytes_control;
         }
         else if (priority == g_prio_low) {
             qoff = P.q_data;
-            boff = P.bytes_data;
+            bytes = &t->bytes_data;
         }
         else {
             qoff = P.q_bulk;
-            boff = P.bytes_bulk;
+            bytes = &t->bytes_bulk;
         }
         q = need_native(self, qoff, &Fifo_Type);
         if (q == NULL || fifo_push(q, packet) < 0 ||
-            slot_add_ll(self, boff, "_bytes_*", size) < 0)
+            add_ll(*bytes, size, bytes) < 0)
             return NULL;
     }
-    if (!truth) {
-        long long busy = slot_ll(self, P.busy_until, "_busy_until", &err);
+    if (!kick_pending) {
         PyObject *kick_cb;
-        if (err)
-            return NULL;
-        slot_set(self, P.kick_pending, Py_True);
+        t->kick_pending = 1;
         kick_cb = slot_get(self, P.kick_cb, "_kick_cb");
         if (kick_cb == NULL)
             return NULL;
         /* sim.at(self._busy_until, self._kick_cb): the past-time guard
          * holds (busy > now here, since the idle branch did not take). */
-        if (schedule_heap(sim, busy, kick_cb, g_empty) < 0)
+        if (schedule_heap(sim, t->busy_until, kick_cb, g_empty) < 0)
             return NULL;
     }
     Py_RETURN_TRUE;
@@ -1480,13 +1625,13 @@ c_port_enqueue(PyObject *Py_UNUSED(mod), PyObject *const *args,
 /* Start the front packet of a data or bulk queue (one per kick): out of
  * the queue and its byte count at once, then on the wire. */
 static int
-kick_one(PyObject *self, PyObject *sim, Fifo *q, Py_ssize_t boff,
-         const char *bname, long long start)
+kick_one(PyObject *self, PyObject *sim, Fifo *q, long long *bytes,
+         long long start)
 {
     PyObject *packet = fifo_pop(q);
     int err = 0;
     long long size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-    if (err || slot_add_ll(self, boff, bname, -size) < 0 ||
+    if (err || sub_bytes(bytes, size) < 0 ||
         (c_transmit(self, sim, packet, start) < 0 && PyErr_Occurred()))
         err = 1;
     Py_DECREF(packet);
@@ -1513,8 +1658,7 @@ kick_control(PyObject *self, PyObject *sim, Fifo *q, long long start)
         if (!err) {
             if (first) {
                 /* On the wire right now: out of the queue at once. */
-                err = slot_add_ll(self, P.bytes_control, "_bytes_control",
-                                  -size) < 0;
+                err = sub_bytes(&PORT_TAIL(self)->bytes_control, size) < 0;
                 first = 0;
             }
             else
@@ -1541,33 +1685,30 @@ static PyObject *
 c_port_kick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *self, *sim;
+    PortTail *t;
     Fifo *qc, *qd, *qb;
     long long start;
-    int err = 0, rc;
+    int rc;
 
     if (nargs != 1) {
         PyErr_SetString(PyExc_TypeError, "_kick() takes (self)");
         return NULL;
     }
     self = args[0];
-    if (!port_fast(self, &sim, &err)) {
-        if (err)
-            return NULL;
+    if (!port_fast(self, &sim))
         return PyObject_CallFunctionObjArgs(g_py_port_kick, self, NULL);
-    }
-    slot_set(self, P.kick_pending, Py_False);
-    start = slot_ll(sim, S.now, "now", &err);
-    if (err)
-        return NULL;
+    t = PORT_TAIL(self);
+    t->kick_pending = 0;
+    start = SIM_TAIL(sim)->now;
     qc = (Fifo *)SLOT(self, P.q_control);
     qd = (Fifo *)SLOT(self, P.q_data);
     qb = (Fifo *)SLOT(self, P.q_bulk);
     if (qc->len > 0)
         rc = kick_control(self, sim, qc, start);
     else if (qd->len > 0)
-        rc = kick_one(self, sim, qd, P.bytes_data, "_bytes_data", start);
+        rc = kick_one(self, sim, qd, &t->bytes_data, start);
     else if (qb->len > 0)
-        rc = kick_one(self, sim, qb, P.bytes_bulk, "_bytes_bulk", start);
+        rc = kick_one(self, sim, qb, &t->bytes_bulk, start);
     else
         Py_RETURN_NONE; /* kick only scheduled with work queued */
     if (rc < 0)
@@ -1579,15 +1720,12 @@ c_port_kick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
     if (qc == NULL || qd == NULL || qb == NULL)
         return NULL;
     if (qc->len > 0 || qd->len > 0 || qb->len > 0) {
-        long long busy = slot_ll(self, P.busy_until, "_busy_until", &err);
         PyObject *kick_cb;
-        if (err)
-            return NULL;
-        slot_set(self, P.kick_pending, Py_True);
+        t->kick_pending = 1;
         kick_cb = slot_get(self, P.kick_cb, "_kick_cb");
         if (kick_cb == NULL)
             return NULL;
-        if (schedule_heap(sim, busy, kick_cb, g_empty) < 0)
+        if (schedule_heap(sim, t->busy_until, kick_cb, g_empty) < 0)
             return NULL;
     }
     Py_RETURN_NONE;
@@ -1751,8 +1889,16 @@ table_route(PyObject *table, PyObject *packet, long long hops,
         PyObject *stamp_obj = SLOT(packet, K.slice_stamp);
         Py_ssize_t cycle = PyTuple_GET_SIZE(options);
         long long now, current;
-        if (sim == NULL || !PyObject_TypeCheck(sim, t_sim) || cycle == 0 ||
-            !exact_ll(SLOT(sim, S.now), &now) || now < 0 || stamp_obj == NULL)
+        if (sim == NULL || cycle == 0 || stamp_obj == NULL)
+            return 0;
+        /* The clock of a compiled simulator is in its tail, that of an
+         * exact Simulator in its slot; any other simulator's `now` may be
+         * computed, so Python reads it. */
+        if (PyObject_TypeCheck(sim, t_simtail))
+            now = SIM_TAIL(sim)->now;
+        else if (Py_TYPE(sim) != t_sim || !exact_ll(SLOT(sim, S.now), &now))
+            return 0;
+        if (now < 0)
             return 0;
         current = (now / slice_ps) % cycle;
         if (stamp_obj == Py_None) {
@@ -1912,7 +2058,7 @@ salt_hash(PyObject *a, PyObject *b, PyObject *c)
 /* packet.acquire(...), inlined for the free-list path. All args borrowed;
  * returns a new Packet ref. Python's pool path re-assigns every field, so
  * the transcription does too (slice_stamp/next_rack/relay_to default to
- * None, hops/enqueued_ps to 0 — the NDP endpoints never pass them). */
+ * None, hops to 0 — the NDP endpoints never pass them). */
 static PyObject *
 c_acquire(PyObject *fid, PyObject *kind, PyObject *src, PyObject *dst,
           PyObject *seq, PyObject *size_obj, PyObject *prio,
@@ -1950,7 +2096,6 @@ c_acquire(PyObject *fid, PyObject *kind, PyObject *src, PyObject *dst,
             slot_set(packet, K.hops, g_zero);
             slot_set(packet, K.next_rack, Py_None);
             slot_set(packet, K.relay_to, Py_None);
-            slot_set(packet, K.enqueued_ps, g_zero);
             return packet;
         }
     }
@@ -2289,13 +2434,8 @@ pacer_request(PyObject *pacer, PyObject *sink)
             tick = sim ? slot_get(pacer, PP.tick_cb, "_tick_cb") : NULL;
             if (tick == NULL)
                 return -1;
-            if (sim_fast(sim)) {
-                int err = 0;
-                long long now = slot_ll(sim, S.now, "now", &err);
-                if (err)
-                    return -1;
-                return schedule_heap(sim, now, tick, g_empty);
-            }
+            if (sim_fast(sim))
+                return schedule_heap(sim, SIM_TAIL(sim)->now, tick, g_empty);
             r = PyObject_CallMethodObjArgs(sim, s_after, g_zero, tick, NULL);
             if (r == NULL)
                 return -1;
@@ -2408,7 +2548,10 @@ sink_on_packet(PyObject *self, PyObject *packet)
                 Py_DECREF(fid);
                 return NULL;
             }
-            if (Py_TYPE(sim) == t_cksim || Py_TYPE(sim) == t_sim) {
+            /* The clock, boxed here once for Python. */
+            if (PyObject_TypeCheck(sim, t_simtail))
+                now_obj = PyLong_FromLongLong(SIM_TAIL(sim)->now);
+            else if (Py_TYPE(sim) == t_sim) {
                 now_obj = SLOT(sim, S.now);
                 Py_XINCREF(now_obj);
             }
@@ -2526,11 +2669,10 @@ c_pacer_tick(PyObject *Py_UNUSED(mod), PyObject *const *args,
             if (tick == NULL)
                 return NULL;
             if (sim_fast(sim)) {
-                long long now = slot_ll(sim, S.now, "now", &err);
                 long long interval =
                     slot_ll(self, PP.interval_ps, "interval_ps", &err);
                 long long next;
-                if (err || add_ll(now, interval, &next) < 0 ||
+                if (err || add_ll(SIM_TAIL(sim)->now, interval, &next) < 0 ||
                     schedule_heap(sim, next, tick, g_empty) < 0)
                     return NULL;
             }
@@ -2595,7 +2737,7 @@ cfg_get(PyObject *cfg, const char *key)
     } while (0)
 
 static PyObject *
-c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
+c_init(PyObject *mod, PyObject *cfg)
 {
     PyObject *cls, *tmp = NULL;
 
@@ -2613,6 +2755,12 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     OFF(cls, "now", S.now);
     OFF(cls, "_heap", S.heap);
     OFF(cls, "events_processed", S.events_processed);
+    if (init_tail(mod, cls, "repro.net.kernel._ckernel.SimTail",
+                  "Simulator with its clock as an int64 field: the base of "
+                  "CKSimulator.",
+                  sizeof(SimTail), sim_tail_getset, &g_sim_tail,
+                  &t_simtail) < 0)
+        return NULL;
 
     /* Port offsets */
     CFG_OBJ(tmp, "Port");
@@ -2622,10 +2770,6 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     Py_INCREF(cls);
     OFF(cls, "sim", P.sim);
     OFF(cls, "resolver", P.resolver);
-    OFF(cls, "propagation_ps", P.propagation_ps);
-    OFF(cls, "data_queue_bytes", P.data_queue_bytes);
-    OFF(cls, "control_queue_bytes", P.control_queue_bytes);
-    OFF(cls, "bulk_queue_bytes", P.bulk_queue_bytes);
     OFF(cls, "trimming", P.trimming);
     OFF(cls, "on_undeliverable", P.on_undeliverable);
     OFF(cls, "on_bulk_drop", P.on_bulk_drop);
@@ -2633,17 +2777,18 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     OFF(cls, "_q_control", P.q_control);
     OFF(cls, "_q_data", P.q_data);
     OFF(cls, "_q_bulk", P.q_bulk);
-    OFF(cls, "_bytes_control", P.bytes_control);
-    OFF(cls, "_bytes_data", P.bytes_data);
-    OFF(cls, "_bytes_bulk", P.bytes_bulk);
-    OFF(cls, "_busy_until", P.busy_until);
-    OFF(cls, "_kick_pending", P.kick_pending);
-    OFF(cls, "_ps_per_byte", P.ps_per_byte);
     OFF(cls, "_target", P.target);
     OFF(cls, "_committed_control", P.committed_control);
     OFF(cls, "_deliver", P.deliver);
     OFF(cls, "_kick_cb", P.kick_cb);
     OFF(cls, "_undeliv_cb", P.undeliv_cb);
+    if (init_tail(mod, cls, "repro.net.kernel._ckernel.PortTail",
+                  "Port with its line-free time, byte counts, kick flag and "
+                  "serializer and queue constants as int64 fields: the base "
+                  "of CKPort.",
+                  sizeof(PortTail), port_tail_getset, &g_port_tail,
+                  &t_porttail) < 0)
+        return NULL;
 
     /* Packet offsets */
     CFG_OBJ(tmp, "Packet");
@@ -2663,7 +2808,6 @@ c_init(PyObject *Py_UNUSED(mod), PyObject *cfg)
     OFF(cls, "hops", K.hops);
     OFF(cls, "next_rack", K.next_rack);
     OFF(cls, "relay_to", K.relay_to);
-    OFF(cls, "enqueued_ps", K.enqueued_ps);
     OFF(cls, "recv_args", K.recv_args);
     OFF(cls, "_pooled", K.pooled);
 
@@ -2811,6 +2955,17 @@ c_register(PyObject *Py_UNUSED(mod), PyObject *args)
     if (!PyArg_ParseTuple(args, "OOOOOOO:register", &cksim, &ckport, &ckhost,
                           &ckswitch, &cksrc, &cksink, &ckpacer))
         return NULL;
+    /* The fast paths find the clock and port fields in the tails. */
+    if (t_simtail == NULL || t_porttail == NULL || !PyType_Check(cksim) ||
+        !PyType_Check(ckport) ||
+        !PyType_IsSubtype((PyTypeObject *)cksim, t_simtail) ||
+        !PyType_IsSubtype((PyTypeObject *)ckport, t_porttail)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "register: the simulator and port classes must "
+                        "subclass _ckernel.SimTail and _ckernel.PortTail "
+                        "(call init() first)");
+        return NULL;
+    }
     Py_XDECREF((PyObject *)t_cksim);
     Py_XDECREF((PyObject *)t_ckport);
     Py_XDECREF((PyObject *)t_ckhost);

@@ -9,8 +9,14 @@ engine.
 The ``CK*`` classes add no slots (``__slots__ = ()``) — they rebind the
 hot methods to the C implementations, which operate on the base classes'
 ``__slots__`` through member-descriptor offsets captured by
-``_ckernel.init`` below. Some slots change type, installed at
-construction (see :mod:`repro.net.kernel`): :class:`CKSimulator` stores
+``_ckernel.init`` below. :class:`CKSimulator` and :class:`CKPort`
+derive from the *native tails* ``init`` builds on the pure-Python
+classes (``_ckernel.SimTail``, ``_ckernel.PortTail``; see
+:mod:`repro.net.kernel`): the clock, and a port's serializer state, byte
+counts and constants, are int64 fields whose getset descriptors, named
+after the slots they shadow, serve the pure-Python bodies unchanged.
+Some slots change type, installed at construction (see
+:mod:`repro.net.kernel`): :class:`CKSimulator` stores
 a native ``_ckernel.EventHeap`` in ``_heap`` instead of the oracle's
 list of ``(time_ps, seq, callback, args)`` tuples; :class:`CKPort`
 stores ``_ckernel.Fifo`` rings in its three queues, a
@@ -98,13 +104,14 @@ _ckernel.init(
 )
 
 
-class CKSimulator(Simulator):
+class CKSimulator(_ckernel.SimTail):
     """Simulator with the scheduling/run loop compiled.
 
     The event heap is a native ``_ckernel.EventHeap``: int64 ``(time,
     seq)`` keys instead of boxed tuples, and the heap owns the sequence
     counter (``_seq`` is unused). ``len(self._heap)`` still counts
-    pending entries, so :attr:`pending` is unchanged.
+    pending entries, so :attr:`pending` is unchanged. The clock ``now``
+    is an int64 field of the ``SimTail`` base.
     """
 
     __slots__ = ()
@@ -128,7 +135,7 @@ class CKSimulator(Simulator):
     run = _ckernel.run
 
 
-class CKPort(Port):
+class CKPort(_ckernel.PortTail):
     """Port with enqueue and the serializer kick compiled.
 
     ``Port.__init__`` binds ``self._kick_cb = self._kick``, which resolves
@@ -136,7 +143,8 @@ class CKPort(Port):
     port schedules dispatches straight into C. The three priority queues
     are native ``_ckernel.Fifo`` rings, the committed-control ledger a
     ``_ckernel.Ledger`` and ``stats`` a ``_ckernel.PortCounters``; the
-    Python bodies run unchanged on them.
+    serializer state, byte counts and constants are int64 fields of the
+    ``PortTail`` base. The Python bodies run unchanged on all of them.
     """
 
     __slots__ = ()

@@ -302,7 +302,6 @@ class Port:
                 return False
         sim = self.sim
         now = sim.now
-        packet.enqueued_ps = now
         if not self._kick_pending and self._busy_until <= now:
             # Idle line, empty queues: transmit without touching a queue.
             # This is the single hottest path in the engine (most packets

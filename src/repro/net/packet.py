@@ -72,7 +72,6 @@ class Packet:
         "hops",
         "next_rack",
         "relay_to",
-        "enqueued_ps",
         "recv_args",
         "_pooled",
     )
@@ -91,7 +90,6 @@ class Packet:
         hops: int = 0,
         next_rack: int | None = None,
         relay_to: int | None = None,
-        enqueued_ps: int = 0,
     ) -> None:
         self.flow_id = flow_id
         self.kind = kind
@@ -110,8 +108,6 @@ class Packet:
         self.next_rack = next_rack
         #: RotorLB: final destination rack when relaying via an intermediate.
         self.relay_to = relay_to
-        #: Filled by the sink for FCT accounting.
-        self.enqueued_ps = enqueued_ps
         #: Preconstructed ``(self,)`` args tuple for delivery events — the
         #: engine's zero-allocation dispatch path schedules
         #: ``(deliver, packet.recv_args)`` without packing a fresh tuple
@@ -181,7 +177,6 @@ def acquire(
         packet.hops = 0
         packet.next_rack = next_rack
         packet.relay_to = relay_to
-        packet.enqueued_ps = 0
         return packet
     return Packet(
         flow_id,

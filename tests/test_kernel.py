@@ -31,6 +31,7 @@ import repro
 from repro.experiments.fctsim import MS, build_network
 from repro.net import kernel as kernel_mod
 from repro.net.kernel import compiled_available, engine_classes, kernel_default
+from repro.net.packet import MTU_BYTES, Packet, PacketKind, Priority
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.distributions import DATAMINING
 
@@ -604,6 +605,200 @@ class TestNativeQueues:
         assert type(source).__name__ == "CKNdpSource"
         assert type(source._rtx) is _ckernel.Fifo
         assert type(net.pacers[31]._tokens) is _ckernel.Fifo
+
+
+#: The int64 fields of a compiled port's native tail, by Python name.
+PORT_TAIL_FIELDS = (
+    "_busy_until",
+    "_bytes_control",
+    "_bytes_data",
+    "_bytes_bulk",
+    "_ps_per_byte",
+    "propagation_ps",
+    "data_queue_bytes",
+    "control_queue_bytes",
+    "bulk_queue_bytes",
+)
+
+#: A replay step: an enqueue on port 0 or 1 (priority, size up to an MTU)
+#: or a run to a horizon that many ps ahead. At 10 Gb/s an MTU takes
+#: 1.2 us on the wire, so short runs leave queues behind and long ones
+#: drain them.
+TAIL_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("enqueue"),
+            st.integers(0, 1),
+            st.sampled_from(tuple(Priority)),
+            st.integers(1, MTU_BYTES),
+        ),
+        st.tuples(st.just("run"), st.integers(0, 6_000_000)),
+    ),
+    max_size=80,
+)
+
+
+def tail_state(sim, ports):
+    """The clock, and each port's tail fields, busy, queued bytes and stats.
+
+    The raw fields are read before ``queued_bytes``, which settles the
+    committed-control ledger.
+    """
+    return sim.now, [
+        (
+            port._busy_until,
+            port._bytes_control,
+            port._bytes_data,
+            port._bytes_bulk,
+            port._kick_pending,
+            port.busy,
+            [port.queued_bytes(p) for p in (None, *Priority)],
+            port.stats.counters(),
+        )
+        for port in ports
+    ]
+
+
+def tail_replay(kernel, ops):
+    """Replay ``ops`` on one simulator and two ports of ``kernel``.
+
+    Port 0 trims at 10 Gb/s with small queues; port 1 runs drop-tail at
+    3 Gb/s, a rate the compiled port hands to the Python body, which then
+    reaches the tail through its descriptors. Returns what each step
+    returned and the state after it, the arrivals and the bulk drops.
+    """
+    classes = engine_classes(kernel)
+    sim = classes.Simulator()
+    arrivals, dropped = [], []
+
+    class Sink:
+        def receive_cb(self, packet):
+            arrivals.append((sim.now, packet.seq, packet.size_bytes))
+
+    sink = Sink()
+    ports = [
+        classes.Port(
+            sim, "trim", target=sink,
+            data_queue_bytes=3 * MTU_BYTES,
+            control_queue_bytes=2 * MTU_BYTES,
+            bulk_queue_bytes=4 * MTU_BYTES,
+            on_bulk_drop=lambda p: dropped.append(p.seq),
+        ),
+        classes.Port(
+            sim, "drop-tail", resolver=lambda _p, _now: sink,
+            rate_bps=3_000_000_000, propagation_ps=0,
+            data_queue_bytes=2 * MTU_BYTES, trimming=False,
+        ),
+    ]
+    out = []
+    for seq, op in enumerate(ops):
+        if op[0] == "enqueue":
+            _, i, priority, size = op
+            kind = PacketKind.ACK if priority is Priority.CONTROL else PacketKind.DATA
+            out.append(ports[i].enqueue(Packet(1, kind, 0, 1, seq, size, priority)))
+        else:
+            out.append(sim.run(until_ps=sim.now + op[1]))
+        out.append(tail_state(sim, ports))
+    out.append(sim.run())
+    out.append(tail_state(sim, ports))
+    return out, arrivals, dropped
+
+
+@requires_c
+class TestNativeTails:
+    """The clock and port fields in the native tails behave as the slots."""
+
+    @given(TAIL_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_replay_matches_the_oracle(self, ops):
+        assert tail_replay("c", ops) == tail_replay("py", ops)
+
+    def test_replay_trims_drops_and_queues(self):
+        # A burst on each port then a drain: every branch the replay
+        # compares is taken at least once.
+        LL, CTL, BULK = Priority.LOW_LATENCY, Priority.CONTROL, Priority.BULK
+        ops = (
+            [("enqueue", 0, LL, MTU_BYTES)] * 6
+            + [("enqueue", 0, CTL, 700)] * 5
+            + [("enqueue", 0, BULK, MTU_BYTES)] * 6
+            + [("enqueue", 1, LL, MTU_BYTES)] * 4
+            + [("run", 2_500_000), ("enqueue", 0, CTL, 64), ("run", 0)]
+        )
+        ck, py = tail_replay("c", ops), tail_replay("py", ops)
+        assert ck == py
+        results, arrivals, dropped = py
+        _now, (trim, tail) = results[-1]
+        stats = trim[-1]
+        assert stats["trimmed"] and stats["dropped_control"] and dropped
+        # One on the idle line and two queued; the fourth is dropped.
+        assert tail[-1]["sent_packets"] == 3 and not tail[-1]["trimmed"]
+        assert len(arrivals) == stats["sent_packets"] + 3
+        # The control burst was committed back-to-back: some state saw
+        # bytes in the ledger that queued_bytes then settled.
+        states = [r for r in results if isinstance(r, tuple)]
+        assert any(p[1] != p[6][1] for _now, ports in states for p in ports)
+
+    def test_setters_take_int64_ints_only(self):
+        ck = engine_classes("c")
+        sim = ck.Simulator()
+        port = ck.Port(sim, "p", target=object())
+        for obj, name in ((sim, "now"), *((port, f) for f in PORT_TAIL_FIELDS)):
+            with pytest.raises(TypeError, match=name):
+                setattr(obj, name, 1.0)
+            with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
+                setattr(obj, name, 2**63)
+            with pytest.raises(TypeError, match=name):
+                delattr(obj, name)
+            for value in (2**63 - 1, -(2**63), 7):
+                setattr(obj, name, value)
+                assert getattr(obj, name) == value
+
+    def test_bad_port_argument_fails_at_construction(self):
+        # Port.__init__ assigns through the descriptors, so a bad value
+        # fails there, not at the first hop. The py oracle's ints are
+        # unbounded.
+        from repro.net.link import Port
+        from repro.net.sim import Simulator
+
+        ck = engine_classes("c")
+        with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
+            ck.Port(ck.Simulator(), "p", target=object(), propagation_ps=2**63)
+        with pytest.raises(TypeError, match="data_queue_bytes"):
+            ck.Port(ck.Simulator(), "p", target=object(), data_queue_bytes=12e3)
+        port = Port(Simulator(), "p", target=object(), propagation_ps=2**63)
+        assert port.propagation_ps == 2**63
+
+    def test_kick_pending_is_a_flag(self):
+        ck = engine_classes("c")
+        port = ck.Port(ck.Simulator(), "p", target=object())
+        assert port._kick_pending is False
+        for value, flag in ((True, True), (0, False), (5, True), (False, False)):
+            port._kick_pending = value
+            assert port._kick_pending is flag
+        with pytest.raises(TypeError, match="_kick_pending"):
+            port._kick_pending = None
+
+    def test_tails_add_no_slots(self):
+        # No __slots__ on the CK classes, no __dict__ or __weakref__ from
+        # the tails; the slots they shadow stay allocated but unset.
+        from repro.net.kernel import _ckernel
+        from repro.net.link import Port
+        from repro.net.sim import Simulator
+
+        ck = engine_classes("c")
+        for cls, tail, base in (
+            (ck.Simulator, _ckernel.SimTail, Simulator),
+            (ck.Port, _ckernel.PortTail, Port),
+        ):
+            assert cls.__dict__["__slots__"] == () and "__slots__" not in tail.__dict__
+            assert cls.__basicsize__ == tail.__basicsize__ > base.__basicsize__
+            assert cls.__weakrefoffset__ == cls.__dictoffset__ == 0
+        sim = ck.Simulator()
+        port = ck.Port(sim, "p", target=object())
+        with pytest.raises(AttributeError):
+            Port._busy_until.__get__(port)
+        with pytest.raises(AttributeError):
+            Simulator.now.__get__(sim)
 
 
 def serializer_run(sim_cls, port_cls, rate_bps):

@@ -1,9 +1,10 @@
 """Tests for the native profiler (``benchmarks/native_profile.py``).
 
-A hand-built result pins the interval line the report prints. The smoke
-test profiles one ci-scale fig07 cell in a child process, so the SIGPROF
-handler never touches the test process; it checks the report's
-arithmetic, not any timing.
+A hand-built result pins the interval line the report prints, and
+hand-built stacks pin how samples inside ``c_sim_run`` are split and
+charged to kernel frames. The smoke test profiles one ci-scale fig07
+cell in a child process, so the SIGPROF handler never touches the test
+process; it checks the report's arithmetic, not any timing.
 """
 
 import json
@@ -18,7 +19,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
-from native_profile import interval_line  # noqa: E402
+from native_profile import (  # noqa: E402
+    c_api_by_caller,
+    interval_line,
+    split_kernel_run,
+)
+
+KERNEL, PYTHON = "_ckernel.cpython-311-x86_64-linux-gnu.so", "libpython3.11.so.1.0"
+#: Every sample's outer frames: the interpreter calling the kernel's run.
+RUN = [(KERNEL, "c_sim_run"), (PYTHON, "cfunction_call"), (PYTHON, "main")]
 
 
 def test_interval_line_reports_effective_and_nominal_interval():
@@ -40,6 +49,38 @@ def test_interval_line_reports_effective_and_nominal_interval():
     assert interval_line(result) == (
         "0 samples over 4.80 s of CPU: no samples (nominal 500 us)"
     )
+
+
+def test_c_api_samples_are_charged_to_the_nearest_kernel_frame():
+    stacks = [
+        # C-API under a kernel function the run called through Python's
+        # call machinery: charged to that function, not to c_sim_run.
+        [(PYTHON, "_PyObject_Malloc"), (PYTHON, "PyLong_FromLongLong"),
+         (KERNEL, "c_transmit"), (KERNEL, "c_port_kick"),
+         (PYTHON, "cfunction_vectorcall_FASTCALL"), (PYTHON, "_PyObject_Call"),
+         *RUN],
+        [(PYTHON, "PyLong_FromLongLong"), (KERNEL, "c_transmit"),
+         (KERNEL, "c_port_kick"), *RUN],
+        # The call machinery itself, directly under the run.
+        [(PYTHON, "method_vectorcall"), *RUN],
+        [(PYTHON, "_PyObject_Malloc"), (PYTHON, "PyLong_FromLongLong"),
+         (KERNEL, "c_transmit"), *RUN],
+        # Kernel self: not charged.
+        [(KERNEL, "eh_pop"), *RUN],
+        # Python re-entry, even with a kernel frame above the leaf: not
+        # charged.
+        [(PYTHON, "PyLong_FromLongLong"), (KERNEL, "c_port_enqueue_impl"),
+         (PYTHON, "_PyEval_EvalFrameDefault"), *RUN],
+        # Outside c_sim_run: neither split nor charged.
+        [(PYTHON, "_PyObject_Malloc"), (KERNEL, "c_port_enqueue_impl"),
+         (PYTHON, "main")],
+    ]
+    assert split_kernel_run(stacks) == {"c_api": 4, "kernel_self": 1, "python": 1}
+    assert c_api_by_caller(stacks) == {
+        ("_PyObject_Malloc", "c_transmit"): 2,
+        ("PyLong_FromLongLong", "c_transmit"): 1,
+        ("method_vectorcall", "c_sim_run"): 1,
+    }
 
 
 @pytest.mark.skipif(
@@ -69,9 +110,15 @@ def test_one_ci_cell_shares_sum_to_100(tmp_path):
     for phase in phases.values():
         assert sum(count for _leaf, count in phase["leaves"]) == phase["samples"]
     split = result["c_sim_run"]
+    pairs = result["c_api_by_caller"]
     if result["kernel"] == "c":
         assert split["samples"] > 0
         assert split["kernel_self"] + split["c_api"] + split["python"] == pytest.approx(100.0)
         assert "c_sim_run (" in proc.stdout
+        # Every C-API sample is charged to exactly one (leaf, frame) pair.
+        c_api = round(split["c_api"] * split["samples"] / 100.0)
+        assert sum(count for _pair, count in pairs) == c_api
+        assert all(leaf and frame for (leaf, frame), _count in pairs)
+        assert "by nearest kernel frame" in proc.stdout
     else:
-        assert split["samples"] == 0
+        assert split["samples"] == 0 and pairs == []
