@@ -31,7 +31,7 @@ from .link import Port, SliceResolver
 from .ndp import PullPacer, start_ndp_flow
 from .node import CONSUMED, Host, RouteTable, SwitchNode
 from .packet import Packet, PacketKind, Priority, release
-from .rotorlb import BulkFlow, BulkSink, RotorLBAgent
+from .rotorlb import BulkFlow, RotorLBAgent
 from .sim import Simulator
 from .stats import FlowRecord, StatsCollector
 
@@ -222,10 +222,10 @@ class OperaSimNetwork(SimNetwork):
                 )
             self.uplink_ports.append(uplinks)
             activations = slice_activations(sched, rack, network.n_switches)
-            agent = RotorLBAgent(
+            agent = self.kernel.RotorLBAgent(
                 self.sim,
                 rack,
-                rack_of=lambda host, _d=network.hosts_per_rack: host // _d,
+                hosts_per_rack=network.hosts_per_rack,
                 uplinks=uplinks,
                 slice_payload_bytes=slice_payload,
                 host_budget_bytes=host_budget,
@@ -563,7 +563,7 @@ class OperaSimNetwork(SimNetwork):
             start_ps=start_ps,
         )
         self.stats.flow_started(record)
-        BulkSink(self.sim, self.hosts[dst], record, self.stats)
+        self.kernel.BulkSink(self.sim, self.hosts[dst], record, self.stats)
         flow = BulkFlow(record)
         agent = self.agents[self.network.host_rack(src)]
         self.sim.at(max(start_ps, self.sim.now), lambda: agent.submit(flow))
@@ -834,10 +834,10 @@ class RotorNetSimNetwork(SimNetwork):
                     )
                 )
             activations = slice_activations(sched, rack, topology.n_rotor_switches)
-            agent = RotorLBAgent(
+            agent = self.kernel.RotorLBAgent(
                 self.sim,
                 rack,
-                rack_of=topology.host_rack,
+                hosts_per_rack=topology.hosts_per_rack,
                 uplinks=ports,
                 slice_payload_bytes=slice_payload,
                 host_budget_bytes=host_budget,
@@ -939,7 +939,7 @@ class RotorNetSimNetwork(SimNetwork):
             start_ps=start_ps,
         )
         self.stats.flow_started(record)
-        BulkSink(self.sim, self.hosts[dst], record, self.stats)
+        self.kernel.BulkSink(self.sim, self.hosts[dst], record, self.stats)
         flow = BulkFlow(record)
         agent = self.agents[self.topology.host_rack(src)]
         self.sim.at(max(start_ps, self.sim.now), lambda: agent.submit(flow))

@@ -27,10 +27,12 @@ kernel for exactly that inner loop, selected with ``REPRO_KERNEL``:
 Design: **one data layout, two method implementations — except the
 event heap, the queues and the native tails.** The compiled kernel is a
 set of C functions that read and write the *existing* ``__slots__`` of
-``Simulator`` / ``Port`` / ``Packet`` / ``Host`` / ``SwitchNode`` and the
-NDP endpoints through member-descriptor offsets, plus thin subclasses
-(:mod:`.engine`) that rebind only the hot methods to those C
-implementations. Packets are the same free-listed ``Packet`` objects.
+``Simulator`` / ``Port`` / ``Packet`` / ``Host`` / ``SwitchNode``, the
+NDP endpoints, RotorLB's agent, flows and bulk sink, and the flow
+records and stats collector through member-descriptor offsets, plus
+thin subclasses (:mod:`.engine`) that rebind only the hot methods to
+those C implementations. Packets are the same free-listed ``Packet``
+objects.
 
 The event heap is the first structure the kernels do not share. A native
 sampling profile of the fig07 Clos 25%-load cell under ``c`` (SIGPROF
@@ -85,10 +87,29 @@ boxed the clock, every packet its line-free time, every queued packet
 its byte count twice. The setters take ints only (``TypeError``) that
 fit in int64 (the kernel's ``OverflowError``), so a bad value fails
 where it is assigned; the shadowed slots stay allocated but unset, as
-``_seq`` is on a compiled simulator. The sink boxes the clock once, for
-``stats.delivered``, and a stamped route table reads it from the tail of
-its simulator (from the slot of an exact ``Simulator``; any other
-simulator's goes to Python).
+``_seq`` is on a compiled simulator. A stamped route table reads the
+clock from the tail of its simulator (from the slot of an exact
+``Simulator``; any other simulator's goes to Python), and so does the
+delivery count below.
+
+**RotorLB and delivery in C.** Bulk traffic on Opera and RotorNet never
+leaves the kernel either. ``CKRotorLBAgent`` runs
+:meth:`~repro.net.rotorlb.RotorLBAgent.on_slice` (relay, then local,
+then VLB per circuit, under per-host NIC budgets) and ``accept_relay``
+in C on the agent's own slots; its per-destination queues stay
+``collections.deque``, driven through deque's methods. ``CKBulkSink``
+runs ``BulkSink.on_packet``, which ``c_host_receive`` calls directly, as
+it calls the compiled NDP endpoints. One C twin of
+:meth:`~repro.net.stats.StatsCollector.delivered` serves both sinks on an
+exact ``StatsCollector`` and slotted ``FlowRecord`` (any other collector
+is called by name), and the NDP endpoints read the record's ints by
+offset. The Python bodies stay the oracle: the slice step hands the
+call back, before its first write, to a disabled agent, one with a
+failure view or forced relay, and any table, flow or record of an
+unexpected type, so failure-armed agents run Python exactly as before.
+A bulk drop while a circuit fills runs a Python handler that may
+requeue into the very relay queue being drained, so the C step re-reads
+every entry after each enqueue, as the Python body does.
 
 The compiled module is built by ``setup.py`` (``pip install -e .`` or
 ``python setup.py build_ext --inplace``) from the hand-written CPython
@@ -105,7 +126,8 @@ interpretation, which the ``py`` kernel runs. ``_ckernel.init``
 registers both types, and the compiled dispatch and serializer
 interpret an exact instance natively (anything not provably in range
 goes to the Python interpretation, before any write), so a fault-free
-hop enters no Python frame unless it relays bulk to RotorLB.
+hop enters no Python frame; a relay goes to the compiled agent's
+``accept_relay``.
 
 **The failure seam.** Live failure injection (``repro.core.faults`` +
 ``OperaSimNetwork.install_failures``) adds *zero* kernel code. Two
@@ -134,7 +156,8 @@ and the scheduler's push count (the oracle's ``_seq``, the native heap's
 counter under ``c``), both via :meth:`~repro.net.sim.Simulator.counters`,
 each port's six tallies in its ``stats`` (a ``PortStats`` under ``py``,
 a native ``PortCounters`` with the same names and ``counters()`` under
-``c``), ``StatsCollector``'s flow records — and ``drain_network``
+``c``), ``StatsCollector``'s flow records, the RotorLB agents' byte and
+requeue counts — and ``drain_network``
 merely *reads* them into the registry after the run's observables are
 computed. Because the compiled kernel counts the same events into the
 same names, a ``py`` and a ``c`` run of the same cell produce
@@ -214,6 +237,8 @@ class EngineClasses(NamedTuple):
     NdpSource: type
     NdpSink: type
     PullPacer: type
+    RotorLBAgent: type
+    BulkSink: type
 
 
 _PY: EngineClasses | None = None
@@ -298,10 +323,20 @@ def _python_classes() -> EngineClasses:
         from ..link import Port
         from ..ndp import NdpSink, NdpSource, PullPacer
         from ..node import Host, SwitchNode
+        from ..rotorlb import BulkSink, RotorLBAgent
         from ..sim import Simulator
 
         _PY = EngineClasses(
-            "py", Simulator, Port, Host, SwitchNode, NdpSource, NdpSink, PullPacer
+            "py",
+            Simulator,
+            Port,
+            Host,
+            SwitchNode,
+            NdpSource,
+            NdpSink,
+            PullPacer,
+            RotorLBAgent,
+            BulkSink,
         )
     return _PY
 
@@ -325,6 +360,8 @@ def _compiled_classes(kernel: str | None = None) -> EngineClasses | None:
                 engine.CKNdpSource,
                 engine.CKNdpSink,
                 engine.CKPullPacer,
+                engine.CKRotorLBAgent,
+                engine.CKBulkSink,
             )
     return _COMPILED or None
 

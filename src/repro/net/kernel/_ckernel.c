@@ -19,7 +19,9 @@
  * for the event heap, the queues and the native tails. Every function
  * reads and writes the existing `__slots__` of the pure-Python engine
  * classes (Simulator / Port / Packet / Host / SwitchNode / the NDP
- * endpoints) through member-descriptor offsets captured at init time. The
+ * endpoints / RotorLB's agent, flows and bulk sink / FlowRecord and
+ * StatsCollector) through member-descriptor offsets captured at init
+ * time. The
  * pure-Python engine therefore remains the differential oracle: a
  * REPRO_KERNEL=c run must be bit-identical to =py in every observable.
  *
@@ -62,8 +64,14 @@
  * Routing is data: every switch router is a node.RouteTable and every
  * fault-free rotor-port resolver a link.SliceResolver, both plain Python
  * classes whose calls are the oracle. The dispatch and the serializer
- * interpret an exact instance natively (see the dispatch section), so a
- * fault-free hop enters no Python frame unless it relays bulk to RotorLB.
+ * interpret an exact instance natively (see the dispatch section).
+ *
+ * RotorLB is compiled too (see its section): a fault-free agent's slice
+ * step, its relay intake and the bulk sink run here, and both sinks count
+ * deliveries through one twin of StatsCollector.delivered. So no
+ * fault-free packet enters a Python frame; what a run still calls in
+ * Python is slice-boundary closures, flow starts, drop handlers and
+ * anything failure-armed.
  *
  * Every function guards its fast path with *exact* type checks against
  * the CK* classes registered by kernel/engine.py, and against the native
@@ -131,6 +139,31 @@ typedef struct {
     Py_ssize_t slice_ps, peers, dark_from;
 } SliceResolverOffsets;
 
+typedef struct {
+    Py_ssize_t flow_id, src_host, dst_host, size_bytes, end_ps,
+        delivered_bytes;
+} RecordOffsets;
+
+typedef struct {
+    Py_ssize_t flows, throughput_bin_ps, bins;
+} CollectorOffsets;
+
+typedef struct {
+    Py_ssize_t hosts_per_rack, uplinks, slice_payload_bytes, relay_cap_bytes,
+        enable_vlb, active_by_slice, budget_template, local_flows,
+        local_backlog, relay_q, relay_bytes, host_budget, peers,
+        vlb_bytes_sent, direct_bytes_sent, disabled, failure_view,
+        relay_vlb_dsts;
+} AgentOffsets;
+
+typedef struct {
+    Py_ssize_t record, payload_per_packet, unsent_bytes, next_seq;
+} BulkFlowOffsets;
+
+typedef struct {
+    Py_ssize_t sim, record, stats, received;
+} BulkSinkOffsets;
+
 static SimOffsets S;
 static PortOffsets P;
 static PacketOffsets K;
@@ -141,6 +174,11 @@ static SinkOffsets NK;
 static PacerOffsets PP;
 static RouteTableOffsets RT;
 static SliceResolverOffsets SR;
+static RecordOffsets R;
+static CollectorOffsets SC;
+static AgentOffsets LB;
+static BulkFlowOffsets BF;
+static BulkSinkOffsets BK;
 
 /* Sentinels / enum members / shared objects (all owned references). */
 static PyObject *g_lazy;         /* link._LAZY */
@@ -156,14 +194,20 @@ static PyObject *g_pool;         /* packet._POOL (the module-global list) */
 static long g_pool_max;
 static long long g_max_hops;
 static PyObject *g_header_bytes; /* packet.HEADER_BYTES int object */
+static long long g_mtu_ll;       /* packet.MTU_BYTES */
 static PyObject *g_empty;        /* () */
+static PyObject *g_minus_one;    /* -1, deque.rotate's round-robin step */
+/* collections.deque's append, popleft and rotate, called unbound on the
+ * agent's exact deques. */
+static PyObject *g_dq_append, *g_dq_popleft, *g_dq_rotate;
 
 /* Pure-Python fallbacks (unbound functions). */
 static PyObject *g_py_sim_at, *g_py_sim_after, *g_py_sim_run,
     *g_py_past_error,
     *g_py_port_enqueue, *g_py_port_kick,
     *g_py_host_receive, *g_py_acquire, *g_py_src_on_packet,
-    *g_py_sink_on_packet, *g_py_emit_pull, *g_py_pacer_tick;
+    *g_py_sink_on_packet, *g_py_emit_pull, *g_py_pacer_tick,
+    *g_py_on_slice, *g_py_accept_relay, *g_py_bulk_sink_on_packet;
 
 /* Base classes (for offset validity) and exact CK classes (fast path). */
 static PyTypeObject *t_sim, *t_port, *t_packet, *t_host, *t_switch;
@@ -173,6 +217,11 @@ static PyTypeObject *t_cksrc, *t_cksink, *t_ckpacer;
 /* The routing tables (node.RouteTable, link.SliceResolver): interpreted
  * natively when a router or resolver is exactly one of these. */
 static PyTypeObject *t_route_table, *t_slice_resolver;
+/* Flow bookkeeping (stats.FlowRecord, stats.StatsCollector) and RotorLB
+ * (rotorlb.RotorLBAgent, BulkFlow, BulkSink; CK* twins registered by
+ * kernel/engine.py): read by offset when exactly one of these. */
+static PyTypeObject *t_record, *t_collector, *t_agent, *t_ckagent,
+    *t_bulkflow, *t_ckbulksink, *t_deque;
 
 /* The PyCFunction behind the exported `enqueue` instancemethod — lets the
  * NDP send path recognise `ckport.enqueue` bound methods and call the C
@@ -183,7 +232,8 @@ static PyObject *g_cf_enqueue;
 static PyObject *s_receive_cb, *s_receive, *s_on_packet, *s_enqueue, *s_add, *s_after, *s_request, *s_emit_pull,
     *s_finished, *s_payload_bytes, *s_delivered, *s_now, *s_flow_id,
     *s_src_host, *s_dst_host, *s_size_bytes, *s_end_ps, *s_retransmissions,
-    *s_value;
+    *s_value, *s_next_rack, *s_queued_bytes, *s_relay_headroom, *s_disabled,
+    *s_relay_vlb_dsts;
 
 static int g_ready = 0; /* init() completed */
 
@@ -1611,15 +1661,57 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
     Py_RETURN_TRUE;
 }
 
-static PyObject *
-c_port_enqueue(PyObject *Py_UNUSED(mod), PyObject *const *args,
-               Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "enqueue() takes (self, packet)");
-        return NULL;
+/* A METH_FASTCALL method taking (self, arg): impl(self, arg). */
+#define SELF_ARG_METHOD(wrapper, impl, usage)                                 \
+    static PyObject *wrapper(PyObject *Py_UNUSED(mod), PyObject *const *args, \
+                             Py_ssize_t nargs)                                \
+    {                                                                         \
+        if (nargs != 2) {                                                     \
+            PyErr_SetString(PyExc_TypeError, usage);                          \
+            return NULL;                                                      \
+        }                                                                     \
+        return impl(args[0], args[1]);                                        \
     }
-    return c_port_enqueue_impl(args[0], args[1]);
+
+SELF_ARG_METHOD(c_port_enqueue, c_port_enqueue_impl,
+                "enqueue() takes (self, packet)")
+
+/* port.enqueue(packet), its result dropped: the C implementation on a
+ * compiled port, by name on any other. */
+static int
+port_enqueue(PyObject *port, PyObject *packet)
+{
+    PyObject *r = Py_TYPE(port) == t_ckport
+                      ? c_port_enqueue_impl(port, packet)
+                      : PyObject_CallMethodOneArg(port, s_enqueue, packet);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* port.queued_bytes(Priority.BULK): on a compiled port, settle the
+ * committed-control ledger first as the Python method does, then read the
+ * bulk count; any other port by name. */
+static int
+port_queued_bulk(PyObject *port, long long *out)
+{
+    PyObject *sim, *r;
+    int rc;
+    if (port_fast(port, &sim)) {
+        PortTail *t = PORT_TAIL(port);
+        Ledger *l = (Ledger *)SLOT(port, P.committed_control);
+        if (l->len > 0 && expire_committed(t, l, SIM_TAIL(sim)->now) < 0)
+            return -1;
+        *out = t->bytes_bulk;
+        return 0;
+    }
+    r = PyObject_CallMethodOneArg(port, s_queued_bytes, g_prio_bulk);
+    if (r == NULL)
+        return -1;
+    rc = as_ll(r, out);
+    Py_DECREF(r);
+    return rc;
 }
 
 /* Start the front packet of a data or bulk queue (one per kick): out of
@@ -1747,6 +1839,7 @@ release_packet(PyObject *packet)
 
 static PyObject *src_on_packet(PyObject *self, PyObject *packet);
 static PyObject *sink_on_packet(PyObject *self, PyObject *packet);
+static PyObject *bulk_sink_on_packet(PyObject *self, PyObject *packet);
 
 static PyObject *
 c_host_receive(PyObject *Py_UNUSED(mod), PyObject *const *args,
@@ -1780,16 +1873,18 @@ c_host_receive(PyObject *Py_UNUSED(mod), PyObject *const *args,
             return NULL;
     }
     else {
-        /* A compiled NDP endpoint's on_packet is called directly, as
-         * do_send calls a compiled port's enqueue; any other endpoint
-         * (RotorLB's bulk sink, a test double) by name. The dict holds the
-         * endpoint only by a borrowed reference here. */
+        /* A compiled endpoint's on_packet (NDP source or sink, RotorLB's
+         * bulk sink) is called directly, as do_send calls a compiled
+         * port's enqueue; any other endpoint (a test double) by name. The
+         * dict holds the endpoint only by a borrowed reference here. */
         PyObject *r;
         Py_INCREF(endpoint);
         if (Py_TYPE(endpoint) == t_cksrc)
             r = src_on_packet(endpoint, packet);
         else if (Py_TYPE(endpoint) == t_cksink)
             r = sink_on_packet(endpoint, packet);
+        else if (Py_TYPE(endpoint) == t_ckbulksink)
+            r = bulk_sink_on_packet(endpoint, packet);
         else
             r = PyObject_CallMethodOneArg(endpoint, s_on_packet, packet);
         Py_DECREF(endpoint);
@@ -1806,8 +1901,9 @@ c_host_receive(PyObject *Py_UNUSED(mod), PyObject *const *args,
  *
  * Every router is a node.RouteTable, and this section is its native
  * interpreter: RouteTable.__call__ line for line, on the same object.
- * A fault-free hop therefore enters no Python frame unless it relays
- * bulk to RotorLB. While the table's `fallback` is set (failures armed),
+ * A fault-free hop therefore enters no Python frame; bulk relayed to
+ * RotorLB reaches a compiled agent's accept_relay through the table's
+ * `relay` bound method. While the table's `fallback` is set (failures armed),
  * the fallback closure is called instead, exactly as in Python, so the
  * failure seam stays zero-kernel-code.
  */
@@ -1991,20 +2087,10 @@ c_dispatch(PyObject *ctx, PyObject *packet)
             return NULL;
         Py_RETURN_NONE;
     }
-    if (Py_TYPE(port) == t_ckport) {
-        PyObject *r = c_port_enqueue_impl(port, packet);
-        Py_DECREF(port);
-        if (r == NULL)
-            return NULL;
-        Py_DECREF(r);
-    }
-    else {
-        PyObject *r = PyObject_CallMethodOneArg(port, s_enqueue, packet);
-        Py_DECREF(port);
-        if (r == NULL)
-            return NULL;
-        Py_DECREF(r);
-    }
+    err = port_enqueue(port, packet);
+    Py_DECREF(port);
+    if (err < 0)
+        return NULL;
     Py_RETURN_NONE;
 }
 
@@ -2037,6 +2123,149 @@ c_make_dispatch(PyObject *Py_UNUSED(mod), PyObject *args)
  * native Fifos, which the Python bodies use as they would a deque.
  */
 
+/* ------------------------------------------------------- flow bookkeeping
+ *
+ * Both sinks count delivered payload through StatsCollector.delivered;
+ * stats_delivered is its twin for an exact StatsCollector holding an exact
+ * FlowRecord. Both classes are slotted, so it reads and writes them by
+ * offset, as the NDP endpoints read the record's ints (rec_get); any other
+ * collector is called, and any other record read, by name.
+ */
+
+/* o.<name> as a new reference: by offset `off` when o is exactly `type`
+ * or `twin`, by name on anything else. */
+static PyObject *
+get_exact(PyObject *o, PyTypeObject *type, PyTypeObject *twin,
+          Py_ssize_t off, PyObject *name)
+{
+    PyObject *v;
+    if (Py_TYPE(o) != type && Py_TYPE(o) != twin)
+        return PyObject_GetAttr(o, name);
+    v = SLOT(o, off);
+    if (v == NULL)
+        PyErr_SetObject(PyExc_AttributeError, name);
+    else
+        Py_INCREF(v);
+    return v;
+}
+
+/* record.<field> of a flow record, and agent.<field> of a RotorLB peer. */
+#define rec_get(record, field)                                                \
+    get_exact(record, t_record, t_record, R.field, s_##field)
+#define peer_get(agent, field)                                                \
+    get_exact(agent, t_ckagent, t_agent, LB.field, s_##field)
+
+/* raise KeyError(key), as d[key] does; returns -1. */
+static int
+key_error(PyObject *key)
+{
+    PyObject *args = PyTuple_Pack(1, key);
+    if (args != NULL) {
+        PyErr_SetObject(PyExc_KeyError, args);
+        Py_DECREF(args);
+    }
+    return -1;
+}
+
+/* d[key] (KeyError when missing) or, without `must`, d.get(key, 0), as
+ * int64. -1 with an exception on error. */
+static int
+dict_ll(PyObject *d, PyObject *key, int must, long long *out)
+{
+    PyObject *v = PyDict_GetItemWithError(d, key);
+    if (v != NULL)
+        return as_ll(v, out);
+    if (PyErr_Occurred())
+        return -1;
+    if (must)
+        return key_error(key);
+    *out = 0;
+    return 0;
+}
+
+/* d[key] = v */
+static int
+dict_set_ll(PyObject *d, PyObject *key, long long v)
+{
+    PyObject *num = PyLong_FromLongLong(v);
+    int rc;
+    if (num == NULL)
+        return -1;
+    rc = PyDict_SetItem(d, key, num);
+    Py_DECREF(num);
+    return rc;
+}
+
+/* stats.delivered(fid, n_obj, sim.now): count n_obj payload bytes to the
+ * flow, its throughput bin and, once complete, its end time. */
+static int
+stats_delivered(PyObject *stats, PyObject *fid, PyObject *n_obj,
+                PyObject *sim)
+{
+    PyObject *now_obj = NULL, *flows = NULL, *bins = NULL, *record, *key,
+             *r;
+    long long now = 0, n, bin_ps, got, size, binned;
+    int rc = -1;
+
+    /* The clock of a compiled simulator is in its tail; any other
+     * simulator's is read by name. */
+    if (PyObject_TypeCheck(sim, t_simtail))
+        now = SIM_TAIL(sim)->now;
+    else if ((now_obj = PyObject_GetAttr(sim, s_now)) == NULL)
+        return -1;
+    if (Py_TYPE(stats) == t_collector) {
+        flows = SLOT(stats, SC.flows);
+        bins = SLOT(stats, SC.bins);
+    }
+    if (flows == NULL || !PyDict_CheckExact(flows) || bins == NULL ||
+        !PyDict_CheckExact(bins) ||
+        !exact_ll(SLOT(stats, SC.throughput_bin_ps), &bin_ps) ||
+        bin_ps <= 0 || !exact_ll(n_obj, &n) ||
+        (now_obj != NULL && !exact_ll(now_obj, &now)) || now < 0)
+        goto by_name;
+    record = PyDict_GetItemWithError(flows, fid);
+    if (record == NULL) {
+        if (!PyErr_Occurred())
+            key_error(fid);
+        goto done;
+    }
+    if (Py_TYPE(record) != t_record ||
+        !exact_ll(SLOT(record, R.delivered_bytes), &got) ||
+        !exact_ll(SLOT(record, R.size_bytes), &size) ||
+        SLOT(record, R.end_ps) == NULL)
+        goto by_name;
+    /* Writes start here; the record is held across them. */
+    Py_INCREF(record);
+    key = NULL;
+    if (add_ll(got, n, &got) == 0 &&
+        slot_set_ll(record, R.delivered_bytes, got) == 0 &&
+        (key = PyLong_FromLongLong(now / bin_ps)) != NULL &&
+        dict_ll(bins, key, 0, &binned) == 0 && add_ll(binned, n, &binned) == 0 &&
+        dict_set_ll(bins, key, binned) == 0)
+        rc = 0;
+    Py_XDECREF(key);
+    if (rc == 0 && got >= size && SLOT(record, R.end_ps) == Py_None) {
+        if (now_obj == NULL && (now_obj = PyLong_FromLongLong(now)) == NULL)
+            rc = -1;
+        else
+            slot_set(record, R.end_ps, now_obj);
+    }
+    Py_DECREF(record);
+    goto done;
+by_name:
+    if (now_obj == NULL && (now_obj = PyLong_FromLongLong(now)) == NULL)
+        goto done;
+    r = PyObject_CallMethodObjArgs(stats, s_delivered, fid, n_obj, now_obj,
+                                   NULL);
+    if (r != NULL) {
+        Py_DECREF(r);
+        rc = 0;
+    }
+done:
+    Py_XDECREF(now_obj);
+    return rc;
+}
+
 /* hash((a, b, c)) & 0x7FFFFFFF, as ndp.py computes packet salts. Built as
  * a real tuple and hashed through the interpreter so the result is
  * bit-identical by construction. Returns a new ref or NULL. */
@@ -2057,12 +2286,12 @@ salt_hash(PyObject *a, PyObject *b, PyObject *c)
 
 /* packet.acquire(...), inlined for the free-list path. All args borrowed;
  * returns a new Packet ref. Python's pool path re-assigns every field, so
- * the transcription does too (slice_stamp/next_rack/relay_to default to
- * None, hops to 0 — the NDP endpoints never pass them). */
+ * the transcription does too (slice_stamp is None and hops 0: no caller
+ * passes them). */
 static PyObject *
 c_acquire(PyObject *fid, PyObject *kind, PyObject *src, PyObject *dst,
           PyObject *seq, PyObject *size_obj, PyObject *prio,
-          PyObject *salt_obj)
+          PyObject *salt_obj, PyObject *next_rack, PyObject *relay_to)
 {
     Py_ssize_t n = PyList_GET_SIZE(g_pool);
     PyObject *packet;
@@ -2094,15 +2323,16 @@ c_acquire(PyObject *fid, PyObject *kind, PyObject *src, PyObject *dst,
             slot_set(packet, K.slice_stamp, Py_None);
             slot_set(packet, K.salt, salt_obj);
             slot_set(packet, K.hops, g_zero);
-            slot_set(packet, K.next_rack, Py_None);
-            slot_set(packet, K.relay_to, Py_None);
+            slot_set(packet, K.next_rack, next_rack);
+            slot_set(packet, K.relay_to, relay_to);
             return packet;
         }
     }
     {
-        PyObject *args[9] = {fid, kind, src, dst, seq,
-                             size_obj, prio, Py_None, salt_obj};
-        return PyObject_Vectorcall(g_py_acquire, args, 9, NULL);
+        PyObject *args[11] = {fid,     kind,     src,       dst,
+                              seq,     size_obj, prio,      Py_None,
+                              salt_obj, next_rack, relay_to};
+        return PyObject_Vectorcall(g_py_acquire, args, 11, NULL);
     }
 }
 
@@ -2136,7 +2366,7 @@ src_emit(PyObject *self, PyObject *seq_obj)
     record = slot_get(self, NS.record, "record");
     if (record == NULL)
         return -1;
-    fid = PyObject_GetAttr(record, s_flow_id);
+    fid = rec_get(record, flow_id);
     if (fid == NULL)
         return -1;
     mtu = slot_ll(self, NS.mtu, "mtu", &err);
@@ -2144,7 +2374,7 @@ src_emit(PyObject *self, PyObject *seq_obj)
         goto done;
     payload = mtu - g_header_ll;
     {
-        PyObject *sz = PyObject_GetAttr(record, s_size_bytes);
+        PyObject *sz = rec_get(record, size_bytes);
         if (sz == NULL)
             goto done;
         err = as_ll(sz, &size_ll);
@@ -2162,8 +2392,8 @@ src_emit(PyObject *self, PyObject *seq_obj)
     salt_obj = salt_hash(fid, seq_obj, g_src_salt);
     if (salt_obj == NULL)
         goto done;
-    src = PyObject_GetAttr(record, s_src_host);
-    dst = src ? PyObject_GetAttr(record, s_dst_host) : NULL;
+    src = rec_get(record, src_host);
+    dst = src ? rec_get(record, dst_host) : NULL;
     if (dst == NULL)
         goto done;
     {
@@ -2171,7 +2401,7 @@ src_emit(PyObject *self, PyObject *seq_obj)
         if (prio == NULL)
             goto done;
         packet = c_acquire(fid, g_kind_data, src, dst, seq_obj, size_obj,
-                           prio, salt_obj);
+                           prio, salt_obj, Py_None, Py_None);
     }
     if (packet == NULL)
         goto done;
@@ -2308,16 +2538,8 @@ src_on_packet(PyObject *self, PyObject *packet)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-c_src_on_packet(PyObject *Py_UNUSED(mod), PyObject *const *args,
-                Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "on_packet() takes (self, packet)");
-        return NULL;
-    }
-    return src_on_packet(args[0], args[1]);
-}
+SELF_ARG_METHOD(c_src_on_packet, src_on_packet,
+                "on_packet() takes (self, packet)")
 
 /* NdpSink._control(kind, seq): acquire a control packet (reverse path). */
 static PyObject *
@@ -2330,19 +2552,19 @@ sink_control(PyObject *self, PyObject *kind, PyObject *kind_val,
     record = slot_get(self, NK.record, "record");
     if (record == NULL)
         return NULL;
-    fid = PyObject_GetAttr(record, s_flow_id);
+    fid = rec_get(record, flow_id);
     if (fid == NULL)
         return NULL;
     salt_obj = salt_hash(fid, seq_obj, kind_val);
     if (salt_obj == NULL)
         goto done;
     /* Control flows sink -> source: src/dst swapped vs the record. */
-    src = PyObject_GetAttr(record, s_dst_host);
-    dst = src ? PyObject_GetAttr(record, s_src_host) : NULL;
+    src = rec_get(record, dst_host);
+    dst = src ? rec_get(record, src_host) : NULL;
     if (dst == NULL)
         goto done;
     packet = c_acquire(fid, kind, src, dst, seq_obj, g_header_bytes,
-                       g_prio_control, salt_obj);
+                       g_prio_control, salt_obj, Py_None, Py_None);
 done:
     Py_XDECREF(fid);
     Py_XDECREF(src);
@@ -2360,7 +2582,7 @@ sink_finished(PyObject *self, Py_ssize_t record_off)
     int fin;
     if (record == NULL)
         return -1;
-    end = PyObject_GetAttr(record, s_end_ps);
+    end = rec_get(record, end_ps);
     if (end == NULL)
         return -1;
     fin = end != Py_None;
@@ -2490,7 +2712,8 @@ sink_on_packet(PyObject *self, PyObject *packet)
             return NULL;
         if (!has) {
             PyObject *source, *payload_obj, *collector, *record, *fid,
-                *now_obj, *sim, *r;
+                *sim, *r;
+            int err = 0;
             if (PySet_CheckExact(received)) {
                 if (PySet_Add(received, seq_obj) < 0)
                     return NULL;
@@ -2507,7 +2730,6 @@ sink_on_packet(PyObject *self, PyObject *packet)
             if (Py_TYPE(source) == t_cksrc || Py_TYPE(source) == t_src) {
                 /* source.payload_bytes(seq), inlined. */
                 long long mtu, payload, size_ll, seq_ll, remaining, b;
-                int err = 0;
                 PyObject *srecord = slot_get(source, NS.record, "record");
                 PyObject *sz;
                 if (srecord == NULL)
@@ -2516,7 +2738,7 @@ sink_on_packet(PyObject *self, PyObject *packet)
                 if (err)
                     return NULL;
                 payload = mtu - g_header_ll;
-                sz = PyObject_GetAttr(srecord, s_size_bytes);
+                sz = rec_get(srecord, size_bytes);
                 if (sz == NULL)
                     return NULL;
                 err = as_ll(sz, &size_ll);
@@ -2537,39 +2759,14 @@ sink_on_packet(PyObject *self, PyObject *packet)
                 return NULL;
             collector = slot_get(self, NK.stats, "stats");
             record = collector ? slot_get(self, NK.record, "record") : NULL;
-            fid = record ? PyObject_GetAttr(record, s_flow_id) : NULL;
-            if (fid == NULL) {
-                Py_DECREF(payload_obj);
-                return NULL;
-            }
-            sim = slot_get(self, NK.sim, "sim");
-            if (sim == NULL) {
-                Py_DECREF(payload_obj);
-                Py_DECREF(fid);
-                return NULL;
-            }
-            /* The clock, boxed here once for Python. */
-            if (PyObject_TypeCheck(sim, t_simtail))
-                now_obj = PyLong_FromLongLong(SIM_TAIL(sim)->now);
-            else if (Py_TYPE(sim) == t_sim) {
-                now_obj = SLOT(sim, S.now);
-                Py_XINCREF(now_obj);
-            }
-            else
-                now_obj = PyObject_GetAttr(sim, s_now);
-            if (now_obj == NULL) {
-                Py_DECREF(payload_obj);
-                Py_DECREF(fid);
-                return NULL;
-            }
-            r = PyObject_CallMethodObjArgs(collector, s_delivered, fid,
-                                           payload_obj, now_obj, NULL);
+            sim = record ? slot_get(self, NK.sim, "sim") : NULL;
+            fid = sim ? rec_get(record, flow_id) : NULL;
+            err = fid == NULL ||
+                  stats_delivered(collector, fid, payload_obj, sim) < 0;
             Py_DECREF(payload_obj);
-            Py_DECREF(fid);
-            Py_DECREF(now_obj);
-            if (r == NULL)
+            Py_XDECREF(fid);
+            if (err)
                 return NULL;
-            Py_DECREF(r);
         }
     }
     else {
@@ -2596,16 +2793,8 @@ sink_on_packet(PyObject *self, PyObject *packet)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-c_sink_on_packet(PyObject *Py_UNUSED(mod), PyObject *const *args,
-                 Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "on_packet() takes (self, packet)");
-        return NULL;
-    }
-    return sink_on_packet(args[0], args[1]);
-}
+SELF_ARG_METHOD(c_sink_on_packet, sink_on_packet,
+                "on_packet() takes (self, packet)")
 
 static PyObject *
 c_pacer_tick(PyObject *Py_UNUSED(mod), PyObject *const *args,
@@ -2691,6 +2880,676 @@ c_pacer_tick(PyObject *Py_UNUSED(mod), PyObject *const *args,
     Py_RETURN_NONE;
 }
 
+/* ---------------------------------------------------------------- RotorLB
+ *
+ * rotorlb.py's slice step (RotorLBAgent.on_slice with _pull_local_packet
+ * and _fill_vlb), relay intake (accept_relay) and bulk sink
+ * (BulkSink.on_packet), transcribed on the same slots; CKRotorLBAgent and
+ * CKBulkSink rebind them here. The per-destination queues stay
+ * collections.deque, driven through deque's own methods.
+ *
+ * on_slice runs natively only for a fault-free agent (disabled exactly
+ * False, no failure view, no forced relay) whose tables are exact dicts of
+ * exact deques and ints, with exact BulkFlow/FlowRecord senders; any other
+ * call runs the Python body before the first write. A bulk drop while a
+ * circuit fills runs a Python handler that may requeue into the very relay
+ * queue being drained, so every table entry and queue length is re-read
+ * after each enqueue, where the Python body re-reads it; a table Python
+ * code replaced mid-call raises RuntimeError, as need_native does.
+ */
+
+static int
+replaced(const char *what)
+{
+    PyErr_Format(PyExc_RuntimeError,
+                 "ckernel: a RotorLB %s was replaced during a call", what);
+    return -1;
+}
+
+/* The exact dict in agent slot `off` (borrowed), re-read where the Python
+ * body reads the attribute. */
+static PyObject *
+agent_dict(PyObject *agent, Py_ssize_t off)
+{
+    PyObject *d = SLOT(agent, off);
+    if (d == NULL || !PyDict_CheckExact(d)) {
+        replaced("table");
+        return NULL;
+    }
+    return d;
+}
+
+/* deque.<method>(dq[, arg]) with the result dropped. */
+static int
+dq_call(PyObject *method, PyObject *dq, PyObject *arg)
+{
+    PyObject *args[2] = {dq, arg};
+    PyObject *r = PyObject_Vectorcall(method, args, arg ? 2 : 1, NULL);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* packet.size_bytes: by offset on a Packet, by name on anything else a
+ * relay queue holds. */
+static int
+pkt_size(PyObject *packet, long long *out)
+{
+    PyObject *v;
+    int rc;
+    if (Py_TYPE(packet) == t_packet) {
+        rc = 0;
+        *out = slot_ll(packet, K.size_bytes, "size_bytes", &rc);
+        return rc ? -1 : 0;
+    }
+    if ((v = PyObject_GetAttr(packet, s_size_bytes)) == NULL)
+        return -1;
+    rc = as_ll(v, out);
+    Py_DECREF(v);
+    return rc;
+}
+
+/* An exact BulkFlow whose record is an exact FlowRecord. */
+static inline int
+flow_exact(PyObject *flow)
+{
+    PyObject *record =
+        Py_TYPE(flow) == t_bulkflow ? SLOT(flow, BF.record) : NULL;
+    return record != NULL && Py_TYPE(record) == t_record &&
+           SLOT(record, R.src_host) != NULL;
+}
+
+/* flow.record.src_host (borrowed) of a sender on_slice's entry check
+ * found exact; only Python code could have queued another since. */
+static PyObject *
+flow_src(PyObject *flow)
+{
+    if (!flow_exact(flow)) {
+        replaced("sender");
+        return NULL;
+    }
+    return SLOT(SLOT(flow, BF.record), R.src_host);
+}
+
+/* One sender's next packet (BulkFlow.make_packet, inlined): a new
+ * reference, its payload in *payload. */
+static PyObject *
+flow_packet(PyObject *flow, PyObject *src, long long unsent,
+            PyObject *next_rack, PyObject *relay_to, long long *payload)
+{
+    PyObject *record = SLOT(flow, BF.record), *seq, *fid = NULL, *dst = NULL,
+             *size = NULL, *packet = NULL;
+    long long per, seq_ll;
+    int err = 0;
+
+    per = slot_ll(flow, BF.payload_per_packet, "payload_per_packet", &err);
+    seq = err ? NULL : slot_get(flow, BF.next_seq, "next_seq");
+    if (seq == NULL || as_ll(seq, &seq_ll) < 0)
+        return NULL;
+    Py_INCREF(seq);
+    *payload = per < unsent ? per : unsent;
+    if (slot_set_ll(flow, BF.unsent_bytes, unsent - *payload) < 0 ||
+        slot_set_ll(flow, BF.next_seq, seq_ll + 1) < 0)
+        goto done;
+    fid = rec_get(record, flow_id);
+    dst = fid ? rec_get(record, dst_host) : NULL;
+    size = dst ? PyLong_FromLongLong(g_header_ll + *payload) : NULL;
+    if (size != NULL)
+        packet = c_acquire(fid, g_kind_data, src, dst, seq, size, g_prio_bulk,
+                           g_zero, next_rack, relay_to);
+done:
+    Py_DECREF(seq);
+    Py_XDECREF(fid);
+    Py_XDECREF(dst);
+    Py_XDECREF(size);
+    return packet;
+}
+
+/* RotorLBAgent._pull_local_packet(dst_rack, next_rack, relay_to): 1 with
+ * *out a new packet from the next sender whose host has NIC budget left
+ * (round-robin), 0 when there is none, -1 on error. */
+static int
+agent_pull_local(PyObject *self, PyObject *dst_rack, PyObject *next_rack,
+                 PyObject *relay_to, PyObject **out)
+{
+    PyObject *table, *flows, *flow = NULL, *src, *budgets, *backlog;
+    long long unsent, budget, payload, held;
+    int rc = -1, err = 0;
+
+    *out = NULL;
+    if ((table = agent_dict(self, LB.local_flows)) == NULL)
+        return -1;
+    flows = PyDict_GetItemWithError(table, dst_rack);
+    if (flows == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    if (Py_TYPE(flows) != t_deque)
+        return replaced("sender queue");
+    Py_INCREF(flows);
+    while (PyObject_Length(flows) > 0) {
+        Py_XSETREF(flow, PySequence_GetItem(flows, 0));
+        if (flow == NULL || (src = flow_src(flow)) == NULL)
+            goto done;
+        unsent = slot_ll(flow, BF.unsent_bytes, "unsent_bytes", &err);
+        if (err)
+            goto done;
+        if (unsent <= 0) {
+            if (dq_call(g_dq_popleft, flows, NULL) < 0)
+                goto done;
+            continue;
+        }
+        budgets = agent_dict(self, LB.host_budget);
+        if (budgets == NULL || dict_ll(budgets, src, 0, &budget) < 0)
+            goto done;
+        if (budget <= 0) {
+            /* This host's NIC is out of budget this slice: try the next
+             * sender, unless every sender's host is out too. */
+            PyObject *it, *f;
+            int all_out = 1;
+            if (dq_call(g_dq_rotate, flows, g_minus_one) < 0 ||
+                (it = PyObject_GetIter(flows)) == NULL)
+                goto done;
+            while (all_out && (f = PyIter_Next(it)) != NULL) {
+                PyObject *fsrc = flow_src(f);
+                err = fsrc == NULL || dict_ll(budgets, fsrc, 0, &budget) < 0;
+                all_out = !err && budget <= 0;
+                Py_DECREF(f);
+            }
+            Py_DECREF(it);
+            if (err || PyErr_Occurred())
+                goto done;
+            if (all_out) {
+                rc = 0;
+                goto done;
+            }
+            continue;
+        }
+        *out = flow_packet(flow, src, unsent, next_rack, relay_to, &payload);
+        if (*out == NULL)
+            goto done;
+        budgets = agent_dict(self, LB.host_budget);
+        backlog = budgets ? agent_dict(self, LB.local_backlog) : NULL;
+        if (backlog == NULL ||
+            dict_set_ll(budgets, src, budget - payload) < 0 ||
+            dict_ll(backlog, dst_rack, 1, &held) < 0 ||
+            dict_set_ll(backlog, dst_rack, held - payload) < 0 ||
+            (unsent <= payload
+                 ? dq_call(g_dq_popleft, flows, NULL)
+                 : dq_call(g_dq_rotate, flows, g_minus_one)) < 0) {
+            Py_CLEAR(*out);
+            goto done;
+        }
+        rc = 1;
+        goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(flow);
+    Py_DECREF(flows);
+    return rc;
+}
+
+/* Phases 1 and 2 on one live circuit (switch, port, peer): relay traffic
+ * now one hop from its destination first, then local direct traffic.
+ * *budget is what the circuit has left for VLB. */
+static int
+agent_fill_circuit(PyObject *self, PyObject *circuit, long long *budget)
+{
+    PyObject *port = PyTuple_GET_ITEM(circuit, 1);
+    PyObject *peer = PyTuple_GET_ITEM(circuit, 2);
+    PyObject *queues, *queue, *packet, *bytes;
+    long long queued, size, held;
+    int err = 0, rc = -1;
+
+    *budget = slot_ll(self, LB.slice_payload_bytes, "slice_payload_bytes",
+                      &err);
+    if (err || port_queued_bulk(port, &queued) < 0 ||
+        sub_bytes(budget, queued) < 0 ||
+        (queues = agent_dict(self, LB.relay_q)) == NULL)
+        return -1;
+    queue = PyDict_GetItemWithError(queues, peer);
+    if (queue == NULL && PyErr_Occurred())
+        return -1;
+    if (queue != NULL && Py_TYPE(queue) != t_deque)
+        return replaced("relay queue");
+    Py_XINCREF(queue);
+    while (*budget > 0 && queue != NULL && PyObject_Length(queue) > 0) {
+        packet = PyObject_CallOneArg(g_dq_popleft, queue);
+        if (packet == NULL)
+            goto done;
+        bytes = agent_dict(self, LB.relay_bytes);
+        err = pkt_size(packet, &size) < 0 || bytes == NULL ||
+              dict_ll(bytes, peer, 1, &held) < 0 ||
+              dict_set_ll(bytes, peer, held - size) < 0;
+        if (!err && Py_TYPE(packet) == t_packet)
+            slot_set(packet, K.next_rack, peer);
+        else if (!err)
+            err = PyObject_SetAttr(packet, s_next_rack, peer) < 0;
+        err = err || sub_bytes(budget, size) < 0 ||
+              slot_add_ll(self, LB.direct_bytes_sent, "direct_bytes_sent",
+                          size) < 0 ||
+              port_enqueue(port, packet) < 0;
+        Py_DECREF(packet);
+        if (err)
+            goto done;
+    }
+    while (*budget > 0) {
+        int got = agent_pull_local(self, peer, peer, Py_None, &packet);
+        if (got <= 0) {
+            if (got < 0)
+                goto done;
+            break;
+        }
+        err = pkt_size(packet, &size) < 0 || sub_bytes(budget, size) < 0 ||
+              slot_add_ll(self, LB.direct_bytes_sent, "direct_bytes_sent",
+                          size) < 0 ||
+              port_enqueue(port, packet) < 0;
+        Py_DECREF(packet);
+        if (err)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(queue);
+    return rc;
+}
+
+/* agent.relay_headroom(dst) of a peer: inlined on a RotorLBAgent or its
+ * CK twin, the method by name on any other. */
+static int
+peer_headroom(PyObject *agent, PyObject *dst, long long *out)
+{
+    PyObject *r;
+    long long cap, held;
+    int rc;
+    if (Py_TYPE(agent) == t_ckagent || Py_TYPE(agent) == t_agent) {
+        PyObject *bytes = SLOT(agent, LB.relay_bytes);
+        if (bytes != NULL && PyDict_CheckExact(bytes) &&
+            exact_ll(SLOT(agent, LB.relay_cap_bytes), &cap)) {
+            if (dict_ll(bytes, dst, 0, &held) < 0)
+                return -1;
+            *out = cap - held;
+            return 0;
+        }
+    }
+    r = PyObject_CallMethodOneArg(agent, s_relay_headroom, dst);
+    if (r == NULL)
+        return -1;
+    rc = as_ll(r, out);
+    Py_DECREF(r);
+    return rc;
+}
+
+/* The VLB loop of _fill_vlb on one spare circuit through `agent`'s rack:
+ * the largest backlog (the first in dict order on ties, as max() picks)
+ * that the peer can relay, while budget and its headroom last. 1 when the
+ * whole VLB phase is over (no backlog or no packet left), 0 to go on to
+ * the next circuit, -1 on error. */
+static int
+agent_vlb_circuit(PyObject *self, PyObject *agent, PyObject *port,
+                  PyObject *peer, long long budget)
+{
+    while (budget > 0) {
+        PyObject *backlog = agent_dict(self, LB.local_backlog), *dsts, *dst,
+                 *b_obj, *best = NULL, *packet;
+        Py_ssize_t pos = 0;
+        long long b, best_b = 0, size;
+        int err = 0, got;
+
+        if (backlog == NULL ||
+            (dsts = peer_get(agent, relay_vlb_dsts)) ==
+                NULL)
+            return -1;
+        while (!err && PyDict_Next(backlog, &pos, &dst, &b_obj)) {
+            int ne, in = 0;
+            if (as_ll(b_obj, &b) < 0) {
+                err = 1;
+                break;
+            }
+            if (b <= 0 || (best != NULL && b <= best_b))
+                continue; /* cannot be the first largest */
+            ne = PyObject_RichCompareBool(dst, peer, Py_NE);
+            if (ne > 0)
+                in = PySequence_Contains(dsts, dst);
+            err = ne < 0 || in < 0;
+            if (ne > 0 && in == 0) {
+                best = dst;
+                best_b = b;
+            }
+        }
+        Py_DECREF(dsts);
+        if (err)
+            return -1;
+        if (best == NULL)
+            return 1;
+        Py_INCREF(best);
+        if (peer_headroom(agent, best, &b) < 0) {
+            Py_DECREF(best);
+            return -1;
+        }
+        if (b < g_mtu_ll) {
+            Py_DECREF(best);
+            return 0;
+        }
+        got = agent_pull_local(self, best, peer, best, &packet);
+        Py_DECREF(best);
+        if (got <= 0)
+            return got < 0 ? -1 : 1;
+        err = pkt_size(packet, &size) < 0 || sub_bytes(&budget, size) < 0 ||
+              slot_add_ll(self, LB.vlb_bytes_sent, "vlb_bytes_sent", size) <
+                  0 ||
+              port_enqueue(port, packet) < 0;
+        Py_DECREF(packet);
+        if (err)
+            return -1;
+    }
+    return 0;
+}
+
+/* One circuit with budget left after phases 1 and 2. */
+typedef struct {
+    PyObject *sw, *peer; /* owned */
+    long long budget;
+} Spare;
+
+/* Phase 3, _fill_vlb: skewed backlog two hops through connected peers. */
+static int
+agent_fill_vlb(PyObject *self, Spare *spare, Py_ssize_t n)
+{
+    PyObject *dsts = SLOT(self, LB.relay_vlb_dsts);
+    Py_ssize_t i;
+    if (dsts == NULL || !PyFrozenSet_CheckExact(dsts) ||
+        PySet_GET_SIZE(dsts) != 0)
+        return replaced("forced-relay set");
+    for (i = 0; i < n; i++) {
+        PyObject *peers = agent_dict(self, LB.peers), *agent, *uplinks,
+                 *port, *off;
+        int rc;
+        if (peers == NULL)
+            return -1;
+        agent = PyDict_GetItemWithError(peers, spare[i].peer);
+        if (agent == NULL && PyErr_Occurred())
+            return -1;
+        if (agent == NULL || agent == Py_None)
+            continue;
+        Py_INCREF(agent);
+        off = peer_get(agent, disabled);
+        rc = off == NULL ? -1 : PyObject_IsTrue(off);
+        Py_XDECREF(off);
+        if (rc == 0) {
+            uplinks = agent_dict(self, LB.uplinks);
+            port = uplinks ? PyDict_GetItemWithError(uplinks, spare[i].sw)
+                           : NULL;
+            if (port == NULL) {
+                if (uplinks != NULL && !PyErr_Occurred())
+                    key_error(spare[i].sw);
+                rc = -1;
+            }
+            else {
+                Py_INCREF(port);
+                rc = agent_vlb_circuit(self, agent, port, spare[i].peer,
+                                       spare[i].budget);
+                Py_DECREF(port);
+            }
+        }
+        else if (rc > 0)
+            rc = 0; /* a disabled peer takes no offer */
+        else
+            rc = -1;
+        Py_DECREF(agent);
+        if (rc != 0)
+            return rc < 0 ? -1 : 0;
+    }
+    return 0;
+}
+
+/* Every value of dict d is exactly a `type`. */
+static int
+values_exact(PyObject *d, PyTypeObject *type)
+{
+    Py_ssize_t pos = 0;
+    PyObject *k, *v;
+    while (PyDict_Next(d, &pos, &k, &v))
+        if (Py_TYPE(v) != type)
+            return 0;
+    return 1;
+}
+
+/* on_slice's entry check, before any write: 1 with *row this slice's
+ * activation row (borrowed) for a fault-free compiled agent whose tables,
+ * queues and senders are all of the exact types the C body handles, 0
+ * for the Python body, -1 on error. */
+static int
+agent_fast(PyObject *self, PyObject *slice_obj, PyObject **row)
+{
+    static const Py_ssize_t *tables[] = {
+        &LB.uplinks,     &LB.budget_template, &LB.local_flows, &LB.local_backlog,
+        &LB.relay_q,     &LB.relay_bytes,     &LB.peers,
+    };
+    Py_ssize_t i, n, pos = 0;
+    PyObject *active, *dsts, *vlb, *k, *flows;
+    long long s;
+
+    if (!g_ready || Py_TYPE(self) != t_ckagent ||
+        SLOT(self, LB.disabled) != Py_False ||
+        SLOT(self, LB.failure_view) != Py_None)
+        return 0;
+    dsts = SLOT(self, LB.relay_vlb_dsts);
+    vlb = SLOT(self, LB.enable_vlb);
+    if (dsts == NULL || !PyFrozenSet_CheckExact(dsts) ||
+        PySet_GET_SIZE(dsts) != 0 || (vlb != Py_True && vlb != Py_False) ||
+        !exact_ll(SLOT(self, LB.slice_payload_bytes), &s))
+        return 0;
+    for (i = 0; i < (Py_ssize_t)(sizeof(tables) / sizeof(tables[0])); i++) {
+        PyObject *d = SLOT(self, *tables[i]);
+        if (d == NULL || !PyDict_CheckExact(d))
+            return 0;
+    }
+    if (!values_exact(SLOT(self, LB.relay_q), t_deque) ||
+        !values_exact(SLOT(self, LB.local_flows), t_deque) ||
+        !values_exact(SLOT(self, LB.local_backlog), &PyLong_Type) ||
+        !values_exact(SLOT(self, LB.relay_bytes), &PyLong_Type))
+        return 0;
+    while (PyDict_Next(SLOT(self, LB.local_flows), &pos, &k, &flows)) {
+        PyObject *it = PyObject_GetIter(flows), *flow;
+        int exact = 1;
+        if (it == NULL)
+            return -1;
+        while (exact && (flow = PyIter_Next(it)) != NULL) {
+            exact = flow_exact(flow);
+            Py_DECREF(flow);
+        }
+        Py_DECREF(it);
+        if (PyErr_Occurred())
+            return -1;
+        if (!exact)
+            return 0;
+    }
+    active = SLOT(self, LB.active_by_slice);
+    if (active == NULL || !PyList_CheckExact(active) ||
+        (n = PyList_GET_SIZE(active)) == 0 || !exact_ll(slice_obj, &s))
+        return 0;
+    *row = PyList_GET_ITEM(active, (Py_ssize_t)(((s % n) + n) % n));
+    if (!PyList_CheckExact(*row))
+        return 0;
+    for (i = 0; i < PyList_GET_SIZE(*row); i++) {
+        PyObject *circuit = PyList_GET_ITEM(*row, i);
+        if (!PyTuple_CheckExact(circuit) || PyTuple_GET_SIZE(circuit) != 3)
+            return 0;
+    }
+    return 1;
+}
+
+/* RotorLBAgent.on_slice(slice_index): fill this slice's circuits, relay
+ * then local per circuit, then VLB over the circuits with budget left. */
+static PyObject *
+agent_on_slice(PyObject *self, PyObject *slice_obj)
+{
+    PyObject *row, *budgets, *vlb;
+    Spare *spare = NULL;
+    Py_ssize_t i, n = 0, cap = 0;
+    int rc = agent_fast(self, slice_obj, &row);
+
+    if (rc < 0)
+        return NULL;
+    if (rc == 0) {
+        PyObject *args[2] = {self, slice_obj};
+        return PyObject_Vectorcall(g_py_on_slice, args, 2, NULL);
+    }
+    Py_INCREF(row);
+    rc = -1;
+    budgets = PyDict_Copy(SLOT(self, LB.budget_template));
+    if (budgets == NULL)
+        goto done;
+    slot_set(self, LB.host_budget, budgets);
+    Py_DECREF(budgets);
+    for (i = 0; i < PyList_GET_SIZE(row); i++) {
+        PyObject *circuit = PyList_GET_ITEM(row, i);
+        long long budget;
+        int err;
+        if (!PyTuple_CheckExact(circuit) || PyTuple_GET_SIZE(circuit) != 3) {
+            replaced("activation row");
+            goto done;
+        }
+        Py_INCREF(circuit);
+        err = agent_fill_circuit(self, circuit, &budget) < 0;
+        if (!err && budget > 0) {
+            if (n == cap) {
+                Spare *grown = PyMem_Realloc(spare, 2 * (cap + 4) * sizeof(Spare));
+                if (grown == NULL) {
+                    PyErr_NoMemory();
+                    err = 1;
+                }
+                else {
+                    spare = grown;
+                    cap = 2 * (cap + 4);
+                }
+            }
+            if (!err) {
+                spare[n].sw = Py_NewRef(PyTuple_GET_ITEM(circuit, 0));
+                spare[n].peer = Py_NewRef(PyTuple_GET_ITEM(circuit, 2));
+                spare[n++].budget = budget;
+            }
+        }
+        Py_DECREF(circuit);
+        if (err)
+            goto done;
+    }
+    vlb = slot_get(self, LB.enable_vlb, "enable_vlb");
+    rc = vlb == NULL ? -1 : PyObject_IsTrue(vlb);
+    if (rc > 0)
+        rc = agent_fill_vlb(self, spare, n);
+done:
+    for (i = 0; i < n; i++) {
+        Py_DECREF(spare[i].sw);
+        Py_DECREF(spare[i].peer);
+    }
+    PyMem_Free(spare);
+    Py_DECREF(row);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* RotorLBAgent.accept_relay: queue a relayed (or mis-slotted) bulk packet
+ * for its destination rack. */
+static PyObject *
+agent_accept_relay(PyObject *self, PyObject *packet)
+{
+    PyObject *queues, *bytes, *rack, *queue = NULL;
+    long long dst, hpr, size, held;
+    int err;
+
+    if (!g_ready || Py_TYPE(self) != t_ckagent || Py_TYPE(packet) != t_packet ||
+        !exact_ll(SLOT(packet, K.dst_host), &dst) || dst < 0 ||
+        !exact_ll(SLOT(packet, K.size_bytes), &size) ||
+        !exact_ll(SLOT(self, LB.hosts_per_rack), &hpr) || hpr <= 0 ||
+        (queues = SLOT(self, LB.relay_q)) == NULL ||
+        !PyDict_CheckExact(queues) ||
+        (bytes = SLOT(self, LB.relay_bytes)) == NULL ||
+        !PyDict_CheckExact(bytes))
+        goto python;
+    if ((rack = PyLong_FromLongLong(dst / hpr)) == NULL)
+        return NULL;
+    queue = PyDict_GetItemWithError(queues, rack);
+    if (queue == NULL && PyErr_Occurred()) {
+        Py_DECREF(rack);
+        return NULL;
+    }
+    if (queue != NULL && Py_TYPE(queue) != t_deque) {
+        Py_DECREF(rack);
+        goto python;
+    }
+    /* Writes start here. */
+    slot_set(packet, K.relay_to, Py_None);
+    slot_set(packet, K.next_rack, Py_None);
+    if (queue != NULL)
+        Py_INCREF(queue);
+    else if ((queue = PyObject_CallNoArgs((PyObject *)t_deque)) != NULL &&
+             PyDict_SetItem(queues, rack, queue) < 0)
+        Py_CLEAR(queue);
+    err = queue == NULL || dq_call(g_dq_append, queue, packet) < 0 ||
+          dict_ll(bytes, rack, 0, &held) < 0 || add_ll(held, size, &held) < 0 ||
+          dict_set_ll(bytes, rack, held) < 0;
+    Py_XDECREF(queue);
+    Py_DECREF(rack);
+    if (err)
+        return NULL;
+    Py_RETURN_NONE;
+python:
+    {
+        PyObject *args[2] = {self, packet};
+        return PyObject_Vectorcall(g_py_accept_relay, args, 2, NULL);
+    }
+}
+
+/* BulkSink.on_packet: count each DATA sequence's payload once. */
+static PyObject *
+bulk_sink_on_packet(PyObject *self, PyObject *packet)
+{
+    PyObject *received, *seq, *stats, *record, *sim, *fid = NULL,
+             *n_obj = NULL;
+    long long size;
+    int has, err = 0;
+
+    if (!g_ready || Py_TYPE(self) != t_ckbulksink ||
+        Py_TYPE(packet) != t_packet || !slot_is(self, BK.received, &PySet_Type)) {
+        PyObject *args[2] = {self, packet};
+        return PyObject_Vectorcall(g_py_bulk_sink_on_packet, args, 2, NULL);
+    }
+    if (SLOT(packet, K.kind) != g_kind_data)
+        Py_RETURN_NONE;
+    received = SLOT(self, BK.received);
+    if ((seq = slot_get(packet, K.seq, "seq")) == NULL ||
+        (has = PySet_Contains(received, seq)) < 0)
+        return NULL;
+    if (has)
+        Py_RETURN_NONE;
+    if (PySet_Add(received, seq) < 0)
+        return NULL;
+    size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
+    stats = err ? NULL : slot_get(self, BK.stats, "stats");
+    record = stats ? slot_get(self, BK.record, "record") : NULL;
+    sim = record ? slot_get(self, BK.sim, "sim") : NULL;
+    if (sim != NULL)
+        fid = rec_get(record, flow_id);
+    if (fid != NULL)
+        n_obj = PyLong_FromLongLong(size - g_header_ll);
+    err = n_obj == NULL || stats_delivered(stats, fid, n_obj, sim) < 0;
+    Py_XDECREF(fid);
+    Py_XDECREF(n_obj);
+    if (err)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+SELF_ARG_METHOD(c_agent_on_slice, agent_on_slice,
+                "on_slice() takes (self, slice_index)")
+SELF_ARG_METHOD(c_agent_accept_relay, agent_accept_relay,
+                "accept_relay() takes (self, packet)")
+SELF_ARG_METHOD(c_bulk_sink_on_packet, bulk_sink_on_packet,
+                "on_packet() takes (self, packet)")
+
 /* ------------------------------------------------------------------- init */
 
 static int
@@ -2736,6 +3595,20 @@ cfg_get(PyObject *cfg, const char *key)
             return NULL;                                                      \
     } while (0)
 
+/* The class under `key` into type slot `var` (owned), and into `cls` for
+ * the OFF lines that follow. */
+#define CFG_TYPE(var, key)                                                    \
+    do {                                                                      \
+        CFG_OBJ(tmp, key);                                                    \
+        if (!PyType_Check(tmp)) {                                             \
+            PyErr_Format(PyExc_TypeError, "ckernel init: %s is not a class",  \
+                         key);                                                \
+            return NULL;                                                      \
+        }                                                                     \
+        Py_XSETREF(var, (PyTypeObject *)Py_NewRef(tmp));                      \
+        cls = tmp;                                                            \
+    } while (0)
+
 static PyObject *
 c_init(PyObject *mod, PyObject *cfg)
 {
@@ -2746,12 +3619,7 @@ c_init(PyObject *mod, PyObject *cfg)
         return NULL;
     }
 
-    /* Simulator offsets */
-    CFG_OBJ(tmp, "Simulator");
-    cls = tmp;
-    Py_XDECREF((PyObject *)t_sim);
-    t_sim = (PyTypeObject *)cls;
-    Py_INCREF(cls);
+    CFG_TYPE(t_sim, "Simulator");
     OFF(cls, "now", S.now);
     OFF(cls, "_heap", S.heap);
     OFF(cls, "events_processed", S.events_processed);
@@ -2762,12 +3630,7 @@ c_init(PyObject *mod, PyObject *cfg)
                   &t_simtail) < 0)
         return NULL;
 
-    /* Port offsets */
-    CFG_OBJ(tmp, "Port");
-    cls = tmp;
-    Py_XDECREF((PyObject *)t_port);
-    t_port = (PyTypeObject *)cls;
-    Py_INCREF(cls);
+    CFG_TYPE(t_port, "Port");
     OFF(cls, "sim", P.sim);
     OFF(cls, "resolver", P.resolver);
     OFF(cls, "trimming", P.trimming);
@@ -2790,12 +3653,7 @@ c_init(PyObject *mod, PyObject *cfg)
                   &t_porttail) < 0)
         return NULL;
 
-    /* Packet offsets */
-    CFG_OBJ(tmp, "Packet");
-    cls = tmp;
-    Py_XDECREF((PyObject *)t_packet);
-    t_packet = (PyTypeObject *)cls;
-    Py_INCREF(cls);
+    CFG_TYPE(t_packet, "Packet");
     OFF(cls, "flow_id", K.flow_id);
     OFF(cls, "kind", K.kind);
     OFF(cls, "src_host", K.src_host);
@@ -2811,30 +3669,16 @@ c_init(PyObject *mod, PyObject *cfg)
     OFF(cls, "recv_args", K.recv_args);
     OFF(cls, "_pooled", K.pooled);
 
-    /* Host offsets */
-    CFG_OBJ(tmp, "Host");
-    cls = tmp;
-    Py_XDECREF((PyObject *)t_host);
-    t_host = (PyTypeObject *)cls;
-    Py_INCREF(cls);
+    CFG_TYPE(t_host, "Host");
     OFF(cls, "sources", H.sources);
     OFF(cls, "sinks", H.sinks);
     OFF(cls, "dropped", H.dropped);
 
-    /* SwitchNode offsets */
-    CFG_OBJ(tmp, "SwitchNode");
-    cls = tmp;
-    Py_XDECREF((PyObject *)t_switch);
-    t_switch = (PyTypeObject *)cls;
-    Py_INCREF(cls);
+    CFG_TYPE(t_switch, "SwitchNode");
     OFF(cls, "drops", W.drops);
 
-    /* RouteTable offsets (exact type: interpreted natively) */
-    CFG_OBJ(tmp, "RouteTable");
-    cls = tmp;
-    Py_XDECREF((PyObject *)t_route_table);
-    t_route_table = (PyTypeObject *)cls;
-    Py_INCREF(cls);
+    /* The routing tables: an exact instance is interpreted natively. */
+    CFG_TYPE(t_route_table, "RouteTable");
     OFF(cls, "rack", RT.rack);
     OFF(cls, "hosts_per_rack", RT.hosts_per_rack);
     OFF(cls, "host_ports", RT.host_ports);
@@ -2845,22 +3689,12 @@ c_init(PyObject *mod, PyObject *cfg)
     OFF(cls, "slice_ps", RT.slice_ps);
     OFF(cls, "fallback", RT.fallback);
 
-    /* SliceResolver offsets (exact type: interpreted natively) */
-    CFG_OBJ(tmp, "SliceResolver");
-    cls = tmp;
-    Py_XDECREF((PyObject *)t_slice_resolver);
-    t_slice_resolver = (PyTypeObject *)cls;
-    Py_INCREF(cls);
+    CFG_TYPE(t_slice_resolver, "SliceResolver");
     OFF(cls, "slice_ps", SR.slice_ps);
     OFF(cls, "peers", SR.peers);
     OFF(cls, "dark_from", SR.dark_from);
 
-    /* NdpSource offsets */
-    CFG_OBJ(tmp, "NdpSource");
-    cls = tmp;
-    Py_XDECREF((PyObject *)t_src);
-    t_src = (PyTypeObject *)cls;
-    Py_INCREF(cls);
+    CFG_TYPE(t_src, "NdpSource");
     OFF(cls, "record", NS.record);
     OFF(cls, "priority", NS.priority);
     OFF(cls, "mtu", NS.mtu);
@@ -2871,12 +3705,7 @@ c_init(PyObject *mod, PyObject *cfg)
     OFF(cls, "_pulls_banked", NS.pulls_banked);
     OFF(cls, "_send", NS.send);
 
-    /* NdpSink offsets */
-    CFG_OBJ(tmp, "NdpSink");
-    cls = tmp;
-    Py_XDECREF((PyObject *)t_sink);
-    t_sink = (PyTypeObject *)cls;
-    Py_INCREF(cls);
+    CFG_TYPE(t_sink, "NdpSink");
     OFF(cls, "sim", NK.sim);
     OFF(cls, "record", NK.record);
     OFF(cls, "pacer", NK.pacer);
@@ -2886,17 +3715,67 @@ c_init(PyObject *mod, PyObject *cfg)
     OFF(cls, "_pull_seq", NK.pull_seq);
     OFF(cls, "_send", NK.send);
 
-    /* PullPacer offsets */
-    CFG_OBJ(tmp, "PullPacer");
-    cls = tmp;
-    Py_XDECREF((PyObject *)t_pacer);
-    t_pacer = (PyTypeObject *)cls;
-    Py_INCREF(cls);
+    CFG_TYPE(t_pacer, "PullPacer");
     OFF(cls, "sim", PP.sim);
     OFF(cls, "interval_ps", PP.interval_ps);
     OFF(cls, "_tokens", PP.tokens);
     OFF(cls, "_running", PP.running);
     OFF(cls, "_tick_cb", PP.tick_cb);
+
+    /* Flow bookkeeping: an exact instance is read by offset. */
+    CFG_TYPE(t_record, "FlowRecord");
+    OFF(cls, "flow_id", R.flow_id);
+    OFF(cls, "src_host", R.src_host);
+    OFF(cls, "dst_host", R.dst_host);
+    OFF(cls, "size_bytes", R.size_bytes);
+    OFF(cls, "end_ps", R.end_ps);
+    OFF(cls, "delivered_bytes", R.delivered_bytes);
+
+    CFG_TYPE(t_collector, "StatsCollector");
+    OFF(cls, "flows", SC.flows);
+    OFF(cls, "throughput_bin_ps", SC.throughput_bin_ps);
+    OFF(cls, "_bins", SC.bins);
+
+    /* RotorLB. */
+    CFG_TYPE(t_agent, "RotorLBAgent");
+    OFF(cls, "hosts_per_rack", LB.hosts_per_rack);
+    OFF(cls, "uplinks", LB.uplinks);
+    OFF(cls, "slice_payload_bytes", LB.slice_payload_bytes);
+    OFF(cls, "relay_cap_bytes", LB.relay_cap_bytes);
+    OFF(cls, "enable_vlb", LB.enable_vlb);
+    OFF(cls, "active_by_slice", LB.active_by_slice);
+    OFF(cls, "_budget_template", LB.budget_template);
+    OFF(cls, "local_flows", LB.local_flows);
+    OFF(cls, "local_backlog", LB.local_backlog);
+    OFF(cls, "relay_q", LB.relay_q);
+    OFF(cls, "relay_bytes", LB.relay_bytes);
+    OFF(cls, "_host_budget", LB.host_budget);
+    OFF(cls, "peers", LB.peers);
+    OFF(cls, "vlb_bytes_sent", LB.vlb_bytes_sent);
+    OFF(cls, "direct_bytes_sent", LB.direct_bytes_sent);
+    OFF(cls, "disabled", LB.disabled);
+    OFF(cls, "failure_view", LB.failure_view);
+    OFF(cls, "relay_vlb_dsts", LB.relay_vlb_dsts);
+
+    CFG_TYPE(t_bulkflow, "BulkFlow");
+    OFF(cls, "record", BF.record);
+    OFF(cls, "payload_per_packet", BF.payload_per_packet);
+    OFF(cls, "unsent_bytes", BF.unsent_bytes);
+    OFF(cls, "next_seq", BF.next_seq);
+
+    CFG_OBJ(tmp, "BulkSink");
+    cls = tmp;
+    OFF(cls, "sim", BK.sim);
+    OFF(cls, "record", BK.record);
+    OFF(cls, "stats", BK.stats);
+    OFF(cls, "_received", BK.received);
+
+    CFG_TYPE(t_deque, "deque");
+    Py_XSETREF(g_dq_append, PyObject_GetAttrString(cls, "append"));
+    Py_XSETREF(g_dq_popleft, PyObject_GetAttrString(cls, "popleft"));
+    Py_XSETREF(g_dq_rotate, PyObject_GetAttrString(cls, "rotate"));
+    if (g_dq_append == NULL || g_dq_popleft == NULL || g_dq_rotate == NULL)
+        return NULL;
 
     CFG_OBJ(g_lazy, "LAZY");
     CFG_OBJ(g_consumed, "CONSUMED");
@@ -2908,12 +3787,9 @@ c_init(PyObject *mod, PyObject *cfg)
     CFG_OBJ(g_kind_ack, "KIND_ACK");
     CFG_OBJ(g_kind_nack, "KIND_NACK");
     CFG_OBJ(g_kind_pull, "KIND_PULL");
-    Py_XDECREF(g_ack_val);
-    g_ack_val = PyObject_GetAttr(g_kind_ack, s_value);
-    Py_XDECREF(g_nack_val);
-    g_nack_val = PyObject_GetAttr(g_kind_nack, s_value);
-    Py_XDECREF(g_pull_val);
-    g_pull_val = PyObject_GetAttr(g_kind_pull, s_value);
+    Py_XSETREF(g_ack_val, PyObject_GetAttr(g_kind_ack, s_value));
+    Py_XSETREF(g_nack_val, PyObject_GetAttr(g_kind_nack, s_value));
+    Py_XSETREF(g_pull_val, PyObject_GetAttr(g_kind_pull, s_value));
     if (g_ack_val == NULL || g_nack_val == NULL || g_pull_val == NULL)
         return NULL;
     CFG_OBJ(g_pool, "POOL");
@@ -2925,6 +3801,9 @@ c_init(PyObject *mod, PyObject *cfg)
     g_pool_max = PyLong_AsLong(tmp);
     CFG_OBJ(tmp, "MAX_HOPS");
     if (as_ll(tmp, &g_max_hops) < 0)
+        return NULL;
+    CFG_OBJ(tmp, "MTU_BYTES");
+    if (as_ll(tmp, &g_mtu_ll) < 0)
         return NULL;
     CFG_OBJ(g_header_bytes, "HEADER_BYTES");
     if (as_ll(g_header_bytes, &g_header_ll) < 0)
@@ -2941,6 +3820,9 @@ c_init(PyObject *mod, PyObject *cfg)
     CFG_OBJ(g_py_sink_on_packet, "py_sink_on_packet");
     CFG_OBJ(g_py_emit_pull, "py_emit_pull");
     CFG_OBJ(g_py_pacer_tick, "py_pacer_tick");
+    CFG_OBJ(g_py_on_slice, "py_on_slice");
+    CFG_OBJ(g_py_accept_relay, "py_accept_relay");
+    CFG_OBJ(g_py_bulk_sink_on_packet, "py_bulk_sink_on_packet");
     Py_CLEAR(tmp);
     if (PyErr_Occurred())
         return NULL;
@@ -2948,45 +3830,42 @@ c_init(PyObject *mod, PyObject *cfg)
     Py_RETURN_NONE;
 }
 
+/* The exact CK classes the fast paths check for, in register()'s
+ * argument order. */
+static PyTypeObject **const registered[] = {
+    &t_cksim,  &t_ckport,  &t_ckhost,  &t_ckswitch,  &t_cksrc,
+    &t_cksink, &t_ckpacer, &t_ckagent, &t_ckbulksink,
+};
+
 static PyObject *
 c_register(PyObject *Py_UNUSED(mod), PyObject *args)
 {
-    PyObject *cksim, *ckport, *ckhost, *ckswitch, *cksrc, *cksink, *ckpacer;
-    if (!PyArg_ParseTuple(args, "OOOOOOO:register", &cksim, &ckport, &ckhost,
-                          &ckswitch, &cksrc, &cksink, &ckpacer))
+    Py_ssize_t i, n = sizeof(registered) / sizeof(registered[0]);
+    if (PyTuple_GET_SIZE(args) != n) {
+        PyErr_Format(PyExc_TypeError, "register() takes the %zd CK classes",
+                     n);
         return NULL;
+    }
+    for (i = 0; i < n; i++)
+        if (!PyType_Check(PyTuple_GET_ITEM(args, i))) {
+            PyErr_SetString(PyExc_TypeError, "register() takes classes");
+            return NULL;
+        }
     /* The fast paths find the clock and port fields in the tails. */
-    if (t_simtail == NULL || t_porttail == NULL || !PyType_Check(cksim) ||
-        !PyType_Check(ckport) ||
-        !PyType_IsSubtype((PyTypeObject *)cksim, t_simtail) ||
-        !PyType_IsSubtype((PyTypeObject *)ckport, t_porttail)) {
+    if (t_simtail == NULL || t_porttail == NULL ||
+        !PyType_IsSubtype((PyTypeObject *)PyTuple_GET_ITEM(args, 0),
+                          t_simtail) ||
+        !PyType_IsSubtype((PyTypeObject *)PyTuple_GET_ITEM(args, 1),
+                          t_porttail)) {
         PyErr_SetString(PyExc_TypeError,
                         "register: the simulator and port classes must "
                         "subclass _ckernel.SimTail and _ckernel.PortTail "
                         "(call init() first)");
         return NULL;
     }
-    Py_XDECREF((PyObject *)t_cksim);
-    Py_XDECREF((PyObject *)t_ckport);
-    Py_XDECREF((PyObject *)t_ckhost);
-    Py_XDECREF((PyObject *)t_ckswitch);
-    Py_XDECREF((PyObject *)t_cksrc);
-    Py_XDECREF((PyObject *)t_cksink);
-    Py_XDECREF((PyObject *)t_ckpacer);
-    t_cksim = (PyTypeObject *)cksim;
-    t_ckport = (PyTypeObject *)ckport;
-    t_ckhost = (PyTypeObject *)ckhost;
-    t_ckswitch = (PyTypeObject *)ckswitch;
-    t_cksrc = (PyTypeObject *)cksrc;
-    t_cksink = (PyTypeObject *)cksink;
-    t_ckpacer = (PyTypeObject *)ckpacer;
-    Py_INCREF(cksim);
-    Py_INCREF(ckport);
-    Py_INCREF(ckhost);
-    Py_INCREF(ckswitch);
-    Py_INCREF(cksrc);
-    Py_INCREF(cksink);
-    Py_INCREF(ckpacer);
+    for (i = 0; i < n; i++)
+        Py_XSETREF(*registered[i],
+                   (PyTypeObject *)Py_NewRef(PyTuple_GET_ITEM(args, i)));
     Py_RETURN_NONE;
 }
 
@@ -3324,6 +4203,15 @@ static PyMethodDef m_sink_emit_pull = {
 static PyMethodDef m_pacer_tick = {"pacer_tick", (PyCFunction)c_pacer_tick,
                                    METH_FASTCALL,
                                    "Compiled PullPacer._tick."};
+static PyMethodDef m_agent_on_slice = {
+    "agent_on_slice", (PyCFunction)c_agent_on_slice, METH_FASTCALL,
+    "Compiled RotorLBAgent.on_slice."};
+static PyMethodDef m_agent_accept_relay = {
+    "agent_accept_relay", (PyCFunction)c_agent_accept_relay, METH_FASTCALL,
+    "Compiled RotorLBAgent.accept_relay."};
+static PyMethodDef m_bulk_sink_on_packet = {
+    "bulk_sink_on_packet", (PyCFunction)c_bulk_sink_on_packet, METH_FASTCALL,
+    "Compiled BulkSink.on_packet."};
 
 /* Add def as an instancemethod module attribute; when `keep` is non-NULL
  * the underlying PyCFunction is also stored there (new reference) so hot
@@ -3363,10 +4251,42 @@ static struct PyModuleDef ckernel_module = {
     module_fns,
 };
 
+/* Interned attribute and method names. */
+static const struct {
+    PyObject **var;
+    const char *name;
+} interned[] = {
+    {&s_receive_cb, "receive_cb"},
+    {&s_receive, "receive"},
+    {&s_on_packet, "on_packet"},
+    {&s_enqueue, "enqueue"},
+    {&s_add, "add"},
+    {&s_after, "after"},
+    {&s_request, "request"},
+    {&s_emit_pull, "emit_pull"},
+    {&s_finished, "finished"},
+    {&s_payload_bytes, "payload_bytes"},
+    {&s_delivered, "delivered"},
+    {&s_now, "now"},
+    {&s_flow_id, "flow_id"},
+    {&s_src_host, "src_host"},
+    {&s_dst_host, "dst_host"},
+    {&s_size_bytes, "size_bytes"},
+    {&s_end_ps, "end_ps"},
+    {&s_retransmissions, "retransmissions"},
+    {&s_value, "value"},
+    {&s_next_rack, "next_rack"},
+    {&s_queued_bytes, "queued_bytes"},
+    {&s_relay_headroom, "relay_headroom"},
+    {&s_disabled, "disabled"},
+    {&s_relay_vlb_dsts, "relay_vlb_dsts"},
+};
+
 PyMODINIT_FUNC
 PyInit__ckernel(void)
 {
     PyObject *m;
+    size_t i;
 
     if (PyType_Ready(&EventHeap_Type) < 0 || PyType_Ready(&Fifo_Type) < 0 ||
         PyType_Ready(&Ledger_Type) < 0 || PyType_Ready(&PortCounters_Type) < 0)
@@ -3386,39 +4306,18 @@ PyInit__ckernel(void)
         0)
         goto fail;
 #endif
-    s_receive_cb = PyUnicode_InternFromString("receive_cb");
-    s_receive = PyUnicode_InternFromString("receive");
-    s_on_packet = PyUnicode_InternFromString("on_packet");
-    s_enqueue = PyUnicode_InternFromString("enqueue");
-    s_add = PyUnicode_InternFromString("add");
-    s_after = PyUnicode_InternFromString("after");
-    s_request = PyUnicode_InternFromString("request");
-    s_emit_pull = PyUnicode_InternFromString("emit_pull");
-    s_finished = PyUnicode_InternFromString("finished");
-    s_payload_bytes = PyUnicode_InternFromString("payload_bytes");
-    s_delivered = PyUnicode_InternFromString("delivered");
-    s_now = PyUnicode_InternFromString("now");
-    s_flow_id = PyUnicode_InternFromString("flow_id");
-    s_src_host = PyUnicode_InternFromString("src_host");
-    s_dst_host = PyUnicode_InternFromString("dst_host");
-    s_size_bytes = PyUnicode_InternFromString("size_bytes");
-    s_end_ps = PyUnicode_InternFromString("end_ps");
-    s_retransmissions = PyUnicode_InternFromString("retransmissions");
-    s_value = PyUnicode_InternFromString("value");
-    if (s_receive_cb == NULL || s_receive == NULL || s_on_packet == NULL ||
-        s_enqueue == NULL || s_add == NULL || s_after == NULL ||
-        s_request == NULL || s_emit_pull == NULL || s_finished == NULL ||
-        s_payload_bytes == NULL || s_delivered == NULL || s_now == NULL ||
-        s_flow_id == NULL || s_src_host == NULL || s_dst_host == NULL ||
-        s_size_bytes == NULL || s_end_ps == NULL ||
-        s_retransmissions == NULL || s_value == NULL)
-        goto fail;
+    for (i = 0; i < sizeof(interned) / sizeof(interned[0]); i++) {
+        *interned[i].var = PyUnicode_InternFromString(interned[i].name);
+        if (*interned[i].var == NULL)
+            goto fail;
+    }
     g_empty = PyTuple_New(0);
     g_src_salt = PyLong_FromLongLong(0x9E3779B9LL);
     g_zero = PyLong_FromLong(0);
     g_one = PyLong_FromLong(1);
+    g_minus_one = PyLong_FromLong(-1);
     if (g_empty == NULL || g_src_salt == NULL || g_zero == NULL ||
-        g_one == NULL)
+        g_one == NULL || g_minus_one == NULL)
         goto fail;
     if (add_instancemethod(m, &m_at, NULL) < 0 ||
         add_instancemethod(m, &m_after, NULL) < 0 ||
@@ -3429,7 +4328,10 @@ PyInit__ckernel(void)
         add_instancemethod(m, &m_src_on_packet, NULL) < 0 ||
         add_instancemethod(m, &m_sink_on_packet, NULL) < 0 ||
         add_instancemethod(m, &m_sink_emit_pull, NULL) < 0 ||
-        add_instancemethod(m, &m_pacer_tick, NULL) < 0)
+        add_instancemethod(m, &m_pacer_tick, NULL) < 0 ||
+        add_instancemethod(m, &m_agent_on_slice, NULL) < 0 ||
+        add_instancemethod(m, &m_agent_accept_relay, NULL) < 0 ||
+        add_instancemethod(m, &m_bulk_sink_on_packet, NULL) < 0)
         goto fail;
     return m;
 fail:

@@ -36,6 +36,8 @@ pure-Python implementations passed to ``init``.
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..link import _LAZY, Port, SliceResolver
 from ..ndp import NdpSink, NdpSource, PullPacer
 from ..node import CONSUMED, MAX_HOPS, Host, RouteTable, SwitchNode
@@ -43,12 +45,15 @@ from ..packet import (
     _POOL,
     _POOL_MAX,
     HEADER_BYTES,
+    MTU_BYTES,
     Packet,
     PacketKind,
     Priority,
     acquire,
 )
+from ..rotorlb import BulkFlow, BulkSink, RotorLBAgent
 from ..sim import Simulator
+from ..stats import FlowRecord, StatsCollector
 from . import _ckernel
 
 __all__ = [
@@ -59,6 +64,8 @@ __all__ = [
     "CKNdpSource",
     "CKNdpSink",
     "CKPullPacer",
+    "CKRotorLBAgent",
+    "CKBulkSink",
 ]
 
 
@@ -84,10 +91,17 @@ _ckernel.init(
         "NdpSource": NdpSource,
         "NdpSink": NdpSink,
         "PullPacer": PullPacer,
+        "FlowRecord": FlowRecord,
+        "StatsCollector": StatsCollector,
+        "RotorLBAgent": RotorLBAgent,
+        "BulkFlow": BulkFlow,
+        "BulkSink": BulkSink,
+        "deque": deque,
         "POOL": _POOL,
         "POOL_MAX": _POOL_MAX,
         "MAX_HOPS": MAX_HOPS,
         "HEADER_BYTES": HEADER_BYTES,
+        "MTU_BYTES": MTU_BYTES,
         "py_at": Simulator.at,
         "py_after": Simulator.after,
         "py_run": Simulator.run,
@@ -100,6 +114,9 @@ _ckernel.init(
         "py_sink_on_packet": NdpSink.on_packet,
         "py_emit_pull": NdpSink.emit_pull,
         "py_pacer_tick": PullPacer._tick,
+        "py_on_slice": RotorLBAgent.on_slice,
+        "py_accept_relay": RotorLBAgent.accept_relay,
+        "py_bulk_sink_on_packet": BulkSink.on_packet,
     }
 )
 
@@ -234,6 +251,34 @@ class CKPullPacer(PullPacer):
     _tick = _ckernel.pacer_tick
 
 
+class CKRotorLBAgent(RotorLBAgent):
+    """RotorLB agent with the slice step and relay intake compiled.
+
+    ``on_slice`` runs relay, local and VLB phases in C on a fault-free
+    agent and hands any other call (failures armed, unexpected types) to
+    the Python body; ``accept_relay`` is what the route table's ``relay``
+    and ``requeue`` reach. ``submit``, ``requeue`` and the failure-only
+    paths stay Python.
+    """
+
+    __slots__ = ()
+
+    on_slice = _ckernel.agent_on_slice
+    accept_relay = _ckernel.agent_accept_relay
+
+
+class CKBulkSink(BulkSink):
+    """Bulk sink with the dedup and delivery count compiled.
+
+    ``c_host_receive`` calls it directly, as it calls the compiled NDP
+    endpoints.
+    """
+
+    __slots__ = ()
+
+    on_packet = _ckernel.bulk_sink_on_packet
+
+
 _ckernel.register(
     CKSimulator,
     CKPort,
@@ -242,4 +287,6 @@ _ckernel.register(
     CKNdpSource,
     CKNdpSink,
     CKPullPacer,
+    CKRotorLBAgent,
+    CKBulkSink,
 )

@@ -19,12 +19,17 @@ Bulk packets that miss their slice (e.g. delayed behind a burst of
 priority-queued low-latency traffic) are either requeued by the agent or
 — when they reach the wrong rack — absorbed as relay traffic there, which
 models the paper's NACK-and-retransmit recovery at ToR granularity.
+
+Every class here is slotted: under the compiled kernel, ``CKRotorLBAgent``
+runs :meth:`RotorLBAgent.on_slice` and :meth:`RotorLBAgent.accept_relay`,
+and ``CKBulkSink`` runs :meth:`BulkSink.on_packet`, in C on these same
+slots (see :mod:`repro.net.kernel`). These Python bodies stay the oracle,
+and they are what runs while failures are armed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
 
 from .link import Port
 from .node import Host
@@ -37,6 +42,8 @@ __all__ = ["BulkFlow", "BulkSink", "RotorLBAgent"]
 
 class BulkFlow:
     """Sender-side state of one bulk flow (packets materialize on poll)."""
+
+    __slots__ = ("record", "mtu", "payload_per_packet", "unsent_bytes", "next_seq")
 
     def __init__(self, record: FlowRecord, mtu: int = MTU_BYTES) -> None:
         self.record = record
@@ -70,6 +77,8 @@ class BulkFlow:
 class BulkSink:
     """Receiver side: counts payload bytes into the stats collector."""
 
+    __slots__ = ("sim", "record", "stats", "_received")
+
     def __init__(
         self, sim: Simulator, host: Host, record: FlowRecord, stats: StatsCollector
     ) -> None:
@@ -97,13 +106,9 @@ class RotorLBAgent:
     ----------
     rack:
         This ToR's rack index.
-    rack_of:
-        Maps host id -> rack (to resolve packet destinations).
-    uplink_peer:
-        ``uplink_peer(switch, slice)`` gives the rack this uplink connects
-        to during a slice, or ``None`` when the switch is down. Only the
-        fallback when no ``active_by_slice`` table is supplied (the
-        builders always supply one, so they omit this).
+    hosts_per_rack:
+        Hosts per rack: host ``h`` sits in rack ``h // hosts_per_rack``
+        (resolves packet and flow destinations).
     uplinks:
         ``switch -> Port`` for this ToR's rotor-facing ports.
     slice_payload_bytes:
@@ -111,39 +116,62 @@ class RotorLBAgent:
         the builder).
     host_budget_bytes:
         Per-host NIC budget per slice (polled transmission).
-    relay_cap_bytes:
-        Per-destination relay queue cap: the admission bound of the VLB
-        offer/accept exchange.
     hosts:
-        This rack's host ids. When given, per-slice NIC budgets come from
-        a precomputed template instead of a fresh comprehension per slice
-        (and ``on_slice`` may be called without a hosts list).
+        This rack's host ids: every slice starts from a copy of one
+        ``{host: host_budget_bytes}`` template.
     active_by_slice:
         Slice-boundary batching table: one row per cycle slice listing
         this ToR's live ``(switch, port, peer)`` circuits (builders derive
-        it from :func:`repro.core.schedule.slice_activations`). With it,
-        a slice boundary rotates every uplink's matching with plain list
-        lookups — no schedule queries per port per slice.
+        it from :func:`repro.core.schedule.slice_activations`). A slice
+        boundary rotates every uplink's matching with plain list lookups
+        — no schedule queries per port per slice.
+    relay_cap_bytes:
+        Per-destination relay queue cap: the admission bound of the VLB
+        offer/accept exchange.
     """
+
+    __slots__ = (
+        "sim",
+        "rack",
+        "hosts_per_rack",
+        "uplinks",
+        "slice_payload_bytes",
+        "host_budget_bytes",
+        "relay_cap_bytes",
+        "enable_vlb",
+        "hosts",
+        "active_by_slice",
+        "_budget_template",
+        "local_flows",
+        "local_backlog",
+        "relay_q",
+        "relay_bytes",
+        "_host_budget",
+        "peers",
+        "requeues",
+        "vlb_bytes_sent",
+        "direct_bytes_sent",
+        "disabled",
+        "failure_view",
+        "relay_vlb_dsts",
+    )
 
     def __init__(
         self,
         sim: Simulator,
         rack: int,
-        rack_of: Callable[[int], int],
+        hosts_per_rack: int,
         uplinks: dict[int, Port],
         slice_payload_bytes: int,
         host_budget_bytes: int,
+        hosts: list[int],
+        active_by_slice: list[list[tuple[int, Port, int]]],
         relay_cap_bytes: int = 512_000,
         enable_vlb: bool = True,
-        hosts: "list[int] | None" = None,
-        active_by_slice: "list[list[tuple[int, Port, int]]] | None" = None,
-        uplink_peer: "Callable[[int, int], int | None] | None" = None,
     ) -> None:
         self.sim = sim
         self.rack = rack
-        self.rack_of = rack_of
-        self.uplink_peer = uplink_peer
+        self.hosts_per_rack = hosts_per_rack
         self.uplinks = uplinks
         self.slice_payload_bytes = slice_payload_bytes
         self.host_budget_bytes = host_budget_bytes
@@ -151,9 +179,7 @@ class RotorLBAgent:
         self.enable_vlb = enable_vlb
         self.hosts = hosts
         self.active_by_slice = active_by_slice
-        self._budget_template: dict[int, int] | None = (
-            None if hosts is None else {h: host_budget_bytes for h in hosts}
-        )
+        self._budget_template = {h: host_budget_bytes for h in hosts}
         #: dst rack -> sender flows with bytes left (FIFO round-robin).
         self.local_flows: dict[int, deque[BulkFlow]] = {}
         self.local_backlog: dict[int, int] = {}
@@ -186,7 +212,7 @@ class RotorLBAgent:
 
     def submit(self, flow: BulkFlow) -> None:
         """Register a local bulk flow (called at flow start time)."""
-        dst_rack = self.rack_of(flow.record.dst_host)
+        dst_rack = flow.record.dst_host // self.hosts_per_rack
         if dst_rack == self.rack:
             raise ValueError("rack-local bulk traffic never enters RotorLB")
         self.local_flows.setdefault(dst_rack, deque()).append(flow)
@@ -196,7 +222,7 @@ class RotorLBAgent:
 
     def accept_relay(self, packet: Packet) -> None:
         """Queue a VLB packet (or a mis-slotted direct one) for delivery."""
-        dst_rack = self.rack_of(packet.dst_host)
+        dst_rack = packet.dst_host // self.hosts_per_rack
         packet.relay_to = None
         packet.next_rack = None
         self.relay_q.setdefault(dst_rack, deque()).append(packet)
@@ -245,35 +271,13 @@ class RotorLBAgent:
             return packet
         return None
 
-    def on_slice(self, slice_index: int, hosts: "list[int] | None" = None) -> None:
-        """Fill this slice's circuits: relay, then local, then VLB.
-
-        ``hosts`` may be omitted when the agent was built with its host
-        list (the batched slice-boundary path); passing one overrides the
-        precomputed budget template, preserving the legacy call shape.
-        """
+    def on_slice(self, slice_index: int) -> None:
+        """Fill this slice's circuits: relay, then local, then VLB."""
         if self.disabled:
             return  # a dead ToR polls nobody and fills nothing
-        if hosts is not None:
-            self._host_budget = {h: self.host_budget_bytes for h in hosts}
-        else:
-            template = self._budget_template
-            assert template is not None, "agent built without hosts"
-            self._host_budget = dict(template)
+        self._host_budget = dict(self._budget_template)
         active = self.active_by_slice
-        if active is not None:
-            pairs = active[slice_index % len(active)]
-        else:
-            peer_of = self.uplink_peer
-            assert peer_of is not None, (
-                "agent needs either active_by_slice or uplink_peer"
-            )
-            pairs = []
-            for switch, port in self.uplinks.items():
-                peer = peer_of(switch, slice_index)
-                if peer is None or peer == self.rack:
-                    continue
-                pairs.append((switch, port, peer))
+        pairs = active[slice_index % len(active)]
         view = self.failure_view
         if view is not None:
             # Known-failed circuits are skipped — the detected view, not

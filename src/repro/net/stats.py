@@ -10,9 +10,9 @@ from ..core.timing import PS_PER_S
 __all__ = ["FlowRecord", "StatsCollector"]
 
 
-@dataclass
-class FlowRecord:
-    """Lifecycle of one flow."""
+@dataclass(slots=True)
+class _FlowFields:
+    """Lifecycle of one flow: the fields of :class:`FlowRecord`."""
 
     flow_id: int
     src_host: int
@@ -35,6 +35,19 @@ class FlowRecord:
         return self.end_ps - self.start_ps
 
 
+class FlowRecord(_FlowFields):
+    """Lifecycle of one flow.
+
+    A slotted dataclass, so the compiled kernel reads and writes its
+    fields by offset (``delivered_bytes``, ``end_ps`` and the endpoints'
+    reads); ``dataclasses.fields``, equality and repr are the dataclass's.
+    The ``__weakref__`` slot lives on this subclass because
+    ``dataclass(weakref_slot=True)`` needs Python 3.11.
+    """
+
+    __slots__ = ("__weakref__",)
+
+
 class StatsCollector:
     """Tracks flows, a binned goodput time series, and failure drops.
 
@@ -44,7 +57,20 @@ class StatsCollector:
     a blackholed component (a failed fiber, switch or ToR; see
     :mod:`repro.net.failures`) are never queue pressure, and conflating
     the two would make a failed link look like congestion.
+
+    Slotted, so the compiled kernel's twin of :meth:`delivered` reads
+    ``flows``, ``_bins`` and ``throughput_bin_ps`` by offset.
     """
+
+    __slots__ = (
+        "flows",
+        "throughput_bin_ps",
+        "_bins",
+        "blackholed_packets",
+        "blackholed_bytes",
+        "affected_flows",
+        "unrecoverable_flows",
+    )
 
     def __init__(self, throughput_bin_ps: int = 1_000_000_000) -> None:
         self.flows: dict[int, FlowRecord] = {}

@@ -15,8 +15,9 @@ metric drains from counters both kernels already bump —
 ``Simulator.events_processed`` / ``sched_pushes``, each port's ``stats``
 (sent/trimmed/dropped by cause: a :class:`~repro.net.link.PortStats`
 under the python engine, the compiled kernel's native int64
-``PortCounters`` with the same names and ``counters()``), and the
-:class:`~repro.net.stats.StatsCollector` failure ledger. The compiled
+``PortCounters`` with the same names and ``counters()``), the
+:class:`~repro.net.stats.StatsCollector` failure ledger, and on Opera and
+RotorNet the RotorLB agents' byte and requeue counts. The compiled
 kernel counts the same events into the same names (see
 :mod:`repro.net.kernel`), so a ``REPRO_KERNEL=py`` and a ``=c`` run of
 the same cell produce *identical* snapshots, and draining at run end
@@ -319,6 +320,20 @@ def drain_network(net: Any, registry: MetricsRegistry | None = None) -> None:
     reg.counter("drops.queue_overflow").inc(
         port_totals.get("dropped_control", 0) + port_totals.get("dropped_bulk", 0)
     )
+    # Direct versus two-hop VLB bulk bytes, and missed-slice requeues:
+    # slots both kernels' agents write (the compiled slice step included).
+    agents = getattr(net, "agents", ())
+    if agents:
+        reg.counter("rotorlb.direct_bytes").inc(
+            sum(agent.direct_bytes_sent for agent in agents)
+        )
+        reg.counter("rotorlb.vlb_bytes").inc(
+            sum(agent.vlb_bytes_sent for agent in agents)
+        )
+        reg.counter("rotorlb.requeues").inc(sum(agent.requeues for agent in agents))
+        reg.gauge("rotorlb.pending_bytes_at_drain").high_water(
+            sum(agent.pending_bytes() for agent in agents)
+        )
     fct = reg.histogram("flows.fct_us", FCT_BUCKET_BOUNDS_US)
     # Whole-microsecond FCTs (integer division of integer picoseconds):
     # deterministic bucketing, bit-equal across kernels.

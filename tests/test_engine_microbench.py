@@ -14,12 +14,16 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 from engine_microbench import check_regression  # noqa: E402
 
 
-def engine_record(events_per_hop=1.36, reentries_per_hop=0.10):
+def engine_record(events_per_hop=1.36, reentries=66):
     return {
         "reference_events_per_sec": 2_000_000,
         "events_per_hop": events_per_hop,
         "per_network": [
-            {"network": "clos", "reentries_per_hop": reentries_per_hop},
+            {
+                "network": "clos",
+                "reentries": reentries,
+                "reentries_per_hop": round(reentries / 215_000, 4),
+            },
         ],
     }
 
@@ -46,3 +50,15 @@ def test_check_regression_without_a_py_record(tmp_path, capsys):
     bloated = {"engines": {"heap-c": engine_record(events_per_hop=1.6)}}
     assert check_regression(bloated, committed) == 1
     assert "events-per-hop regression" in capsys.readouterr().err
+
+
+def test_reentry_gate_counts_frames_not_rounded_ratios(tmp_path, capsys):
+    # The gate reads the frame counts, which no rounding coarsens: 66 ->
+    # 72 stays under the 10% ceiling of 72.6, and 73 fails it.
+    committed = committed_artifact(tmp_path)
+    ok = {"engines": {"heap-c": engine_record(reentries=72)}}
+    assert check_regression(ok, committed) == 0
+    assert "clos 72 re-entries vs committed 66" in capsys.readouterr().out
+    risen = {"engines": {"heap-c": engine_record(reentries=73)}}
+    assert check_regression(risen, committed) == 1
+    assert "re-entry regression on clos" in capsys.readouterr().err

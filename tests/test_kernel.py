@@ -132,6 +132,7 @@ class TestKernelSeam:
         from repro.net.link import Port
         from repro.net.ndp import NdpSink, NdpSource, PullPacer
         from repro.net.node import Host, SwitchNode
+        from repro.net.rotorlb import BulkSink, RotorLBAgent
         from repro.net.sim import Simulator
 
         classes = engine_classes("py")
@@ -143,14 +144,18 @@ class TestKernelSeam:
         assert classes.NdpSource is NdpSource
         assert classes.NdpSink is NdpSink
         assert classes.PullPacer is PullPacer
+        assert classes.RotorLBAgent is RotorLBAgent
+        assert classes.BulkSink is BulkSink
 
     @requires_c
     def test_c_classes_subclass_the_python_engine(self):
         py = engine_classes("py")
         ck = engine_classes("c")
         assert ck.name == "c"
+        assert ck._fields == py._fields
         for field in ("Simulator", "Port", "Host", "SwitchNode",
-                      "NdpSource", "NdpSink", "PullPacer"):
+                      "NdpSource", "NdpSink", "PullPacer",
+                      "RotorLBAgent", "BulkSink"):
             c_cls, py_cls = getattr(ck, field), getattr(py, field)
             assert c_cls is not py_cls
             assert issubclass(c_cls, py_cls)

@@ -225,6 +225,11 @@ class TestEngineDrain:
         assert snap["histograms"]["flows.fct_us"]["count"] == snap[
             "counters"
         ]["flows.completed"]
+        # The Opera cell drains its RotorLB agents too.
+        assert snap["counters"]["rotorlb.direct_bytes"] > 0
+        assert snap["counters"]["rotorlb.vlb_bytes"] > 0
+        assert "rotorlb.requeues" in snap["counters"]
+        assert "rotorlb.pending_bytes_at_drain" in snap["gauges"]
 
     @requires_c
     def test_snapshot_identical_across_kernels(self, monkeypatch):
@@ -235,6 +240,10 @@ class TestEngineDrain:
             result = _run_cell(monkeypatch, kernel=kernel)
             snaps[kernel] = (result, REGISTRY.snapshot())
         assert snaps["py"] == snaps["c"]
+        # The compiled slice step keeps the RotorLB counters the oracle does.
+        counters = snaps["c"][1]["counters"]
+        assert counters["rotorlb.direct_bytes"] > 0
+        assert counters["rotorlb.vlb_bytes"] > 0
 
 
 # ------------------------------------------------------- drop-cause ledger
