@@ -335,7 +335,8 @@ class TestDifferential:
                 "py", kind, ops, monkeypatch
             )
 
-    def test_a_fixed_replay_exercises_every_phase(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["opera", "rotornet"])
+    def test_a_fixed_replay_exercises_every_phase(self, kind, monkeypatch):
         # Flows and relays for the same racks, a squeezed uplink (so bulk
         # drops requeue into the relay queue being drained), and slice
         # steps: relay, direct and VLB bytes all move, and both kernels
@@ -345,7 +346,7 @@ class TestDifferential:
         ops += [("squeeze", 0, 0, 3), ("squeeze", 1, 1, 0)]
         ops += [("run", 0, 0, 1), ("slice", 0, 0, 2), ("slice", 1, 0, 5)]
         ops += [("run", 0, 0, 40)]
-        states = {k: replay(k, "rotornet", ops, monkeypatch) for k in ("py", "c")}
+        states = {k: replay(k, kind, ops, monkeypatch) for k in ("py", "c")}
         assert states["c"] == states["py"]
         _now, _events, agents, uplinks, _flows, _log = states["c"][-1]
         requeues, vlb, direct = map(sum, zip(*(a[-1] for a in agents)))
