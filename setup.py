@@ -3,10 +3,10 @@
 ``python setup.py build_ext --inplace`` (or an editable install) compiles
 ``repro.net.kernel._ckernel`` — the C fast path for the packet engine's
 enqueue/serialize/dispatch hot trio (see ``src/repro/net/kernel``). The
-extension is declared *optional*: when no C compiler is available (or
-``REPRO_NO_CKERNEL`` is set) the build degrades to the pure-Python engine
-instead of failing, and the runtime seam (``REPRO_KERNEL``) falls back
-with a warning rather than an error.
+extension is declared *optional*: when no C compiler is available the
+build degrades to the pure-Python engine instead of failing, and the
+runtime seam (``REPRO_KERNEL``) falls back with a warning rather than an
+error; ``REPRO_KERNEL=py`` selects the pure-Python engine at run time.
 
 The kernel is a hand-written CPython extension rather than a mypyc
 build: mypyc (and Cython) are not part of the pinned offline toolchain,
@@ -26,19 +26,9 @@ from setuptools import Extension, setup
 
 CKERNEL_SOURCE = "src/repro/net/kernel/_ckernel.c"
 
-ext_modules = []
-if not os.environ.get("REPRO_NO_CKERNEL"):
-    here = os.path.dirname(os.path.abspath(__file__))
-    with open(os.path.join(here, CKERNEL_SOURCE), "rb") as fh:
-        source_sha256 = hashlib.sha256(fh.read()).hexdigest()
-    ext_modules.append(
-        Extension(
-            "repro.net.kernel._ckernel",
-            sources=[CKERNEL_SOURCE],
-            define_macros=[("CKERNEL_SOURCE_SHA256", f'"{source_sha256}"')],
-            optional=True,  # build failure -> pure-Python engine, not error
-        )
-    )
+here = os.path.dirname(os.path.abspath(__file__))
+with open(os.path.join(here, CKERNEL_SOURCE), "rb") as fh:
+    source_sha256 = hashlib.sha256(fh.read()).hexdigest()
 
 setup(
     name="repro-opera",
@@ -57,5 +47,12 @@ setup(
         "repro.topologies",
         "repro.workloads",
     ],
-    ext_modules=ext_modules,
+    ext_modules=[
+        Extension(
+            "repro.net.kernel._ckernel",
+            sources=[CKERNEL_SOURCE],
+            define_macros=[("CKERNEL_SOURCE_SHA256", f'"{source_sha256}"')],
+            optional=True,  # build failure -> pure-Python engine, not error
+        )
+    ],
 )

@@ -45,11 +45,10 @@ args}`` structs that also owns the sequence counter. Keys are unique, so
 it dispatches in the oracle's ``(time, seq)`` order bit for bit, and its
 ``len()`` keeps ``pending`` identical. What stays shared: the
 simulator's counter slots, the callbacks and their args tuples. Python
-code that schedules onto a compiled simulator — the pure-Python bodies
-the C entry points fall back to — goes through ``sim.at`` / ``sim.after``,
-never ``heapq``; a simulator without a native heap (a plain
-``Simulator``) keeps the oracle's list, and every C path that would
-schedule onto it delegates to the pure-Python implementation.
+code that schedules onto a compiled simulator (the seams below) goes
+through ``sim.at`` / ``sim.after``, never ``heapq``; the oracle's
+``Port`` pushes onto its simulator's list heap, so it runs only on a
+plain ``Simulator``.
 
 The queues are the other structures the kernels do not share. A compiled
 port holds native ``_ckernel.Fifo`` rings in ``_q_control`` / ``_q_data``
@@ -64,11 +63,12 @@ tuple per committed control packet and boxing every counter bump. Each
 native type offers the Python bodies exactly what they use on the
 object it replaces (``append``, ``popleft``, ``len()`` and truth; the
 ledger's ``[0]`` and tuples; the counters' names and ``counters()``),
-so a call handed back to Python runs unchanged on it. Every fast path
-checks the exact native type of each such slot before its first write
-and otherwise runs the Python body. Bit-identity reduces to the C code
-replicating the Python control flow — which the differential tests pin
-per executor.
+so the Python methods that still run on compiled objects
+(``queued_bytes`` and ``busy``, from RotorLB's failure path and from
+telemetry) run unchanged on it. Every compiled call checks the exact
+native type of each such slot before its first write (see *The
+contract* below). Bit-identity reduces to the C code replicating the
+Python control flow — which the differential tests pin per executor.
 
 The native tails hold the last per-hop ints. ``_ckernel.init`` derives
 ``_ckernel.SimTail`` from :class:`~repro.net.sim.Simulator` and
@@ -79,7 +79,7 @@ them. A tail appends int64 fields after the base's slots: the clock
 ``_bytes_bulk``, ``_kick_pending`` (a flag), ``_ps_per_byte``,
 ``propagation_ps`` and the three queue capacities. Getset descriptors
 named after the slots they shadow serve every Python reader unchanged
-(``Port.__init__``, the py bodies, ``queued_bytes``, ``busy``, RotorLB,
+(``Port.__init__``, ``queued_bytes``, ``busy``, RotorLB's failure path,
 ``sim.now``), while the kernel reads and writes the fields in place. In
 the native profile of the ``clos@0.25`` cell, allocating, freeing and
 converting those ints had become the largest C-API cost: every event
@@ -88,9 +88,8 @@ its byte count twice. The setters take ints only (``TypeError``) that
 fit in int64 (the kernel's ``OverflowError``), so a bad value fails
 where it is assigned; the shadowed slots stay allocated but unset, as
 ``_seq`` is on a compiled simulator. A stamped route table reads the
-clock from the tail of its simulator (from the slot of an exact
-``Simulator``; any other simulator's goes to Python), and so does the
-delivery count below.
+clock from the tail of its compiled simulator, and so does the delivery
+count below.
 
 **RotorLB and delivery in C.** Bulk traffic on Opera and RotorNet never
 leaves the kernel either. ``CKRotorLBAgent`` runs
@@ -101,12 +100,11 @@ in C on the agent's own slots; its per-destination queues stay
 runs ``BulkSink.on_packet``, which ``c_host_receive`` calls directly, as
 it calls the compiled NDP endpoints. One C twin of
 :meth:`~repro.net.stats.StatsCollector.delivered` serves both sinks on an
-exact ``StatsCollector`` and slotted ``FlowRecord`` (any other collector
-is called by name), and the NDP endpoints read the record's ints by
-offset. The Python bodies stay the oracle: the slice step hands the
-call back, before its first write, to a disabled agent, one with a
-failure view or forced relay, and any table, flow or record of an
-unexpected type, so failure-armed agents run Python exactly as before.
+exact ``StatsCollector`` and slotted ``FlowRecord``, and the NDP
+endpoints read the record's fields by offset. The Python bodies stay the
+oracle: the slice step hands the call back, before its first write, to a
+disabled agent or one with a failure view or forced relay (the failure
+seam below), so failure-armed agents run Python exactly as before.
 A bulk drop while a circuit fills runs a Python handler that may
 requeue into the very relay queue being drained, so the C step re-reads
 every entry after each enqueue, as the Python body does.
@@ -117,6 +115,24 @@ extension ``_ckernel.c`` (mypyc/Cython are not part of the pinned
 toolchain, and hand-written C manipulates the ``__slots__`` layout
 directly); the extension is declared optional, so a missing compiler
 degrades to the pure-Python kernel instead of failing the install.
+
+**The contract.** The compiled engine is a closed world. A compiled
+method runs only on what :func:`engine_classes` ``("c")`` builds:
+exactly the ``CK*`` classes of :mod:`.engine`, on a ``CKSimulator``, with
+their native queues; exact ``Packet``, ``FlowRecord``,
+``StatsCollector`` and ``BulkFlow`` objects; and a line rate that is a
+whole number of ps per byte. ``CKPort`` refuses any other simulator or
+rate at construction; any other object (a plain ``Simulator``, a Python
+``Port`` on a compiled simulator, a subclass, a test double, a swapped
+native slot) makes the compiled call raise one :class:`TypeError`
+naming ``REPRO_KERNEL=py``, before its first write, and no Python body
+runs in its place. The kernel calls Python only at these seams: the
+failure seam below; the bulk-drop, undeliverable and relay callbacks;
+``packet.acquire`` when the free list is empty; a routing table's own
+call for a value the native interpreter cannot prove in range; and the
+duck-typed ``receive_cb`` (else ``receive``) of a delivery target and
+``enqueue`` of an egress that is not a compiled port. ``_ckernel.c``'s
+header lists them.
 
 **Routing as data.** Every switch forwards from a
 :class:`~repro.net.node.RouteTable` and every fault-free rotor port
@@ -130,7 +146,7 @@ hop enters no Python frame; a relay goes to the compiled agent's
 ``accept_relay``.
 
 **The failure seam.** Live failure injection (``repro.core.faults`` +
-``OperaSimNetwork.install_failures``) adds *zero* kernel code. Two
+``OperaSimNetwork.install_failures``) adds *zero* kernel code. Three
 deliberate properties of this seam make that possible:
 
 * A route table's ``fallback`` slot is read per packet in both kernels.
@@ -141,6 +157,8 @@ deliberate properties of this seam make that possible:
 * ``Port.resolver`` is re-read on every transmit in both kernels, so
   the injector can swap a failure-aware uplink resolver in live; any
   resolver that is not a ``SliceResolver`` is called as Python.
+* ``RotorLBAgent.on_slice`` runs as Python for an agent the injector
+  disabled or gave a failure view or forced relay.
 
 Dynamic state reaches the closures through objects mutated in place
 (actual failed sets; the *detected* view swapped at hello epochs),

@@ -58,8 +58,9 @@
  * installs its EventHeap. A queued hop therefore pushes, pops and counts
  * on C structs: no by-name deque call, no ledger tuple, no boxed
  * counter. Each type offers the Python bodies the API they use on the
- * object it replaces, so a call handed back to Python runs on it
- * unchanged.
+ * object it replaces, so the Python methods that still run on compiled
+ * objects (queued_bytes and busy, from RotorLB's failure path and from
+ * telemetry) work on it unchanged.
  *
  * Routing is data: every switch router is a node.RouteTable and every
  * fault-free rotor-port resolver a link.SliceResolver, both plain Python
@@ -73,14 +74,34 @@
  * Python is slice-boundary closures, flow starts, drop handlers and
  * anything failure-armed.
  *
- * Every function guards its fast path with *exact* type checks against
- * the CK* classes registered by kernel/engine.py, and against the native
- * type of every queue, ledger and counter slot it uses, before its first
- * write. It delegates anything else — simulators without an EventHeap (a
- * plain Simulator), ports or endpoints without their native queues,
- * non-integral line rates, subclasses, test doubles — to the stored
- * pure-Python implementation, so semantics can never diverge on paths
- * the C code does not model.
+ * The contract: the compiled engine is a closed world. A compiled method
+ * runs only on what engine_classes("c") builds: the CK* classes
+ * registered by kernel/engine.py, exactly, on a CKSimulator and with the
+ * native queues, ledger and counters engine.py installs; exact Packet,
+ * FlowRecord, StatsCollector and BulkFlow objects; and a line rate that
+ * is a whole number of ps per byte (CKPort refuses anything else at
+ * construction). Every other object makes the call raise one TypeError
+ * naming REPRO_KERNEL=py (outside(), below), before the kernel writes
+ * anything for that object; no Python body runs in its place. The exact
+ * type checks behind it are also what makes each struct cast and offset
+ * read safe. Python code that swaps a native slot while a call is running
+ * (a resolver, a drop handler) gets need_native's RuntimeError instead.
+ *
+ * What the kernel still calls in Python is these seams, and only these:
+ *  - the failure seam: a route table's `fallback`, any port resolver that
+ *    is not a SliceResolver, and RotorLBAgent.on_slice (g_py_on_slice)
+ *    for an agent that is disabled, has a failure view or forced relay;
+ *  - the bulk-drop (`on_bulk_drop`), undeliverable (`_undeliv_cb`) and
+ *    relay (a route table's `relay`) callbacks;
+ *  - packet.acquire (g_py_acquire) when the free list is empty: the one
+ *    place a Packet is constructed;
+ *  - a table's own Python call, when table_route or slice_resolve cannot
+ *    prove a value in range: a malformed table raises the oracle's error;
+ *  - the duck-typed calls the Python bodies make the same way: a delivery
+ *    target's `receive_cb`, else its `receive`, and `enqueue` on an egress
+ *    that is not a compiled port;
+ *  - Simulator._past_error (g_py_past_error), which builds the error a
+ *    schedule into the past raises.
  *
  * Limits: timestamps, sequence numbers and the other ints the kernel
  * reads must fit in int64 (9.2e18 ps is ~107 days of simulated time);
@@ -141,7 +162,7 @@ typedef struct {
 
 typedef struct {
     Py_ssize_t flow_id, src_host, dst_host, size_bytes, end_ps,
-        delivered_bytes;
+        delivered_bytes, retransmissions;
 } RecordOffsets;
 
 typedef struct {
@@ -188,7 +209,7 @@ static PyObject *g_kind_data, *g_kind_header;
 static PyObject *g_kind_ack, *g_kind_nack, *g_kind_pull;
 static PyObject *g_ack_val, *g_nack_val, *g_pull_val; /* kind.value ints */
 static PyObject *g_src_salt; /* 0x9E3779B9: NdpSource._emit salt constant */
-static PyObject *g_zero, *g_one;
+static PyObject *g_zero;
 static long long g_header_ll; /* HEADER_BYTES as C int */
 static PyObject *g_pool;         /* packet._POOL (the module-global list) */
 static long g_pool_max;
@@ -201,39 +222,29 @@ static PyObject *g_minus_one;    /* -1, deque.rotate's round-robin step */
  * agent's exact deques. */
 static PyObject *g_dq_append, *g_dq_popleft, *g_dq_rotate;
 
-/* Pure-Python fallbacks (unbound functions). */
-static PyObject *g_py_sim_at, *g_py_sim_after, *g_py_sim_run,
-    *g_py_past_error,
-    *g_py_port_enqueue, *g_py_port_kick,
-    *g_py_host_receive, *g_py_acquire, *g_py_src_on_packet,
-    *g_py_sink_on_packet, *g_py_emit_pull, *g_py_pacer_tick,
-    *g_py_on_slice, *g_py_accept_relay, *g_py_bulk_sink_on_packet;
+/* The Python the kernel calls besides the seams' own objects (see the
+ * header): the past-scheduling error, the Packet constructor path and the
+ * slice step of a failure-armed agent (unbound functions). */
+static PyObject *g_py_past_error, *g_py_acquire, *g_py_on_slice;
 
-/* Base classes (for offset validity) and exact CK classes (fast path). */
-static PyTypeObject *t_sim, *t_port, *t_packet, *t_host, *t_switch;
+/* The exact classes the contract admits: the CK classes registered by
+ * kernel/engine.py, the packet, the routing tables (interpreted natively),
+ * the flow bookkeeping and RotorLB's flows (read by offset). */
+static PyTypeObject *t_packet;
 static PyTypeObject *t_cksim, *t_ckport, *t_ckhost, *t_ckswitch;
-static PyTypeObject *t_src, *t_sink, *t_pacer;
 static PyTypeObject *t_cksrc, *t_cksink, *t_ckpacer;
-/* The routing tables (node.RouteTable, link.SliceResolver): interpreted
- * natively when a router or resolver is exactly one of these. */
 static PyTypeObject *t_route_table, *t_slice_resolver;
-/* Flow bookkeeping (stats.FlowRecord, stats.StatsCollector) and RotorLB
- * (rotorlb.RotorLBAgent, BulkFlow, BulkSink; CK* twins registered by
- * kernel/engine.py): read by offset when exactly one of these. */
-static PyTypeObject *t_record, *t_collector, *t_agent, *t_ckagent,
-    *t_bulkflow, *t_ckbulksink, *t_deque;
+static PyTypeObject *t_record, *t_collector, *t_ckagent, *t_bulkflow,
+    *t_ckbulksink, *t_deque;
 
 /* The PyCFunction behind the exported `enqueue` instancemethod — lets the
  * NDP send path recognise `ckport.enqueue` bound methods and call the C
  * implementation without going through the method object. */
 static PyObject *g_cf_enqueue;
 
-/* Interned method-name strings. */
-static PyObject *s_receive_cb, *s_receive, *s_on_packet, *s_enqueue, *s_add, *s_after, *s_request, *s_emit_pull,
-    *s_finished, *s_payload_bytes, *s_delivered, *s_now, *s_flow_id,
-    *s_src_host, *s_dst_host, *s_size_bytes, *s_end_ps, *s_retransmissions,
-    *s_value, *s_next_rack, *s_queued_bytes, *s_relay_headroom, *s_disabled,
-    *s_relay_vlb_dsts;
+/* Interned names: the duck-typed delivery and egress calls, and
+ * PacketKind's `value`. */
+static PyObject *s_receive_cb, *s_receive, *s_enqueue, *s_value;
 
 static int g_ready = 0; /* init() completed */
 
@@ -258,6 +269,37 @@ slot_set(PyObject *o, Py_ssize_t off, PyObject *v)
     Py_INCREF(v);
     SLOT(o, off) = v;
     Py_XDECREF(old);
+}
+
+/* The one TypeError the kernel raises for an object outside its contract
+ * (see the header): `what` names the object's role, `o` is the object
+ * (NULL: an unset slot). Before init() no object is inside the contract,
+ * and the error says that instead. Returns -1. Marked cold: its callers
+ * are checks on every hop, whose failure paths the compiler then keeps
+ * out of the hot code. */
+static __attribute__((cold)) int
+outside(const char *what, PyObject *o)
+{
+    if (!g_ready) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "ckernel: init() has not run; the compiled engine "
+                        "methods work once repro.net.kernel.engine is "
+                        "imported");
+        return -1;
+    }
+    PyErr_Format(PyExc_TypeError,
+                 "ckernel: %s (%.100s) is outside the compiled kernel's "
+                 "contract, which admits only what engine_classes(\"c\") "
+                 "builds; run with REPRO_KERNEL=py",
+                 what, o == NULL ? "unset" : Py_TYPE(o)->tp_name);
+    return -1;
+}
+
+/* 0 when `o` is exactly a `type`, else the contract TypeError. */
+static inline int
+need_type(PyObject *o, PyTypeObject *type, const char *what)
+{
+    return o != NULL && Py_TYPE(o) == type ? 0 : outside(what, o);
 }
 
 /* The one OverflowError the kernel raises for ints beyond int64. */
@@ -345,7 +387,8 @@ slot_set_ll(PyObject *o, Py_ssize_t off, long long v)
 }
 
 /* v as int64 when it is an exact int that fits: 1, else 0. Never sets
- * an exception: the table interpreters hand anything else to Python. */
+ * an exception: a table interpreter hands anything else to the table's own
+ * Python call, and RotorLB's entry checks refuse it. */
 static inline int
 exact_ll(PyObject *v, long long *out)
 {
@@ -558,9 +601,9 @@ static PyTypeObject EventHeap_Type = {
  * ledger a Ledger and its `stats` a PortCounters; a compiled NDP source's
  * retransmit queue and a compiled pacer's PULL tokens are Fifos. Each type
  * offers exactly what the pure-Python bodies use on the deque, deque of
- * (start_ps, size) tuples or PortStats it replaces, so a call the kernel
- * hands back to Python runs unchanged on it; the kernel itself pushes,
- * pops and counts on the C structs.
+ * (start_ps, size) tuples or PortStats it replaces, so the Python methods
+ * that still run on a compiled object run unchanged on it; the kernel
+ * itself pushes, pops and counts on the C structs.
  */
 
 /* A ring of object references; cap is 0 or a power of two. */
@@ -893,14 +936,6 @@ need_native(PyObject *o, Py_ssize_t off, PyTypeObject *type)
     return v;
 }
 
-/* True when slot `off` of `o` holds exactly a `type`. */
-static inline int
-slot_is(PyObject *o, Py_ssize_t off, PyTypeObject *type)
-{
-    PyObject *v = SLOT(o, off);
-    return v != NULL && Py_TYPE(v) == type;
-}
-
 /* ---------------------------------------------------------- native tails
  *
  * init() derives SimTail from sim.Simulator and PortTail from link.Port
@@ -1099,16 +1134,19 @@ sim_heap(PyObject *sim)
     return (EventHeap *)heap;
 }
 
-/* Fast-path eligibility: a compiled simulator that owns an EventHeap.
- * Anything else (a plain Simulator) takes the Python paths, which
- * schedule onto its list. */
+/* The contract's simulator: exactly a CKSimulator that owns its
+ * EventHeap. 0, or the contract TypeError. */
 static inline int
-sim_fast(PyObject *sim)
+need_sim(PyObject *sim)
 {
-    return Py_TYPE(sim) == t_cksim && sim_heap(sim) != NULL;
+    if (need_type(sim, t_cksim, "the simulator") < 0)
+        return -1;
+    return sim_heap(sim) != NULL ? 0
+                                 : outside("a simulator's _heap",
+                                           SLOT(sim, S.heap));
 }
 
-/* sim_heap for a simulator that passed sim_fast before Python code ran
+/* sim_heap for a simulator that passed need_sim before Python code ran
  * (a resolver, a handler): RuntimeError if that code swapped the heap. */
 static EventHeap *
 need_heap(PyObject *sim)
@@ -1120,7 +1158,7 @@ need_heap(PyObject *sim)
     return h;
 }
 
-/* sim.at(time_ps, callback, *args) on a fast-path simulator whose
+/* sim.at(time_ps, callback, *args) on a contract simulator whose
  * past-check already passed or holds by construction: push under the
  * next sequence number. `args` is borrowed. */
 static int
@@ -1184,9 +1222,7 @@ c_sim_at(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
                         "at() requires (self, time_ps, callback, *args)");
         return NULL;
     }
-    if (!g_ready || !sim_fast(args[0]))
-        return PyObject_Vectorcall(g_py_sim_at, args, nargs, NULL);
-    if (as_ll(args[1], &t) < 0)
+    if (need_sim(args[0]) < 0 || as_ll(args[1], &t) < 0)
         return NULL;
     return schedule_call(args[0], t, SIM_TAIL(args[0])->now, args[1], args,
                          nargs);
@@ -1202,9 +1238,7 @@ c_sim_after(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
                         "after() requires (self, delay_ps, callback, *args)");
         return NULL;
     }
-    if (!g_ready || !sim_fast(args[0]))
-        return PyObject_Vectorcall(g_py_sim_after, args, nargs, NULL);
-    if (as_ll(args[1], &delay) < 0)
+    if (need_sim(args[0]) < 0 || as_ll(args[1], &delay) < 0)
         return NULL;
     now = SIM_TAIL(args[0])->now;
     if (add_ll(now, delay, &t) < 0)
@@ -1227,9 +1261,8 @@ c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|OO:run", kwlist, &self,
                                      &until_obj, &max_obj))
         return NULL;
-    if (!g_ready || !sim_fast(self))
-        return PyObject_CallFunctionObjArgs(g_py_sim_run, self, until_obj,
-                                            max_obj, NULL);
+    if (need_sim(self) < 0)
+        return NULL;
     has_until = until_obj != Py_None;
     has_max = max_obj != Py_None;
     if ((has_until && as_ll(until_obj, &until) < 0) ||
@@ -1361,8 +1394,10 @@ static int
 resolve_deliver(PyObject *self, PyObject *packet, long long start,
                 PyObject **deliver_out)
 {
-    PyObject *deliver = SLOT(self, P.deliver);
+    PyObject *deliver = slot_get(self, P.deliver, "_deliver");
     *deliver_out = NULL;
+    if (deliver == NULL)
+        return -1;
     if (deliver == Py_None) {
         PyObject *resolver = slot_get(self, P.resolver, "resolver");
         PyObject *target, *start_obj;
@@ -1482,27 +1517,33 @@ c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start)
     return done;
 }
 
-/* Fast-path eligibility for enqueue/_kick on `self` with its sim: a
- * compiled port on a compiled simulator, with an integral line rate (a
- * zero _ps_per_byte takes the exact big-int division) and the native
- * queues, ledger and counters that kernel/engine.py installs. */
+/* The contract's port, for enqueue, _kick and RotorLB: exactly a CKPort
+ * on the contract's simulator, with an integral line rate (a zero
+ * _ps_per_byte is the oracle's exact big-int division, which CKPort
+ * refuses at construction) and the native queues, ledger and counters
+ * that kernel/engine.py installs. 0 with *sim_out set, or the contract
+ * TypeError. */
 static inline int
-port_fast(PyObject *self, PyObject **sim_out)
+need_port(PyObject *self, PyObject **sim_out)
 {
-    PyObject *sim;
-    if (!g_ready || Py_TYPE(self) != t_ckport ||
-        PORT_TAIL(self)->ps_per_byte == 0)
-        return 0;
-    sim = SLOT(self, P.sim);
-    if (sim == NULL || !sim_fast(sim) ||
-        !slot_is(self, P.q_control, &Fifo_Type) ||
-        !slot_is(self, P.q_data, &Fifo_Type) ||
-        !slot_is(self, P.q_bulk, &Fifo_Type) ||
-        !slot_is(self, P.committed_control, &Ledger_Type) ||
-        !slot_is(self, P.stats, &PortCounters_Type))
-        return 0;
-    *sim_out = sim;
-    return 1;
+    if (need_type(self, t_ckport, "the port") < 0)
+        return -1;
+    *sim_out = SLOT(self, P.sim);
+    if (need_sim(*sim_out) < 0 ||
+        need_type(SLOT(self, P.q_control), &Fifo_Type, "a port's _q_control") <
+            0 ||
+        need_type(SLOT(self, P.q_data), &Fifo_Type, "a port's _q_data") < 0 ||
+        need_type(SLOT(self, P.q_bulk), &Fifo_Type, "a port's _q_bulk") < 0 ||
+        need_type(SLOT(self, P.committed_control), &Ledger_Type,
+                  "a port's _committed_control") < 0 ||
+        need_type(SLOT(self, P.stats), &PortCounters_Type,
+                  "a port's stats") < 0)
+        return -1;
+    return PORT_TAIL(self)->ps_per_byte != 0
+               ? 0
+               : outside("a port whose line rate is not a whole number of "
+                         "ps per byte",
+                         self);
 }
 
 static PyObject *
@@ -1514,9 +1555,9 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
     long long size, now, queued;
     int err = 0, kick_pending;
 
-    if (!port_fast(self, &sim) || Py_TYPE(packet) != t_packet)
-        return PyObject_CallFunctionObjArgs(g_py_port_enqueue, self, packet,
-                                            NULL);
+    if (need_port(self, &sim) < 0 ||
+        need_type(packet, t_packet, "the packet") < 0)
+        return NULL;
     t = PORT_TAIL(self);
     priority = slot_get(packet, K.priority, "priority");
     if (priority == NULL)
@@ -1528,7 +1569,8 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
         if (add_ll(t->bytes_data, size, &queued) < 0)
             return NULL;
         if (queued > t->data_queue_bytes) {
-            int truth = PyObject_IsTrue(SLOT(self, P.trimming));
+            PyObject *trimming = slot_get(self, P.trimming, "trimming");
+            int truth = trimming == NULL ? -1 : PyObject_IsTrue(trimming);
             if (truth < 0)
                 return NULL;
             if (!truth)
@@ -1677,7 +1719,8 @@ SELF_ARG_METHOD(c_port_enqueue, c_port_enqueue_impl,
                 "enqueue() takes (self, packet)")
 
 /* port.enqueue(packet), its result dropped: the C implementation on a
- * compiled port, by name on any other. */
+ * compiled port; an egress that is not one is duck-typed, as the Python
+ * bodies call it. */
 static int
 port_enqueue(PyObject *port, PyObject *packet)
 {
@@ -1690,28 +1733,23 @@ port_enqueue(PyObject *port, PyObject *packet)
     return 0;
 }
 
-/* port.queued_bytes(Priority.BULK): on a compiled port, settle the
+/* port.queued_bytes(Priority.BULK) of a contract port: settle the
  * committed-control ledger first as the Python method does, then read the
- * bulk count; any other port by name. */
+ * bulk count. */
 static int
 port_queued_bulk(PyObject *port, long long *out)
 {
-    PyObject *sim, *r;
-    int rc;
-    if (port_fast(port, &sim)) {
-        PortTail *t = PORT_TAIL(port);
-        Ledger *l = (Ledger *)SLOT(port, P.committed_control);
-        if (l->len > 0 && expire_committed(t, l, SIM_TAIL(sim)->now) < 0)
-            return -1;
-        *out = t->bytes_bulk;
-        return 0;
-    }
-    r = PyObject_CallMethodOneArg(port, s_queued_bytes, g_prio_bulk);
-    if (r == NULL)
+    PyObject *sim;
+    PortTail *t;
+    Ledger *l;
+    if (need_port(port, &sim) < 0)
         return -1;
-    rc = as_ll(r, out);
-    Py_DECREF(r);
-    return rc;
+    t = PORT_TAIL(port);
+    l = (Ledger *)SLOT(port, P.committed_control);
+    if (l->len > 0 && expire_committed(t, l, SIM_TAIL(sim)->now) < 0)
+        return -1;
+    *out = t->bytes_bulk;
+    return 0;
 }
 
 /* Start the front packet of a data or bulk queue (one per kick): out of
@@ -1787,8 +1825,8 @@ c_port_kick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     self = args[0];
-    if (!port_fast(self, &sim))
-        return PyObject_CallFunctionObjArgs(g_py_port_kick, self, NULL);
+    if (need_port(self, &sim) < 0)
+        return NULL;
     t = PORT_TAIL(self);
     t->kick_pending = 0;
     start = SIM_TAIL(sim)->now;
@@ -1853,15 +1891,16 @@ c_host_receive(PyObject *Py_UNUSED(mod), PyObject *const *args,
     }
     self = args[0];
     packet = args[1];
-    if (!g_ready || Py_TYPE(self) != t_ckhost || Py_TYPE(packet) != t_packet)
-        return PyObject_Vectorcall(g_py_host_receive, args, nargs, NULL);
+    if (need_type(self, t_ckhost, "the host") < 0 ||
+        need_type(packet, t_packet, "the packet") < 0)
+        return NULL;
     kind = SLOT(packet, K.kind);
     if (kind == g_kind_data || kind == g_kind_header)
         table = SLOT(self, H.sinks);
     else
         table = SLOT(self, H.sources);
-    if (table == NULL || !PyDict_CheckExact(table))
-        return PyObject_Vectorcall(g_py_host_receive, args, nargs, NULL);
+    if (need_type(table, &PyDict_Type, "a host's endpoint table") < 0)
+        return NULL;
     fid = slot_get(packet, K.flow_id, "flow_id");
     if (fid == NULL)
         return NULL;
@@ -1875,18 +1914,18 @@ c_host_receive(PyObject *Py_UNUSED(mod), PyObject *const *args,
     else {
         /* A compiled endpoint's on_packet (NDP source or sink, RotorLB's
          * bulk sink) is called directly, as do_send calls a compiled
-         * port's enqueue; any other endpoint (a test double) by name. The
+         * port's enqueue; no other endpoint is inside the contract. The
          * dict holds the endpoint only by a borrowed reference here. */
+        PyTypeObject *type = Py_TYPE(endpoint);
         PyObject *r;
+        if (type != t_cksrc && type != t_cksink && type != t_ckbulksink) {
+            outside("a host's endpoint", endpoint);
+            return NULL;
+        }
         Py_INCREF(endpoint);
-        if (Py_TYPE(endpoint) == t_cksrc)
-            r = src_on_packet(endpoint, packet);
-        else if (Py_TYPE(endpoint) == t_cksink)
-            r = sink_on_packet(endpoint, packet);
-        else if (Py_TYPE(endpoint) == t_ckbulksink)
-            r = bulk_sink_on_packet(endpoint, packet);
-        else
-            r = PyObject_CallMethodOneArg(endpoint, s_on_packet, packet);
+        r = type == t_cksrc    ? src_on_packet(endpoint, packet)
+            : type == t_cksink ? sink_on_packet(endpoint, packet)
+                               : bulk_sink_on_packet(endpoint, packet);
         Py_DECREF(endpoint);
         if (r == NULL)
             return NULL;
@@ -1985,15 +2024,12 @@ table_route(PyObject *table, PyObject *packet, long long hops,
         PyObject *stamp_obj = SLOT(packet, K.slice_stamp);
         Py_ssize_t cycle = PyTuple_GET_SIZE(options);
         long long now, current;
-        if (sim == NULL || cycle == 0 || stamp_obj == NULL)
+        if (cycle == 0 || stamp_obj == NULL)
             return 0;
-        /* The clock of a compiled simulator is in its tail, that of an
-         * exact Simulator in its slot; any other simulator's `now` may be
-         * computed, so Python reads it. */
-        if (PyObject_TypeCheck(sim, t_simtail))
-            now = SIM_TAIL(sim)->now;
-        else if (Py_TYPE(sim) != t_sim || !exact_ll(SLOT(sim, S.now), &now))
-            return 0;
+        /* The clock is in the tail of the contract's simulator. */
+        if (need_type(sim, t_cksim, "a route table's simulator") < 0)
+            return -1;
+        now = SIM_TAIL(sim)->now;
         if (now < 0)
             return 0;
         current = (now / slice_ps) % cycle;
@@ -2034,9 +2070,9 @@ table_route(PyObject *table, PyObject *packet, long long hops,
     return 1;
 }
 
-/* Fused switch delivery: TTL guard, route, egress enqueue. Bound context
- * is (switch, table, py_dispatch); py_dispatch is the pure-Python fused
- * closure, used verbatim for anything off the fast path. */
+/* Fused switch delivery: TTL guard, route, egress enqueue (node.py's
+ * dispatch closure). Bound context is (switch, table), an exact
+ * CKSwitchNode and RouteTable (make_dispatch checks both). */
 static PyObject *
 c_dispatch(PyObject *ctx, PyObject *packet)
 {
@@ -2046,9 +2082,8 @@ c_dispatch(PyObject *ctx, PyObject *packet)
     long long hops;
     int err = 0;
 
-    if (!g_ready || Py_TYPE(sw) != t_ckswitch || Py_TYPE(packet) != t_packet ||
-        Py_TYPE(table) != t_route_table)
-        return PyObject_CallOneArg(PyTuple_GET_ITEM(ctx, 2), packet);
+    if (need_type(packet, t_packet, "the packet") < 0)
+        return NULL;
     hops = slot_ll(packet, K.hops, "hops", &err);
     if (err)
         return NULL;
@@ -2072,8 +2107,13 @@ c_dispatch(PyObject *ctx, PyObject *packet)
         int rc = fallback == NULL ? 0 : table_route(table, packet, hops, &port);
         if (rc < 0)
             return NULL;
-        if (rc == 0)
-            return PyObject_CallOneArg(PyTuple_GET_ITEM(ctx, 2), packet);
+        if (rc == 0) {
+            /* A value not provably in range: the table's own Python call
+             * routes (or raises the oracle's error). */
+            port = PyObject_CallFunctionObjArgs(table, sw, packet, NULL);
+            if (port == NULL)
+                return NULL;
+        }
     }
     if (port == g_consumed) {
         Py_DECREF(port);
@@ -2101,10 +2141,12 @@ static PyMethodDef dispatch_def = {
 static PyObject *
 c_make_dispatch(PyObject *Py_UNUSED(mod), PyObject *args)
 {
-    PyObject *sw, *route, *fallback, *ctx, *fn;
-    if (!PyArg_ParseTuple(args, "OOO:make_dispatch", &sw, &route, &fallback))
+    PyObject *sw, *route, *ctx, *fn;
+    if (!PyArg_ParseTuple(args, "OO:make_dispatch", &sw, &route) ||
+        need_type(sw, t_ckswitch, "the switch") < 0 ||
+        need_type(route, t_route_table, "the router") < 0)
         return NULL;
-    ctx = PyTuple_Pack(3, sw, route, fallback);
+    ctx = PyTuple_Pack(2, sw, route);
     if (ctx == NULL)
         return NULL;
     fn = PyCFunction_New(&dispatch_def, ctx);
@@ -2126,34 +2168,28 @@ c_make_dispatch(PyObject *Py_UNUSED(mod), PyObject *args)
 /* ------------------------------------------------------- flow bookkeeping
  *
  * Both sinks count delivered payload through StatsCollector.delivered;
- * stats_delivered is its twin for an exact StatsCollector holding an exact
- * FlowRecord. Both classes are slotted, so it reads and writes them by
- * offset, as the NDP endpoints read the record's ints (rec_get); any other
- * collector is called, and any other record read, by name.
+ * stats_delivered is its twin. The collector and the flow records are
+ * slotted, so it reads and writes them by offset, as the NDP endpoints
+ * and RotorLB read a record's fields (rec_get): the contract admits only
+ * an exact StatsCollector and exact FlowRecords.
  */
 
-/* o.<name> as a new reference: by offset `off` when o is exactly `type`
- * or `twin`, by name on anything else. */
+/* o.<name> by offset `off` as a new reference, `o` exactly a `type`. */
 static PyObject *
-get_exact(PyObject *o, PyTypeObject *type, PyTypeObject *twin,
-          Py_ssize_t off, PyObject *name)
+exact_field(PyObject *o, PyTypeObject *type, const char *what,
+            Py_ssize_t off, const char *name)
 {
     PyObject *v;
-    if (Py_TYPE(o) != type && Py_TYPE(o) != twin)
-        return PyObject_GetAttr(o, name);
-    v = SLOT(o, off);
-    if (v == NULL)
-        PyErr_SetObject(PyExc_AttributeError, name);
-    else
-        Py_INCREF(v);
-    return v;
+    if (need_type(o, type, what) < 0 || (v = slot_get(o, off, name)) == NULL)
+        return NULL;
+    return Py_NewRef(v);
 }
 
 /* record.<field> of a flow record, and agent.<field> of a RotorLB peer. */
 #define rec_get(record, field)                                                \
-    get_exact(record, t_record, t_record, R.field, s_##field)
+    exact_field(record, t_record, "a flow record", R.field, #field)
 #define peer_get(agent, field)                                                \
-    get_exact(agent, t_ckagent, t_agent, LB.field, s_##field)
+    exact_field(agent, t_ckagent, "a RotorLB peer", LB.field, #field)
 
 /* raise KeyError(key), as d[key] does; returns -1. */
 static int
@@ -2196,73 +2232,65 @@ dict_set_ll(PyObject *d, PyObject *key, long long v)
     return rc;
 }
 
-/* stats.delivered(fid, n_obj, sim.now): count n_obj payload bytes to the
- * flow, its throughput bin and, once complete, its end time. */
+/* The books a sink counts deliveries in: an exact StatsCollector with
+ * exact dicts, the sink's exact FlowRecord and the contract's simulator.
+ * 0, or the contract TypeError. */
 static int
-stats_delivered(PyObject *stats, PyObject *fid, PyObject *n_obj,
+need_books(PyObject *stats, PyObject *record, PyObject *sim)
+{
+    if (need_type(stats, t_collector, "a sink's stats") < 0 ||
+        need_type(SLOT(stats, SC.flows), &PyDict_Type,
+                  "a StatsCollector's flows") < 0 ||
+        need_type(SLOT(stats, SC.bins), &PyDict_Type,
+                  "a StatsCollector's _bins") < 0 ||
+        need_type(record, t_record, "a sink's record") < 0)
+        return -1;
+    return need_sim(sim);
+}
+
+/* stats.delivered(record.flow_id, n, sim.now): count n payload bytes to
+ * the flow, its throughput bin and, once complete, its end time. */
+static int
+stats_delivered(PyObject *stats, PyObject *record, long long n,
                 PyObject *sim)
 {
-    PyObject *now_obj = NULL, *flows = NULL, *bins = NULL, *record, *key,
-             *r;
-    long long now = 0, n, bin_ps, got, size, binned;
-    int rc = -1;
+    PyObject *fid, *flow, *key = NULL;
+    long long now, bin_ps, got, size, binned;
+    int err = 0, rc = -1;
 
-    /* The clock of a compiled simulator is in its tail; any other
-     * simulator's is read by name. */
-    if (PyObject_TypeCheck(sim, t_simtail))
-        now = SIM_TAIL(sim)->now;
-    else if ((now_obj = PyObject_GetAttr(sim, s_now)) == NULL)
+    if (need_books(stats, record, sim) < 0 ||
+        (fid = slot_get(record, R.flow_id, "flow_id")) == NULL)
         return -1;
-    if (Py_TYPE(stats) == t_collector) {
-        flows = SLOT(stats, SC.flows);
-        bins = SLOT(stats, SC.bins);
-    }
-    if (flows == NULL || !PyDict_CheckExact(flows) || bins == NULL ||
-        !PyDict_CheckExact(bins) ||
-        !exact_ll(SLOT(stats, SC.throughput_bin_ps), &bin_ps) ||
-        bin_ps <= 0 || !exact_ll(n_obj, &n) ||
-        (now_obj != NULL && !exact_ll(now_obj, &now)) || now < 0)
-        goto by_name;
-    record = PyDict_GetItemWithError(flows, fid);
-    if (record == NULL) {
-        if (!PyErr_Occurred())
-            key_error(fid);
-        goto done;
-    }
-    if (Py_TYPE(record) != t_record ||
-        !exact_ll(SLOT(record, R.delivered_bytes), &got) ||
-        !exact_ll(SLOT(record, R.size_bytes), &size) ||
-        SLOT(record, R.end_ps) == NULL)
-        goto by_name;
+    now = SIM_TAIL(sim)->now;
+    bin_ps = slot_ll(stats, SC.throughput_bin_ps, "throughput_bin_ps", &err);
+    if (err)
+        return -1;
+    if (bin_ps <= 0 || now < 0)
+        return outside("a StatsCollector binning by a non-positive "
+                       "throughput_bin_ps or at a negative time",
+                       stats);
+    flow = PyDict_GetItemWithError(SLOT(stats, SC.flows), fid);
+    if (flow == NULL)
+        return PyErr_Occurred() ? -1 : key_error(fid);
+    if (need_type(flow, t_record, "a flow record") < 0)
+        return -1;
+    got = slot_ll(flow, R.delivered_bytes, "delivered_bytes", &err);
+    size = slot_ll(flow, R.size_bytes, "size_bytes", &err);
+    if (err || slot_get(flow, R.end_ps, "end_ps") == NULL)
+        return -1;
     /* Writes start here; the record is held across them. */
-    Py_INCREF(record);
-    key = NULL;
+    Py_INCREF(flow);
     if (add_ll(got, n, &got) == 0 &&
-        slot_set_ll(record, R.delivered_bytes, got) == 0 &&
+        slot_set_ll(flow, R.delivered_bytes, got) == 0 &&
         (key = PyLong_FromLongLong(now / bin_ps)) != NULL &&
-        dict_ll(bins, key, 0, &binned) == 0 && add_ll(binned, n, &binned) == 0 &&
-        dict_set_ll(bins, key, binned) == 0)
+        dict_ll(SLOT(stats, SC.bins), key, 0, &binned) == 0 &&
+        add_ll(binned, n, &binned) == 0 &&
+        dict_set_ll(SLOT(stats, SC.bins), key, binned) == 0)
         rc = 0;
     Py_XDECREF(key);
-    if (rc == 0 && got >= size && SLOT(record, R.end_ps) == Py_None) {
-        if (now_obj == NULL && (now_obj = PyLong_FromLongLong(now)) == NULL)
-            rc = -1;
-        else
-            slot_set(record, R.end_ps, now_obj);
-    }
-    Py_DECREF(record);
-    goto done;
-by_name:
-    if (now_obj == NULL && (now_obj = PyLong_FromLongLong(now)) == NULL)
-        goto done;
-    r = PyObject_CallMethodObjArgs(stats, s_delivered, fid, n_obj, now_obj,
-                                   NULL);
-    if (r != NULL) {
-        Py_DECREF(r);
-        rc = 0;
-    }
-done:
-    Py_XDECREF(now_obj);
+    if (rc == 0 && got >= size && SLOT(flow, R.end_ps) == Py_None)
+        rc = slot_set_ll(flow, R.end_ps, now);
+    Py_DECREF(flow);
     return rc;
 }
 
@@ -2287,7 +2315,8 @@ salt_hash(PyObject *a, PyObject *b, PyObject *c)
 /* packet.acquire(...), inlined for the free-list path. All args borrowed;
  * returns a new Packet ref. Python's pool path re-assigns every field, so
  * the transcription does too (slice_stamp is None and hops 0: no caller
- * passes them). */
+ * passes them). An empty free list calls acquire itself, the one place a
+ * Packet is constructed. */
 static PyObject *
 c_acquire(PyObject *fid, PyObject *kind, PyObject *src, PyObject *dst,
           PyObject *seq, PyObject *size_obj, PyObject *prio,
@@ -2296,61 +2325,102 @@ c_acquire(PyObject *fid, PyObject *kind, PyObject *src, PyObject *dst,
     Py_ssize_t n = PyList_GET_SIZE(g_pool);
     PyObject *packet;
 
-    if (n > 0) {
-        packet = PyList_GET_ITEM(g_pool, n - 1);
-        Py_INCREF(packet);
-        if (PyList_SetSlice(g_pool, n - 1, n, NULL) < 0) {
-            Py_DECREF(packet);
-            return NULL;
-        }
-        if (Py_TYPE(packet) != t_packet) {
-            /* Foreign object in the pool: put it back and let Python's
-             * acquire (which pops the same element) deal with it. */
-            int err = PyList_Append(g_pool, packet);
-            Py_DECREF(packet);
-            if (err < 0)
-                return NULL;
-        }
-        else {
-            slot_set(packet, K.pooled, Py_False);
-            slot_set(packet, K.flow_id, fid);
-            slot_set(packet, K.kind, kind);
-            slot_set(packet, K.src_host, src);
-            slot_set(packet, K.dst_host, dst);
-            slot_set(packet, K.seq, seq);
-            slot_set(packet, K.size_bytes, size_obj);
-            slot_set(packet, K.priority, prio);
-            slot_set(packet, K.slice_stamp, Py_None);
-            slot_set(packet, K.salt, salt_obj);
-            slot_set(packet, K.hops, g_zero);
-            slot_set(packet, K.next_rack, next_rack);
-            slot_set(packet, K.relay_to, relay_to);
-            return packet;
-        }
-    }
-    {
+    if (n == 0) {
         PyObject *args[11] = {fid,     kind,     src,       dst,
                               seq,     size_obj, prio,      Py_None,
                               salt_obj, next_rack, relay_to};
         return PyObject_Vectorcall(g_py_acquire, args, 11, NULL);
     }
+    packet = PyList_GET_ITEM(g_pool, n - 1);
+    if (need_type(packet, t_packet, "an object in the packet free list") < 0)
+        return NULL;
+    Py_INCREF(packet);
+    if (PyList_SetSlice(g_pool, n - 1, n, NULL) < 0) {
+        Py_DECREF(packet);
+        return NULL;
+    }
+    slot_set(packet, K.pooled, Py_False);
+    slot_set(packet, K.flow_id, fid);
+    slot_set(packet, K.kind, kind);
+    slot_set(packet, K.src_host, src);
+    slot_set(packet, K.dst_host, dst);
+    slot_set(packet, K.seq, seq);
+    slot_set(packet, K.size_bytes, size_obj);
+    slot_set(packet, K.priority, prio);
+    slot_set(packet, K.slice_stamp, Py_None);
+    slot_set(packet, K.salt, salt_obj);
+    slot_set(packet, K.hops, g_zero);
+    slot_set(packet, K.next_rack, next_rack);
+    slot_set(packet, K.relay_to, relay_to);
+    return packet;
 }
 
-/* endpoint._send(packet). The bound send callable is Host.send or
- * nic.enqueue; when it is a compiled port's enqueue, skip the method
- * object and call the C implementation directly. */
+/* An NDP endpoint's _send inside the contract: a compiled port's bound
+ * enqueue (endpoints attach to hosts whose NIC is wired, so never
+ * Host.send). 0, or the contract TypeError. */
 static int
-do_send(PyObject *send, PyObject *packet)
+need_send(PyObject *send)
 {
-    PyObject *r;
-    if (PyMethod_Check(send) && PyMethod_GET_FUNCTION(send) == g_cf_enqueue &&
-        Py_TYPE(PyMethod_GET_SELF(send)) == t_ckport)
-        r = c_port_enqueue_impl(PyMethod_GET_SELF(send), packet);
-    else
-        r = PyObject_CallOneArg(send, packet);
+    return send != NULL && PyMethod_Check(send) &&
+                   PyMethod_GET_FUNCTION(send) == g_cf_enqueue
+               ? 0
+               : outside("an NDP endpoint's _send", send);
+}
+
+/* endpoint._send(packet), with _send in slot `off`: the C enqueue on the
+ * bound port, without the method object (held across the call). */
+static int
+do_send(PyObject *endpoint, Py_ssize_t off, PyObject *packet)
+{
+    PyObject *send = SLOT(endpoint, off), *r;
+    if (need_send(send) < 0)
+        return -1;
+    Py_INCREF(send);
+    r = c_port_enqueue_impl(PyMethod_GET_SELF(send), packet);
+    Py_DECREF(send);
     if (r == NULL)
         return -1;
     Py_DECREF(r);
+    return 0;
+}
+
+/* An NDP endpoint inside the contract: exactly `type`, with an exact
+ * FlowRecord in `record_off` and a compiled port's enqueue as the _send in
+ * `send_off`. 0, or the contract TypeError. */
+static int
+need_endpoint(PyObject *self, PyTypeObject *type, const char *what,
+              Py_ssize_t record_off, Py_ssize_t send_off)
+{
+    if (need_type(self, type, what) < 0 ||
+        need_type(SLOT(self, record_off), t_record,
+                  "an NDP endpoint's record") < 0)
+        return -1;
+    return need_send(SLOT(self, send_off));
+}
+
+/* NdpSource.payload_bytes(seq) of a compiled source, into *out. */
+static int
+src_payload(PyObject *source, PyObject *seq_obj, long long *out)
+{
+    PyObject *size_obj;
+    long long mtu, size, seq, payload;
+    int err = 0;
+
+    if (need_type(source, t_cksrc, "an NDP source") < 0)
+        return -1;
+    mtu = slot_ll(source, NS.mtu, "mtu", &err);
+    if (err || (size_obj = rec_get(SLOT(source, NS.record), size_bytes)) ==
+                   NULL)
+        return -1;
+    err = as_ll(size_obj, &size);
+    Py_DECREF(size_obj);
+    if (err < 0 || as_ll(seq_obj, &seq) < 0)
+        return -1;
+    payload = mtu - g_header_ll;
+    size -= seq * payload; /* what remains of the flow from seq on */
+    *out = payload < size ? payload : size;
+    if (*out < 1)
+        *out = 1;
     return 0;
 }
 
@@ -2358,59 +2428,25 @@ do_send(PyObject *send, PyObject *packet)
 static int
 src_emit(PyObject *self, PyObject *seq_obj)
 {
-    PyObject *record, *fid = NULL, *src = NULL, *dst = NULL, *size_obj = NULL,
-             *salt_obj = NULL, *packet = NULL, *send;
-    long long mtu, payload, size_ll, seq_ll, remaining, b;
-    int err = 0, rc = -1;
+    PyObject *fid, *src = NULL, *dst = NULL, *size_obj = NULL,
+                   *salt_obj = NULL, *prio = NULL, *packet = NULL;
+    long long payload;
+    int rc = -1;
 
-    record = slot_get(self, NS.record, "record");
-    if (record == NULL)
+    if (src_payload(self, seq_obj, &payload) < 0 ||
+        (fid = rec_get(SLOT(self, NS.record), flow_id)) == NULL)
         return -1;
-    fid = rec_get(record, flow_id);
-    if (fid == NULL)
-        return -1;
-    mtu = slot_ll(self, NS.mtu, "mtu", &err);
-    if (err)
-        goto done;
-    payload = mtu - g_header_ll;
-    {
-        PyObject *sz = rec_get(record, size_bytes);
-        if (sz == NULL)
-            goto done;
-        err = as_ll(sz, &size_ll);
-        Py_DECREF(sz);
-        if (err < 0 || as_ll(seq_obj, &seq_ll) < 0)
-            goto done;
-    }
-    remaining = size_ll - seq_ll * payload;
-    b = payload < remaining ? payload : remaining;
-    if (b < 1)
-        b = 1;
-    size_obj = PyLong_FromLongLong(g_header_ll + b);
-    if (size_obj == NULL)
-        goto done;
-    salt_obj = salt_hash(fid, seq_obj, g_src_salt);
-    if (salt_obj == NULL)
-        goto done;
-    src = rec_get(record, src_host);
-    dst = src ? rec_get(record, dst_host) : NULL;
-    if (dst == NULL)
-        goto done;
-    {
-        PyObject *prio = slot_get(self, NS.priority, "priority");
-        if (prio == NULL)
-            goto done;
+    size_obj = PyLong_FromLongLong(g_header_ll + payload);
+    salt_obj = size_obj ? salt_hash(fid, seq_obj, g_src_salt) : NULL;
+    src = salt_obj ? rec_get(SLOT(self, NS.record), src_host) : NULL;
+    dst = src ? rec_get(SLOT(self, NS.record), dst_host) : NULL;
+    prio = dst ? slot_get(self, NS.priority, "priority") : NULL;
+    if (prio != NULL)
         packet = c_acquire(fid, g_kind_data, src, dst, seq_obj, size_obj,
                            prio, salt_obj, Py_None, Py_None);
-    }
-    if (packet == NULL)
-        goto done;
-    send = slot_get(self, NS.send, "_send");
-    if (send == NULL)
-        goto done;
-    rc = do_send(send, packet);
-done:
-    Py_XDECREF(fid);
+    if (packet != NULL)
+        rc = do_send(self, NS.send, packet);
+    Py_DECREF(fid);
     Py_XDECREF(src);
     Py_XDECREF(dst);
     Py_XDECREF(size_obj);
@@ -2455,67 +2491,45 @@ src_send_next(PyObject *self)
     return 0;
 }
 
-/* NdpSource.on_packet: a compiled source with its native retransmit
- * queue, else the Python body. */
+/* NdpSource.on_packet on a compiled source with its native retransmit
+ * queue and an exact set of acked sequences. */
 static PyObject *
 src_on_packet(PyObject *self, PyObject *packet)
 {
     PyObject *kind, *seq_obj, *acked;
 
-    if (!g_ready || Py_TYPE(self) != t_cksrc || Py_TYPE(packet) != t_packet ||
-        !slot_is(self, NS.rtx, &Fifo_Type)) {
-        PyObject *args[2] = {self, packet};
-        return PyObject_Vectorcall(g_py_src_on_packet, args, 2, NULL);
-    }
+    if (need_endpoint(self, t_cksrc, "the NDP source", NS.record, NS.send) <
+            0 ||
+        need_type(SLOT(self, NS.rtx), &Fifo_Type, "an NDP source's _rtx") <
+            0 ||
+        need_type(SLOT(self, NS.acked), &PySet_Type,
+                  "an NDP source's _acked") < 0 ||
+        need_type(packet, t_packet, "the packet") < 0)
+        return NULL;
     kind = SLOT(packet, K.kind);
     seq_obj = slot_get(packet, K.seq, "seq");
     if (seq_obj == NULL)
         return NULL;
+    acked = SLOT(self, NS.acked);
     if (kind == g_kind_ack) {
-        acked = slot_get(self, NS.acked, "_acked");
-        if (acked == NULL)
+        if (PySet_Add(acked, seq_obj) < 0)
             return NULL;
-        if (PySet_CheckExact(acked)) {
-            if (PySet_Add(acked, seq_obj) < 0)
-                return NULL;
-        }
-        else {
-            PyObject *r = PyObject_CallMethodOneArg(acked, s_add, seq_obj);
-            if (r == NULL)
-                return NULL;
-            Py_DECREF(r);
-        }
     }
     else if (kind == g_kind_nack) {
-        int has;
-        acked = slot_get(self, NS.acked, "_acked");
-        if (acked == NULL)
-            return NULL;
-        has = PySet_CheckExact(acked) ? PySet_Contains(acked, seq_obj)
-                                      : PySequence_Contains(acked, seq_obj);
+        int has = PySet_Contains(acked, seq_obj);
         if (has < 0)
             return NULL;
         if (!has) {
             Fifo *rtx = need_native(self, NS.rtx, &Fifo_Type);
-            PyObject *record, *retr, *bumped;
+            PyObject *record = SLOT(self, NS.record);
             long long banked;
             int err = 0;
-            if (rtx == NULL || fifo_push(rtx, seq_obj) < 0)
+            if (rtx == NULL || fifo_push(rtx, seq_obj) < 0 ||
+                need_type(record, t_record, "a flow record") < 0 ||
+                slot_add_ll(record, R.retransmissions, "retransmissions",
+                            1) < 0)
                 return NULL;
-            record = slot_get(self, NS.record, "record");
-            if (record == NULL)
-                return NULL;
-            retr = PyObject_GetAttr(record, s_retransmissions);
-            if (retr == NULL)
-                return NULL;
-            bumped = PyNumber_Add(retr, g_one);
-            Py_DECREF(retr);
-            if (bumped == NULL)
-                return NULL;
-            err = PyObject_SetAttr(record, s_retransmissions, bumped);
-            Py_DECREF(bumped);
-            if (err < 0)
-                return NULL;
+            /* A banked pull (sent while we had nothing new) releases it. */
             banked = slot_ll(self, NS.pulls_banked, "_pulls_banked", &err);
             if (err)
                 return NULL;
@@ -2541,48 +2555,39 @@ src_on_packet(PyObject *self, PyObject *packet)
 SELF_ARG_METHOD(c_src_on_packet, src_on_packet,
                 "on_packet() takes (self, packet)")
 
-/* NdpSink._control(kind, seq): acquire a control packet (reverse path). */
-static PyObject *
-sink_control(PyObject *self, PyObject *kind, PyObject *kind_val,
-             PyObject *seq_obj)
+/* self._send(self._control(kind, seq)) of an NDP sink: a control packet
+ * back to the source, src/dst swapped against the record. */
+static int
+sink_send_control(PyObject *self, PyObject *kind, PyObject *kind_val,
+                  PyObject *seq_obj)
 {
-    PyObject *record, *fid = NULL, *src = NULL, *dst = NULL, *salt_obj = NULL,
-             *packet = NULL;
+    PyObject *fid, *src = NULL, *dst = NULL, *salt_obj, *packet = NULL;
+    int rc = -1;
 
-    record = slot_get(self, NK.record, "record");
-    if (record == NULL)
-        return NULL;
-    fid = rec_get(record, flow_id);
-    if (fid == NULL)
-        return NULL;
+    if ((fid = rec_get(SLOT(self, NK.record), flow_id)) == NULL)
+        return -1;
     salt_obj = salt_hash(fid, seq_obj, kind_val);
-    if (salt_obj == NULL)
-        goto done;
-    /* Control flows sink -> source: src/dst swapped vs the record. */
-    src = rec_get(record, dst_host);
-    dst = src ? rec_get(record, src_host) : NULL;
-    if (dst == NULL)
-        goto done;
-    packet = c_acquire(fid, kind, src, dst, seq_obj, g_header_bytes,
-                       g_prio_control, salt_obj, Py_None, Py_None);
-done:
-    Py_XDECREF(fid);
+    src = salt_obj ? rec_get(SLOT(self, NK.record), dst_host) : NULL;
+    dst = src ? rec_get(SLOT(self, NK.record), src_host) : NULL;
+    if (dst != NULL)
+        packet = c_acquire(fid, kind, src, dst, seq_obj, g_header_bytes,
+                           g_prio_control, salt_obj, Py_None, Py_None);
+    if (packet != NULL)
+        rc = do_send(self, NK.send, packet);
+    Py_DECREF(fid);
     Py_XDECREF(src);
     Py_XDECREF(dst);
     Py_XDECREF(salt_obj);
-    return packet;
+    Py_XDECREF(packet);
+    return rc;
 }
 
-/* record.complete, i.e. record.end_ps is not None. -1 on error. */
+/* sink.finished, i.e. record.end_ps is not None. -1 on error. */
 static int
-sink_finished(PyObject *self, Py_ssize_t record_off)
+sink_finished(PyObject *sink)
 {
-    PyObject *record = slot_get(self, record_off, "record");
-    PyObject *end;
+    PyObject *end = rec_get(SLOT(sink, NK.record), end_ps);
     int fin;
-    if (record == NULL)
-        return -1;
-    end = rec_get(record, end_ps);
     if (end == NULL)
         return -1;
     fin = end != Py_None;
@@ -2590,33 +2595,20 @@ sink_finished(PyObject *self, Py_ssize_t record_off)
     return fin;
 }
 
-/* NdpSink.emit_pull() body (self already validated as fast-path). */
+/* NdpSink.emit_pull() of a sink need_endpoint admitted. */
 static int
-sink_emit_pull_impl(PyObject *self)
+sink_emit_pull(PyObject *self)
 {
+    PyObject *seq_obj;
     long long pull_seq;
     int err = 0, rc;
-    PyObject *seq_obj, *packet, *send;
 
     pull_seq = slot_ll(self, NK.pull_seq, "_pull_seq", &err) + 1;
-    if (err)
+    if (err || slot_set_ll(self, NK.pull_seq, pull_seq) < 0 ||
+        (seq_obj = PyLong_FromLongLong(pull_seq)) == NULL)
         return -1;
-    if (slot_set_ll(self, NK.pull_seq, pull_seq) < 0)
-        return -1;
-    seq_obj = PyLong_FromLongLong(pull_seq);
-    if (seq_obj == NULL)
-        return -1;
-    packet = sink_control(self, g_kind_pull, g_pull_val, seq_obj);
+    rc = sink_send_control(self, g_kind_pull, g_pull_val, seq_obj);
     Py_DECREF(seq_obj);
-    if (packet == NULL)
-        return -1;
-    send = slot_get(self, NK.send, "_send");
-    if (send == NULL) {
-        Py_DECREF(packet);
-        return -1;
-    }
-    rc = do_send(send, packet);
-    Py_DECREF(packet);
     return rc;
 }
 
@@ -2628,168 +2620,95 @@ c_sink_emit_pull(PyObject *Py_UNUSED(mod), PyObject *const *args,
         PyErr_SetString(PyExc_TypeError, "emit_pull() takes (self)");
         return NULL;
     }
-    if (!g_ready || Py_TYPE(args[0]) != t_cksink)
-        return PyObject_Vectorcall(g_py_emit_pull, args, nargs, NULL);
-    if (sink_emit_pull_impl(args[0]) < 0)
+    if (need_endpoint(args[0], t_cksink, "the NDP sink", NK.record,
+                      NK.send) < 0 ||
+        sink_emit_pull(args[0]) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
 
-/* pacer.request(sink), inlined for a compiled pacer with its native
- * tokens; any other pacer is asked by name. */
+/* A PULL pacer inside the contract: an exact CKPullPacer with its native
+ * tokens, on the contract's simulator. 0, or the contract TypeError. */
+static int
+need_pacer(PyObject *pacer)
+{
+    if (need_type(pacer, t_ckpacer, "the PULL pacer") < 0 ||
+        need_type(SLOT(pacer, PP.tokens), &Fifo_Type, "a pacer's _tokens") <
+            0)
+        return -1;
+    return need_sim(SLOT(pacer, PP.sim));
+}
+
+/* pacer.request(sink), inlined. */
 static int
 pacer_request(PyObject *pacer, PyObject *sink)
 {
-    PyObject *r;
-    if (g_ready && Py_TYPE(pacer) == t_ckpacer &&
-        slot_is(pacer, PP.tokens, &Fifo_Type)) {
-        int truth;
-        if (fifo_push((Fifo *)SLOT(pacer, PP.tokens), sink) < 0)
-            return -1;
-        truth = PyObject_IsTrue(SLOT(pacer, PP.running));
-        if (truth < 0)
-            return -1;
-        if (!truth) {
-            PyObject *sim, *tick;
-            slot_set(pacer, PP.running, Py_True);
-            sim = slot_get(pacer, PP.sim, "sim");
-            tick = sim ? slot_get(pacer, PP.tick_cb, "_tick_cb") : NULL;
-            if (tick == NULL)
-                return -1;
-            if (sim_fast(sim))
-                return schedule_heap(sim, SIM_TAIL(sim)->now, tick, g_empty);
-            r = PyObject_CallMethodObjArgs(sim, s_after, g_zero, tick, NULL);
-            if (r == NULL)
-                return -1;
-            Py_DECREF(r);
-        }
-        return 0;
-    }
-    r = PyObject_CallMethodObjArgs(pacer, s_request, sink, NULL);
-    if (r == NULL)
+    PyObject *running, *sim, *tick;
+    int truth;
+
+    if (need_pacer(pacer) < 0 ||
+        fifo_push((Fifo *)SLOT(pacer, PP.tokens), sink) < 0 ||
+        (running = slot_get(pacer, PP.running, "_running")) == NULL ||
+        (truth = PyObject_IsTrue(running)) < 0)
         return -1;
-    Py_DECREF(r);
-    return 0;
+    if (truth)
+        return 0;
+    slot_set(pacer, PP.running, Py_True);
+    sim = SLOT(pacer, PP.sim);
+    tick = slot_get(pacer, PP.tick_cb, "_tick_cb");
+    if (tick == NULL || need_sim(sim) < 0)
+        return -1;
+    /* sim.after(0, self._tick_cb) */
+    return schedule_heap(sim, SIM_TAIL(sim)->now, tick, g_empty);
 }
 
-/* NdpSink.on_packet: a compiled sink, else the Python body. */
+/* NdpSink.on_packet on a compiled sink: its exact set of received
+ * sequences, its source's sizes, its books and its pacer. */
 static PyObject *
 sink_on_packet(PyObject *self, PyObject *packet)
 {
-    PyObject *kind, *seq_obj, *send, *ctl;
+    PyObject *kind, *seq_obj, *source;
     int fin;
 
-    if (!g_ready || Py_TYPE(self) != t_cksink ||
-        Py_TYPE(packet) != t_packet) {
-        PyObject *args[2] = {self, packet};
-        return PyObject_Vectorcall(g_py_sink_on_packet, args, 2, NULL);
-    }
+    if (need_endpoint(self, t_cksink, "the NDP sink", NK.record, NK.send) <
+            0 ||
+        need_type(SLOT(self, NK.received), &PySet_Type,
+                  "an NDP sink's _received") < 0 ||
+        need_type(source = SLOT(self, NK.source), t_cksrc,
+                  "an NDP sink's source") < 0 ||
+        need_type(SLOT(source, NS.record), t_record, "a flow record") < 0 ||
+        need_books(SLOT(self, NK.stats), SLOT(self, NK.record),
+                   SLOT(self, NK.sim)) < 0 ||
+        need_pacer(SLOT(self, NK.pacer)) < 0 ||
+        need_type(packet, t_packet, "the packet") < 0)
+        return NULL;
     kind = SLOT(packet, K.kind);
     if (kind != g_kind_data && kind != g_kind_header)
         Py_RETURN_NONE;
     seq_obj = slot_get(packet, K.seq, "seq");
-    send = seq_obj ? slot_get(self, NK.send, "_send") : NULL;
-    if (send == NULL)
+    if (seq_obj == NULL)
         return NULL;
     if (kind == g_kind_data) {
         PyObject *received;
+        long long payload;
         int has;
-        ctl = sink_control(self, g_kind_ack, g_ack_val, seq_obj);
-        if (ctl == NULL)
+        if (sink_send_control(self, g_kind_ack, g_ack_val, seq_obj) < 0 ||
+            (received = need_native(self, NK.received, &PySet_Type)) ==
+                NULL ||
+            (has = PySet_Contains(received, seq_obj)) < 0)
             return NULL;
-        if (do_send(send, ctl) < 0) {
-            Py_DECREF(ctl);
+        if (!has &&
+            (PySet_Add(received, seq_obj) < 0 ||
+             src_payload(SLOT(self, NK.source), seq_obj, &payload) < 0 ||
+             stats_delivered(SLOT(self, NK.stats), SLOT(self, NK.record),
+                             payload, SLOT(self, NK.sim)) < 0))
             return NULL;
-        }
-        Py_DECREF(ctl);
-        received = slot_get(self, NK.received, "_received");
-        if (received == NULL)
-            return NULL;
-        has = PySet_CheckExact(received)
-                  ? PySet_Contains(received, seq_obj)
-                  : PySequence_Contains(received, seq_obj);
-        if (has < 0)
-            return NULL;
-        if (!has) {
-            PyObject *source, *payload_obj, *collector, *record, *fid,
-                *sim, *r;
-            int err = 0;
-            if (PySet_CheckExact(received)) {
-                if (PySet_Add(received, seq_obj) < 0)
-                    return NULL;
-            }
-            else {
-                r = PyObject_CallMethodOneArg(received, s_add, seq_obj);
-                if (r == NULL)
-                    return NULL;
-                Py_DECREF(r);
-            }
-            source = slot_get(self, NK.source, "source");
-            if (source == NULL)
-                return NULL;
-            if (Py_TYPE(source) == t_cksrc || Py_TYPE(source) == t_src) {
-                /* source.payload_bytes(seq), inlined. */
-                long long mtu, payload, size_ll, seq_ll, remaining, b;
-                PyObject *srecord = slot_get(source, NS.record, "record");
-                PyObject *sz;
-                if (srecord == NULL)
-                    return NULL;
-                mtu = slot_ll(source, NS.mtu, "mtu", &err);
-                if (err)
-                    return NULL;
-                payload = mtu - g_header_ll;
-                sz = rec_get(srecord, size_bytes);
-                if (sz == NULL)
-                    return NULL;
-                err = as_ll(sz, &size_ll);
-                Py_DECREF(sz);
-                if (err < 0 || as_ll(seq_obj, &seq_ll) < 0)
-                    return NULL;
-                remaining = size_ll - seq_ll * payload;
-                b = payload < remaining ? payload : remaining;
-                if (b < 1)
-                    b = 1;
-                payload_obj = PyLong_FromLongLong(b);
-            }
-            else
-                payload_obj =
-                    PyObject_CallMethodOneArg(source, s_payload_bytes,
-                                              seq_obj);
-            if (payload_obj == NULL)
-                return NULL;
-            collector = slot_get(self, NK.stats, "stats");
-            record = collector ? slot_get(self, NK.record, "record") : NULL;
-            sim = record ? slot_get(self, NK.sim, "sim") : NULL;
-            fid = sim ? rec_get(record, flow_id) : NULL;
-            err = fid == NULL ||
-                  stats_delivered(collector, fid, payload_obj, sim) < 0;
-            Py_DECREF(payload_obj);
-            Py_XDECREF(fid);
-            if (err)
-                return NULL;
-        }
     }
-    else {
-        /* Trimmed header: NACK so the source requeues the payload. */
-        ctl = sink_control(self, g_kind_nack, g_nack_val, seq_obj);
-        if (ctl == NULL)
-            return NULL;
-        if (do_send(send, ctl) < 0) {
-            Py_DECREF(ctl);
-            return NULL;
-        }
-        Py_DECREF(ctl);
-    }
-    fin = sink_finished(self, NK.record);
-    if (fin < 0)
+    else if (sink_send_control(self, g_kind_nack, g_nack_val, seq_obj) < 0)
+        return NULL; /* a trimmed header: NACK, so the source requeues it */
+    fin = sink_finished(self);
+    if (fin < 0 || (!fin && pacer_request(SLOT(self, NK.pacer), self) < 0))
         return NULL;
-    if (!fin) {
-        PyObject *pacer = slot_get(self, NK.pacer, "pacer");
-        if (pacer == NULL)
-            return NULL;
-        if (pacer_request(pacer, self) < 0)
-            return NULL;
-    }
     Py_RETURN_NONE;
 }
 
@@ -2807,73 +2726,40 @@ c_pacer_tick(PyObject *Py_UNUSED(mod), PyObject *const *args,
         return NULL;
     }
     self = args[0];
-    if (!g_ready || Py_TYPE(self) != t_ckpacer ||
-        !slot_is(self, PP.tokens, &Fifo_Type))
-        return PyObject_Vectorcall(g_py_pacer_tick, args, nargs, NULL);
+    if (need_pacer(self) < 0)
+        return NULL;
     for (;;) {
         /* Re-read per token, as `while self._tokens` does. */
         Fifo *tokens = need_native(self, PP.tokens, &Fifo_Type);
-        PyObject *sink;
-        int fin;
+        PyObject *sink, *sim, *tick;
+        long long interval, next;
+        int fin, err = 0;
         if (tokens == NULL)
             return NULL;
         if (tokens->len == 0)
             break;
-        sink = fifo_pop(tokens);
-        if (Py_TYPE(sink) == t_cksink || Py_TYPE(sink) == t_sink)
-            fin = sink_finished(sink, NK.record);
-        else {
-            PyObject *f = PyObject_GetAttr(sink, s_finished);
-            fin = (f == NULL) ? -1 : PyObject_IsTrue(f);
-            Py_XDECREF(f);
-        }
-        if (fin < 0) {
-            Py_DECREF(sink);
+        /* The front token is checked before it is popped. */
+        if (need_endpoint(tokens->items[tokens->head], t_cksink,
+                          "a PULL token's sink", NK.record, NK.send) < 0)
             return NULL;
-        }
-        if (fin) {
-            Py_DECREF(sink);
-            continue; /* completed flows relinquish their tokens */
-        }
-        if (Py_TYPE(sink) == t_cksink) {
-            if (sink_emit_pull_impl(sink) < 0) {
-                Py_DECREF(sink);
-                return NULL;
-            }
-        }
-        else {
-            PyObject *r = PyObject_CallMethodNoArgs(sink, s_emit_pull);
-            if (r == NULL) {
-                Py_DECREF(sink);
-                return NULL;
-            }
-            Py_DECREF(r);
-        }
+        sink = fifo_pop(tokens);
+        fin = sink_finished(sink);
+        if (fin == 0 && sink_emit_pull(sink) < 0)
+            fin = -1;
         Py_DECREF(sink);
-        {
-            PyObject *sim = slot_get(self, PP.sim, "sim");
-            PyObject *tick = sim ? slot_get(self, PP.tick_cb, "_tick_cb")
-                                 : NULL;
-            int err = 0;
-            if (tick == NULL)
-                return NULL;
-            if (sim_fast(sim)) {
-                long long interval =
-                    slot_ll(self, PP.interval_ps, "interval_ps", &err);
-                long long next;
-                if (err || add_ll(SIM_TAIL(sim)->now, interval, &next) < 0 ||
-                    schedule_heap(sim, next, tick, g_empty) < 0)
-                    return NULL;
-            }
-            else {
-                PyObject *interval_obj = SLOT(self, PP.interval_ps);
-                PyObject *r = PyObject_CallMethodObjArgs(
-                    sim, s_after, interval_obj, tick, NULL);
-                if (r == NULL)
-                    return NULL;
-                Py_DECREF(r);
-            }
-        }
+        if (fin < 0)
+            return NULL;
+        if (fin)
+            continue; /* completed flows relinquish their tokens */
+        /* self.sim.after(self.interval_ps, self._tick_cb) */
+        sim = SLOT(self, PP.sim);
+        if ((tick = slot_get(self, PP.tick_cb, "_tick_cb")) == NULL ||
+            need_sim(sim) < 0)
+            return NULL;
+        interval = slot_ll(self, PP.interval_ps, "interval_ps", &err);
+        if (err || add_ll(SIM_TAIL(sim)->now, interval, &next) < 0 ||
+            schedule_heap(sim, next, tick, g_empty) < 0)
+            return NULL;
         Py_RETURN_NONE;
     }
     slot_set(self, PP.running, Py_False);
@@ -2888,14 +2774,16 @@ c_pacer_tick(PyObject *Py_UNUSED(mod), PyObject *const *args,
  * CKBulkSink rebind them here. The per-destination queues stay
  * collections.deque, driven through deque's own methods.
  *
- * on_slice runs natively only for a fault-free agent (disabled exactly
- * False, no failure view, no forced relay) whose tables are exact dicts of
- * exact deques and ints, with exact BulkFlow/FlowRecord senders; any other
- * call runs the Python body before the first write. A bulk drop while a
- * circuit fills runs a Python handler that may requeue into the very relay
- * queue being drained, so every table entry and queue length is re-read
- * after each enqueue, where the Python body re-reads it; a table Python
- * code replaced mid-call raises RuntimeError, as need_native does.
+ * on_slice runs natively for a fault-free agent; a disabled agent, or one
+ * with a failure view or forced relay, runs the Python body (the failure
+ * seam). Either way the agent's tables must be exact dicts of exact deques
+ * and ints, its senders exact BulkFlows of exact FlowRecords, its circuits
+ * contract ports and its peers compiled agents; anything else raises the
+ * contract TypeError before the first write. A bulk drop while a circuit
+ * fills runs a Python handler that may requeue into the very relay queue
+ * being drained, so every table entry and queue length is re-read after
+ * each enqueue, where the Python body re-reads it; a table Python code
+ * replaced mid-call raises RuntimeError, as need_native does.
  */
 
 static int
@@ -2931,23 +2819,15 @@ dq_call(PyObject *method, PyObject *dq, PyObject *arg)
     return 0;
 }
 
-/* packet.size_bytes: by offset on a Packet, by name on anything else a
- * relay queue holds. */
+/* packet.size_bytes of a packet RotorLB moves, by offset. */
 static int
 pkt_size(PyObject *packet, long long *out)
 {
-    PyObject *v;
-    int rc;
-    if (Py_TYPE(packet) == t_packet) {
-        rc = 0;
-        *out = slot_ll(packet, K.size_bytes, "size_bytes", &rc);
-        return rc ? -1 : 0;
-    }
-    if ((v = PyObject_GetAttr(packet, s_size_bytes)) == NULL)
+    int err = 0;
+    if (need_type(packet, t_packet, "a relayed packet") < 0)
         return -1;
-    rc = as_ll(v, out);
-    Py_DECREF(v);
-    return rc;
+    *out = slot_ll(packet, K.size_bytes, "size_bytes", &err);
+    return err ? -1 : 0;
 }
 
 /* An exact BulkFlow whose record is an exact FlowRecord. */
@@ -3121,10 +3001,8 @@ agent_fill_circuit(PyObject *self, PyObject *circuit, long long *budget)
         err = pkt_size(packet, &size) < 0 || bytes == NULL ||
               dict_ll(bytes, peer, 1, &held) < 0 ||
               dict_set_ll(bytes, peer, held - size) < 0;
-        if (!err && Py_TYPE(packet) == t_packet)
+        if (!err)
             slot_set(packet, K.next_rack, peer);
-        else if (!err)
-            err = PyObject_SetAttr(packet, s_next_rack, peer) < 0;
         err = err || sub_bytes(budget, size) < 0 ||
               slot_add_ll(self, LB.direct_bytes_sent, "direct_bytes_sent",
                           size) < 0 ||
@@ -3154,30 +3032,23 @@ done:
     return rc;
 }
 
-/* agent.relay_headroom(dst) of a peer: inlined on a RotorLBAgent or its
- * CK twin, the method by name on any other. */
+/* agent.relay_headroom(dst) of a compiled peer, inlined. */
 static int
 peer_headroom(PyObject *agent, PyObject *dst, long long *out)
 {
-    PyObject *r;
+    PyObject *bytes;
     long long cap, held;
-    int rc;
-    if (Py_TYPE(agent) == t_ckagent || Py_TYPE(agent) == t_agent) {
-        PyObject *bytes = SLOT(agent, LB.relay_bytes);
-        if (bytes != NULL && PyDict_CheckExact(bytes) &&
-            exact_ll(SLOT(agent, LB.relay_cap_bytes), &cap)) {
-            if (dict_ll(bytes, dst, 0, &held) < 0)
-                return -1;
-            *out = cap - held;
-            return 0;
-        }
-    }
-    r = PyObject_CallMethodOneArg(agent, s_relay_headroom, dst);
-    if (r == NULL)
+    int err = 0;
+    if (need_type(agent, t_ckagent, "a RotorLB peer") < 0)
         return -1;
-    rc = as_ll(r, out);
-    Py_DECREF(r);
-    return rc;
+    cap = slot_ll(agent, LB.relay_cap_bytes, "relay_cap_bytes", &err);
+    bytes = SLOT(agent, LB.relay_bytes);
+    if (err ||
+        need_type(bytes, &PyDict_Type, "a RotorLB peer's relay_bytes") < 0 ||
+        dict_ll(bytes, dst, 0, &held) < 0)
+        return -1;
+    *out = cap - held;
+    return 0;
 }
 
 /* The VLB loop of _fill_vlb on one spare circuit through `agent`'s rack:
@@ -3270,7 +3141,7 @@ agent_fill_vlb(PyObject *self, Spare *spare, Py_ssize_t n)
         agent = PyDict_GetItemWithError(peers, spare[i].peer);
         if (agent == NULL && PyErr_Occurred())
             return -1;
-        if (agent == NULL || agent == Py_None)
+        if (agent == NULL)
             continue;
         Py_INCREF(agent);
         off = peer_get(agent, disabled);
@@ -3303,22 +3174,24 @@ agent_fill_vlb(PyObject *self, Spare *spare, Py_ssize_t n)
     return 0;
 }
 
-/* Every value of dict d is exactly a `type`. */
-static int
-values_exact(PyObject *d, PyTypeObject *type)
+/* The first value of dict d that is not exactly a `type` (borrowed), or
+ * NULL. */
+static PyObject *
+odd_value(PyObject *d, PyTypeObject *type)
 {
     Py_ssize_t pos = 0;
     PyObject *k, *v;
     while (PyDict_Next(d, &pos, &k, &v))
         if (Py_TYPE(v) != type)
-            return 0;
-    return 1;
+            return v;
+    return NULL;
 }
 
 /* on_slice's entry check, before any write: 1 with *row this slice's
- * activation row (borrowed) for a fault-free compiled agent whose tables,
- * queues and senders are all of the exact types the C body handles, 0
- * for the Python body, -1 on error. */
+ * activation row (borrowed) for a fault-free agent, 0 for the failure
+ * seam's Python body (a disabled agent, or one with a failure view or
+ * forced relay), -1 with the contract TypeError for an agent, table,
+ * sender, circuit or peer outside the contract. */
 static int
 agent_fast(PyObject *self, PyObject *slice_obj, PyObject **row)
 {
@@ -3327,55 +3200,64 @@ agent_fast(PyObject *self, PyObject *slice_obj, PyObject **row)
         &LB.relay_q,     &LB.relay_bytes,     &LB.peers,
     };
     Py_ssize_t i, n, pos = 0;
-    PyObject *active, *dsts, *vlb, *k, *flows;
+    PyObject *active, *dsts, *disabled, *vlb, *k, *v, *sim;
     long long s;
 
-    if (!g_ready || Py_TYPE(self) != t_ckagent ||
-        SLOT(self, LB.disabled) != Py_False ||
-        SLOT(self, LB.failure_view) != Py_None)
+    if (need_type(self, t_ckagent, "the RotorLB agent") < 0 ||
+        need_type(dsts = SLOT(self, LB.relay_vlb_dsts), &PyFrozenSet_Type,
+                  "a RotorLB agent's relay_vlb_dsts") < 0)
+        return -1;
+    disabled = SLOT(self, LB.disabled);
+    if (disabled == Py_True || SLOT(self, LB.failure_view) != Py_None ||
+        PySet_GET_SIZE(dsts) != 0)
         return 0;
-    dsts = SLOT(self, LB.relay_vlb_dsts);
     vlb = SLOT(self, LB.enable_vlb);
-    if (dsts == NULL || !PyFrozenSet_CheckExact(dsts) ||
-        PySet_GET_SIZE(dsts) != 0 || (vlb != Py_True && vlb != Py_False) ||
+    if (disabled != Py_False || (vlb != Py_True && vlb != Py_False) ||
         !exact_ll(SLOT(self, LB.slice_payload_bytes), &s))
-        return 0;
-    for (i = 0; i < (Py_ssize_t)(sizeof(tables) / sizeof(tables[0])); i++) {
-        PyObject *d = SLOT(self, *tables[i]);
-        if (d == NULL || !PyDict_CheckExact(d))
-            return 0;
-    }
-    if (!values_exact(SLOT(self, LB.relay_q), t_deque) ||
-        !values_exact(SLOT(self, LB.local_flows), t_deque) ||
-        !values_exact(SLOT(self, LB.local_backlog), &PyLong_Type) ||
-        !values_exact(SLOT(self, LB.relay_bytes), &PyLong_Type))
-        return 0;
-    while (PyDict_Next(SLOT(self, LB.local_flows), &pos, &k, &flows)) {
-        PyObject *it = PyObject_GetIter(flows), *flow;
+        return outside("a RotorLB agent with a non-bool flag or a non-int "
+                       "slice_payload_bytes",
+                       self);
+    for (i = 0; i < (Py_ssize_t)(sizeof(tables) / sizeof(tables[0])); i++)
+        if (need_type(SLOT(self, *tables[i]), &PyDict_Type,
+                      "a RotorLB agent's table") < 0)
+            return -1;
+    if ((v = odd_value(SLOT(self, LB.relay_q), t_deque)) != NULL ||
+        (v = odd_value(SLOT(self, LB.local_flows), t_deque)) != NULL ||
+        (v = odd_value(SLOT(self, LB.local_backlog), &PyLong_Type)) != NULL ||
+        (v = odd_value(SLOT(self, LB.relay_bytes), &PyLong_Type)) != NULL ||
+        (v = odd_value(SLOT(self, LB.peers), t_ckagent)) != NULL)
+        return outside("a value in a RotorLB agent's tables", v);
+    while (PyDict_Next(SLOT(self, LB.local_flows), &pos, &k, &v)) {
+        PyObject *it = PyObject_GetIter(v), *flow;
         int exact = 1;
         if (it == NULL)
             return -1;
         while (exact && (flow = PyIter_Next(it)) != NULL) {
-            exact = flow_exact(flow);
+            if (!(exact = flow_exact(flow)))
+                outside("a RotorLB sender", flow);
             Py_DECREF(flow);
         }
         Py_DECREF(it);
-        if (PyErr_Occurred())
+        if (!exact || PyErr_Occurred())
             return -1;
-        if (!exact)
-            return 0;
     }
     active = SLOT(self, LB.active_by_slice);
-    if (active == NULL || !PyList_CheckExact(active) ||
-        (n = PyList_GET_SIZE(active)) == 0 || !exact_ll(slice_obj, &s))
-        return 0;
+    if (need_type(active, &PyList_Type, "a RotorLB agent's active_by_slice") <
+        0)
+        return -1;
+    if ((n = PyList_GET_SIZE(active)) == 0 || !exact_ll(slice_obj, &s))
+        return outside("a slice index into active_by_slice", slice_obj);
     *row = PyList_GET_ITEM(active, (Py_ssize_t)(((s % n) + n) % n));
-    if (!PyList_CheckExact(*row))
-        return 0;
+    if (need_type(*row, &PyList_Type, "an activation row") < 0)
+        return -1;
     for (i = 0; i < PyList_GET_SIZE(*row); i++) {
         PyObject *circuit = PyList_GET_ITEM(*row, i);
         if (!PyTuple_CheckExact(circuit) || PyTuple_GET_SIZE(circuit) != 3)
-            return 0;
+            return outside("a circuit that is not a (switch, port, peer) "
+                           "tuple",
+                           circuit);
+        if (need_port(PyTuple_GET_ITEM(circuit, 1), &sim) < 0)
+            return -1;
     }
     return 1;
 }
@@ -3385,7 +3267,7 @@ agent_fast(PyObject *self, PyObject *slice_obj, PyObject **row)
 static PyObject *
 agent_on_slice(PyObject *self, PyObject *slice_obj)
 {
-    PyObject *row, *budgets, *vlb;
+    PyObject *row = NULL, *budgets, *vlb;
     Spare *spare = NULL;
     Py_ssize_t i, n = 0, cap = 0;
     int rc = agent_fast(self, slice_obj, &row);
@@ -3460,25 +3342,29 @@ agent_accept_relay(PyObject *self, PyObject *packet)
     long long dst, hpr, size, held;
     int err;
 
-    if (!g_ready || Py_TYPE(self) != t_ckagent || Py_TYPE(packet) != t_packet ||
-        !exact_ll(SLOT(packet, K.dst_host), &dst) || dst < 0 ||
+    if (need_type(self, t_ckagent, "the RotorLB agent") < 0 ||
+        need_type(packet, t_packet, "the packet") < 0 ||
+        need_type(queues = SLOT(self, LB.relay_q), &PyDict_Type,
+                  "a RotorLB agent's relay_q") < 0 ||
+        need_type(bytes = SLOT(self, LB.relay_bytes), &PyDict_Type,
+                  "a RotorLB agent's relay_bytes") < 0)
+        return NULL;
+    if (!exact_ll(SLOT(packet, K.dst_host), &dst) || dst < 0 ||
         !exact_ll(SLOT(packet, K.size_bytes), &size) ||
-        !exact_ll(SLOT(self, LB.hosts_per_rack), &hpr) || hpr <= 0 ||
-        (queues = SLOT(self, LB.relay_q)) == NULL ||
-        !PyDict_CheckExact(queues) ||
-        (bytes = SLOT(self, LB.relay_bytes)) == NULL ||
-        !PyDict_CheckExact(bytes))
-        goto python;
+        !exact_ll(SLOT(self, LB.hosts_per_rack), &hpr) || hpr <= 0) {
+        outside("a relay whose dst_host, size_bytes or hosts_per_rack is "
+                "not a non-negative int (hosts_per_rack: positive)",
+                packet);
+        return NULL;
+    }
     if ((rack = PyLong_FromLongLong(dst / hpr)) == NULL)
         return NULL;
     queue = PyDict_GetItemWithError(queues, rack);
-    if (queue == NULL && PyErr_Occurred()) {
+    if ((queue == NULL && PyErr_Occurred()) ||
+        (queue != NULL &&
+         need_type(queue, t_deque, "a RotorLB relay queue") < 0)) {
         Py_DECREF(rack);
         return NULL;
-    }
-    if (queue != NULL && Py_TYPE(queue) != t_deque) {
-        Py_DECREF(rack);
-        goto python;
     }
     /* Writes start here. */
     slot_set(packet, K.relay_to, Py_None);
@@ -3496,27 +3382,23 @@ agent_accept_relay(PyObject *self, PyObject *packet)
     if (err)
         return NULL;
     Py_RETURN_NONE;
-python:
-    {
-        PyObject *args[2] = {self, packet};
-        return PyObject_Vectorcall(g_py_accept_relay, args, 2, NULL);
-    }
 }
 
 /* BulkSink.on_packet: count each DATA sequence's payload once. */
 static PyObject *
 bulk_sink_on_packet(PyObject *self, PyObject *packet)
 {
-    PyObject *received, *seq, *stats, *record, *sim, *fid = NULL,
-             *n_obj = NULL;
+    PyObject *received, *seq;
     long long size;
     int has, err = 0;
 
-    if (!g_ready || Py_TYPE(self) != t_ckbulksink ||
-        Py_TYPE(packet) != t_packet || !slot_is(self, BK.received, &PySet_Type)) {
-        PyObject *args[2] = {self, packet};
-        return PyObject_Vectorcall(g_py_bulk_sink_on_packet, args, 2, NULL);
-    }
+    if (need_type(self, t_ckbulksink, "the bulk sink") < 0 ||
+        need_type(SLOT(self, BK.received), &PySet_Type,
+                  "a bulk sink's _received") < 0 ||
+        need_books(SLOT(self, BK.stats), SLOT(self, BK.record),
+                   SLOT(self, BK.sim)) < 0 ||
+        need_type(packet, t_packet, "the packet") < 0)
+        return NULL;
     if (SLOT(packet, K.kind) != g_kind_data)
         Py_RETURN_NONE;
     received = SLOT(self, BK.received);
@@ -3528,17 +3410,8 @@ bulk_sink_on_packet(PyObject *self, PyObject *packet)
     if (PySet_Add(received, seq) < 0)
         return NULL;
     size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-    stats = err ? NULL : slot_get(self, BK.stats, "stats");
-    record = stats ? slot_get(self, BK.record, "record") : NULL;
-    sim = record ? slot_get(self, BK.sim, "sim") : NULL;
-    if (sim != NULL)
-        fid = rec_get(record, flow_id);
-    if (fid != NULL)
-        n_obj = PyLong_FromLongLong(size - g_header_ll);
-    err = n_obj == NULL || stats_delivered(stats, fid, n_obj, sim) < 0;
-    Py_XDECREF(fid);
-    Py_XDECREF(n_obj);
-    if (err)
+    if (err || stats_delivered(SLOT(self, BK.stats), SLOT(self, BK.record),
+                               size - g_header_ll, SLOT(self, BK.sim)) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -3595,9 +3468,9 @@ cfg_get(PyObject *cfg, const char *key)
             return NULL;                                                      \
     } while (0)
 
-/* The class under `key` into type slot `var` (owned), and into `cls` for
- * the OFF lines that follow. */
-#define CFG_TYPE(var, key)                                                    \
+/* The class under `key` into `cls` (held by tmp) for the OFF lines that
+ * follow. */
+#define CFG_CLASS(key)                                                        \
     do {                                                                      \
         CFG_OBJ(tmp, key);                                                    \
         if (!PyType_Check(tmp)) {                                             \
@@ -3605,8 +3478,14 @@ cfg_get(PyObject *cfg, const char *key)
                          key);                                                \
             return NULL;                                                      \
         }                                                                     \
-        Py_XSETREF(var, (PyTypeObject *)Py_NewRef(tmp));                      \
         cls = tmp;                                                            \
+    } while (0)
+
+/* CFG_CLASS, and the class into the exact-type slot `var` (owned). */
+#define CFG_TYPE(var, key)                                                    \
+    do {                                                                      \
+        CFG_CLASS(key);                                                       \
+        Py_XSETREF(var, (PyTypeObject *)Py_NewRef(cls));                      \
     } while (0)
 
 static PyObject *
@@ -3619,7 +3498,7 @@ c_init(PyObject *mod, PyObject *cfg)
         return NULL;
     }
 
-    CFG_TYPE(t_sim, "Simulator");
+    CFG_CLASS("Simulator");
     OFF(cls, "now", S.now);
     OFF(cls, "_heap", S.heap);
     OFF(cls, "events_processed", S.events_processed);
@@ -3630,7 +3509,7 @@ c_init(PyObject *mod, PyObject *cfg)
                   &t_simtail) < 0)
         return NULL;
 
-    CFG_TYPE(t_port, "Port");
+    CFG_CLASS("Port");
     OFF(cls, "sim", P.sim);
     OFF(cls, "resolver", P.resolver);
     OFF(cls, "trimming", P.trimming);
@@ -3669,12 +3548,12 @@ c_init(PyObject *mod, PyObject *cfg)
     OFF(cls, "recv_args", K.recv_args);
     OFF(cls, "_pooled", K.pooled);
 
-    CFG_TYPE(t_host, "Host");
+    CFG_CLASS("Host");
     OFF(cls, "sources", H.sources);
     OFF(cls, "sinks", H.sinks);
     OFF(cls, "dropped", H.dropped);
 
-    CFG_TYPE(t_switch, "SwitchNode");
+    CFG_CLASS("SwitchNode");
     OFF(cls, "drops", W.drops);
 
     /* The routing tables: an exact instance is interpreted natively. */
@@ -3694,7 +3573,7 @@ c_init(PyObject *mod, PyObject *cfg)
     OFF(cls, "peers", SR.peers);
     OFF(cls, "dark_from", SR.dark_from);
 
-    CFG_TYPE(t_src, "NdpSource");
+    CFG_CLASS("NdpSource");
     OFF(cls, "record", NS.record);
     OFF(cls, "priority", NS.priority);
     OFF(cls, "mtu", NS.mtu);
@@ -3705,7 +3584,7 @@ c_init(PyObject *mod, PyObject *cfg)
     OFF(cls, "_pulls_banked", NS.pulls_banked);
     OFF(cls, "_send", NS.send);
 
-    CFG_TYPE(t_sink, "NdpSink");
+    CFG_CLASS("NdpSink");
     OFF(cls, "sim", NK.sim);
     OFF(cls, "record", NK.record);
     OFF(cls, "pacer", NK.pacer);
@@ -3715,7 +3594,7 @@ c_init(PyObject *mod, PyObject *cfg)
     OFF(cls, "_pull_seq", NK.pull_seq);
     OFF(cls, "_send", NK.send);
 
-    CFG_TYPE(t_pacer, "PullPacer");
+    CFG_CLASS("PullPacer");
     OFF(cls, "sim", PP.sim);
     OFF(cls, "interval_ps", PP.interval_ps);
     OFF(cls, "_tokens", PP.tokens);
@@ -3730,6 +3609,7 @@ c_init(PyObject *mod, PyObject *cfg)
     OFF(cls, "size_bytes", R.size_bytes);
     OFF(cls, "end_ps", R.end_ps);
     OFF(cls, "delivered_bytes", R.delivered_bytes);
+    OFF(cls, "retransmissions", R.retransmissions);
 
     CFG_TYPE(t_collector, "StatsCollector");
     OFF(cls, "flows", SC.flows);
@@ -3737,7 +3617,7 @@ c_init(PyObject *mod, PyObject *cfg)
     OFF(cls, "_bins", SC.bins);
 
     /* RotorLB. */
-    CFG_TYPE(t_agent, "RotorLBAgent");
+    CFG_CLASS("RotorLBAgent");
     OFF(cls, "hosts_per_rack", LB.hosts_per_rack);
     OFF(cls, "uplinks", LB.uplinks);
     OFF(cls, "slice_payload_bytes", LB.slice_payload_bytes);
@@ -3763,8 +3643,7 @@ c_init(PyObject *mod, PyObject *cfg)
     OFF(cls, "unsent_bytes", BF.unsent_bytes);
     OFF(cls, "next_seq", BF.next_seq);
 
-    CFG_OBJ(tmp, "BulkSink");
-    cls = tmp;
+    CFG_CLASS("BulkSink");
     OFF(cls, "sim", BK.sim);
     OFF(cls, "record", BK.record);
     OFF(cls, "stats", BK.stats);
@@ -3808,21 +3687,9 @@ c_init(PyObject *mod, PyObject *cfg)
     CFG_OBJ(g_header_bytes, "HEADER_BYTES");
     if (as_ll(g_header_bytes, &g_header_ll) < 0)
         return NULL;
-    CFG_OBJ(g_py_sim_at, "py_at");
-    CFG_OBJ(g_py_sim_after, "py_after");
-    CFG_OBJ(g_py_sim_run, "py_run");
     CFG_OBJ(g_py_past_error, "py_past_error");
-    CFG_OBJ(g_py_port_enqueue, "py_enqueue");
-    CFG_OBJ(g_py_port_kick, "py_kick");
-    CFG_OBJ(g_py_host_receive, "py_receive");
     CFG_OBJ(g_py_acquire, "py_acquire");
-    CFG_OBJ(g_py_src_on_packet, "py_src_on_packet");
-    CFG_OBJ(g_py_sink_on_packet, "py_sink_on_packet");
-    CFG_OBJ(g_py_emit_pull, "py_emit_pull");
-    CFG_OBJ(g_py_pacer_tick, "py_pacer_tick");
     CFG_OBJ(g_py_on_slice, "py_on_slice");
-    CFG_OBJ(g_py_accept_relay, "py_accept_relay");
-    CFG_OBJ(g_py_bulk_sink_on_packet, "py_bulk_sink_on_packet");
     Py_CLEAR(tmp);
     if (PyErr_Occurred())
         return NULL;
@@ -3830,8 +3697,8 @@ c_init(PyObject *mod, PyObject *cfg)
     Py_RETURN_NONE;
 }
 
-/* The exact CK classes the fast paths check for, in register()'s
- * argument order. */
+/* The exact CK classes of the contract, in register()'s argument
+ * order. */
 static PyTypeObject **const registered[] = {
     &t_cksim,  &t_ckport,  &t_ckhost,  &t_ckswitch,  &t_cksrc,
     &t_cksink, &t_ckpacer, &t_ckagent, &t_ckbulksink,
@@ -3841,6 +3708,11 @@ static PyObject *
 c_register(PyObject *Py_UNUSED(mod), PyObject *args)
 {
     Py_ssize_t i, n = sizeof(registered) / sizeof(registered[0]);
+    if (!g_ready) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "register: call init() first");
+        return NULL;
+    }
     if (PyTuple_GET_SIZE(args) != n) {
         PyErr_Format(PyExc_TypeError, "register() takes the %zd CK classes",
                      n);
@@ -3851,16 +3723,14 @@ c_register(PyObject *Py_UNUSED(mod), PyObject *args)
             PyErr_SetString(PyExc_TypeError, "register() takes classes");
             return NULL;
         }
-    /* The fast paths find the clock and port fields in the tails. */
-    if (t_simtail == NULL || t_porttail == NULL ||
-        !PyType_IsSubtype((PyTypeObject *)PyTuple_GET_ITEM(args, 0),
+    /* The kernel finds the clock and port fields in the tails. */
+    if (!PyType_IsSubtype((PyTypeObject *)PyTuple_GET_ITEM(args, 0),
                           t_simtail) ||
         !PyType_IsSubtype((PyTypeObject *)PyTuple_GET_ITEM(args, 1),
                           t_porttail)) {
         PyErr_SetString(PyExc_TypeError,
                         "register: the simulator and port classes must "
-                        "subclass _ckernel.SimTail and _ckernel.PortTail "
-                        "(call init() first)");
+                        "subclass _ckernel.SimTail and _ckernel.PortTail");
         return NULL;
     }
     for (i = 0; i < n; i++)
@@ -4166,9 +4036,9 @@ done:
 
 static PyMethodDef module_fns[] = {
     {"init", (PyCFunction)c_init, METH_O,
-     "Capture slot offsets, sentinels and Python fallbacks."},
+     "Capture slot offsets, sentinels and the Python seams."},
     {"register", (PyCFunction)c_register, METH_VARARGS,
-     "Register the CK* classes for exact-type fast paths."},
+     "Register the CK* classes: the contract's exact types."},
     {"make_dispatch", (PyCFunction)c_make_dispatch, METH_VARARGS,
      "Build the fused C dispatch callable for a switch."},
     {"random_perfect_matching", (PyCFunction)c_random_perfect_matching,
@@ -4258,28 +4128,8 @@ static const struct {
 } interned[] = {
     {&s_receive_cb, "receive_cb"},
     {&s_receive, "receive"},
-    {&s_on_packet, "on_packet"},
     {&s_enqueue, "enqueue"},
-    {&s_add, "add"},
-    {&s_after, "after"},
-    {&s_request, "request"},
-    {&s_emit_pull, "emit_pull"},
-    {&s_finished, "finished"},
-    {&s_payload_bytes, "payload_bytes"},
-    {&s_delivered, "delivered"},
-    {&s_now, "now"},
-    {&s_flow_id, "flow_id"},
-    {&s_src_host, "src_host"},
-    {&s_dst_host, "dst_host"},
-    {&s_size_bytes, "size_bytes"},
-    {&s_end_ps, "end_ps"},
-    {&s_retransmissions, "retransmissions"},
     {&s_value, "value"},
-    {&s_next_rack, "next_rack"},
-    {&s_queued_bytes, "queued_bytes"},
-    {&s_relay_headroom, "relay_headroom"},
-    {&s_disabled, "disabled"},
-    {&s_relay_vlb_dsts, "relay_vlb_dsts"},
 };
 
 PyMODINIT_FUNC
@@ -4314,10 +4164,9 @@ PyInit__ckernel(void)
     g_empty = PyTuple_New(0);
     g_src_salt = PyLong_FromLongLong(0x9E3779B9LL);
     g_zero = PyLong_FromLong(0);
-    g_one = PyLong_FromLong(1);
     g_minus_one = PyLong_FromLong(-1);
     if (g_empty == NULL || g_src_salt == NULL || g_zero == NULL ||
-        g_one == NULL || g_minus_one == NULL)
+        g_minus_one == NULL)
         goto fail;
     if (add_instancemethod(m, &m_at, NULL) < 0 ||
         add_instancemethod(m, &m_after, NULL) < 0 ||

@@ -14,24 +14,26 @@ derive from the *native tails* ``init`` builds on the pure-Python
 classes (``_ckernel.SimTail``, ``_ckernel.PortTail``; see
 :mod:`repro.net.kernel`): the clock, and a port's serializer state, byte
 counts and constants, are int64 fields whose getset descriptors, named
-after the slots they shadow, serve the pure-Python bodies unchanged.
-Some slots change type, installed at construction (see
-:mod:`repro.net.kernel`): :class:`CKSimulator` stores
-a native ``_ckernel.EventHeap`` in ``_heap`` instead of the oracle's
-list of ``(time_ps, seq, callback, args)`` tuples; :class:`CKPort`
-stores ``_ckernel.Fifo`` rings in its three queues, a
-``_ckernel.Ledger`` in ``_committed_control`` and a
-``_ckernel.PortCounters`` in ``stats``; :class:`CKNdpSource`'s ``_rtx``
-and :class:`CKPullPacer`'s ``_tokens`` are Fifos. The Python bodies run
-unchanged on each of them. The routing tables need no subclass:
-``init`` registers :class:`~repro.net.node.RouteTable` and
-:class:`~repro.net.link.SliceResolver` themselves, and the C dispatch
-and serializer interpret an exact instance natively. Everything else
-(construction, cold paths, introspection, repr) is inherited from the
-pure-Python classes, and the C functions themselves delegate any call
-they cannot prove is on the fast path (no native heap or queues,
-non-integral line rate, subclasses, test doubles) back to the
-pure-Python implementations passed to ``init``.
+after the slots they shadow, serve Python readers unchanged. Some slots
+change type, installed at construction: :class:`CKSimulator` stores a
+native ``_ckernel.EventHeap`` in ``_heap``; :class:`CKPort` stores
+``_ckernel.Fifo`` rings in its three queues, a ``_ckernel.Ledger`` in
+``_committed_control`` and a ``_ckernel.PortCounters`` in ``stats``;
+:class:`CKNdpSource`'s ``_rtx`` and :class:`CKPullPacer`'s ``_tokens``
+are Fifos. ``init`` registers :class:`~repro.net.node.RouteTable` and
+:class:`~repro.net.link.SliceResolver` themselves, whose exact instances
+the C dispatch and serializer interpret natively. Everything else
+(construction, cold paths, introspection, repr) is inherited.
+
+These classes are the kernel's closed world, its contract: a compiled
+method runs only on them (exactly, on a :class:`CKSimulator`, with their
+native queues), on exact ``Packet``, ``FlowRecord``, ``StatsCollector``
+and ``BulkFlow`` objects, and at a whole number of ps per byte. Anything
+else raises a :class:`TypeError` naming ``REPRO_KERNEL=py``, a
+:class:`CKPort` at construction. Of the pure-Python bodies ``init`` takes
+only ``Simulator._past_error``, ``acquire`` and ``RotorLBAgent.on_slice``
+(the failure seam); ``_ckernel.c``'s header lists every Python call the
+kernel makes.
 """
 
 from __future__ import annotations
@@ -102,21 +104,9 @@ _ckernel.init(
         "MAX_HOPS": MAX_HOPS,
         "HEADER_BYTES": HEADER_BYTES,
         "MTU_BYTES": MTU_BYTES,
-        "py_at": Simulator.at,
-        "py_after": Simulator.after,
-        "py_run": Simulator.run,
         "py_past_error": Simulator._past_error,
-        "py_enqueue": Port.enqueue,
-        "py_kick": Port._kick,
-        "py_receive": Host.receive,
         "py_acquire": acquire,
-        "py_src_on_packet": NdpSource.on_packet,
-        "py_sink_on_packet": NdpSink.on_packet,
-        "py_emit_pull": NdpSink.emit_pull,
-        "py_pacer_tick": PullPacer._tick,
         "py_on_slice": RotorLBAgent.on_slice,
-        "py_accept_relay": RotorLBAgent.accept_relay,
-        "py_bulk_sink_on_packet": BulkSink.on_packet,
     }
 )
 
@@ -139,13 +129,8 @@ class CKSimulator(_ckernel.SimTail):
 
     @property
     def sched_pushes(self) -> int:
-        """:attr:`Simulator.sched_pushes`, counted by the native heap.
-
-        A list heap (the Python bodies schedule onto it) counts in
-        ``_seq``, as the oracle does.
-        """
-        heap = self._heap
-        return self._seq if heap.__class__ is list else heap.seq
+        """:attr:`Simulator.sched_pushes`, counted by the native heap."""
+        return self._heap.seq
 
     at = _ckernel.at
     after = _ckernel.after
@@ -161,13 +146,21 @@ class CKPort(_ckernel.PortTail):
     are native ``_ckernel.Fifo`` rings, the committed-control ledger a
     ``_ckernel.Ledger`` and ``stats`` a ``_ckernel.PortCounters``; the
     serializer state, byte counts and constants are int64 fields of the
-    ``PortTail`` base. The Python bodies run unchanged on all of them.
+    ``PortTail`` base. A port on another simulator, or at a line rate
+    that is not a whole number of ps per byte, is refused here.
     """
 
     __slots__ = ()
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, sim, *args, **kwargs) -> None:
+        super().__init__(sim, *args, **kwargs)
+        if type(sim) is not CKSimulator or not self._ps_per_byte:
+            raise TypeError(
+                f"ckernel: a port at {self.rate_bps} b/s on a "
+                f"{type(sim).__name__} is outside the compiled kernel's "
+                "contract (a CKSimulator, whole ps per byte); run with "
+                "REPRO_KERNEL=py"
+            )
         self._q_control = _ckernel.Fifo()
         self._q_data = _ckernel.Fifo()
         self._q_bulk = _ckernel.Fifo()
@@ -189,11 +182,11 @@ class CKHost(Host):
 class CKSwitchNode(SwitchNode):
     """Switch whose fused dispatch is built in C.
 
-    The base setter performs the install-once and table-type checks and
-    builds the pure-Python fused closure; that closure is kept as the
-    fallback for packets/tables the C dispatch cannot prove are fast-path.
-    The C dispatch interprets the :class:`~repro.net.node.RouteTable`
-    itself, or calls its ``fallback`` while failures are armed.
+    The base setter performs the install-once and table-type checks; the C
+    dispatch replaces its closure. It interprets an exact
+    :class:`~repro.net.node.RouteTable` itself, calls its ``fallback``
+    while failures are armed, and hands the table's own call any value it
+    cannot prove in range.
     """
 
     __slots__ = ()
@@ -205,8 +198,7 @@ class CKSwitchNode(SwitchNode):
     @router.setter
     def router(self, route) -> None:
         SwitchNode.router.__set__(self, route)
-        py_dispatch = self.receive_cb
-        self.receive_cb = _ckernel.make_dispatch(self, route, py_dispatch)
+        self.receive_cb = _ckernel.make_dispatch(self, route)
 
 
 class CKNdpSource(NdpSource):
@@ -255,10 +247,10 @@ class CKRotorLBAgent(RotorLBAgent):
     """RotorLB agent with the slice step and relay intake compiled.
 
     ``on_slice`` runs relay, local and VLB phases in C on a fault-free
-    agent and hands any other call (failures armed, unexpected types) to
-    the Python body; ``accept_relay`` is what the route table's ``relay``
-    and ``requeue`` reach. ``submit``, ``requeue`` and the failure-only
-    paths stay Python.
+    agent and hands a disabled or failure-armed one to the Python body
+    (the failure seam); ``accept_relay`` is what the route table's
+    ``relay`` and ``requeue`` reach. ``submit``, ``requeue`` and the
+    failure-only paths stay Python.
     """
 
     __slots__ = ()

@@ -33,7 +33,9 @@ Hot-path design (the engine's fast path — see README "Engine internals"):
 * Scheduling is allocation-free: deliveries are pushed as preconstructed
   ``(deliver, packet.recv_args)`` pairs (the receive callback is prebound
   per node, the args tuple lives on the packet), one scheduler entry per
-  delivery, straight onto the simulator's list heap when it has one.
+  delivery, straight onto the simulator's list heap. So this port runs on
+  a :class:`~repro.net.sim.Simulator`; the compiled kernel's port
+  (``CKPort``) is the one for its simulator.
 """
 
 from __future__ import annotations
@@ -327,19 +329,14 @@ class Port:
                 deliver = self._deliver = (
                     getattr(target, "receive_cb", None) or target.receive  # type: ignore[attr-defined]
                 )
-            if sim._heap.__class__ is list:
-                # Inlined sim.at fast path onto the oracle's list heap (a
-                # compiled simulator's native heap takes sim.at); the
-                # past-time guard holds by construction (asserted, as
-                # sim.at would).
-                assert done + self.propagation_ps >= sim.now
-                sim._seq = seq = sim._seq + 1
-                heappush(
-                    sim._heap,
-                    (done + self.propagation_ps, seq, deliver, packet.recv_args),
-                )
-            else:
-                sim.at(done + self.propagation_ps, deliver, packet)
+            # Inlined sim.at fast path onto the list heap; the past-time
+            # guard holds by construction (asserted, as sim.at would).
+            assert done + self.propagation_ps >= sim.now
+            sim._seq = seq = sim._seq + 1
+            heappush(
+                sim._heap,
+                (done + self.propagation_ps, seq, deliver, packet.recv_args),
+            )
             return True
         if priority is _CONTROL:
             self._q_control.append(packet)
@@ -386,20 +383,16 @@ class Port:
             deliver = self._deliver = (
                 getattr(target, "receive_cb", None) or target.receive  # type: ignore[attr-defined]
             )
-        if sim._heap.__class__ is list:
-            # Delivery is the engine's single hottest schedule call: push
-            # straight onto the list heap (sim.at minus one frame; the time
-            # is computed from now + positive delays, never in the past —
-            # asserted below, mirroring sim.at's guard). A compiled
-            # simulator's native heap takes sim.at.
-            assert done + self.propagation_ps >= sim.now
-            sim._seq = seq = sim._seq + 1
-            heappush(
-                sim._heap,
-                (done + self.propagation_ps, seq, deliver, packet.recv_args),
-            )
-        else:
-            sim.at(done + self.propagation_ps, deliver, packet)
+        # Delivery is the engine's single hottest schedule call: push
+        # straight onto the list heap (sim.at minus one frame; the time is
+        # computed from now + positive delays, never in the past —
+        # asserted below, mirroring sim.at's guard).
+        assert done + self.propagation_ps >= sim.now
+        sim._seq = seq = sim._seq + 1
+        heappush(
+            sim._heap,
+            (done + self.propagation_ps, seq, deliver, packet.recv_args),
+        )
         return done
 
     def _kick(self) -> None:

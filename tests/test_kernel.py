@@ -31,7 +31,7 @@ import repro
 from repro.experiments.fctsim import MS, build_network
 from repro.net import kernel as kernel_mod
 from repro.net.kernel import compiled_available, engine_classes, kernel_default
-from repro.net.packet import MTU_BYTES, Packet, PacketKind, Priority
+from repro.net.packet import HEADER_BYTES, MTU_BYTES, Packet, PacketKind, Priority
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.distributions import DATAMINING
 
@@ -475,15 +475,16 @@ class TestNativeHeap:
         assert type(sim_cls()._heap).__name__ == "EventHeap"
 
     def test_list_heap_counts_pushes_in_seq(self):
-        # A compiled simulator handed a plain list heap runs the Python
-        # bodies, which count in _seq; sched_pushes and counters() must
-        # read it there instead of the native heap's counter.
+        # A compiled simulator runs only on its native heap: one whose
+        # _heap was replaced by a list is outside the kernel's contract,
+        # so its next at, after or run raises instead of running the
+        # Python body onto the list.
         sim = engine_classes("c").Simulator()
         sim._heap = []
-        sim.at(5, print, "x")
-        assert sim.sched_pushes == 1
-        assert sim.counters()["sched_entries"] == 1
-        assert sim.pending == 1
+        for call in (lambda: sim.at(5, print, "x"), lambda: sim.after(5, print), sim.run):
+            with pytest.raises(TypeError, match="_heap .*REPRO_KERNEL=py"):
+                call()
+        assert sim._heap == [] and sim.now == 0 and sim.events_processed == 0
 
     def test_finished_network_is_collected(self, monkeypatch):
         # Pending kick/pacer events keep callbacks -> ports -> simulator
@@ -668,9 +669,8 @@ def tail_replay(kernel, ops):
     """Replay ``ops`` on one simulator and two ports of ``kernel``.
 
     Port 0 trims at 10 Gb/s with small queues; port 1 runs drop-tail at
-    3 Gb/s, a rate the compiled port hands to the Python body, which then
-    reaches the tail through its descriptors. Returns what each step
-    returned and the state after it, the arrivals and the bulk drops.
+    2.5 Gb/s (3,200 ps per byte), slower than port 0. Returns what each
+    step returned and the state after it, the arrivals and the bulk drops.
     """
     classes = engine_classes(kernel)
     sim = classes.Simulator()
@@ -691,7 +691,7 @@ def tail_replay(kernel, ops):
         ),
         classes.Port(
             sim, "drop-tail", resolver=lambda _p, _now: sink,
-            rate_bps=3_000_000_000, propagation_ps=0,
+            rate_bps=2_500_000_000, propagation_ps=0,
             data_queue_bytes=2 * MTU_BYTES, trimming=False,
         ),
     ]
@@ -830,12 +830,14 @@ def serializer_run(sim_cls, port_cls, rate_bps):
 
 @requires_c
 class TestPythonFallbacksOnCompiledSim:
-    """Python paths that schedule must work on a compiled simulator.
+    """No Python body runs in place of a compiled one.
 
-    The C fast path declines a port whose line rate does not divide 8
-    bits/ps (exact big-int serialization) and a simulator without a
-    native heap; those calls run the pure-Python bodies, which must
-    schedule onto whatever heap the simulator owns.
+    The compiled pair matches the oracle at a line rate that is a whole
+    number of ps per byte (10 Gb/s). Every other pairing is outside the
+    kernel's contract and raises: a compiled port at 3 Gb/s or on a plain
+    ``Simulator`` is refused at construction, and a Python ``Port`` on a
+    compiled simulator fails at its first serialization, when it pushes
+    onto the list heap the compiled simulator does not have.
     """
 
     @pytest.mark.parametrize("rate_bps", [3_000_000_000, 10_000_000_000])
@@ -844,13 +846,15 @@ class TestPythonFallbacksOnCompiledSim:
         ck = engine_classes("c")
         baseline = serializer_run(py.Simulator, py.Port, rate_bps)
         assert len(baseline[0]) == 6
-        for sim_cls, port_cls in (
-            (ck.Simulator, ck.Port),  # compiled port declines (3 Gb/s)
-            (ck.Simulator, py.Port),  # Python port on the native heap
-            (py.Simulator, ck.Port),  # compiled port on a plain Simulator
-        ):
-            run = serializer_run(sim_cls, port_cls, rate_bps)
-            assert run == baseline, (sim_cls.__name__, port_cls.__name__)
+        if rate_bps == 10_000_000_000:
+            assert serializer_run(ck.Simulator, ck.Port, rate_bps) == baseline
+        else:
+            with pytest.raises(TypeError, match="3000000000 b/s.*REPRO_KERNEL=py"):
+                serializer_run(ck.Simulator, ck.Port, rate_bps)
+        with pytest.raises(TypeError, match="on a Simulator.*REPRO_KERNEL=py"):
+            serializer_run(py.Simulator, ck.Port, rate_bps)
+        with pytest.raises(TypeError, match="must be (a )?list"):
+            serializer_run(ck.Simulator, py.Port, rate_bps)
 
 
 class Egress:
@@ -995,3 +999,203 @@ class TestRoutingTables:
         switch = engine_classes("c").SwitchNode(engine_classes("c").Simulator(), "s")
         with pytest.raises(TypeError, match="RouteTable"):
             switch.router = lambda _switch, _packet: None
+
+
+def contract_world():
+    """One compiled object of each kind, wired as the network builders wire them.
+
+    A host whose NIC reaches a recording far end, an NDP flow (source, sink
+    and pacer) and a bulk sink on it, a switch routing to the NIC, and a
+    RotorLB agent from ``test_rotorlb``'s hand-built pair.
+    """
+    from test_rotorlb import agent_pair
+
+    from repro.net.node import RouteTable
+    from repro.net.stats import FlowRecord, StatsCollector
+
+    ck = engine_classes("c")
+    sim = ck.Simulator()
+
+    class Far:
+        def __init__(self):
+            self.got = []
+
+        def receive_cb(self, packet):
+            self.got.append(packet.seq)
+
+    far = Far()
+    host = ck.Host(sim, 0, 0)
+    host.nic = ck.Port(sim, "nic", target=far)
+    stats = StatsCollector()
+    record = stats.flow_started(FlowRecord(1, 0, 1, 100_000, "ll", 0))
+    pacer = ck.PullPacer(sim, host, 10_000_000_000)
+    source = ck.NdpSource(sim, host, record)
+    sink = ck.NdpSink(sim, host, record, host, pacer, stats, source)
+    bulk_record = stats.flow_started(FlowRecord(2, 0, 1, 100_000, "bulk", 0))
+    bulk = ck.BulkSink(sim, host, bulk_record, stats)
+    switch = ck.SwitchNode(sim, "s")
+    switch.router = RouteTable(0, 2, (host.nic, host.nic), [()], bumps=[False])
+    _agent_sim, (agent, _peer), _recorders = agent_pair("c")
+    return types.SimpleNamespace(
+        ck=ck, sim=sim, far=far, host=host, source=source, sink=sink,
+        pacer=pacer, bulk=bulk, switch=switch, agent=agent,
+    )
+
+
+class Endpoint:
+    """A test double on a host's endpoint table: records what it got."""
+
+    def __init__(self):
+        self.got = []
+
+    def on_packet(self, packet):
+        self.got.append(packet)
+
+
+def swapped_heap(w, call):
+    w.sim._heap = []
+    call(w.sim)
+
+
+def double_endpoint(w):
+    w.host.sinks[1] = Endpoint()
+    w.host.receive(Packet(1, PacketKind.DATA, 1, 0, 0, MTU_BYTES, Priority.LOW_LATENCY))
+
+
+def subclassed_table(w):
+    from repro.net.node import RouteTable
+
+    class Table(RouteTable):
+        __slots__ = ()
+
+    w.ck.SwitchNode(w.sim, "t").router = Table(0, 2, (), [()], bumps=[False])
+
+
+def foreign_sender(w):
+    from repro.net.rotorlb import BulkFlow
+    from repro.net.stats import FlowRecord
+
+    class Flow(BulkFlow):
+        __slots__ = ()
+
+    w.agent.submit(Flow(FlowRecord(3, 0, 5, 100_000, "bulk", 0)))
+    w.agent.on_slice(0)
+
+
+def swapped_slot(obj, name, value, call):
+    setattr(obj, name, value)
+    call()
+
+
+#: One call per compiled entry point on one object outside the kernel's
+#: contract: a non-Packet, a test double, a Python twin's method, a
+#: subclass or a swapped native slot. Each must raise the contract
+#: TypeError instead of running the Python body.
+OUTSIDE_CALLS = {
+    "at": lambda w: swapped_heap(w, lambda sim: sim.at(5, print)),
+    "after": lambda w: swapped_heap(w, lambda sim: sim.after(5, print)),
+    "run": lambda w: swapped_heap(w, lambda sim: sim.run()),
+    "enqueue": lambda w: w.host.nic.enqueue(object()),
+    "_kick": lambda w: swapped_slot(w.host.nic, "_q_data", deque(), w.host.nic._kick),
+    "receive": double_endpoint,
+    "dispatch": lambda w: w.switch.receive_cb(object()),
+    "make_dispatch": subclassed_table,
+    "src_on_packet": lambda w: w.source.on_packet(object()),
+    "sink_on_packet": lambda w: w.sink.on_packet(object()),
+    "emit_pull": lambda w: swapped_slot(w.sink, "_send", w.host.send, w.sink.emit_pull),
+    "pacer_tick": lambda w: swapped_slot(w.pacer, "_tokens", deque([w.sink]), w.pacer._tick),
+    "on_slice": foreign_sender,
+    "accept_relay": lambda w: w.agent.accept_relay(object()),
+    "bulk_sink_on_packet": lambda w: w.bulk.on_packet(object()),
+    "port_on_a_simulator": lambda w: w.ck.Port(
+        engine_classes("py").Simulator(), "p", target=w.far
+    ),
+}
+
+#: Calls every engine entry point of a freshly imported _ckernel, before
+#: repro.net.kernel.engine has run init(), and prints what each raised.
+PRE_INIT_PROBE = """
+from repro.net.kernel import _ckernel
+
+junk = object()
+calls = {
+    "at": (junk, 1, print), "after": (junk, 1, print), "run": (junk,),
+    "enqueue": (junk, junk), "_kick": (junk,), "receive": (junk, junk),
+    "src_on_packet": (junk, junk), "sink_on_packet": (junk, junk),
+    "sink_emit_pull": (junk,), "pacer_tick": (junk,),
+    "agent_on_slice": (junk, 0), "agent_accept_relay": (junk, junk),
+    "bulk_sink_on_packet": (junk, junk), "make_dispatch": (junk, junk),
+}
+for name, args in calls.items():
+    try:
+        getattr(_ckernel, name)(*args)
+    except Exception as exc:
+        print(name, type(exc).__name__, flush=True)
+    else:
+        print(name, "returned", flush=True)
+"""
+
+
+@requires_c
+class TestKernelContract:
+    """Compiled methods run only on what ``engine_classes("c")`` builds."""
+
+    @pytest.mark.parametrize("entry", sorted(OUTSIDE_CALLS))
+    def test_outside_objects_raise_the_contract_error(self, entry):
+        w = contract_world()
+        with pytest.raises(TypeError, match="outside the compiled kernel's contract.*REPRO_KERNEL=py"):
+            OUTSIDE_CALLS[entry](w)
+        # Nothing ran first: no event was scheduled or delivered, no
+        # endpoint or double saw a packet, no counter moved.
+        assert w.sim.pending == 0 and w.sim.events_processed == 0
+        assert w.far.got == [] and w.host.dropped == 0
+        assert w.host.nic.stats.sent_packets == 0 and w.sink._pull_seq == 0
+        assert all(not getattr(e, "got", ()) for e in w.host.sinks.values())
+        assert w.agent._host_budget == {}
+
+    def test_the_compiled_world_runs(self):
+        # Inside the contract the same world runs, so each call above
+        # fails on the one object it swaps in, not on the wiring.
+        w = contract_world()
+        w.source.start()
+        w.sim.run()
+        w.host.receive(Packet(1, PacketKind.DATA, 1, 0, 0, MTU_BYTES, Priority.LOW_LATENCY))
+        w.sim.run()
+        assert w.far.got and w.host.nic.stats.sent_packets > 12
+        assert w.sink.record.delivered_bytes == MTU_BYTES - HEADER_BYTES
+        assert w.sink._pull_seq == 1
+        w.agent.on_slice(0)
+        assert w.agent._host_budget  # the slice step ran
+
+    @pytest.mark.parametrize("slot", ["_deliver", "trimming"])
+    def test_unset_port_slot_raises(self, slot):
+        # A slot enqueue reads, deleted: AttributeError, as the oracle
+        # raises, not a NULL dereference. The first packet binds the
+        # delivery on the idle line, the second waits behind it and the
+        # third overflows the one-MTU data queue, so it is trimmed.
+        w = contract_world()
+        port = w.ck.Port(w.sim, "p", target=w.far, data_queue_bytes=MTU_BYTES)
+        delattr(port, slot)
+        with pytest.raises(AttributeError, match=slot):
+            for seq in range(3):
+                port.enqueue(
+                    Packet(1, PacketKind.DATA, 0, 1, seq, MTU_BYTES, Priority.LOW_LATENCY)
+                )
+
+    def test_entry_points_raise_before_init(self):
+        # A process can hold _ckernel before repro.net.kernel.engine runs
+        # init() (the checked loader imports it alone): every entry point
+        # must raise there, not crash the interpreter.
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(Path(repro.__file__).parent.parent)
+        probe = subprocess.run(
+            [sys.executable, "-c", PRE_INIT_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert probe.returncode == 0, (probe.returncode, probe.stderr)
+        raised = dict(line.split() for line in probe.stdout.splitlines())
+        assert len(raised) == 14
+        assert set(raised.values()) == {"RuntimeError"}, raised

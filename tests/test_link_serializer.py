@@ -10,7 +10,9 @@ one-event-per-packet design produced.
 Each class runs on the pure-Python ``Port`` and ``Simulator``; its
 ``*Compiled`` twin at the end runs the same tests on the compiled
 kernel's classes, whose port keeps native queues, a native ledger and
-native counters (skipped where the extension is not built).
+native counters (skipped where the extension is not built). The one
+exception is a line rate that is not a whole number of ps per byte,
+which the compiled port refuses.
 """
 
 import pytest
@@ -341,6 +343,14 @@ class TestControlAdmissionDuringBurstCompiled(TestControlAdmissionDuringBurst):
 @requires_c
 class TestSerializationConstantsCompiled(TestSerializationConstants):
     kernel = "c"
+
+    def test_non_divisible_rate_falls_back_to_exact_division(self):
+        # The compiled port has no exact-division path: a line rate that
+        # is not a whole number of ps per byte is outside the kernel's
+        # contract, refused at construction.
+        sim = self.sim()
+        with pytest.raises(TypeError, match="3000000000 b/s.*REPRO_KERNEL=py"):
+            self.port_to(sim, ArrivalLog(sim), rate_bps=3_000_000_000)
 
 
 @requires_c
