@@ -36,15 +36,15 @@ progress stream (``[done/total] scenario:cell (dur [@worker]) — eta``)
 goes to stderr when it is a terminal; force it with ``--progress``.
 
 ``--executor distributed`` leases those same units to TCP workers
-instead: ``--workers N`` auto-spawns N local subprocess workers, and
-``--listen HOST:PORT`` (which implies the executor) accepts external
-``repro worker HOST:PORT`` processes — see README "Distributed
+instead: ``--workers N`` forks N local workers from the ``repro``
+process, and ``--listen HOST:PORT`` (which implies the executor) accepts
+external ``repro worker HOST:PORT`` processes — see README "Distributed
 execution". ``cache`` inspects the content-addressed result/cell cache
 (``stats`` | ``ls <scenario>`` | ``clear [scenario]``).
 
 Fault tolerance (README "Fault tolerance & chaos testing"): ``--chaos
 SPEC`` arms the seeded fault-injection harness for the run (and its
-spawned workers), ``--policy degraded`` quarantines failed units into the
+workers), ``--policy degraded`` quarantines failed units into the
 result instead of failing the sweep, and ``--resume-journal`` resumes a
 crashed distributed run from its write-ahead journal — an injected
 coordinator crash exits with status 3 and prints the resume command.
@@ -178,7 +178,7 @@ def _make_runner(args: argparse.Namespace) -> Runner:
         # Validate the spec *here* (a typo must fail the command, not
         # silently run a different experiment), then publish it through
         # the environment — the injector seam in repro.distrib reads it,
-        # and spawned workers inherit it.
+        # and forked workers inherit it.
         import os
 
         from .distrib import ChaosError, parse_chaos
@@ -292,13 +292,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     from .distrib import AuthError, load_secret
-    from .distrib.worker import AUTH_EXIT, max_units_from_env, serve
+    from .distrib.worker import AUTH_EXIT, serve
 
     try:
         return serve(
             args.address,
             connect_timeout=args.connect_timeout,
-            max_units=max_units_from_env(),
             secret=load_secret(args.secret_file),
         )
     except AuthError as exc:
@@ -549,14 +548,13 @@ def _print_job_line(job: dict) -> None:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
-    import subprocess
 
     from .distrib import (
         AuthError,
         Coordinator,
+        Fleet,
         load_secret,
         parse_address,
-        spawn_local_worker,
     )
     from .distrib.journal import RunJournal, journal_path
 
@@ -606,21 +604,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flush=True,
     )
 
-    procs: list[subprocess.Popen] = []
-    respawns = 0
-
-    def watchdog(coord: Coordinator) -> None:
-        # Keep the spawned fleet at strength while the service is live;
-        # a draining service lets its workers run out instead.
-        nonlocal respawns
-        if coord.draining:
-            return
-        for idx, proc in enumerate(procs):
-            if proc.poll() is not None and respawns < args.max_respawns:
-                respawns += 1
-                procs[idx] = spawn_local_worker(
-                    coord.address, role=f"worker-r{respawns}", secret=secret
-                )
+    fleet = Fleet(
+        coordinator.address, max_respawns=args.max_respawns, secret=secret
+    )
 
     # Like worker.serve(): the previous SIGTERM disposition comes back on
     # exit so an embedding process (and anything it later forks) is not
@@ -635,13 +621,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError:
         pass  # not the main thread (embedded use)
     try:
-        for i in range(args.workers):
-            procs.append(
-                spawn_local_worker(
-                    coordinator.address, role=f"worker-{i}", secret=secret
-                )
-            )
-        coordinator.serve_forever(watchdog if args.workers else None)
+        fleet.start(args.workers)
+        # Keep the fleet at strength while the service is live; a
+        # draining service lets its workers run out instead.
+        coordinator.serve_forever(
+            (lambda coord: fleet.maintain(replace=not coord.draining))
+            if args.workers
+            else None
+        )
         return 0
     except KeyboardInterrupt:
         print(
@@ -653,14 +640,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if handler_installed:
             signal.signal(signal.SIGTERM, prev_handler)
-        for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()  # SIGTERM -> worker drains and exits
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+        fleet.close(timeout=10)  # SIGTERM -> each worker drains and exits
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -762,7 +742,7 @@ def _add_exec_options(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         help="worker count: pool size (>1 enables multiprocessing), or how "
-        "many local workers a distributed run auto-spawns (0 = external "
+        "many local workers a distributed run forks (0 = external "
         "workers only)",
     )
     sub.add_argument(
@@ -871,7 +851,7 @@ def _add_exec_options(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=8,
         metavar="N",
-        help="budget for replacing auto-spawned workers that die while "
+        help="budget for replacing forked local workers that die while "
         "leased work remains (default 8; raise under kill_worker chaos)",
     )
     sub.add_argument(
@@ -1009,7 +989,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="local subprocess workers to spawn and keep at strength "
+        help="local workers to fork and keep at strength "
         "(default 0: external 'repro worker' processes only)",
     )
     p_serve.add_argument(
@@ -1031,7 +1011,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         metavar="N",
-        help="budget for replacing spawned workers that die (default 8)",
+        help="budget for replacing forked workers that die (default 8)",
     )
     p_serve.add_argument(
         "--secret-file",

@@ -10,14 +10,20 @@ portable cell document out. This package supplies the three pieces:
 * :mod:`.coordinator` — owns the plan: leases cost-ordered units to
   connected workers, tracks heartbeats, re-leases units from dead or
   stalled workers, and streams result documents back.
-* :mod:`.worker` — the thin remote loop (``repro worker HOST:PORT``).
+* :mod:`.worker` — the thin lease loop every worker runs; remote
+  machines start it as ``repro worker HOST:PORT``.
+* :mod:`.fleet` — the local workers: forks of the process that owns the
+  coordinator, started, replaced within a respawn budget and reaped by
+  one :class:`Fleet`.
 
 :class:`repro.scenarios.Runner` is the only intended caller: with
-``executor="distributed"`` it stands up a coordinator, optionally spawns
-local subprocess workers (the default backend, so a single machine gets
-distributed semantics for free), and feeds the result stream through the
-same cache/merge/progress path as every other executor — which is what
-pins distributed results bit-identical to in-process ones.
+``executor="distributed"`` it stands up a coordinator, optionally forks
+a local fleet (the default backend, so a single machine gets distributed
+semantics for free), and feeds the result stream through the same
+cache/merge/progress path as every other executor — which is what pins
+distributed results bit-identical to in-process ones. The fleet forks
+from the thread that runs the coordinator, with no other thread alive,
+as the ``pool`` executor already forks.
 
 Long-lived service mode (``repro serve``) adds :mod:`.jobs` (a
 multi-sweep job queue with fair-share leasing and the client side of
@@ -31,17 +37,13 @@ model note in the README before leaving trusted networks.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-# NOTE: .worker is deliberately NOT imported here — workers start via
-# ``python -m repro.distrib.worker``, and importing the module from the
-# package __init__ would make runpy warn about the double import.
+# NOTE: .worker is deliberately NOT imported here — remote workers start
+# via ``python -m repro.distrib.worker``, and importing the module from
+# the package __init__ would make runpy warn about the double import.
 from .auth import AuthError, load_secret
 from .chaos import ChaosConfig, ChaosCrash, ChaosError, backoff_delays, parse_chaos
 from .coordinator import Coordinator
+from .fleet import Fleet, spawn_local_worker
 from .jobs import (
     JobCancelled,
     JobQueue,
@@ -64,6 +66,7 @@ __all__ = [
     "ChaosCrash",
     "ChaosError",
     "Coordinator",
+    "Fleet",
     "JobCancelled",
     "JobQueue",
     "JournalState",
@@ -83,47 +86,3 @@ __all__ = [
     "parse_chaos",
     "spawn_local_worker",
 ]
-
-
-def spawn_local_worker(
-    address: tuple[str, int],
-    *,
-    env: dict[str, str] | None = None,
-    role: str | None = None,
-    secret: bytes | None = None,
-) -> subprocess.Popen:
-    """Start one local subprocess worker attached to ``address``.
-
-    The default distributed backend: ``Runner(executor="distributed",
-    workers=N)`` spawns N of these against its own coordinator. The
-    child's ``PYTHONPATH`` is prefixed with this package's source root so
-    the spawn works from a source checkout without installation, and a
-    wildcard listen address is rewritten to loopback for the dial-out.
-
-    ``role`` names the child's seeded chaos stream (``REPRO_CHAOS_ROLE``):
-    the Runner hands each spawned worker — including respawn replacements
-    — a distinct ``worker-N``, so a fleet under ``REPRO_CHAOS`` draws
-    from partitioned fault streams instead of failing in lockstep, while
-    the whole run stays replayable from one seed.
-    """
-    host, port = address
-    if host in ("0.0.0.0", "::", ""):
-        host = "127.0.0.1"
-    environ = dict(os.environ if env is None else env)
-    src_root = str(Path(__file__).resolve().parents[2])
-    existing = environ.get("PYTHONPATH")
-    environ["PYTHONPATH"] = (
-        src_root + (os.pathsep + existing if existing else "")
-    )
-    if role is not None:
-        environ["REPRO_CHAOS_ROLE"] = role
-    if secret is not None:
-        # `repro serve --workers N --secret-file ...` spawns its fleet
-        # with the file-provided secret; env-provided secrets inherit
-        # through os.environ without this.
-        environ["REPRO_SECRET"] = secret.decode("utf-8")
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.distrib.worker", f"{host}:{port}"],
-        env=environ,
-        stdout=subprocess.DEVNULL,
-    )

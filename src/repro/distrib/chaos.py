@@ -11,12 +11,16 @@ which faults fired along the way.
 
 Grammar (``REPRO_CHAOS`` environment variable or ``repro run --chaos``)::
 
-    seed=N,kill_worker=p,drop_frame=p,corrupt_frame=p,delay_ms=a:b,
-    stall_heartbeat=p,crash_coordinator=after_k
+    seed=N,kill_worker=p,kill_worker=after_k,drop_frame=p,corrupt_frame=p,
+    delay_ms=a:b,stall_heartbeat=p,crash_coordinator=after_k
 
 * ``seed=N`` — base seed of the injected-fault stream (default 0).
 * ``kill_worker=p`` — probability a worker dies abruptly (``os._exit``,
   holding its lease) when a lease arrives.
+* ``kill_worker=after_k`` — every worker dies the same way once it has
+  completed ``k`` units, holding lease ``k+1`` (``after_0``: on its
+  first lease). Deterministic: it draws nothing from the stream, and it
+  may be armed beside ``kill_worker=p``.
 * ``drop_frame=p`` — probability a frame send instead tears the
   connection down (a dropped TCP segment surfaces as a broken link, not
   a silent gap; both peers observe the failure and recover).
@@ -45,8 +49,9 @@ Grammar (``REPRO_CHAOS`` environment variable or ``repro run --chaos``)::
 Determinism: every probabilistic decision consumes exactly one draw from
 one seeded stream per process, so a given ``(seed, role)`` pair replays
 the identical decision sequence (pinned by ``tests/test_chaos.py``). The
-role — ``REPRO_CHAOS_ROLE``, set per auto-spawned worker by the Runner —
-partitions streams so a two-worker fleet does not fail in lockstep.
+role — ``REPRO_CHAOS_ROLE=worker-N``, set per forked local worker by
+:class:`~repro.distrib.fleet.Fleet` — partitions streams so a two-worker
+fleet does not fail in lockstep.
 """
 
 from __future__ import annotations
@@ -109,6 +114,7 @@ class ChaosConfig:
     replay_frame: float = 0.0
     delay_ms: tuple[float, float] | None = None
     crash_coordinator: int | None = None
+    kill_worker_after: int | None = None
 
     def to_spec(self) -> str:
         """The canonical spec string (parse/format round-trips)."""
@@ -121,6 +127,8 @@ class ChaosConfig:
             parts.append(f"delay_ms={self.delay_ms[0]:g}:{self.delay_ms[1]:g}")
         if self.crash_coordinator is not None:
             parts.append(f"crash_coordinator=after_{self.crash_coordinator}")
+        if self.kill_worker_after is not None:
+            parts.append(f"kill_worker=after_{self.kill_worker_after}")
         return ",".join(parts)
 
 
@@ -132,6 +140,19 @@ def _parse_probability(key: str, text: str) -> float:
     if not 0.0 <= p <= 1.0:
         raise ChaosError(f"chaos key {key!r} must be in [0, 1], got {p!r}")
     return p
+
+
+def _parse_after(key: str, value: str, least: int) -> int:
+    """``after_K`` (or, for ``crash_coordinator``, plain ``K``) -> ``K``."""
+    text = value[len("after_"):] if value.startswith("after_") else value
+    try:
+        k = int(text)
+    except ValueError:
+        spelling = "after_K (or K)" if key == "crash_coordinator" else "after_K"
+        raise ChaosError(f"{key} expects {spelling}, got {value!r}")
+    if k < least:
+        raise ChaosError(f"{key} must be >= {least}, got {k}")
+    return k
 
 
 def parse_chaos(spec: str) -> ChaosConfig:
@@ -155,6 +176,8 @@ def parse_chaos(spec: str) -> ChaosConfig:
                 fields["seed"] = int(value)
             except ValueError:
                 raise ChaosError(f"chaos seed must be an integer, got {value!r}")
+        elif key == "kill_worker" and value.startswith("after_"):
+            fields["kill_worker_after"] = _parse_after(key, value, least=0)
         elif key in _PROB_KEYS:
             fields[key] = _parse_probability(key, value)
         elif key == "delay_ms":
@@ -167,16 +190,7 @@ def parse_chaos(spec: str) -> ChaosConfig:
                 raise ChaosError(f"delay_ms range must be 0 <= a <= b, got {value!r}")
             fields["delay_ms"] = bounds
         elif key == "crash_coordinator":
-            text = value[len("after_"):] if value.startswith("after_") else value
-            try:
-                k = int(text)
-            except ValueError:
-                raise ChaosError(
-                    f"crash_coordinator expects after_K (or K), got {value!r}"
-                )
-            if k < 1:
-                raise ChaosError(f"crash_coordinator must be >= 1, got {k}")
-            fields["crash_coordinator"] = k
+            fields["crash_coordinator"] = _parse_after(key, value, least=1)
         else:
             known = ("seed", *_PROB_KEYS, "delay_ms", "crash_coordinator")
             raise ChaosError(

@@ -438,7 +438,7 @@ class Coordinator:
         exactly as the Runner ordered them. Yields ``(uid, document,
         worker name)`` as results stream back, in completion order.
         ``watchdog`` runs every loop tick (the Runner uses it to respawn
-        auto-spawned local workers that died while work remains).
+        forked local workers that died while work remains).
         """
         job = self._queue.submit(
             list(units), label="local", source="local", journal=self.journal

@@ -1,15 +1,18 @@
 """Worker: a thin lease-execute-report loop over one coordinator socket.
 
-``python -m repro.distrib.worker HOST:PORT`` (or ``repro worker
-HOST:PORT``) connects to a coordinator, announces itself, and then loops:
-request a unit, run it through the *same* executor functions the
+:func:`serve` connects to a coordinator, announces itself, and then
+loops: request a unit, run it through the *same* executor functions the
 in-process and pool paths use (:func:`repro.scenarios.runner._execute` /
 ``_execute_cell``), and stream the resulting document back. A daemon
 thread heartbeats every couple of seconds so the coordinator can tell a
-long cell from a dead worker. The scenario import is deferred to the
-first lease, so a worker is on the wire within milliseconds of starting,
-and it imports only the leased scenario's experiment module (a fig07
-worker never loads the other experiments, or numpy).
+long cell from a dead worker. A remote worker starts as ``python -m
+repro.distrib.worker HOST:PORT`` (or ``repro worker HOST:PORT``); its
+scenario import is deferred to the first lease, so it is on the wire
+within milliseconds of starting, and it imports only the leased
+scenario's experiment module (a fig07 worker never loads the other
+experiments, or numpy). A local worker is forked by
+:mod:`repro.distrib.fleet` and enters :func:`serve` with everything a
+lease needs already imported.
 
 Connection lifecycle: dialing retries with jittered exponential backoff
 (:func:`repro.distrib.chaos.backoff_delays`) until ``connect_timeout``
@@ -30,18 +33,20 @@ it holds (and reports its result), then sends ``bye`` instead of
 ``ready`` and exits 0 — so a fleet can be rolled (`kill`, instance
 retirement, deploys) without re-leasing churn or lost work. The main
 loop polls the socket with a short ``select`` timeout between frames, so
-an *idle* drained worker departs within half a second too.
+an *idle* drained worker departs within half a second too, and one still
+dialing (its coordinator gone) stops dialing and exits 0 at once.
 
-Fault injection: ``REPRO_WORKER_MAX_UNITS=N`` makes the worker die
-abruptly — holding its lease, without a word to the coordinator — when
-lease ``N+1`` arrives, exiting with status :data:`KILLED_EXIT`. The
-seeded chaos harness (``REPRO_CHAOS``, :mod:`repro.distrib.chaos`) adds
-probabilistic faults at the same point: ``kill_worker`` dies the same
-abrupt way, ``stall_heartbeat`` silences the heartbeat thread while the
-unit computes (so the coordinator must reap the stall and drop the late
-result as a duplicate), ``drop_auth`` tears the handshake mid-flight,
-and the frame seam in ``protocol.send_msg`` injects drops/corruption/
-replays/latency on everything this worker sends.
+Fault injection comes from the seeded chaos harness (``REPRO_CHAOS``,
+:mod:`repro.distrib.chaos`), consulted as each lease arrives:
+``kill_worker`` makes the worker die abruptly — holding its lease,
+without a word to the coordinator — and exit with status
+:data:`KILLED_EXIT`, either with probability ``p`` or deterministically
+on lease ``k+1`` (``kill_worker=after_k``); ``stall_heartbeat`` silences
+the heartbeat thread while the unit computes (so the coordinator must
+reap the stall and drop the late result as a duplicate); ``drop_auth``
+tears the handshake mid-flight; and the frame seam in
+``protocol.send_msg`` injects drops/corruption/replays/latency on
+everything this worker sends.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ import signal
 import socket
 import sys
 import threading
-import time
 from typing import Any
 
 from .auth import AuthError, client_handshake, load_secret
@@ -74,8 +78,7 @@ logger = logging.getLogger(__name__)
 #: Seconds between heartbeats while the main loop is busy in a unit.
 HEARTBEAT_S = 2.0
 
-#: Exit status of a worker that died via ``REPRO_WORKER_MAX_UNITS``
-#: or the ``kill_worker`` chaos fault.
+#: Exit status of a worker that died via the ``kill_worker`` chaos fault.
 KILLED_EXIT = 17
 
 #: Exit status when the coordinator refused this worker's credentials.
@@ -90,7 +93,11 @@ _HANDSHAKE_TIMEOUT_S = 10.0
 _POLL_S = 0.5
 
 
-def _connect(address: tuple[str, int], timeout: float) -> socket.socket:
+def _connect(
+    address: tuple[str, int],
+    timeout: float,
+    drain: threading.Event | None = None,
+) -> socket.socket | None:
     """Dial the coordinator, retrying with jittered backoff until ``timeout``.
 
     The backoff schedule starts at tens of milliseconds (a coordinator
@@ -98,10 +105,15 @@ def _connect(address: tuple[str, int], timeout: float) -> socket.socket:
     moment), with jitter so a reconnecting fleet does not dogpile the
     listen socket in lockstep. The delays generator's budget *is* the
     time bound; exhausting it raises ``OSError`` naming the address.
+    Returns ``None`` once ``drain`` is set: a worker told to leave while
+    it dials holds no lease, so it stops at once.
     """
     host, port = address
     last: OSError | None = None
+    stop = drain if drain is not None else threading.Event()
     for delay in backoff_delays(total=timeout):
+        if stop.is_set():
+            return None
         try:
             sock = socket.create_connection(address, timeout=5.0)
             apply_socket_policy(sock)
@@ -114,7 +126,7 @@ def _connect(address: tuple[str, int], timeout: float) -> socket.socket:
             return sock
         except OSError as exc:
             last = exc
-            time.sleep(delay)
+            stop.wait(delay)
     raise OSError(
         f"could not reach coordinator at {host}:{port} within "
         f"{timeout:.0f}s (last error: {last})"
@@ -171,7 +183,6 @@ def _session(
     name: str,
     *,
     completed: int,
-    max_units: int | None,
     heartbeat_s: float,
     secret: bytes | None = None,
     drain: threading.Event | None = None,
@@ -241,12 +252,13 @@ def _session(
                 return "shutdown", completed
             if msg.get("type") != "lease":
                 continue  # replayed welcome/challenge etc.: idempotent skip
-            if max_units is not None and completed >= max_units:
-                # Fault injection: die holding the lease, mid-sweep, the
-                # way a powered-off machine would.
-                os._exit(KILLED_EXIT)
             inj = injector()
             if inj is not None:
+                # Die holding the lease, mid-sweep, the way a powered-off
+                # machine would. after_k draws nothing from the stream.
+                after = inj.config.kill_worker_after
+                if after is not None and completed >= after:
+                    os._exit(KILLED_EXIT)
                 # One draw each, kill before stall, so the decision
                 # sequence per lease is fixed regardless of which fires.
                 kill = inj.decide("kill_worker")
@@ -273,7 +285,6 @@ def serve(
     address: str | tuple[str, int],
     *,
     connect_timeout: float = 30.0,
-    max_units: int | None = None,
     heartbeat_s: float = HEARTBEAT_S,
     secret: bytes | None = None,
     log=print,
@@ -306,8 +317,8 @@ def serve(
     try:
         # The *initial* dial failing propagates (the CLI turns it into
         # "worker error: ..."); only an established link's loss is retried.
-        sock = _connect((host, port), connect_timeout)
-        while True:
+        sock = _connect((host, port), connect_timeout, drain)
+        while sock is not None:
             log(
                 f"[worker {name}] connected to {host}:{port}",
                 file=sys.stderr,
@@ -318,7 +329,6 @@ def serve(
                     sock,
                     name,
                     completed=completed,
-                    max_units=max_units,
                     heartbeat_s=heartbeat_s,
                     secret=secret,
                     drain=drain,
@@ -341,7 +351,7 @@ def serve(
                 # left to hand back, so depart instead of reconnecting.
                 break
             try:
-                sock = _connect((host, port), connect_timeout)
+                sock = _connect((host, port), connect_timeout, drain)
             except OSError as exc:
                 # A coordinator that finished (or died for good) while our
                 # link was torn looks exactly like this; exiting cleanly
@@ -354,16 +364,6 @@ def serve(
     finally:
         if handler_installed:
             signal.signal(signal.SIGTERM, prev_handler)
-
-
-def max_units_from_env() -> int | None:
-    """The ``REPRO_WORKER_MAX_UNITS`` fault-injection knob, if set.
-
-    Shared by both worker spellings (``python -m repro.distrib.worker``
-    and ``repro worker``) so they behave identically.
-    """
-    env_max = os.environ.get("REPRO_WORKER_MAX_UNITS")
-    return int(env_max) if env_max else None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -386,7 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     return serve(
         args.address,
         connect_timeout=args.connect_timeout,
-        max_units=max_units_from_env(),
         secret=load_secret(args.secret_file),
     )
 

@@ -29,12 +29,17 @@ Executors
 The ``executor`` seam picks how units run once decomposition and cache
 checks are done: ``"local"`` executes in-process, ``"pool"`` fans out
 over a ``multiprocessing`` pool, and ``"distributed"`` stands up a
-:class:`repro.distrib.Coordinator` and leases units to TCP workers —
-auto-spawned local subprocesses by default (``workers=N``), or external
-``repro worker HOST:PORT`` processes when a ``listen`` address is given.
-All three feed the same stream-consumption loop (cache writes, shard
-merges, progress), so results are bit-identical across executors by
-construction; only transport differs.
+:class:`repro.distrib.Coordinator` and leases units to TCP workers — a
+local fleet forked from this process by default (``workers=N``,
+:class:`repro.distrib.Fleet`), or external ``repro worker HOST:PORT``
+processes when a ``listen`` address is given. All three feed the same
+stream-consumption loop (cache writes, shard merges, progress), so
+results are bit-identical across executors by construction; only
+transport differs.
+
+``pool`` and ``distributed`` both fork the process that calls
+:meth:`Runner.run`. Call it from a thread with no other thread alive: a
+lock another thread holds at the fork stays held in every child.
 
 Cost ordering is adaptive: cell units start from their static estimates
 (scale x network x load for FCT grids), and when the cell cache holds
@@ -51,7 +56,6 @@ import logging
 import math
 import multiprocessing
 import os
-import subprocess
 import time
 import traceback
 import warnings
@@ -151,7 +155,7 @@ class Progress:
     duration_s: float
     eta_s: float | None
     failed: bool = False
-    #: Name of the (remote or auto-spawned) worker that completed the
+    #: Name of the (remote or forked local) worker that completed the
     #: unit; ``None`` for in-process and pool execution.
     worker: str | None = None
 
@@ -360,8 +364,8 @@ class Runner:
         ``"local"`` | ``"pool"`` | ``"distributed"`` | ``"service"``, or
         ``None`` to pick automatically (``pool`` when ``workers > 1``,
         else ``local``). ``distributed`` stands up a TCP coordinator and
-        leases units to workers: ``workers=N`` auto-spawns N local
-        subprocess workers (the default backend), and ``listen``
+        leases units to workers: ``workers=N`` forks N local workers
+        from this process (the default backend), and ``listen``
         additionally accepts external ``repro worker`` processes.
         ``service`` submits the sweep to a long-lived ``repro serve``
         coordinator named by ``service`` instead of standing up its own
@@ -378,12 +382,12 @@ class Runner:
         ``"host:port"`` (or tuple) for the distributed coordinator to
         accept workers on; port 0 binds an ephemeral port. ``None`` keeps
         the coordinator on loopback with an ephemeral port, which only
-        auto-spawned workers can find — so ``workers`` must be > 0 then.
+        forked local workers can find — so ``workers`` must be > 0 then.
     lease_timeout:
         Seconds of silence (no heartbeat, no result) before a distributed
         worker's lease is re-queued for another worker.
     max_respawns:
-        Budget for replacing auto-spawned local workers that die while
+        Budget for replacing forked local workers that die while
         leased units remain.
     on_listen:
         Callback invoked with the coordinator's resolved ``(host, port)``
@@ -437,7 +441,7 @@ class Runner:
             raise ValueError(f"policy must be strict|degraded, got {policy!r}")
         if executor == "distributed" and not (workers or 0) and listen is None:
             raise ValueError(
-                "distributed executor with no auto-spawned workers "
+                "distributed executor with no local workers "
                 "(workers=0) needs a listen address external workers can "
                 "reach"
             )
@@ -697,6 +701,25 @@ class Runner:
             return self.cache.cell_key(unit.name, unit.cell_key, unit.params)
         return self.cache.key(unit.name, unit.params)
 
+    def _lease_payloads(self, ordered: list[_Unit]) -> list[dict[str, Any]]:
+        """The lease descriptors both TCP executors send, in order.
+
+        Each carries the unit's cache key (``jkey``) so the coordinator's
+        write-ahead journal records grants/completions under the same
+        identity the cell cache uses.
+        """
+        return [
+            {
+                "uid": u.uid,
+                "kind": u.kind,
+                "name": u.name,
+                "cell_key": u.cell_key,
+                "params": to_portable(u.params),
+                "jkey": self._unit_jkey(u),
+            }
+            for u in ordered
+        ]
+
     def _setup_distributed(
         self,
         ordered: list[_Unit],
@@ -707,14 +730,13 @@ class Runner:
     ) -> Iterator[tuple[_Unit, dict[str, Any], Any, str | None]]:
         """Eagerly stand up the coordinator + initial worker fleet.
 
-        Setup failures — the listen socket cannot bind, the worker
-        subprocess cannot spawn — raise ``OSError`` *here*, before any
-        unit runs, so :meth:`_make_stream` can degrade to pool/local
-        execution. Mid-run failures inside the returned generator do not
-        degrade: the recovery machinery (re-lease, respawn, backoff)
-        owns those.
+        Setup failures — the listen socket cannot bind, a worker cannot
+        fork — raise ``OSError`` *here*, before any unit runs, so
+        :meth:`_make_stream` can degrade to pool/local execution. Mid-run
+        failures inside the returned generator do not degrade: the
+        recovery machinery (re-lease, respawn, backoff) owns those.
         """
-        from ..distrib import Coordinator, spawn_local_worker
+        from ..distrib import Coordinator, Fleet
 
         on_event = None
         if tracer:
@@ -742,118 +764,59 @@ class Runner:
             on_event=on_event,
             status_extra=status_extra,
         )
-        procs: list[Any] = []
-        #: Monotonic worker-role counter (``REPRO_CHAOS_ROLE=worker-N``):
-        #: every spawn — initial or respawn — gets a fresh seeded chaos
-        #: stream, so replacement workers do not replay their
-        #: predecessor's fault sequence.
-        roles = itertools.count()
+        fleet = Fleet(coord.address, max_respawns=self.max_respawns)
         try:
             if self.on_listen is not None:
                 self.on_listen(coord.address)
-            for _ in range(min(self.workers or 0, len(ordered))):
-                procs.append(
-                    spawn_local_worker(coord.address, role=f"worker-{next(roles)}")
-                )
+            fleet.start(min(self.workers or 0, len(ordered)))
         except OSError:
             coord.close()
-            for p in procs:
-                if p.poll() is None:
-                    p.terminate()
             raise
-        return self._distributed_stream(ordered, coord, procs, roles)
+        return self._distributed_stream(ordered, coord, fleet)
 
     def _distributed_stream(
-        self,
-        ordered: list[_Unit],
-        coord: Any,
-        procs: list[Any],
-        roles: Iterator[int],
+        self, ordered: list[_Unit], coord: Any, fleet: Any
     ) -> Iterator[tuple[_Unit, dict[str, Any], Any, str | None]]:
         """Lease units to TCP workers via a coordinator; stream docs back.
 
-        With ``workers=N`` the Runner spawns N local subprocess workers
-        against its own coordinator (and replaces ones that die while work
-        remains, up to ``max_respawns``); a ``listen`` address additionally
-        lets external ``repro worker`` processes join the same run. The
+        With ``workers=N`` the Runner forks N local workers against its
+        own coordinator (and replaces ones that die while work remains,
+        up to ``max_respawns``); a ``listen`` address additionally lets
+        external ``repro worker`` processes join the same run. The
         documents streaming back are produced by the very same executor
         functions the pool path uses, so everything downstream is shared.
-        Lease payloads carry each unit's cache key (``jkey``) so the
-        coordinator's write-ahead journal records grants/completions
-        under the same identity the cell cache uses.
+        Every forked worker is reaped before this generator finishes,
+        whichever way it finishes.
         """
-        from ..distrib import spawn_local_worker
-
         by_uid = {unit.uid: unit for unit in ordered}
-        payloads = [
-            {
-                "uid": u.uid,
-                "kind": u.kind,
-                "name": u.name,
-                "cell_key": u.cell_key,
-                "params": to_portable(u.params),
-                "jkey": self._unit_jkey(u),
-            }
-            for u in ordered
-        ]
-        n_spawn = len(procs)
-        budget = self.max_respawns
 
         def watchdog(c: Any) -> None:
-            nonlocal budget
-            if not n_spawn:
-                return
-            live = [p for p in procs if p.poll() is None]
-            lost = len(procs) - len(live)
-            procs[:] = live
-            if lost and c.unfinished:
-                for _ in range(min(lost, max(budget, 0))):
-                    procs.append(
-                        spawn_local_worker(
-                            c.address, role=f"worker-{next(roles)}"
-                        )
-                    )
-                    budget -= 1
+            fleet.maintain(replace=c.unfinished)
             # With no listen address there is no other way for workers to
             # appear: an empty fleet plus an exhausted budget means the
             # run can never finish, and hanging silently is the one
             # unacceptable outcome. (The coordinator's per-unit release
             # bound usually fails a poison unit long before this trips.)
             if (
-                not procs
-                and budget <= 0
+                not fleet.pids
+                and fleet.budget <= 0
                 and c.unfinished
                 and self.listen is None
             ):
                 raise RuntimeError(
-                    "distributed run stalled: every auto-spawned worker "
-                    f"died and the respawn budget ({self.max_respawns}) is "
-                    "exhausted"
+                    "distributed run stalled: every local worker died and "
+                    f"the respawn budget ({self.max_respawns}) is exhausted"
                 )
 
         try:
-            for uid, doc, worker in coord.run(payloads, watchdog=watchdog):
+            for uid, doc, worker in coord.run(
+                self._lease_payloads(ordered),
+                watchdog=watchdog if fleet.pids else None,
+            ):
                 yield by_uid[uid], doc, _NO_VALUE, worker
         finally:
             coord.close()
-            for p in procs:
-                if p.poll() is None:
-                    p.terminate()
-            for p in procs:
-                # Only the two failures reaping can legitimately hit:
-                # a worker that ignores SIGTERM (escalate to SIGKILL) or
-                # an OS-level error on an already-gone process. Anything
-                # else — including KeyboardInterrupt — propagates.
-                try:
-                    p.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    logger.warning(
-                        "worker pid %s ignored terminate; killing", p.pid
-                    )
-                    p.kill()
-                    p.wait(timeout=5)
-                except OSError:
-                    pass
+            fleet.close()
 
     def _service_stream(
         self, ordered: list[_Unit], run_key: str | None = None
@@ -875,20 +838,11 @@ class Runner:
 
         assert self.service is not None
         by_uid = {unit.uid: unit for unit in ordered}
-        payloads = [
-            {
-                "uid": u.uid,
-                "kind": u.kind,
-                "name": u.name,
-                "cell_key": u.cell_key,
-                "params": to_portable(u.params),
-                "jkey": self._unit_jkey(u),
-            }
-            for u in ordered
-        ]
         label = ",".join(sorted({u.name for u in ordered}))
         client = ServiceClient(self.service, secret=self.secret)
-        client.submit(payloads, label=label, run_key=run_key)
+        client.submit(
+            self._lease_payloads(ordered), label=label, run_key=run_key
+        )
         for uid, doc, worker in client.stream_results():
             yield by_uid[uid], doc, _NO_VALUE, worker
 
@@ -906,7 +860,7 @@ class Runner:
         """Stand up the requested executor, degrading gracefully.
 
         ``distributed → pool → local``: when the coordinator's listen
-        socket cannot bind or the initial worker spawn fails, the run
+        socket cannot bind or the initial fleet cannot fork, the run
         proceeds on the next-simpler executor with a one-time
         :class:`RuntimeWarning` (mirroring the ``REPRO_KERNEL=c``
         fallback) — results are bit-identical across executors, so

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import socket
+import sys
 import threading
 import time
 import warnings
@@ -111,6 +113,17 @@ class TestChaosGrammar:
     def test_crash_coordinator_spellings(self):
         assert parse_chaos("crash_coordinator=after_3").crash_coordinator == 3
         assert parse_chaos("crash_coordinator=3").crash_coordinator == 3
+
+    def test_kill_worker_after_spelling(self):
+        cfg = parse_chaos("seed=2,kill_worker=0.1,kill_worker=after_3")
+        assert cfg.kill_worker == 0.1 and cfg.kill_worker_after == 3
+        assert parse_chaos(cfg.to_spec()) == cfg
+        assert parse_chaos("kill_worker=after_0").kill_worker_after == 0
+        assert parse_chaos("kill_worker=after_0").kill_worker == 0.0
+        with pytest.raises(ChaosError, match="after_K"):
+            parse_chaos("kill_worker=after_x")
+        with pytest.raises(ChaosError, match=">= 0"):
+            parse_chaos("kill_worker=after_-1")
 
     def test_single_delay_bound_means_fixed(self):
         assert parse_chaos("delay_ms=2").delay_ms == (2.0, 2.0)
@@ -606,6 +619,39 @@ class TestExecutorDegradation:
         with pytest.warns(RuntimeWarning, match="'pool' unavailable"):
             degraded = Runner(cache=None, workers=2).run(names=["fig06", "table1"])
         assert [r.rows for r in degraded] == [r.rows for r in plain]
+
+    def test_fork_failure_degrades_distributed_to_pool(
+        self, fresh_degrade_warnings, monkeypatch
+    ):
+        # The fleet cannot fork; the pool's own forks still can.
+        from repro.distrib import fleet as fleet_mod
+
+        real_fork = os.fork
+        pool_forks = []
+
+        def fork():
+            caller = sys._getframe(1).f_globals.get("__name__")
+            if caller == fleet_mod.__name__:
+                raise OSError(11, "fork: resource temporarily unavailable")
+            pool_forks.append(caller)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        plain = Runner(cache=None).run(names=["fig06", "table1"])
+        with pytest.warns(RuntimeWarning, match="degrading to 'pool'") as caught:
+            degraded = Runner(
+                cache=None, executor="distributed", workers=2
+            ).run(names=["fig06", "table1"])
+        assert any("'distributed' unavailable" in str(w.message) for w in caught)
+        assert pool_forks
+        assert [r.rows for r in degraded] == [r.rows for r in plain]
+        # One-time: an identical later degradation stays quiet.
+        with warnings.catch_warnings(record=True) as again:
+            warnings.simplefilter("always")
+            Runner(cache=None, executor="distributed", workers=2).run(
+                names=["fig06", "table1"]
+            )
+        assert [w for w in again if issubclass(w.category, RuntimeWarning)] == []
 
     def test_full_chain_distributed_pool_local(
         self, fresh_degrade_warnings, monkeypatch

@@ -1,11 +1,13 @@
 """Cold start: a process imports only the experiment module it runs.
 
 ``repro.experiments.SCENARIO_MODULES`` maps every bundled scenario name
-and alias to the module that registers it, so a fig07 sweep's parent,
-its pool children and its distributed workers import ``fig07_datamining``
+and alias to the module that registers it, so a fig07 sweep's parent and
+a remote ``repro worker`` on its first lease import ``fig07_datamining``
 and its ``fctsim`` harness, never the other experiment modules or numpy.
-The test process has imported everything already, so each import-set pin
-runs in a fresh interpreter.
+Pool children and the distributed executor's local workers are forks of
+the parent: they inherit its imports and import nothing more. The test
+process has imported everything already, so each import-set pin runs in
+a fresh interpreter.
 """
 
 import json
@@ -107,6 +109,46 @@ class TestImportSet:
             """,
             json.dumps(leases),
         )
+        assert got["experiments"] == FIG07_MODULES
+        assert not got["numpy"]
+
+    def test_forked_worker_lease_imports_nothing(self, tmp_path):
+        """A local worker forked once the parent has planned the sweep
+        finds every module its fig07 leases need already loaded."""
+        got = _fresh(
+            f"""
+            import json, os, sys
+            from repro.distrib import worker
+            from repro.scenarios import Runner
+
+            log = sys.argv[1]
+            real = worker._execute_lease
+
+            def probe(msg):
+                before = set(sys.modules)
+                doc = real(msg)
+                added = sorted(
+                    m for m in set(sys.modules) - before if m.startswith("repro")
+                )
+                with open(log, "a") as fh:
+                    fh.write(json.dumps({{"pid": os.getpid(), "added": added}}) + "\\n")
+                return doc
+
+            worker._execute_lease = probe
+            (res,) = Runner(cache=None, executor="distributed", workers=1).run(
+                names=["fig07"], overrides={ONE_LOAD!r}
+            )
+            assert res.cells[0] == 5, res.cells
+            with open(log) as fh:
+                leases = [json.loads(line) for line in fh]
+            extra = {{
+                "forked": all(rec["pid"] != os.getpid() for rec in leases),
+                "added": [rec["added"] for rec in leases],
+            }}
+            """,
+            str(tmp_path / "leases.jsonl"),
+        )
+        assert got["extra"] == {"forked": True, "added": [[]] * 5}
         assert got["experiments"] == FIG07_MODULES
         assert not got["numpy"]
 

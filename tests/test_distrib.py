@@ -8,13 +8,16 @@ The load-bearing guarantees:
   executor functions, same merge;
 * killing a worker mid-sweep re-leases its units to surviving workers and
   the final payload is unchanged;
-* auto-spawned local workers that die are respawned while leased work
-  remains.
+* local workers that die are respawned while leased work remains;
+* the local fleet is forked from the coordinator's process: a worker
+  keeps none of the parent's fds, gets its chaos role in its own
+  environment only, and is reaped before ``Runner.run`` returns.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -24,7 +27,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.distrib import Coordinator, parse_address, spawn_local_worker
+from repro.distrib import Coordinator, Fleet, parse_address, spawn_local_worker
+from repro.distrib import fleet as fleet_mod
+from repro.distrib.chaos import ChaosCrash
 from repro.distrib.protocol import (
     FrameReader,
     ProtocolError,
@@ -33,7 +38,7 @@ from repro.distrib.protocol import (
     send_msg,
 )
 from repro.distrib.worker import KILLED_EXIT
-from repro.scenarios import Progress, ResultCache, Runner
+from repro.scenarios import Progress, ResultCache, Runner, scenario
 from repro.scenarios.runner import _execute, _execute_cell
 
 #: Same tiny fig07 configuration the sharding tests pin (4 packet cells).
@@ -514,10 +519,10 @@ class TestRunnerDistributed:
         plain = Runner(cache=None).execute("fig07", **TINY_FIG07)
         port = _free_port()
         # The flaky worker dies the instant it is leased a cell
-        # (REPRO_WORKER_MAX_UNITS=0 -> os._exit holding the lease). It is
-        # the only worker until it is confirmed dead, so it *must* be
-        # leased — no race with the healthy worker.
-        flaky = _spawn_worker(port, REPRO_WORKER_MAX_UNITS="0")
+        # (kill_worker=after_0 -> os._exit holding the lease). It is the
+        # only worker until it is confirmed dead, so it *must* be leased —
+        # no race with the healthy worker.
+        flaky = _spawn_worker(port, REPRO_CHAOS="kill_worker=after_0")
         healthy = None
         holder: list = []
 
@@ -545,9 +550,9 @@ class TestRunnerDistributed:
         assert res.value == plain
 
     def test_dead_autospawned_workers_are_respawned(self, tmp_path, monkeypatch):
-        # Every auto-spawned worker dies after one completed unit, so
-        # draining 4 cells requires the watchdog to keep respawning.
-        monkeypatch.setenv("REPRO_WORKER_MAX_UNITS", "1")
+        # Every local worker dies after one completed unit, so draining
+        # 4 cells requires the watchdog to keep respawning.
+        monkeypatch.setenv("REPRO_CHAOS", "kill_worker=after_1")
         plain = Runner(cache=None).execute("fig07", **TINY_FIG07)
         res = Runner(
             cache=ResultCache(tmp_path),
@@ -563,7 +568,7 @@ class TestRunnerDistributed:
     ):
         # Workers die on their first lease and the budget only covers one
         # replacement: the run must fail loudly, never spin forever.
-        monkeypatch.setenv("REPRO_WORKER_MAX_UNITS", "0")
+        monkeypatch.setenv("REPRO_CHAOS", "kill_worker=after_0")
         with pytest.raises(RuntimeError, match="respawn budget"):
             Runner(
                 cache=ResultCache(tmp_path),
@@ -615,10 +620,136 @@ class TestCliDistributed:
         # The helper must point the child at loopback when the coordinator
         # listens on a wildcard address.
         coord = Coordinator(host="0.0.0.0")
-        proc = spawn_local_worker(coord.address)
+        pid = spawn_local_worker(coord.address)
         try:
             got = list(coord.run(_cheap_units()))
         finally:
             coord.close()
-            _reap(proc)
+            _, status = os.waitpid(pid, 0)
         assert len(got) == 2
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
+# ------------------------------------------------------------- forked fleet
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Record every worker a :class:`Fleet` forks, as ``(pid, role)``,
+    and any chaos role or secret that shows up in this process's env."""
+    real = fleet_mod.spawn_local_worker
+    seen: list[tuple[int, str | None]] = []
+    leaks: list[str] = []
+
+    def spy(address, *, role=None, secret=None):
+        pid = real(address, role=role, secret=secret)
+        seen.append((pid, role))
+        leaks.extend(k for k in ("REPRO_CHAOS_ROLE", "REPRO_SECRET") if k in os.environ)
+        return pid
+
+    monkeypatch.setattr(fleet_mod, "spawn_local_worker", spy)
+    return seen, leaks
+
+
+def _assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestForkedFleet:
+    def test_forked_worker_holds_only_its_own_connection(self):
+        """A forked worker closes every fd it inherited: the listener
+        refuses connections once the coordinator closes it, even with the
+        worker still alive, and the worker holds fds 0-2 and one socket."""
+        coord = Coordinator()
+        fleet = Fleet(coord.address, max_respawns=0)
+        try:
+            fleet.start(1)
+            (pid,) = fleet.pids
+            deadline = time.monotonic() + 30
+            while coord.connected_workers < 1:
+                assert time.monotonic() < deadline, "forked worker never said hello"
+                coord._tick()
+            if sys.platform.startswith("linux"):
+                fds = {
+                    int(fd): os.readlink(f"/proc/{pid}/fd/{fd}")
+                    for fd in os.listdir(f"/proc/{pid}/fd")
+                }
+                assert {0, 1, 2} <= set(fds)
+                assert fds[1] == os.devnull
+                extra = [target for fd, target in fds.items() if fd > 2]
+                assert len(extra) == 1 and extra[0].startswith("socket:"), fds
+            os.kill(pid, signal.SIGSTOP)  # alive, but deaf to the shutdown
+            try:
+                coord.close()
+                with pytest.raises(ConnectionRefusedError):
+                    socket.create_connection(coord.address, timeout=5).close()
+            finally:
+                os.kill(pid, signal.SIGCONT)
+        finally:
+            coord.close()
+            fleet.close()
+        _assert_reaped([pid])
+
+    def test_sigterm_while_dialing_exits_at_once(self):
+        # Nothing listens on the port, so the worker keeps redialing; a
+        # SIGTERM (what Fleet.close sends) must end that, not the 30 s
+        # dial budget or the fleet's SIGKILL.
+        pid = spawn_local_worker(("127.0.0.1", _free_port()))
+        time.sleep(1.0)  # past the fork, into serve()'s dial loop
+        started = time.monotonic()
+        os.kill(pid, signal.SIGTERM)
+        _, status = os.waitpid(pid, 0)
+        assert time.monotonic() - started < 2.0
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.parametrize("ending", ["success", "respawn-budget", "chaos-crash"])
+    def test_every_forked_worker_is_reaped_when_run_returns(
+        self, ending, tmp_path, monkeypatch, forked
+    ):
+        seen, _leaks = forked
+        runner = Runner(
+            cache=ResultCache(tmp_path),
+            executor="distributed",
+            workers=1 if ending == "respawn-budget" else 2,
+            max_respawns=1,
+            lease_timeout=10.0,
+        )
+        run = lambda: runner.run(names=["fig07"], overrides=TINY_FIG07)
+        if ending == "success":
+            assert run()[0].cells == (4, 0, 4)
+        elif ending == "respawn-budget":
+            monkeypatch.setenv("REPRO_CHAOS", "kill_worker=after_0")
+            with pytest.raises(RuntimeError, match="respawn budget"):
+                run()
+        else:
+            monkeypatch.setenv("REPRO_CHAOS", "seed=1,crash_coordinator=after_1")
+            with pytest.raises(ChaosCrash):
+                run()
+        assert seen
+        _assert_reaped(pid for pid, _role in seen)
+
+    def test_respawned_workers_get_fresh_roles_in_their_own_environ(
+        self, scratch_registry, monkeypatch, forked
+    ):
+        # Registered after import, so only a fork of this process knows it.
+        @scenario("role_probe")
+        def role_probe(i: int = 0):
+            return os.environ.get("REPRO_CHAOS_ROLE")
+
+        seen, leaks = forked
+        # Each worker completes one unit and dies holding its second lease.
+        monkeypatch.setenv("REPRO_CHAOS", "kill_worker=after_1")
+        results = Runner(
+            cache=None, executor="distributed", workers=2, max_respawns=16
+        ).sweep("role_probe", {"i": list(range(6))})
+        roles = [role for _pid, role in seen]
+        assert len(roles) > 2
+        assert roles == [f"worker-{n}" for n in range(len(roles))]
+        ran_on = [res.rows[0] for res in results]
+        assert len(set(ran_on)) == 6
+        assert set(ran_on) <= {repr(role) for role in roles}
+        assert leaks == []
+        assert "REPRO_CHAOS_ROLE" not in os.environ
+        _assert_reaped(pid for pid, _role in seen)
