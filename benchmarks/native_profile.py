@@ -3,13 +3,13 @@
 cProfile cannot see inside the compiled kernel (``_ckernel.c``) or the
 interpreter. This script builds a small SIGPROF sampler
 (``benchmarks/native_sampler.c``) into ``build/native_profile/``, loads it
-with ctypes and runs the chosen fig07 cells in this process. It arms
-``ITIMER_PROF`` for a sample every 500 us of CPU time, but the kernel
-delivers the signal at its own tick, so the real interval is usually
-coarser (about 3.6 ms per sample on a 2-vCPU Linux container). The
-report records the process CPU seconds over the sampled region and
-prints both the nominal and the effective interval (``cpu_s`` and
-``effective_interval_us`` in the JSON). At each sample the sampler takes
+with ctypes and runs the chosen fig07 cells in this process. It arms a
+``CLOCK_MONOTONIC`` POSIX timer for a sample every 500 us (the
+CPU-time timers fire only at the kernel's scheduler tick; see the
+sampler's header). The report records the process CPU seconds over the
+sampled region and prints the clock, the nominal and the effective
+interval (``clock``, ``cpu_s`` and ``effective_interval_us`` in the
+JSON). At each sample the sampler takes
 a ``backtrace()`` and the current phase tag: ``build`` around
 ``fctsim.build_network``, ``run`` around ``SimNetwork.run`` and ``other``
 for the rest (arrivals, flow setup, statistics). Frames are symbolized
@@ -59,6 +59,8 @@ BUILD_DIR = ROOT / "build" / "native_profile"
 PHASES = ("other", "build", "run")
 SPLIT = ("kernel_self", "c_api", "python")
 INTERVAL_US = 500
+#: The clock the sampler's timer runs on (native_sampler.c).
+CLOCK = "CLOCK_MONOTONIC"
 #: 50,000 samples is 25 s of CPU time; later samples are counted as dropped.
 MAX_SAMPLES = 50_000
 DEPTH = 64  # frames kept per sample
@@ -289,6 +291,7 @@ def profile(scale: str, seed: int, cells: list[str], cc: str, nm: str) -> dict:
         "seed": seed,
         "cells": cells,
         "kernel": engine_classes().name,
+        "clock": CLOCK,
         "interval_us": INTERVAL_US,
         "cpu_s": round(cpu_s, 3),
         "effective_interval_us": round(1e6 * cpu_s / ticks) if ticks else None,
@@ -315,7 +318,7 @@ def interval_line(result: dict) -> str:
     return (
         f"{result['samples']} samples over {result['cpu_s']:.2f} s of CPU: "
         + (f"one per {effective} us" if effective is not None else "no samples")
-        + f" (nominal {result['interval_us']} us)"
+        + f" (nominal {result['interval_us']} us, {result['clock']})"
         + (f", {result['dropped']} dropped" if result["dropped"] else "")
     )
 

@@ -172,20 +172,31 @@ class Fleet:
                 self._spawn()
                 self.budget -= 1
 
-    def close(self, timeout: float = 5.0) -> None:
-        """SIGTERM every worker (each drains its unit), reap them, and
-        SIGKILL whoever is still alive after ``timeout`` seconds."""
+    def close(self, timeout: float = 5.0, grace: float = 1.0) -> None:
+        """Reap the workers as they leave; SIGTERM whoever is still alive
+        after ``grace`` seconds (each drains its unit), and SIGKILL
+        whoever is still alive ``timeout`` seconds after that.
+
+        The coordinator's close sends every connected worker ``shutdown``
+        first, and such a worker exits on it within the grace, so a run
+        that ends normally signals no one.
+        """
         # An unreaped child's pid cannot be reused, so these kills reach
         # our workers (or their zombies) and nothing else.
-        self.reap()
+        self._reap_for(grace)
         for pid in self.pids:
             os.kill(pid, signal.SIGTERM)
-        deadline = time.monotonic() + timeout
-        while self.pids and time.monotonic() < deadline:
-            time.sleep(0.005)
-            self.reap()
+        self._reap_for(timeout)
         for pid in self.pids:
             logger.warning("worker pid %s ignored SIGTERM; killing", pid)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         self.pids = []
+
+    def _reap_for(self, seconds: float) -> None:
+        """Reap exited workers until none is left or ``seconds`` pass."""
+        deadline = time.monotonic() + seconds
+        self.reap()
+        while self.pids and time.monotonic() < deadline:
+            time.sleep(0.005)
+            self.reap()

@@ -30,7 +30,7 @@ from .kernel import engine_classes
 from .link import Port, SliceResolver
 from .ndp import PullPacer, start_ndp_flow
 from .node import CONSUMED, Host, RouteTable, SwitchNode
-from .packet import Packet, PacketKind, Priority, release
+from .packet import Packet, PacketKind, Priority
 from .rotorlb import BulkFlow, RotorLBAgent
 from .sim import Simulator
 from .stats import FlowRecord, StatsCollector
@@ -312,7 +312,7 @@ class OperaSimNetwork(SimNetwork):
             else:
                 # Control packets caught mid-reconfiguration are simply
                 # lost; NDP recovers via its pull clock.
-                release(packet)
+                self.kernel.release(packet)
 
         return handle
 
@@ -888,7 +888,7 @@ class RotorNetSimNetwork(SimNetwork):
             if packet.kind is PacketKind.DATA:
                 self.agents[rack].requeue(packet)
             else:
-                release(packet)
+                self.kernel.release(packet)
 
         return handle
 

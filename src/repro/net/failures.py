@@ -50,7 +50,7 @@ from ..core.faults import FailureEvent, FailureSchedule, FailureSet
 from ..core.hello import detection_delay_slices
 from ..core.routing import OperaRouting
 from .node import Blackhole
-from .packet import Packet, PacketKind, Priority, release
+from .packet import Packet, PacketKind, Priority
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .builders import OperaSimNetwork
@@ -390,7 +390,7 @@ class FailureInjector:
                 stats.blackholed(packet.flow_id, "bulk", packet.size_bytes)
                 stats.unrecoverable_flows.add(packet.flow_id)
                 self._lost_data_flows.add(packet.flow_id)
-                release(packet)
+                self.net.kernel.release(packet)
         agent.relay_bytes.clear()
 
     def _apply_detected(self, event: FailureEvent) -> None:
@@ -500,7 +500,7 @@ class FailureInjector:
             bucket = "ll_data" if (kind is _DATA or kind is _HEADER) else "control"
             stats.blackholed(packet.flow_id, bucket, packet.size_bytes)
             ndp.note_loss(packet)
-            release(packet)
+            self.net.kernel.release(packet)
 
         return absorb
 
@@ -530,6 +530,6 @@ class FailureInjector:
             if rack in racks_down:
                 stats.unrecoverable_flows.add(packet.flow_id)
                 self._lost_data_flows.add(packet.flow_id)
-                release(packet)
+                self.net.kernel.release(packet)
                 continue
             agents[rack].requeue(packet)

@@ -25,14 +25,13 @@ kernel for exactly that inner loop, selected with ``REPRO_KERNEL``:
 * ``auto`` (default) — ``c`` when the compiled module imports, else ``py``.
 
 Design: **one data layout, two method implementations — except the
-event heap, the queues and the native tails.** The compiled kernel is a
-set of C functions that read and write the *existing* ``__slots__`` of
-``Simulator`` / ``Port`` / ``Packet`` / ``Host`` / ``SwitchNode``, the
-NDP endpoints, RotorLB's agent, flows and bulk sink, and the flow
-records and stats collector through member-descriptor offsets, plus
-thin subclasses (:mod:`.engine`) that rebind only the hot methods to
-those C implementations. Packets are the same free-listed ``Packet``
-objects.
+event heap, the queues, the sequence sets, the native tails and the
+packets.** The compiled kernel is a set of C functions that read and
+write the *existing* ``__slots__`` of ``Simulator`` / ``Port`` /
+``Packet`` / ``Host`` / ``SwitchNode``, the NDP endpoints, RotorLB's
+agent, flows and bulk sink, and the flow records and stats collector
+through member-descriptor offsets, plus thin subclasses (:mod:`.engine`)
+that rebind only the hot methods to those C implementations.
 
 The event heap is the first structure the kernels do not share. A native
 sampling profile of the fig07 Clos 25%-load cell under ``c`` (SIGPROF
@@ -91,6 +90,29 @@ where it is assigned; the shadowed slots stay allocated but unset, as
 clock from the tail of its compiled simulator, and so does the delivery
 count below.
 
+**Native packets.** A packet is a tail too. ``_ckernel.init`` derives
+``_ckernel.PacketTail`` from :class:`~repro.net.packet.Packet`, and the
+compiled kernel's packets are ``engine.CKPacket`` objects: ``flow_id``,
+``src_host``, ``dst_host``, ``seq``, ``size_bytes``, ``salt``, ``hops``,
+the nullable ``slice_stamp``, ``next_rack`` and ``relay_to`` (``None``
+round-trips), and ``_pooled`` are int64 fields behind getset descriptors
+named after the slots; ``kind`` and ``priority`` stay enum-member slots
+and ``recv_args`` the ``(packet,)`` tuple. The kernel makes and frees
+them through its own free list in C (LIFO, at most ``packet._POOL_MAX``,
+like the oracle's ``_POOL``, which it never touches), computes each NDP
+salt as CPython's tuple hash of the three ints without building the
+tuple, and keeps the NDP source's acked and both sinks' received
+sequences in ``_ckernel.SeqSet`` (``add`` and ``in`` only). The Python
+code that makes or frees packets under the compiled kernel goes through
+the network's :class:`EngineClasses` ``acquire`` / ``release``: the
+builders' and the failure layer's drop handlers, and a failure-armed
+agent's slice step (``RotorLBAgent.acquire``); a compiled NDP source's
+``_emit`` is compiled, so ``start`` and the failure layer's retransmits
+make theirs in C. So the two kernels never share a free list. In the
+``clos@0.25`` profile, converting packet ints, the salt tuples, their
+allocation and the Python-list free list were the largest C-API cost
+left.
+
 **RotorLB and delivery in C.** Bulk traffic on Opera and RotorNet never
 leaves the kernel either. ``CKRotorLBAgent`` runs
 :meth:`~repro.net.rotorlb.RotorLBAgent.on_slice` (relay, then local,
@@ -119,17 +141,17 @@ degrades to the pure-Python kernel instead of failing the install.
 **The contract.** The compiled engine is a closed world. A compiled
 method runs only on what :func:`engine_classes` ``("c")`` builds:
 exactly the ``CK*`` classes of :mod:`.engine`, on a ``CKSimulator``, with
-their native queues; exact ``Packet``, ``FlowRecord``,
-``StatsCollector`` and ``BulkFlow`` objects; and a line rate that is a
-whole number of ps per byte. ``CKPort`` refuses any other simulator or
+their native queues and sequence sets; exact ``CKPacket``,
+``FlowRecord``, ``StatsCollector`` and ``BulkFlow`` objects; and a line
+rate that is a whole number of ps per byte. ``CKPort`` refuses any other simulator or
 rate at construction; any other object (a plain ``Simulator``, a Python
 ``Port`` on a compiled simulator, a subclass, a test double, a swapped
 native slot) makes the compiled call raise one :class:`TypeError`
 naming ``REPRO_KERNEL=py``, before its first write, and no Python body
 runs in its place. The kernel calls Python only at these seams: the
-failure seam below; the bulk-drop, undeliverable and relay callbacks;
-``packet.acquire`` when the free list is empty; a routing table's own
-call for a value the native interpreter cannot prove in range; and the
+failure seam below; the bulk-drop, undeliverable and relay callbacks; a
+routing table's own call for a value the native interpreter cannot prove
+in range; and the
 duck-typed ``receive_cb`` (else ``receive``) of a delivery target and
 ``enqueue`` of an egress that is not a compiled port. ``_ckernel.c``'s
 header lists them.
@@ -226,7 +248,7 @@ from __future__ import annotations
 import hashlib
 import os
 import warnings
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 __all__ = [
     "KERNELS",
@@ -245,7 +267,13 @@ REBUILD = "python setup.py build_ext --inplace"
 
 
 class EngineClasses(NamedTuple):
-    """The engine classes a network builder instantiates, per kernel."""
+    """The engine classes a network builder instantiates, per kernel.
+
+    ``acquire`` and ``release`` are the kernel's packet free list
+    (:func:`repro.net.packet.acquire` / ``release`` under ``py``): the
+    Python code that makes or frees packets for a network goes through
+    its kernel's pair, so the two kernels never share a free list.
+    """
 
     name: str
     Simulator: type
@@ -257,6 +285,9 @@ class EngineClasses(NamedTuple):
     PullPacer: type
     RotorLBAgent: type
     BulkSink: type
+    Packet: type
+    acquire: Callable
+    release: Callable
 
 
 _PY: EngineClasses | None = None
@@ -341,6 +372,7 @@ def _python_classes() -> EngineClasses:
         from ..link import Port
         from ..ndp import NdpSink, NdpSource, PullPacer
         from ..node import Host, SwitchNode
+        from ..packet import Packet, acquire, release
         from ..rotorlb import BulkSink, RotorLBAgent
         from ..sim import Simulator
 
@@ -355,6 +387,9 @@ def _python_classes() -> EngineClasses:
             PullPacer,
             RotorLBAgent,
             BulkSink,
+            Packet,
+            acquire,
+            release,
         )
     return _PY
 
@@ -380,6 +415,9 @@ def _compiled_classes(kernel: str | None = None) -> EngineClasses | None:
                 engine.CKPullPacer,
                 engine.CKRotorLBAgent,
                 engine.CKBulkSink,
+                engine.CKPacket,
+                module.acquire,
+                module.release,
             )
     return _COMPILED or None
 

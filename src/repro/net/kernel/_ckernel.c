@@ -16,14 +16,14 @@
  * After editing this file, rebuild: python setup.py build_ext --inplace.
  *
  * Engine design: ONE data layout, TWO method implementations — except
- * for the event heap, the queues and the native tails. Every function
- * reads and writes the existing `__slots__` of the pure-Python engine
- * classes (Simulator / Port / Packet / Host / SwitchNode / the NDP
- * endpoints / RotorLB's agent, flows and bulk sink / FlowRecord and
- * StatsCollector) through member-descriptor offsets captured at init
- * time. The
- * pure-Python engine therefore remains the differential oracle: a
- * REPRO_KERNEL=c run must be bit-identical to =py in every observable.
+ * for the event heap, the queues, the sequence sets, the native tails and
+ * the packets. Every function reads and writes the existing `__slots__`
+ * of the pure-Python engine classes (Simulator / Port / Packet / Host /
+ * SwitchNode / the NDP endpoints / RotorLB's agent, flows and bulk sink /
+ * FlowRecord and StatsCollector) through member-descriptor offsets
+ * captured at init time. The pure-Python engine therefore remains the
+ * differential oracle: a REPRO_KERNEL=c run must be bit-identical to =py
+ * in every observable.
  *
  * The event heap: a compiled simulator (CKSimulator) keeps an EventHeap,
  * defined below, in its `_heap` slot instead of the oracle's list of
@@ -35,8 +35,8 @@
  * tuples' ints (PyLong_AsLongLong) and 11% in the sift itself. Order is
  * the total order on (time, seq) — keys are unique, so any correct heap
  * dispatches exactly as heapq does. What stays shared with the oracle:
- * the simulator's counters, the ports' other slots, the packets, the
- * callbacks and their args tuples. Python code that schedules onto a
+ * the simulator's counters, the ports' other slots, the callbacks and
+ * their args tuples. Python code that schedules onto a
  * compiled simulator goes through sim.at / sim.after, never through
  * heapq.
  *
@@ -48,6 +48,20 @@
  * named after the base slots they shadow let Python read and write them
  * unchanged, and the kernel reads and writes them directly, so a hop
  * boxes no clock, line-free time or byte count and unboxes no constant.
+ *
+ * Native packets: init() derives PacketTail from packet.Packet the same
+ * way, and kernel/engine.py's CKPacket subclasses it. A packet's ints
+ * (flow_id, src_host, dst_host, seq, size_bytes, salt, hops, the nullable
+ * slice_stamp, next_rack and relay_to, and _pooled) are int64 fields
+ * behind getset descriptors named after the slots, so Python readers
+ * (fault closures, RotorLB's failure path, tests) are unchanged; kind,
+ * priority and recv_args stay object slots. The kernel makes and frees
+ * CKPackets through its own free list (C, LIFO, at most packet._POOL_MAX,
+ * like the oracle's _POOL, which it never touches), computes NDP salts as
+ * CPython's tuple hash of three ints (salt_hash), and keeps the NDP
+ * source's acked and the sinks' received sequences in native SeqSets.
+ * So a hop unboxes no packet field, and an endpoint builds no salt tuple
+ * and boxes no sequence number.
  *
  * The queues: a compiled port keeps native Fifo rings in its three
  * priority-queue slots, a native Ledger of int64 (start_ps, size) pairs
@@ -77,8 +91,9 @@
  * The contract: the compiled engine is a closed world. A compiled method
  * runs only on what engine_classes("c") builds: the CK* classes
  * registered by kernel/engine.py, exactly, on a CKSimulator and with the
- * native queues, ledger and counters engine.py installs; exact Packet,
- * FlowRecord, StatsCollector and BulkFlow objects; and a line rate that
+ * native queues, ledger, counters and sequence sets engine.py installs;
+ * exact CKPacket, FlowRecord, StatsCollector and BulkFlow objects; and a
+ * line rate that
  * is a whole number of ps per byte (CKPort refuses anything else at
  * construction). Every other object makes the call raise one TypeError
  * naming REPRO_KERNEL=py (outside(), below), before the kernel writes
@@ -93,8 +108,6 @@
  *    for an agent that is disabled, has a failure view or forced relay;
  *  - the bulk-drop (`on_bulk_drop`), undeliverable (`_undeliv_cb`) and
  *    relay (a route table's `relay`) callbacks;
- *  - packet.acquire (g_py_acquire) when the free list is empty: the one
- *    place a Packet is constructed;
  *  - a table's own Python call, when table_route or slice_resolve cannot
  *    prove a value in range: a malformed table raises the oracle's error;
  *  - the duck-typed calls the Python bodies make the same way: a delivery
@@ -126,8 +139,7 @@ typedef struct {
 } PortOffsets;
 
 typedef struct {
-    Py_ssize_t flow_id, kind, src_host, dst_host, seq, size_bytes, priority,
-        slice_stamp, salt, hops, next_rack, relay_to, recv_args, pooled;
+    Py_ssize_t kind, priority, recv_args;
 } PacketOffsets;
 
 typedef struct {
@@ -207,14 +219,12 @@ static PyObject *g_consumed;     /* node.CONSUMED */
 static PyObject *g_prio_control, *g_prio_low, *g_prio_bulk;
 static PyObject *g_kind_data, *g_kind_header;
 static PyObject *g_kind_ack, *g_kind_nack, *g_kind_pull;
-static PyObject *g_ack_val, *g_nack_val, *g_pull_val; /* kind.value ints */
-static PyObject *g_src_salt; /* 0x9E3779B9: NdpSource._emit salt constant */
-static PyObject *g_zero;
+static long long g_ack_ll, g_nack_ll, g_pull_ll; /* kind.value */
+/* NdpSource._emit's salt constant. */
+#define SRC_SALT 0x9E3779B9LL
 static long long g_header_ll; /* HEADER_BYTES as C int */
-static PyObject *g_pool;         /* packet._POOL (the module-global list) */
-static long g_pool_max;
+static Py_ssize_t g_pool_max; /* packet._POOL_MAX */
 static long long g_max_hops;
-static PyObject *g_header_bytes; /* packet.HEADER_BYTES int object */
 static long long g_mtu_ll;       /* packet.MTU_BYTES */
 static PyObject *g_empty;        /* () */
 static PyObject *g_minus_one;    /* -1, deque.rotate's round-robin step */
@@ -223,14 +233,15 @@ static PyObject *g_minus_one;    /* -1, deque.rotate's round-robin step */
 static PyObject *g_dq_append, *g_dq_popleft, *g_dq_rotate;
 
 /* The Python the kernel calls besides the seams' own objects (see the
- * header): the past-scheduling error, the Packet constructor path and the
- * slice step of a failure-armed agent (unbound functions). */
-static PyObject *g_py_past_error, *g_py_acquire, *g_py_on_slice;
+ * header): the past-scheduling error and the slice step of a
+ * failure-armed agent (unbound functions). */
+static PyObject *g_py_past_error, *g_py_on_slice;
 
 /* The exact classes the contract admits: the CK classes registered by
- * kernel/engine.py, the packet, the routing tables (interpreted natively),
- * the flow bookkeeping and RotorLB's flows (read by offset). */
-static PyTypeObject *t_packet;
+ * kernel/engine.py (the packet among them), the routing tables
+ * (interpreted natively), the flow bookkeeping and RotorLB's flows (read
+ * by offset). */
+static PyTypeObject *t_ckpacket;
 static PyTypeObject *t_cksim, *t_ckport, *t_ckhost, *t_ckswitch;
 static PyTypeObject *t_cksrc, *t_cksink, *t_ckpacer;
 static PyTypeObject *t_route_table, *t_slice_resolver;
@@ -328,6 +339,19 @@ as_ll(PyObject *v, long long *out)
         return -1;
     *out = r;
     return 0;
+}
+
+/* A value passed for an int64 field or argument `name`: an int (else
+ * TypeError) that fits in int64 (else the kernel's OverflowError). */
+static int
+int64_arg(PyObject *v, const char *name, long long *out)
+{
+    if (!PyLong_Check(v)) {
+        PyErr_Format(PyExc_TypeError, "%.100s must be an int, not %.100s",
+                     name, Py_TYPE(v)->tp_name);
+        return -1;
+    }
+    return as_ll(v, out);
 }
 
 /* *out = a + b, or the int64 OverflowError. */
@@ -920,6 +944,134 @@ static PyTypeObject PortCounters_Type = {
     .tp_new = native_new,
 };
 
+/* A set of int64 sequence numbers: an NDP source's acked, an NDP or bulk
+ * sink's received. Open addressing with linear probing, at most half
+ * full; SEQ_FREE marks a free cell, and has_free says whether SEQ_FREE
+ * itself is a member. It holds no objects, so it is not GC-tracked. */
+typedef struct {
+    PyObject_HEAD
+    long long *cells;
+    Py_ssize_t len, cap; /* cap is 0 or a power of two */
+    int has_free;
+} SeqSet;
+
+#define SEQ_FREE LLONG_MIN
+
+static PyTypeObject SeqSet_Type;
+
+static inline size_t
+seq_home(long long seq, Py_ssize_t cap)
+{
+    unsigned long long h = (unsigned long long)seq * 0x9E3779B97F4A7C15ULL;
+    return (size_t)(h ^ (h >> 32)) & (size_t)(cap - 1);
+}
+
+/* The cell holding seq, or the free cell where it would go. */
+static inline long long *
+seq_cell(const SeqSet *s, long long seq)
+{
+    size_t i = seq_home(seq, s->cap), mask = (size_t)(s->cap - 1);
+    while (s->cells[i] != SEQ_FREE && s->cells[i] != seq)
+        i = (i + 1) & mask;
+    return &s->cells[i];
+}
+
+static inline int
+seqset_has(const SeqSet *s, long long seq)
+{
+    if (seq == SEQ_FREE)
+        return s->has_free;
+    return s->cap > 0 && *seq_cell(s, seq) == seq;
+}
+
+static int
+seqset_add(SeqSet *s, long long seq)
+{
+    long long *cell;
+    if (seq == SEQ_FREE) {
+        s->has_free = 1;
+        return 0;
+    }
+    if (2 * (s->len + 1) > s->cap) {
+        Py_ssize_t cap = s->cap ? 2 * s->cap : 16, i;
+        SeqSet grown = {.cells = PyMem_New(long long, cap), .cap = cap};
+        if (grown.cells == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (i = 0; i < cap; i++)
+            grown.cells[i] = SEQ_FREE;
+        for (i = 0; i < s->cap; i++)
+            if (s->cells[i] != SEQ_FREE)
+                *seq_cell(&grown, s->cells[i]) = s->cells[i];
+        PyMem_Free(s->cells);
+        s->cells = grown.cells;
+        s->cap = cap;
+    }
+    cell = seq_cell(s, seq);
+    if (*cell == SEQ_FREE) {
+        *cell = seq;
+        s->len++;
+    }
+    return 0;
+}
+
+static void
+seqset_dealloc(SeqSet *s)
+{
+    PyMem_Free(s->cells);
+    Py_TYPE(s)->tp_free((PyObject *)s);
+}
+
+static PyObject *
+seqset_add_py(SeqSet *s, PyObject *seq)
+{
+    long long v;
+    if (int64_arg(seq, "a SeqSet member", &v) < 0 || seqset_add(s, v) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* `seq in s`: ints only; an int beyond int64 is never a member. */
+static int
+seqset_contains(SeqSet *s, PyObject *seq)
+{
+    int overflow;
+    long long v;
+    if (!PyLong_Check(seq)) {
+        PyErr_Format(PyExc_TypeError, "a SeqSet holds ints, not %.100s",
+                     Py_TYPE(seq)->tp_name);
+        return -1;
+    }
+    v = PyLong_AsLongLongAndOverflow(seq, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    return !overflow && seqset_has(s, v);
+}
+
+static PySequenceMethods seqset_as_sequence = {
+    .sq_contains = (objobjproc)seqset_contains,
+};
+
+static PyMethodDef seqset_methods[] = {
+    {"add", (PyCFunction)seqset_add_py, METH_O,
+     "Add an int64 sequence number."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject SeqSet_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.net.kernel._ckernel.SeqSet",
+    .tp_basicsize = sizeof(SeqSet),
+    .tp_dealloc = (destructor)seqset_dealloc,
+    .tp_as_sequence = &seqset_as_sequence,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Native set of int64 sequence numbers: add and `in`, as the "
+              "NDP endpoints and the bulk sink use their sets.",
+    .tp_methods = seqset_methods,
+    .tp_new = native_new,
+};
+
 /* The native object in slot `off` of `o`, re-read where it is used: an
  * entry check found it of `type`, and Python code run since (a resolver,
  * a handler) may have replaced it. RuntimeError then, as need_heap. */
@@ -959,18 +1111,33 @@ typedef struct {
     int kick_pending;
 } PortTail;
 
+/* A packet's ints. `set` holds a PK_* bit for each nullable field that
+ * holds an int (clear: None). */
+typedef struct {
+    long long flow_id, src_host, dst_host, seq, size_bytes, salt, hops,
+        slice_stamp, next_rack, relay_to;
+    int set, pooled;
+} PacketTail;
+
+#define PK_STAMP 1
+#define PK_NEXT 2
+#define PK_RELAY 4
+
 /* Where each tail starts in an instance: its base's size rounded up to 8. */
-static Py_ssize_t g_sim_tail, g_port_tail;
-static PyTypeObject *t_simtail, *t_porttail;
+static Py_ssize_t g_sim_tail, g_port_tail, g_packet_tail;
+static PyTypeObject *t_simtail, *t_porttail, *t_packettail;
 
 #define SIM_TAIL(o) ((SimTail *)((char *)(o) + g_sim_tail))
 #define PORT_TAIL(o) ((PortTail *)((char *)(o) + g_port_tail))
+#define PKT(o) ((PacketTail *)((char *)(o) + g_packet_tail))
 
-/* A getset closure: the tail a field is in, its offset there, its name. */
+/* A getset closure: the tail a field is in, its offset there, its name,
+ * and for a nullable packet field its PK_* bit. */
 typedef struct {
     const Py_ssize_t *tail;
     Py_ssize_t offset;
     const char *name;
+    int bit;
 } TailField;
 
 static inline void *
@@ -988,12 +1155,7 @@ tail_value(PyObject *v, const TailField *f, long long *out)
         PyErr_Format(PyExc_TypeError, "cannot delete %.100s", f->name);
         return -1;
     }
-    if (!PyLong_Check(v)) {
-        PyErr_Format(PyExc_TypeError, "%.100s must be an int, not %.100s",
-                     f->name, Py_TYPE(v)->tp_name);
-        return -1;
-    }
-    return as_ll(v, out);
+    return int64_arg(v, f->name, out);
 }
 
 static PyObject *
@@ -1026,7 +1188,54 @@ tail_set_flag(PyObject *o, PyObject *v, void *closure)
 
 #define TAIL_LL(name, tail, type, field)                                      \
     {name, tail_get_ll, tail_set_ll, NULL,                                    \
-     &(TailField){&tail, offsetof(type, field), name}}
+     &(TailField){&tail, offsetof(type, field), name, 0}}
+
+/* A nullable packet field: None, or an int that fits in int64. -1 on
+ * error, 0 for None, 1 with *out set. */
+static int
+opt_value(PyObject *v, const TailField *f, long long *out)
+{
+    if (v == Py_None)
+        return 0;
+    return tail_value(v, f, out) < 0 ? -1 : 1;
+}
+
+static PyObject *
+pkt_get_opt(PyObject *o, void *closure)
+{
+    const TailField *f = closure;
+    if (!(PKT(o)->set & f->bit))
+        Py_RETURN_NONE;
+    return tail_get_ll(o, closure);
+}
+
+static int
+pkt_set_opt(PyObject *o, PyObject *v, void *closure)
+{
+    const TailField *f = closure;
+    long long x = 0;
+    int has = opt_value(v, f, &x);
+    if (has < 0)
+        return -1;
+    *(long long *)tail_field(o, f) = x;
+    if (has)
+        PKT(o)->set |= f->bit;
+    else
+        PKT(o)->set &= ~f->bit;
+    return 0;
+}
+
+/* The nullable fields, which the kernel also stores through. */
+static const TailField f_slice_stamp = {
+    &g_packet_tail, offsetof(PacketTail, slice_stamp), "slice_stamp",
+    PK_STAMP};
+static const TailField f_next_rack = {
+    &g_packet_tail, offsetof(PacketTail, next_rack), "next_rack", PK_NEXT};
+static const TailField f_relay_to = {
+    &g_packet_tail, offsetof(PacketTail, relay_to), "relay_to", PK_RELAY};
+
+#define TAIL_OPT(name, field)                                                 \
+    {name, pkt_get_opt, pkt_set_opt, NULL, (void *)&field}
 
 static PyGetSetDef sim_tail_getset[] = {
     TAIL_LL("now", g_sim_tail, SimTail, now),
@@ -1046,7 +1255,24 @@ static PyGetSetDef port_tail_getset[] = {
     TAIL_LL("bulk_queue_bytes", g_port_tail, PortTail, bulk_queue_bytes),
     {"_kick_pending", tail_get_flag, tail_set_flag, NULL,
      &(TailField){&g_port_tail, offsetof(PortTail, kick_pending),
-                  "_kick_pending"}},
+                  "_kick_pending", 0}},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyGetSetDef packet_tail_getset[] = {
+    TAIL_LL("flow_id", g_packet_tail, PacketTail, flow_id),
+    TAIL_LL("src_host", g_packet_tail, PacketTail, src_host),
+    TAIL_LL("dst_host", g_packet_tail, PacketTail, dst_host),
+    TAIL_LL("seq", g_packet_tail, PacketTail, seq),
+    TAIL_LL("size_bytes", g_packet_tail, PacketTail, size_bytes),
+    TAIL_LL("salt", g_packet_tail, PacketTail, salt),
+    TAIL_LL("hops", g_packet_tail, PacketTail, hops),
+    TAIL_OPT("slice_stamp", f_slice_stamp),
+    TAIL_OPT("next_rack", f_next_rack),
+    TAIL_OPT("relay_to", f_relay_to),
+    {"_pooled", tail_get_flag, tail_set_flag, NULL,
+     &(TailField){&g_packet_tail, offsetof(PacketTail, pooled), "_pooled",
+                  0}},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
@@ -1108,6 +1334,188 @@ init_tail(PyObject *mod, PyObject *base, const char *name, const char *doc,
     }
     return PyModule_AddObjectRef(mod, strrchr(name, '.') + 1,
                                  (PyObject *)*type);
+}
+
+/* --------------------------------------------------------- native packets
+ *
+ * The kernel makes and frees CKPackets through its own free list: LIFO and
+ * at most packet._POOL_MAX long, as the oracle's _POOL, which it never
+ * touches, so the two kernels never hand each other a packet. A packet
+ * leaving the list is re-initialised in full, as packet.acquire does, and
+ * `pooled` makes a double release a no-op. acquire() and release() serve
+ * the Python code that runs under the compiled kernel
+ * (EngineClasses.acquire / release): failure handlers and a
+ * failure-armed agent's slice step.
+ */
+
+static PyObject **g_free; /* owned references */
+static Py_ssize_t g_free_len;
+
+/* A packet of `kind` and `priority` with its ints set, hops 0 and the
+ * nullable fields None: the free list's last, or a new CKPacket whose
+ * recv_args, (packet,), it keeps for life. A new reference. */
+static PyObject *
+pkt_acquire(PyObject *kind, PyObject *priority, long long flow_id,
+            long long src, long long dst, long long seq, long long size,
+            long long salt)
+{
+    PyObject *packet;
+    PacketTail *t;
+
+    if (g_free_len > 0)
+        packet = g_free[--g_free_len]; /* the list's reference passes on */
+    else {
+        PyObject *args;
+        if (t_ckpacket == NULL) {
+            outside("a packet before register()", NULL);
+            return NULL;
+        }
+        packet = t_ckpacket->tp_alloc(t_ckpacket, 0);
+        if (packet == NULL)
+            return NULL;
+        if ((args = PyTuple_Pack(1, packet)) == NULL) {
+            Py_DECREF(packet);
+            return NULL;
+        }
+        SLOT(packet, K.recv_args) = args;
+    }
+    slot_set(packet, K.kind, kind);
+    slot_set(packet, K.priority, priority);
+    t = PKT(packet);
+    t->flow_id = flow_id;
+    t->src_host = src;
+    t->dst_host = dst;
+    t->seq = seq;
+    t->size_bytes = size;
+    t->salt = salt;
+    t->hops = 0;
+    t->set = 0;
+    t->pooled = 0;
+    return packet;
+}
+
+/* packet.release(), natively, for a CKPacket: idempotent. */
+static void
+release_packet(PyObject *packet)
+{
+    PacketTail *t = PKT(packet);
+    if (t->pooled)
+        return;
+    t->pooled = 1;
+    if (g_free_len < g_pool_max)
+        g_free[g_free_len++] = Py_NewRef(packet);
+}
+
+/* EngineClasses.acquire under the compiled kernel: packet.acquire's
+ * arguments, a CKPacket. */
+static PyObject *
+c_acquire(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"flow_id",   "kind",      "src_host",
+                             "dst_host",  "seq",       "size_bytes",
+                             "priority",  "slice_stamp", "salt",
+                             "next_rack", "relay_to",  NULL};
+    PyObject *fid, *kind, *src, *dst, *seq, *size, *prio, *salt = NULL,
+        *opt[3] = {Py_None, Py_None, Py_None}, *packet;
+    static const TailField *const opt_fields[3] = {&f_slice_stamp,
+                                                   &f_next_rack, &f_relay_to};
+    long long n[6] = {0}, v[3] = {0};
+    int i, bits = 0;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOOOO|OOOO:acquire",
+                                     kwlist, &fid, &kind, &src, &dst, &seq,
+                                     &size, &prio, &opt[0], &salt, &opt[1],
+                                     &opt[2]) ||
+        int64_arg(fid, "flow_id", &n[0]) < 0 ||
+        int64_arg(src, "src_host", &n[1]) < 0 ||
+        int64_arg(dst, "dst_host", &n[2]) < 0 ||
+        int64_arg(seq, "seq", &n[3]) < 0 ||
+        int64_arg(size, "size_bytes", &n[4]) < 0 ||
+        (salt != NULL && int64_arg(salt, "salt", &n[5]) < 0))
+        return NULL;
+    for (i = 0; i < 3; i++) {
+        int has = opt_value(opt[i], opt_fields[i], &v[i]);
+        if (has < 0)
+            return NULL;
+        if (has)
+            bits |= opt_fields[i]->bit;
+    }
+    packet = pkt_acquire(kind, prio, n[0], n[1], n[2], n[3], n[4], n[5]);
+    if (packet != NULL) {
+        PacketTail *t = PKT(packet);
+        t->slice_stamp = v[0];
+        t->next_rack = v[1];
+        t->relay_to = v[2];
+        t->set = bits;
+    }
+    return packet;
+}
+
+/* EngineClasses.release under the compiled kernel. */
+static PyObject *
+c_release(PyObject *Py_UNUSED(mod), PyObject *packet)
+{
+    if (need_type(packet, t_ckpacket, "the packet") < 0)
+        return NULL;
+    release_packet(packet);
+    Py_RETURN_NONE;
+}
+
+/* ndp.py's packet salts, hash((a, b, c)) & 0x7FFFFFFF, without the tuple:
+ * CPython's tuple hash (Objects/tupleobject.c, xxHash-based since 3.8) over
+ * each int's hash (Objects/longobject.c: the value modulo the Mersenne
+ * prime 2**61 - 1, sign kept, -1 mapped to -2), both for a 64-bit
+ * Py_hash_t. */
+#if SIZEOF_VOID_P != 8
+#error "salt_hash transcribes CPython's 64-bit hashes"
+#endif
+
+static inline Py_uhash_t
+int_hash(long long v)
+{
+    unsigned long long mag =
+        v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
+    long long h = (long long)(mag % ((1ULL << 61) - 1));
+    if (v < 0)
+        h = -h;
+    return (Py_uhash_t)(h == -1 ? -2 : h);
+}
+
+static long long
+salt_hash(long long a, long long b, long long c)
+{
+    const Py_uhash_t prime1 = 11400714785074694791ULL,
+                     prime2 = 14029467366897019727ULL,
+                     prime5 = 2870177450012600261ULL;
+    const long long lanes[3] = {a, b, c};
+    Py_uhash_t acc = prime5;
+    int i;
+    for (i = 0; i < 3; i++) {
+        acc += int_hash(lanes[i]) * prime2;
+        acc = (acc << 31) | (acc >> 33);
+        acc *= prime1;
+    }
+    acc += 3 ^ (prime5 ^ 3527539ULL);
+    if (acc == (Py_uhash_t)-1)
+        acc = 1546275796;
+    return (long long)(acc & 0x7FFFFFFFULL);
+}
+
+/* salt(a, b, c): salt_hash on int64 ints, for the tests that pin it to
+ * hash((a, b, c)) & 0x7FFFFFFF. */
+static PyObject *
+c_salt(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
+{
+    long long v[3];
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "salt() takes (a, b, c)");
+        return NULL;
+    }
+    if (int64_arg(args[0], "a", &v[0]) < 0 ||
+        int64_arg(args[1], "b", &v[1]) < 0 ||
+        int64_arg(args[2], "c", &v[2]) < 0)
+        return NULL;
+    return PyLong_FromLongLong(salt_hash(v[0], v[1], v[2]));
 }
 
 /* ----------------------------------------------------------- scheduling */
@@ -1472,12 +1880,12 @@ static long long
 c_transmit(PyObject *self, PyObject *sim, PyObject *packet, long long start)
 {
     PortTail *t = PORT_TAIL(self);
-    int err = 0;
-    long long size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
+    int err;
+    long long size = PKT(packet)->size_bytes;
     long long done = 0, arrive;
     PyObject *deliver = NULL;
 
-    if (err || wire_done(start, size, t->ps_per_byte, &done) < 0)
+    if (wire_done(start, size, t->ps_per_byte, &done) < 0)
         return -1;
     t->busy_until = done;
     if (count_sent(self, size) < 0)
@@ -1553,18 +1961,16 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
     PortCounters *stats;
     PortTail *t;
     long long size, now, queued;
-    int err = 0, kick_pending;
+    int err, kick_pending;
 
     if (need_port(self, &sim) < 0 ||
-        need_type(packet, t_packet, "the packet") < 0)
+        need_type(packet, t_ckpacket, "the packet") < 0)
         return NULL;
     t = PORT_TAIL(self);
     priority = slot_get(packet, K.priority, "priority");
     if (priority == NULL)
         return NULL;
-    size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-    if (err)
-        return NULL;
+    size = PKT(packet)->size_bytes;
     if (priority == g_prio_low && SLOT(packet, K.kind) == g_kind_data) {
         if (add_ll(t->bytes_data, size, &queued) < 0)
             return NULL;
@@ -1580,7 +1986,7 @@ c_port_enqueue_impl(PyObject *self, PyObject *packet)
                 return NULL;
             /* packet.trim(), inlined: kind is DATA (guarded above). */
             slot_set(packet, K.kind, g_kind_header);
-            slot_set(packet, K.size_bytes, g_header_bytes);
+            PKT(packet)->size_bytes = g_header_ll;
             slot_set(packet, K.priority, g_prio_control);
             stats->trimmed++;
             priority = g_prio_control;
@@ -1759,11 +2165,9 @@ kick_one(PyObject *self, PyObject *sim, Fifo *q, long long *bytes,
          long long start)
 {
     PyObject *packet = fifo_pop(q);
-    int err = 0;
-    long long size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-    if (err || sub_bytes(bytes, size) < 0 ||
-        (c_transmit(self, sim, packet, start) < 0 && PyErr_Occurred()))
-        err = 1;
+    int err = need_type(packet, t_ckpacket, "a queued packet") < 0 ||
+              sub_bytes(bytes, PKT(packet)->size_bytes) < 0 ||
+              (c_transmit(self, sim, packet, start) < 0 && PyErr_Occurred());
     Py_DECREF(packet);
     return err ? -1 : 0;
 }
@@ -1783,8 +2187,8 @@ kick_control(PyObject *self, PyObject *sim, Fifo *q, long long start)
     Py_INCREF(committed);
     while (q->len > 0) {
         PyObject *packet = fifo_pop(q);
-        int err = 0;
-        long long size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
+        int err = need_type(packet, t_ckpacket, "a queued packet") < 0;
+        long long size = err ? 0 : PKT(packet)->size_bytes;
         if (!err) {
             if (first) {
                 /* On the wire right now: out of the queue at once. */
@@ -1863,18 +2267,6 @@ c_port_kick(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 
 /* ------------------------------------------------------------------- Host */
 
-/* packet.release(), inlined: idempotent free-list return. */
-static int
-release_packet(PyObject *packet)
-{
-    if (SLOT(packet, K.pooled) == Py_True)
-        return 0;
-    slot_set(packet, K.pooled, Py_True);
-    if (PyList_GET_SIZE(g_pool) < g_pool_max)
-        return PyList_Append(g_pool, packet);
-    return 0;
-}
-
 static PyObject *src_on_packet(PyObject *self, PyObject *packet);
 static PyObject *sink_on_packet(PyObject *self, PyObject *packet);
 static PyObject *bulk_sink_on_packet(PyObject *self, PyObject *packet);
@@ -1892,19 +2284,18 @@ c_host_receive(PyObject *Py_UNUSED(mod), PyObject *const *args,
     self = args[0];
     packet = args[1];
     if (need_type(self, t_ckhost, "the host") < 0 ||
-        need_type(packet, t_packet, "the packet") < 0)
+        need_type(packet, t_ckpacket, "the packet") < 0)
         return NULL;
     kind = SLOT(packet, K.kind);
     if (kind == g_kind_data || kind == g_kind_header)
         table = SLOT(self, H.sinks);
     else
         table = SLOT(self, H.sources);
-    if (need_type(table, &PyDict_Type, "a host's endpoint table") < 0)
-        return NULL;
-    fid = slot_get(packet, K.flow_id, "flow_id");
-    if (fid == NULL)
+    if (need_type(table, &PyDict_Type, "a host's endpoint table") < 0 ||
+        (fid = PyLong_FromLongLong(PKT(packet)->flow_id)) == NULL)
         return NULL;
     endpoint = PyDict_GetItemWithError(table, fid);
+    Py_DECREF(fid);
     if (endpoint == NULL) {
         if (PyErr_Occurred())
             return NULL;
@@ -1931,8 +2322,7 @@ c_host_receive(PyObject *Py_UNUSED(mod), PyObject *const *args,
             return NULL;
         Py_DECREF(r);
     }
-    if (release_packet(packet) < 0)
-        return NULL;
+    release_packet(packet);
     Py_RETURN_NONE;
 }
 
@@ -1969,10 +2359,12 @@ table_route(PyObject *table, PyObject *packet, long long hops,
             PyObject **out)
 {
     PyObject *relay, *options, *bumps, *bump, *ports;
-    long long dst_host, hpr, rack, dst_rack, salt, slice_ps, stamp = 0;
+    PacketTail *t = PKT(packet);
+    long long dst_host = t->dst_host, salt = t->salt, hpr, rack, dst_rack,
+              slice_ps, stamp = 0;
     int restamp = 0;
 
-    if (!exact_ll(SLOT(packet, K.dst_host), &dst_host) || dst_host < 0 ||
+    if (dst_host < 0 ||
         !exact_ll(SLOT(table, RT.hosts_per_rack), &hpr) || hpr <= 0 ||
         !exact_ll(SLOT(table, RT.rack), &rack))
         return 0;
@@ -1994,8 +2386,7 @@ table_route(PyObject *table, PyObject *packet, long long hops,
         SLOT(packet, K.kind) == g_kind_data) {
         /* Bulk on a foreign rack: RotorLB relay traffic. */
         PyObject *r;
-        if (slot_set_ll(packet, K.hops, hops + 1) < 0)
-            return -1;
+        t->hops = hops + 1;
         Py_INCREF(relay); /* the slot's reference may go during the call */
         r = PyObject_CallOneArg(relay, packet);
         Py_DECREF(relay);
@@ -2010,8 +2401,7 @@ table_route(PyObject *table, PyObject *packet, long long hops,
     bumps = SLOT(table, RT.bumps);
     if (options == NULL || !PyTuple_CheckExact(options) || bumps == NULL ||
         !PyTuple_CheckExact(bumps) || dst_rack >= PyTuple_GET_SIZE(bumps) ||
-        !exact_ll(SLOT(packet, K.salt), &salt) || salt < 0 || hops < 0 ||
-        salt > LLONG_MAX - hops ||
+        salt < 0 || hops < 0 || salt > LLONG_MAX - hops ||
         !exact_ll(SLOT(table, RT.slice_ps), &slice_ps) || slice_ps < 0)
         return 0;
     bump = PyTuple_GET_ITEM(bumps, dst_rack);
@@ -2021,10 +2411,9 @@ table_route(PyObject *table, PyObject *packet, long long hops,
         /* Stamped (Opera): the first routed hop stamps the slice, and a
          * stamp with no options is re-stamped from the current slice. */
         PyObject *sim = SLOT(table, RT.sim);
-        PyObject *stamp_obj = SLOT(packet, K.slice_stamp);
         Py_ssize_t cycle = PyTuple_GET_SIZE(options);
         long long now, current;
-        if (cycle == 0 || stamp_obj == NULL)
+        if (cycle == 0)
             return 0;
         /* The clock is in the tail of the contract's simulator. */
         if (need_type(sim, t_cksim, "a route table's simulator") < 0)
@@ -2033,11 +2422,11 @@ table_route(PyObject *table, PyObject *packet, long long hops,
         if (now < 0)
             return 0;
         current = (now / slice_ps) % cycle;
-        if (stamp_obj == Py_None) {
+        if (!(t->set & PK_STAMP)) {
             stamp = current;
             restamp = 1;
         }
-        else if (!exact_ll(stamp_obj, &stamp) || stamp < 0 || stamp >= cycle)
+        else if ((stamp = t->slice_stamp) < 0 || stamp >= cycle)
             return 0;
         ports = table_ports(PyTuple_GET_ITEM(options, stamp), dst_rack);
         if (ports == NULL)
@@ -2056,16 +2445,18 @@ table_route(PyObject *table, PyObject *packet, long long hops,
             return 0;
     }
     /* Writes start here. */
-    if (restamp && slot_set_ll(packet, K.slice_stamp, stamp) < 0)
-        return -1;
+    if (restamp) {
+        t->slice_stamp = stamp;
+        t->set |= PK_STAMP;
+    }
     if (PyTuple_GET_SIZE(ports) == 0) {
         Py_INCREF(Py_None);
         *out = Py_None;
         return 1;
     }
     *out = PyTuple_GET_ITEM(ports, (salt + hops) % PyTuple_GET_SIZE(ports));
-    if (bump == Py_True && slot_set_ll(packet, K.hops, hops + 1) < 0)
-        return -1;
+    if (bump == Py_True)
+        t->hops = hops + 1;
     Py_INCREF(*out);
     return 1;
 }
@@ -2080,18 +2471,15 @@ c_dispatch(PyObject *ctx, PyObject *packet)
     PyObject *table = PyTuple_GET_ITEM(ctx, 1);
     PyObject *fallback, *port;
     long long hops;
-    int err = 0;
+    int err;
 
-    if (need_type(packet, t_packet, "the packet") < 0)
+    if (need_type(packet, t_ckpacket, "the packet") < 0)
         return NULL;
-    hops = slot_ll(packet, K.hops, "hops", &err);
-    if (err)
-        return NULL;
+    hops = PKT(packet)->hops;
     if (hops > g_max_hops) {
         if (slot_add_ll(sw, W.drops, "drops", 1) < 0)
             return NULL;
-        if (release_packet(packet) < 0)
-            return NULL;
+        release_packet(packet);
         Py_RETURN_NONE;
     }
     fallback = SLOT(table, RT.fallback);
@@ -2123,8 +2511,7 @@ c_dispatch(PyObject *ctx, PyObject *packet)
         Py_DECREF(port);
         if (slot_add_ll(sw, W.drops, "drops", 1) < 0)
             return NULL;
-        if (release_packet(packet) < 0)
-            return NULL;
+        release_packet(packet);
         Py_RETURN_NONE;
     }
     err = port_enqueue(port, packet);
@@ -2160,9 +2547,11 @@ c_make_dispatch(PyObject *Py_UNUSED(mod), PyObject *args)
  * pure-Python bodies on the per-packet path: every delivered data packet
  * runs sink.on_packet (ACK acquire + send + stats), most also run
  * source.on_packet (PULL release) and the pacer tick. The functions below
- * transcribe ndp.py exactly, sharing the same sets and records; a
- * compiled source's retransmit queue and a compiled pacer's tokens are
- * native Fifos, which the Python bodies use as they would a deque.
+ * transcribe ndp.py exactly on the same records; a compiled source's
+ * retransmit queue and a compiled pacer's tokens are native Fifos, and the
+ * acked and received sequences native SeqSets, which the Python bodies use
+ * as they would a deque and a set. Salts are salt_hash's, and packets come
+ * from the kernel's free list (pkt_acquire).
  */
 
 /* ------------------------------------------------------- flow bookkeeping
@@ -2190,6 +2579,21 @@ exact_field(PyObject *o, PyTypeObject *type, const char *what,
     exact_field(record, t_record, "a flow record", R.field, #field)
 #define peer_get(agent, field)                                                \
     exact_field(agent, t_ckagent, "a RotorLB peer", LB.field, #field)
+
+/* record.<field> of a flow record as int64. */
+static int
+rec_ll(PyObject *record, Py_ssize_t off, const char *name, long long *out)
+{
+    PyObject *v = exact_field(record, t_record, "a flow record", off, name);
+    int rc;
+    if (v == NULL)
+        return -1;
+    rc = as_ll(v, out);
+    Py_DECREF(v);
+    return rc;
+}
+
+#define rec_int(record, field, out) rec_ll(record, R.field, #field, out)
 
 /* raise KeyError(key), as d[key] does; returns -1. */
 static int
@@ -2294,67 +2698,6 @@ stats_delivered(PyObject *stats, PyObject *record, long long n,
     return rc;
 }
 
-/* hash((a, b, c)) & 0x7FFFFFFF, as ndp.py computes packet salts. Built as
- * a real tuple and hashed through the interpreter so the result is
- * bit-identical by construction. Returns a new ref or NULL. */
-static PyObject *
-salt_hash(PyObject *a, PyObject *b, PyObject *c)
-{
-    PyObject *tup = PyTuple_Pack(3, a, b, c);
-    Py_hash_t h;
-    if (tup == NULL)
-        return NULL;
-    h = PyObject_Hash(tup);
-    Py_DECREF(tup);
-    if (h == -1 && PyErr_Occurred())
-        return NULL;
-    return PyLong_FromLongLong(
-        (long long)((unsigned long long)h & 0x7FFFFFFFULL));
-}
-
-/* packet.acquire(...), inlined for the free-list path. All args borrowed;
- * returns a new Packet ref. Python's pool path re-assigns every field, so
- * the transcription does too (slice_stamp is None and hops 0: no caller
- * passes them). An empty free list calls acquire itself, the one place a
- * Packet is constructed. */
-static PyObject *
-c_acquire(PyObject *fid, PyObject *kind, PyObject *src, PyObject *dst,
-          PyObject *seq, PyObject *size_obj, PyObject *prio,
-          PyObject *salt_obj, PyObject *next_rack, PyObject *relay_to)
-{
-    Py_ssize_t n = PyList_GET_SIZE(g_pool);
-    PyObject *packet;
-
-    if (n == 0) {
-        PyObject *args[11] = {fid,     kind,     src,       dst,
-                              seq,     size_obj, prio,      Py_None,
-                              salt_obj, next_rack, relay_to};
-        return PyObject_Vectorcall(g_py_acquire, args, 11, NULL);
-    }
-    packet = PyList_GET_ITEM(g_pool, n - 1);
-    if (need_type(packet, t_packet, "an object in the packet free list") < 0)
-        return NULL;
-    Py_INCREF(packet);
-    if (PyList_SetSlice(g_pool, n - 1, n, NULL) < 0) {
-        Py_DECREF(packet);
-        return NULL;
-    }
-    slot_set(packet, K.pooled, Py_False);
-    slot_set(packet, K.flow_id, fid);
-    slot_set(packet, K.kind, kind);
-    slot_set(packet, K.src_host, src);
-    slot_set(packet, K.dst_host, dst);
-    slot_set(packet, K.seq, seq);
-    slot_set(packet, K.size_bytes, size_obj);
-    slot_set(packet, K.priority, prio);
-    slot_set(packet, K.slice_stamp, Py_None);
-    slot_set(packet, K.salt, salt_obj);
-    slot_set(packet, K.hops, g_zero);
-    slot_set(packet, K.next_rack, next_rack);
-    slot_set(packet, K.relay_to, relay_to);
-    return packet;
-}
-
 /* An NDP endpoint's _send inside the contract: a compiled port's bound
  * enqueue (endpoints attach to hosts whose NIC is wired, so never
  * Host.send). 0, or the contract TypeError. */
@@ -2400,21 +2743,15 @@ need_endpoint(PyObject *self, PyTypeObject *type, const char *what,
 
 /* NdpSource.payload_bytes(seq) of a compiled source, into *out. */
 static int
-src_payload(PyObject *source, PyObject *seq_obj, long long *out)
+src_payload(PyObject *source, long long seq, long long *out)
 {
-    PyObject *size_obj;
-    long long mtu, size, seq, payload;
+    long long mtu, size, payload;
     int err = 0;
 
     if (need_type(source, t_cksrc, "an NDP source") < 0)
         return -1;
     mtu = slot_ll(source, NS.mtu, "mtu", &err);
-    if (err || (size_obj = rec_get(SLOT(source, NS.record), size_bytes)) ==
-                   NULL)
-        return -1;
-    err = as_ll(size_obj, &size);
-    Py_DECREF(size_obj);
-    if (err < 0 || as_ll(seq_obj, &seq) < 0)
+    if (err || rec_int(SLOT(source, NS.record), size_bytes, &size) < 0)
         return -1;
     payload = mtu - g_header_ll;
     size -= seq * payload; /* what remains of the flow from seq on */
@@ -2426,33 +2763,41 @@ src_payload(PyObject *source, PyObject *seq_obj, long long *out)
 
 /* NdpSource._emit(seq): acquire a data packet and send it. */
 static int
-src_emit(PyObject *self, PyObject *seq_obj)
+src_emit(PyObject *self, long long seq)
 {
-    PyObject *fid, *src = NULL, *dst = NULL, *size_obj = NULL,
-                   *salt_obj = NULL, *prio = NULL, *packet = NULL;
-    long long payload;
-    int rc = -1;
+    PyObject *record = SLOT(self, NS.record), *prio, *packet;
+    long long payload, fid, src, dst;
+    int rc;
 
-    if (src_payload(self, seq_obj, &payload) < 0 ||
-        (fid = rec_get(SLOT(self, NS.record), flow_id)) == NULL)
+    if (src_payload(self, seq, &payload) < 0 ||
+        rec_int(record, flow_id, &fid) < 0 ||
+        rec_int(record, src_host, &src) < 0 ||
+        rec_int(record, dst_host, &dst) < 0 ||
+        (prio = slot_get(self, NS.priority, "priority")) == NULL ||
+        (packet = pkt_acquire(g_kind_data, prio, fid, src, dst, seq,
+                              g_header_ll + payload,
+                              salt_hash(fid, seq, SRC_SALT))) == NULL)
         return -1;
-    size_obj = PyLong_FromLongLong(g_header_ll + payload);
-    salt_obj = size_obj ? salt_hash(fid, seq_obj, g_src_salt) : NULL;
-    src = salt_obj ? rec_get(SLOT(self, NS.record), src_host) : NULL;
-    dst = src ? rec_get(SLOT(self, NS.record), dst_host) : NULL;
-    prio = dst ? slot_get(self, NS.priority, "priority") : NULL;
-    if (prio != NULL)
-        packet = c_acquire(fid, g_kind_data, src, dst, seq_obj, size_obj,
-                           prio, salt_obj, Py_None, Py_None);
-    if (packet != NULL)
-        rc = do_send(self, NS.send, packet);
-    Py_DECREF(fid);
-    Py_XDECREF(src);
-    Py_XDECREF(dst);
-    Py_XDECREF(size_obj);
-    Py_XDECREF(salt_obj);
-    Py_XDECREF(packet);
+    rc = do_send(self, NS.send, packet);
+    Py_DECREF(packet);
     return rc;
+}
+
+/* NdpSource._emit of a compiled source, for its Python callers (start's
+ * _send_next, the failure layer's timeout_retransmit). */
+static PyObject *
+c_src_emit(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
+{
+    long long seq;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "_emit() takes (self, seq)");
+        return NULL;
+    }
+    if (need_endpoint(args[0], t_cksrc, "the NDP source", NS.record,
+                      NS.send) < 0 ||
+        int64_arg(args[1], "seq", &seq) < 0 || src_emit(args[0], seq) < 0)
+        return NULL;
+    Py_RETURN_NONE;
 }
 
 /* NdpSource._send_next(): 1 = sent, 0 = nothing to send, -1 = error. */
@@ -2460,31 +2805,24 @@ static int
 src_send_next(PyObject *self)
 {
     Fifo *rtx = need_native(self, NS.rtx, &Fifo_Type);
-    long long next_new, n_packets;
+    long long next_new, n_packets, seq;
     int err = 0;
 
     if (rtx == NULL)
         return -1;
     if (rtx->len > 0) {
         PyObject *seq_obj = fifo_pop(rtx);
-        int rc = src_emit(self, seq_obj);
+        err = as_ll(seq_obj, &seq) < 0 || src_emit(self, seq) < 0;
         Py_DECREF(seq_obj);
-        return rc < 0 ? -1 : 1;
+        return err ? -1 : 1;
     }
     next_new = slot_ll(self, NS.next_new, "_next_new", &err);
     n_packets = slot_ll(self, NS.n_packets, "n_packets", &err);
     if (err)
         return -1;
     if (next_new < n_packets) {
-        PyObject *seq_obj = PyLong_FromLongLong(next_new);
-        int rc;
-        if (seq_obj == NULL)
-            return -1;
-        rc = src_emit(self, seq_obj);
-        Py_DECREF(seq_obj);
-        if (rc < 0)
-            return -1;
-        if (slot_set_ll(self, NS.next_new, next_new + 1) < 0)
+        if (src_emit(self, next_new) < 0 ||
+            slot_set_ll(self, NS.next_new, next_new + 1) < 0)
             return -1;
         return 1;
     }
@@ -2492,39 +2830,38 @@ src_send_next(PyObject *self)
 }
 
 /* NdpSource.on_packet on a compiled source with its native retransmit
- * queue and an exact set of acked sequences. */
+ * queue and acked sequences. */
 static PyObject *
 src_on_packet(PyObject *self, PyObject *packet)
 {
-    PyObject *kind, *seq_obj, *acked;
+    PyObject *kind;
+    long long seq;
 
     if (need_endpoint(self, t_cksrc, "the NDP source", NS.record, NS.send) <
             0 ||
         need_type(SLOT(self, NS.rtx), &Fifo_Type, "an NDP source's _rtx") <
             0 ||
-        need_type(SLOT(self, NS.acked), &PySet_Type,
+        need_type(SLOT(self, NS.acked), &SeqSet_Type,
                   "an NDP source's _acked") < 0 ||
-        need_type(packet, t_packet, "the packet") < 0)
+        need_type(packet, t_ckpacket, "the packet") < 0)
         return NULL;
     kind = SLOT(packet, K.kind);
-    seq_obj = slot_get(packet, K.seq, "seq");
-    if (seq_obj == NULL)
-        return NULL;
-    acked = SLOT(self, NS.acked);
+    seq = PKT(packet)->seq;
     if (kind == g_kind_ack) {
-        if (PySet_Add(acked, seq_obj) < 0)
+        if (seqset_add((SeqSet *)SLOT(self, NS.acked), seq) < 0)
             return NULL;
     }
     else if (kind == g_kind_nack) {
-        int has = PySet_Contains(acked, seq_obj);
-        if (has < 0)
-            return NULL;
-        if (!has) {
+        if (!seqset_has((SeqSet *)SLOT(self, NS.acked), seq)) {
             Fifo *rtx = need_native(self, NS.rtx, &Fifo_Type);
-            PyObject *record = SLOT(self, NS.record);
+            PyObject *record = SLOT(self, NS.record), *seq_obj;
             long long banked;
             int err = 0;
-            if (rtx == NULL || fifo_push(rtx, seq_obj) < 0 ||
+            if (rtx == NULL || (seq_obj = PyLong_FromLongLong(seq)) == NULL)
+                return NULL;
+            err = fifo_push(rtx, seq_obj);
+            Py_DECREF(seq_obj);
+            if (err < 0 ||
                 need_type(record, t_record, "a flow record") < 0 ||
                 slot_add_ll(record, R.retransmissions, "retransmissions",
                             1) < 0)
@@ -2558,27 +2895,22 @@ SELF_ARG_METHOD(c_src_on_packet, src_on_packet,
 /* self._send(self._control(kind, seq)) of an NDP sink: a control packet
  * back to the source, src/dst swapped against the record. */
 static int
-sink_send_control(PyObject *self, PyObject *kind, PyObject *kind_val,
-                  PyObject *seq_obj)
+sink_send_control(PyObject *self, PyObject *kind, long long kind_val,
+                  long long seq)
 {
-    PyObject *fid, *src = NULL, *dst = NULL, *salt_obj, *packet = NULL;
-    int rc = -1;
+    PyObject *record = SLOT(self, NK.record), *packet;
+    long long fid, src, dst;
+    int rc;
 
-    if ((fid = rec_get(SLOT(self, NK.record), flow_id)) == NULL)
+    if (rec_int(record, flow_id, &fid) < 0 ||
+        rec_int(record, dst_host, &src) < 0 ||
+        rec_int(record, src_host, &dst) < 0 ||
+        (packet = pkt_acquire(kind, g_prio_control, fid, src, dst, seq,
+                              g_header_ll, salt_hash(fid, seq, kind_val))) ==
+            NULL)
         return -1;
-    salt_obj = salt_hash(fid, seq_obj, kind_val);
-    src = salt_obj ? rec_get(SLOT(self, NK.record), dst_host) : NULL;
-    dst = src ? rec_get(SLOT(self, NK.record), src_host) : NULL;
-    if (dst != NULL)
-        packet = c_acquire(fid, kind, src, dst, seq_obj, g_header_bytes,
-                           g_prio_control, salt_obj, Py_None, Py_None);
-    if (packet != NULL)
-        rc = do_send(self, NK.send, packet);
-    Py_DECREF(fid);
-    Py_XDECREF(src);
-    Py_XDECREF(dst);
-    Py_XDECREF(salt_obj);
-    Py_XDECREF(packet);
+    rc = do_send(self, NK.send, packet);
+    Py_DECREF(packet);
     return rc;
 }
 
@@ -2599,17 +2931,13 @@ sink_finished(PyObject *sink)
 static int
 sink_emit_pull(PyObject *self)
 {
-    PyObject *seq_obj;
     long long pull_seq;
-    int err = 0, rc;
+    int err = 0;
 
     pull_seq = slot_ll(self, NK.pull_seq, "_pull_seq", &err) + 1;
-    if (err || slot_set_ll(self, NK.pull_seq, pull_seq) < 0 ||
-        (seq_obj = PyLong_FromLongLong(pull_seq)) == NULL)
+    if (err || slot_set_ll(self, NK.pull_seq, pull_seq) < 0)
         return -1;
-    rc = sink_send_control(self, g_kind_pull, g_pull_val, seq_obj);
-    Py_DECREF(seq_obj);
-    return rc;
+    return sink_send_control(self, g_kind_pull, g_pull_ll, pull_seq);
 }
 
 static PyObject *
@@ -2662,17 +2990,18 @@ pacer_request(PyObject *pacer, PyObject *sink)
     return schedule_heap(sim, SIM_TAIL(sim)->now, tick, g_empty);
 }
 
-/* NdpSink.on_packet on a compiled sink: its exact set of received
- * sequences, its source's sizes, its books and its pacer. */
+/* NdpSink.on_packet on a compiled sink: its received sequences, its
+ * source's sizes, its books and its pacer. */
 static PyObject *
 sink_on_packet(PyObject *self, PyObject *packet)
 {
-    PyObject *kind, *seq_obj, *source;
+    PyObject *kind, *source;
+    long long seq;
     int fin;
 
     if (need_endpoint(self, t_cksink, "the NDP sink", NK.record, NK.send) <
             0 ||
-        need_type(SLOT(self, NK.received), &PySet_Type,
+        need_type(SLOT(self, NK.received), &SeqSet_Type,
                   "an NDP sink's _received") < 0 ||
         need_type(source = SLOT(self, NK.source), t_cksrc,
                   "an NDP sink's source") < 0 ||
@@ -2680,31 +3009,27 @@ sink_on_packet(PyObject *self, PyObject *packet)
         need_books(SLOT(self, NK.stats), SLOT(self, NK.record),
                    SLOT(self, NK.sim)) < 0 ||
         need_pacer(SLOT(self, NK.pacer)) < 0 ||
-        need_type(packet, t_packet, "the packet") < 0)
+        need_type(packet, t_ckpacket, "the packet") < 0)
         return NULL;
     kind = SLOT(packet, K.kind);
     if (kind != g_kind_data && kind != g_kind_header)
         Py_RETURN_NONE;
-    seq_obj = slot_get(packet, K.seq, "seq");
-    if (seq_obj == NULL)
-        return NULL;
+    seq = PKT(packet)->seq;
     if (kind == g_kind_data) {
-        PyObject *received;
+        SeqSet *received;
         long long payload;
-        int has;
-        if (sink_send_control(self, g_kind_ack, g_ack_val, seq_obj) < 0 ||
-            (received = need_native(self, NK.received, &PySet_Type)) ==
-                NULL ||
-            (has = PySet_Contains(received, seq_obj)) < 0)
+        if (sink_send_control(self, g_kind_ack, g_ack_ll, seq) < 0 ||
+            (received = need_native(self, NK.received, &SeqSet_Type)) ==
+                NULL)
             return NULL;
-        if (!has &&
-            (PySet_Add(received, seq_obj) < 0 ||
-             src_payload(SLOT(self, NK.source), seq_obj, &payload) < 0 ||
+        if (!seqset_has(received, seq) &&
+            (seqset_add(received, seq) < 0 ||
+             src_payload(SLOT(self, NK.source), seq, &payload) < 0 ||
              stats_delivered(SLOT(self, NK.stats), SLOT(self, NK.record),
                              payload, SLOT(self, NK.sim)) < 0))
             return NULL;
     }
-    else if (sink_send_control(self, g_kind_nack, g_nack_val, seq_obj) < 0)
+    else if (sink_send_control(self, g_kind_nack, g_nack_ll, seq) < 0)
         return NULL; /* a trimmed header: NACK, so the source requeues it */
     fin = sink_finished(self);
     if (fin < 0 || (!fin && pacer_request(SLOT(self, NK.pacer), self) < 0))
@@ -2819,15 +3144,14 @@ dq_call(PyObject *method, PyObject *dq, PyObject *arg)
     return 0;
 }
 
-/* packet.size_bytes of a packet RotorLB moves, by offset. */
+/* packet.size_bytes of a packet RotorLB moves. */
 static int
 pkt_size(PyObject *packet, long long *out)
 {
-    int err = 0;
-    if (need_type(packet, t_packet, "a relayed packet") < 0)
+    if (need_type(packet, t_ckpacket, "a relayed packet") < 0)
         return -1;
-    *out = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-    return err ? -1 : 0;
+    *out = PKT(packet)->size_bytes;
+    return 0;
 }
 
 /* An exact BulkFlow whose record is an exact FlowRecord. */
@@ -2853,36 +3177,34 @@ flow_src(PyObject *flow)
 }
 
 /* One sender's next packet (BulkFlow.make_packet, inlined): a new
- * reference, its payload in *payload. */
+ * reference, its payload in *payload. Every value is read before the
+ * flow is written. */
 static PyObject *
 flow_packet(PyObject *flow, PyObject *src, long long unsent,
             PyObject *next_rack, PyObject *relay_to, long long *payload)
 {
-    PyObject *record = SLOT(flow, BF.record), *seq, *fid = NULL, *dst = NULL,
-             *size = NULL, *packet = NULL;
-    long long per, seq_ll;
-    int err = 0;
+    PyObject *record = SLOT(flow, BF.record), *packet;
+    long long per, seq, fid, dst, src_ll, next_ll = 0, relay_ll = 0;
+    int err = 0, has_next, has_relay;
+    PacketTail *t;
 
     per = slot_ll(flow, BF.payload_per_packet, "payload_per_packet", &err);
-    seq = err ? NULL : slot_get(flow, BF.next_seq, "next_seq");
-    if (seq == NULL || as_ll(seq, &seq_ll) < 0)
+    seq = err ? 0 : slot_ll(flow, BF.next_seq, "next_seq", &err);
+    if (err || rec_int(record, flow_id, &fid) < 0 ||
+        rec_int(record, dst_host, &dst) < 0 || as_ll(src, &src_ll) < 0 ||
+        (has_next = opt_value(next_rack, &f_next_rack, &next_ll)) < 0 ||
+        (has_relay = opt_value(relay_to, &f_relay_to, &relay_ll)) < 0)
         return NULL;
-    Py_INCREF(seq);
     *payload = per < unsent ? per : unsent;
     if (slot_set_ll(flow, BF.unsent_bytes, unsent - *payload) < 0 ||
-        slot_set_ll(flow, BF.next_seq, seq_ll + 1) < 0)
-        goto done;
-    fid = rec_get(record, flow_id);
-    dst = fid ? rec_get(record, dst_host) : NULL;
-    size = dst ? PyLong_FromLongLong(g_header_ll + *payload) : NULL;
-    if (size != NULL)
-        packet = c_acquire(fid, g_kind_data, src, dst, seq, size, g_prio_bulk,
-                           g_zero, next_rack, relay_to);
-done:
-    Py_DECREF(seq);
-    Py_XDECREF(fid);
-    Py_XDECREF(dst);
-    Py_XDECREF(size);
+        slot_set_ll(flow, BF.next_seq, seq + 1) < 0 ||
+        (packet = pkt_acquire(g_kind_data, g_prio_bulk, fid, src_ll, dst, seq,
+                              g_header_ll + *payload, 0)) == NULL)
+        return NULL;
+    t = PKT(packet);
+    t->next_rack = next_ll;
+    t->relay_to = relay_ll;
+    t->set = (has_next ? PK_NEXT : 0) | (has_relay ? PK_RELAY : 0);
     return packet;
 }
 
@@ -3001,9 +3323,8 @@ agent_fill_circuit(PyObject *self, PyObject *circuit, long long *budget)
         err = pkt_size(packet, &size) < 0 || bytes == NULL ||
               dict_ll(bytes, peer, 1, &held) < 0 ||
               dict_set_ll(bytes, peer, held - size) < 0;
-        if (!err)
-            slot_set(packet, K.next_rack, peer);
-        err = err || sub_bytes(budget, size) < 0 ||
+        err = err || pkt_set_opt(packet, peer, (void *)&f_next_rack) < 0 ||
+              sub_bytes(budget, size) < 0 ||
               slot_add_ll(self, LB.direct_bytes_sent, "direct_bytes_sent",
                           size) < 0 ||
               port_enqueue(port, packet) < 0;
@@ -3343,17 +3664,18 @@ agent_accept_relay(PyObject *self, PyObject *packet)
     int err;
 
     if (need_type(self, t_ckagent, "the RotorLB agent") < 0 ||
-        need_type(packet, t_packet, "the packet") < 0 ||
+        need_type(packet, t_ckpacket, "the packet") < 0 ||
         need_type(queues = SLOT(self, LB.relay_q), &PyDict_Type,
                   "a RotorLB agent's relay_q") < 0 ||
         need_type(bytes = SLOT(self, LB.relay_bytes), &PyDict_Type,
                   "a RotorLB agent's relay_bytes") < 0)
         return NULL;
-    if (!exact_ll(SLOT(packet, K.dst_host), &dst) || dst < 0 ||
-        !exact_ll(SLOT(packet, K.size_bytes), &size) ||
-        !exact_ll(SLOT(self, LB.hosts_per_rack), &hpr) || hpr <= 0) {
-        outside("a relay whose dst_host, size_bytes or hosts_per_rack is "
-                "not a non-negative int (hosts_per_rack: positive)",
+    dst = PKT(packet)->dst_host;
+    size = PKT(packet)->size_bytes;
+    if (dst < 0 || !exact_ll(SLOT(self, LB.hosts_per_rack), &hpr) ||
+        hpr <= 0) {
+        outside("a relay whose dst_host is negative or whose agent's "
+                "hosts_per_rack is not a positive int",
                 packet);
         return NULL;
     }
@@ -3367,8 +3689,7 @@ agent_accept_relay(PyObject *self, PyObject *packet)
         return NULL;
     }
     /* Writes start here. */
-    slot_set(packet, K.relay_to, Py_None);
-    slot_set(packet, K.next_rack, Py_None);
+    PKT(packet)->set &= ~(PK_NEXT | PK_RELAY);
     if (queue != NULL)
         Py_INCREF(queue);
     else if ((queue = PyObject_CallNoArgs((PyObject *)t_deque)) != NULL &&
@@ -3388,30 +3709,26 @@ agent_accept_relay(PyObject *self, PyObject *packet)
 static PyObject *
 bulk_sink_on_packet(PyObject *self, PyObject *packet)
 {
-    PyObject *received, *seq;
-    long long size;
-    int has, err = 0;
+    SeqSet *received;
+    long long seq;
 
     if (need_type(self, t_ckbulksink, "the bulk sink") < 0 ||
-        need_type(SLOT(self, BK.received), &PySet_Type,
+        need_type(SLOT(self, BK.received), &SeqSet_Type,
                   "a bulk sink's _received") < 0 ||
         need_books(SLOT(self, BK.stats), SLOT(self, BK.record),
                    SLOT(self, BK.sim)) < 0 ||
-        need_type(packet, t_packet, "the packet") < 0)
+        need_type(packet, t_ckpacket, "the packet") < 0)
         return NULL;
     if (SLOT(packet, K.kind) != g_kind_data)
         Py_RETURN_NONE;
-    received = SLOT(self, BK.received);
-    if ((seq = slot_get(packet, K.seq, "seq")) == NULL ||
-        (has = PySet_Contains(received, seq)) < 0)
-        return NULL;
-    if (has)
+    received = (SeqSet *)SLOT(self, BK.received);
+    seq = PKT(packet)->seq;
+    if (seqset_has(received, seq))
         Py_RETURN_NONE;
-    if (PySet_Add(received, seq) < 0)
-        return NULL;
-    size = slot_ll(packet, K.size_bytes, "size_bytes", &err);
-    if (err || stats_delivered(SLOT(self, BK.stats), SLOT(self, BK.record),
-                               size - g_header_ll, SLOT(self, BK.sim)) < 0)
+    if (seqset_add(received, seq) < 0 ||
+        stats_delivered(SLOT(self, BK.stats), SLOT(self, BK.record),
+                        PKT(packet)->size_bytes - g_header_ll,
+                        SLOT(self, BK.sim)) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -3532,21 +3849,16 @@ c_init(PyObject *mod, PyObject *cfg)
                   &t_porttail) < 0)
         return NULL;
 
-    CFG_TYPE(t_packet, "Packet");
-    OFF(cls, "flow_id", K.flow_id);
+    CFG_CLASS("Packet");
     OFF(cls, "kind", K.kind);
-    OFF(cls, "src_host", K.src_host);
-    OFF(cls, "dst_host", K.dst_host);
-    OFF(cls, "seq", K.seq);
-    OFF(cls, "size_bytes", K.size_bytes);
     OFF(cls, "priority", K.priority);
-    OFF(cls, "slice_stamp", K.slice_stamp);
-    OFF(cls, "salt", K.salt);
-    OFF(cls, "hops", K.hops);
-    OFF(cls, "next_rack", K.next_rack);
-    OFF(cls, "relay_to", K.relay_to);
     OFF(cls, "recv_args", K.recv_args);
-    OFF(cls, "_pooled", K.pooled);
+    if (init_tail(mod, cls, "repro.net.kernel._ckernel.PacketTail",
+                  "Packet with its ints as int64 fields (slice_stamp, "
+                  "next_rack and relay_to nullable): the base of CKPacket.",
+                  sizeof(PacketTail), packet_tail_getset, &g_packet_tail,
+                  &t_packettail) < 0)
+        return NULL;
 
     CFG_CLASS("Host");
     OFF(cls, "sources", H.sources);
@@ -3666,29 +3978,38 @@ c_init(PyObject *mod, PyObject *cfg)
     CFG_OBJ(g_kind_ack, "KIND_ACK");
     CFG_OBJ(g_kind_nack, "KIND_NACK");
     CFG_OBJ(g_kind_pull, "KIND_PULL");
-    Py_XSETREF(g_ack_val, PyObject_GetAttr(g_kind_ack, s_value));
-    Py_XSETREF(g_nack_val, PyObject_GetAttr(g_kind_nack, s_value));
-    Py_XSETREF(g_pull_val, PyObject_GetAttr(g_kind_pull, s_value));
-    if (g_ack_val == NULL || g_nack_val == NULL || g_pull_val == NULL)
-        return NULL;
-    CFG_OBJ(g_pool, "POOL");
-    if (!PyList_CheckExact(g_pool)) {
-        PyErr_SetString(PyExc_TypeError, "POOL must be the packet free list");
-        return NULL;
+    {
+        PyObject *const kinds[3] = {g_kind_ack, g_kind_nack, g_kind_pull};
+        long long *const values[3] = {&g_ack_ll, &g_nack_ll, &g_pull_ll};
+        int i;
+        for (i = 0; i < 3; i++) {
+            Py_XSETREF(tmp, PyObject_GetAttr(kinds[i], s_value));
+            if (tmp == NULL || as_ll(tmp, values[i]) < 0)
+                return NULL;
+        }
     }
     CFG_OBJ(tmp, "POOL_MAX");
-    g_pool_max = PyLong_AsLong(tmp);
+    if (g_free == NULL) {
+        /* The free list is built once, at its size for the process. */
+        g_pool_max = PyLong_AsSsize_t(tmp);
+        if (g_pool_max < 0) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError, "POOL_MAX must be >= 0");
+            return NULL;
+        }
+        if ((g_free = PyMem_New(PyObject *, g_pool_max + 1)) == NULL)
+            return PyErr_NoMemory();
+    }
     CFG_OBJ(tmp, "MAX_HOPS");
     if (as_ll(tmp, &g_max_hops) < 0)
         return NULL;
     CFG_OBJ(tmp, "MTU_BYTES");
     if (as_ll(tmp, &g_mtu_ll) < 0)
         return NULL;
-    CFG_OBJ(g_header_bytes, "HEADER_BYTES");
-    if (as_ll(g_header_bytes, &g_header_ll) < 0)
+    CFG_OBJ(tmp, "HEADER_BYTES");
+    if (as_ll(tmp, &g_header_ll) < 0)
         return NULL;
     CFG_OBJ(g_py_past_error, "py_past_error");
-    CFG_OBJ(g_py_acquire, "py_acquire");
     CFG_OBJ(g_py_on_slice, "py_on_slice");
     Py_CLEAR(tmp);
     if (PyErr_Occurred())
@@ -3700,8 +4021,8 @@ c_init(PyObject *mod, PyObject *cfg)
 /* The exact CK classes of the contract, in register()'s argument
  * order. */
 static PyTypeObject **const registered[] = {
-    &t_cksim,  &t_ckport,  &t_ckhost,  &t_ckswitch,  &t_cksrc,
-    &t_cksink, &t_ckpacer, &t_ckagent, &t_ckbulksink,
+    &t_cksim,  &t_ckport,  &t_ckhost,  &t_ckswitch,   &t_cksrc,
+    &t_cksink, &t_ckpacer, &t_ckagent, &t_ckbulksink, &t_ckpacket,
 };
 
 static PyObject *
@@ -3723,14 +4044,17 @@ c_register(PyObject *Py_UNUSED(mod), PyObject *args)
             PyErr_SetString(PyExc_TypeError, "register() takes classes");
             return NULL;
         }
-    /* The kernel finds the clock and port fields in the tails. */
+    /* The kernel finds the clock, port and packet fields in the tails. */
     if (!PyType_IsSubtype((PyTypeObject *)PyTuple_GET_ITEM(args, 0),
                           t_simtail) ||
         !PyType_IsSubtype((PyTypeObject *)PyTuple_GET_ITEM(args, 1),
-                          t_porttail)) {
+                          t_porttail) ||
+        !PyType_IsSubtype((PyTypeObject *)PyTuple_GET_ITEM(args, n - 1),
+                          t_packettail)) {
         PyErr_SetString(PyExc_TypeError,
-                        "register: the simulator and port classes must "
-                        "subclass _ckernel.SimTail and _ckernel.PortTail");
+                        "register: the simulator, port and packet classes "
+                        "must subclass _ckernel.SimTail, _ckernel.PortTail "
+                        "and _ckernel.PacketTail");
         return NULL;
     }
     for (i = 0; i < n; i++)
@@ -4041,6 +4365,16 @@ static PyMethodDef module_fns[] = {
      "Register the CK* classes: the contract's exact types."},
     {"make_dispatch", (PyCFunction)c_make_dispatch, METH_VARARGS,
      "Build the fused C dispatch callable for a switch."},
+    {"acquire", (PyCFunction)c_acquire,
+     METH_VARARGS | METH_KEYWORDS,
+     "packet.acquire under the compiled kernel: a CKPacket from its free "
+     "list."},
+    {"release", (PyCFunction)c_release, METH_O,
+     "packet.release under the compiled kernel: a CKPacket back to its free "
+     "list."},
+    {"salt", (PyCFunction)c_salt, METH_FASTCALL,
+     "salt(a, b, c): hash((a, b, c)) & 0x7FFFFFFF of three int64 ints, as "
+     "the kernel computes NDP packet salts."},
     {"random_perfect_matching", (PyCFunction)c_random_perfect_matching,
      METH_FASTCALL,
      "random_perfect_matching(remaining, rng, walk_limit=2000): the exact\n"
@@ -4061,6 +4395,8 @@ static PyMethodDef m_kick = {"_kick", (PyCFunction)c_port_kick, METH_FASTCALL,
                              "Compiled Port._kick."};
 static PyMethodDef m_receive = {"receive", (PyCFunction)c_host_receive,
                                 METH_FASTCALL, "Compiled Host.receive."};
+static PyMethodDef m_src_emit = {"src_emit", (PyCFunction)c_src_emit,
+                                 METH_FASTCALL, "Compiled NdpSource._emit."};
 static PyMethodDef m_src_on_packet = {
     "src_on_packet", (PyCFunction)c_src_on_packet, METH_FASTCALL,
     "Compiled NdpSource.on_packet."};
@@ -4139,7 +4475,8 @@ PyInit__ckernel(void)
     size_t i;
 
     if (PyType_Ready(&EventHeap_Type) < 0 || PyType_Ready(&Fifo_Type) < 0 ||
-        PyType_Ready(&Ledger_Type) < 0 || PyType_Ready(&PortCounters_Type) < 0)
+        PyType_Ready(&Ledger_Type) < 0 ||
+        PyType_Ready(&PortCounters_Type) < 0 || PyType_Ready(&SeqSet_Type) < 0)
         return NULL;
     m = PyModule_Create(&ckernel_module);
     if (m == NULL)
@@ -4147,7 +4484,8 @@ PyInit__ckernel(void)
     if (PyModule_AddType(m, &EventHeap_Type) < 0 ||
         PyModule_AddType(m, &Fifo_Type) < 0 ||
         PyModule_AddType(m, &Ledger_Type) < 0 ||
-        PyModule_AddType(m, &PortCounters_Type) < 0)
+        PyModule_AddType(m, &PortCounters_Type) < 0 ||
+        PyModule_AddType(m, &SeqSet_Type) < 0)
         goto fail;
 #ifdef CKERNEL_SOURCE_SHA256
     /* setup.py passes the sha256 of this file; repro.net.kernel refuses a
@@ -4162,11 +4500,8 @@ PyInit__ckernel(void)
             goto fail;
     }
     g_empty = PyTuple_New(0);
-    g_src_salt = PyLong_FromLongLong(0x9E3779B9LL);
-    g_zero = PyLong_FromLong(0);
     g_minus_one = PyLong_FromLong(-1);
-    if (g_empty == NULL || g_src_salt == NULL || g_zero == NULL ||
-        g_minus_one == NULL)
+    if (g_empty == NULL || g_minus_one == NULL)
         goto fail;
     if (add_instancemethod(m, &m_at, NULL) < 0 ||
         add_instancemethod(m, &m_after, NULL) < 0 ||
@@ -4174,6 +4509,7 @@ PyInit__ckernel(void)
         add_instancemethod(m, &m_enqueue, &g_cf_enqueue) < 0 ||
         add_instancemethod(m, &m_kick, NULL) < 0 ||
         add_instancemethod(m, &m_receive, NULL) < 0 ||
+        add_instancemethod(m, &m_src_emit, NULL) < 0 ||
         add_instancemethod(m, &m_src_on_packet, NULL) < 0 ||
         add_instancemethod(m, &m_sink_on_packet, NULL) < 0 ||
         add_instancemethod(m, &m_sink_emit_pull, NULL) < 0 ||

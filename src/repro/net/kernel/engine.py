@@ -9,31 +9,37 @@ engine.
 The ``CK*`` classes add no slots (``__slots__ = ()``) — they rebind the
 hot methods to the C implementations, which operate on the base classes'
 ``__slots__`` through member-descriptor offsets captured by
-``_ckernel.init`` below. :class:`CKSimulator` and :class:`CKPort`
-derive from the *native tails* ``init`` builds on the pure-Python
-classes (``_ckernel.SimTail``, ``_ckernel.PortTail``; see
-:mod:`repro.net.kernel`): the clock, and a port's serializer state, byte
-counts and constants, are int64 fields whose getset descriptors, named
-after the slots they shadow, serve Python readers unchanged. Some slots
-change type, installed at construction: :class:`CKSimulator` stores a
-native ``_ckernel.EventHeap`` in ``_heap``; :class:`CKPort` stores
+``_ckernel.init`` below. :class:`CKSimulator`, :class:`CKPort` and
+:class:`CKPacket` derive from the *native tails* ``init`` builds on the
+pure-Python classes (``_ckernel.SimTail``, ``_ckernel.PortTail``,
+``_ckernel.PacketTail``; see :mod:`repro.net.kernel`): the clock, a
+port's serializer state, byte counts and constants, and a packet's ints
+are int64 fields whose getset descriptors, named after the slots they
+shadow, serve Python readers unchanged. Some slots change type,
+installed at construction: :class:`CKSimulator` stores a native
+``_ckernel.EventHeap`` in ``_heap``; :class:`CKPort` stores
 ``_ckernel.Fifo`` rings in its three queues, a ``_ckernel.Ledger`` in
 ``_committed_control`` and a ``_ckernel.PortCounters`` in ``stats``;
 :class:`CKNdpSource`'s ``_rtx`` and :class:`CKPullPacer`'s ``_tokens``
-are Fifos. ``init`` registers :class:`~repro.net.node.RouteTable` and
+are Fifos, and the NDP source's ``_acked`` and both sinks' ``_received``
+are ``_ckernel.SeqSet`` objects. ``init`` registers
+:class:`~repro.net.node.RouteTable` and
 :class:`~repro.net.link.SliceResolver` themselves, whose exact instances
 the C dispatch and serializer interpret natively. Everything else
 (construction, cold paths, introspection, repr) is inherited.
 
 These classes are the kernel's closed world, its contract: a compiled
 method runs only on them (exactly, on a :class:`CKSimulator`, with their
-native queues), on exact ``Packet``, ``FlowRecord``, ``StatsCollector``
-and ``BulkFlow`` objects, and at a whole number of ps per byte. Anything
-else raises a :class:`TypeError` naming ``REPRO_KERNEL=py``, a
-:class:`CKPort` at construction. Of the pure-Python bodies ``init`` takes
-only ``Simulator._past_error``, ``acquire`` and ``RotorLBAgent.on_slice``
-(the failure seam); ``_ckernel.c``'s header lists every Python call the
-kernel makes.
+native queues and sets), on exact :class:`CKPacket`, ``FlowRecord``,
+``StatsCollector`` and ``BulkFlow`` objects, and at a whole number of ps
+per byte. Anything else raises a :class:`TypeError` naming
+``REPRO_KERNEL=py``, a :class:`CKPort` at construction. Packets come from
+the kernel's own free list, through ``_ckernel.acquire`` and ``release``
+for the Python code that runs under this kernel (``EngineClasses``
+hands them out). Of the pure-Python bodies ``init`` takes only
+``Simulator._past_error`` and ``RotorLBAgent.on_slice`` (the failure
+seam); ``_ckernel.c``'s header lists every Python call the kernel
+makes.
 """
 
 from __future__ import annotations
@@ -43,16 +49,7 @@ from collections import deque
 from ..link import _LAZY, Port, SliceResolver
 from ..ndp import NdpSink, NdpSource, PullPacer
 from ..node import CONSUMED, MAX_HOPS, Host, RouteTable, SwitchNode
-from ..packet import (
-    _POOL,
-    _POOL_MAX,
-    HEADER_BYTES,
-    MTU_BYTES,
-    Packet,
-    PacketKind,
-    Priority,
-    acquire,
-)
+from ..packet import _POOL_MAX, HEADER_BYTES, MTU_BYTES, Packet, PacketKind, Priority
 from ..rotorlb import BulkFlow, BulkSink, RotorLBAgent
 from ..sim import Simulator
 from ..stats import FlowRecord, StatsCollector
@@ -68,6 +65,7 @@ __all__ = [
     "CKPullPacer",
     "CKRotorLBAgent",
     "CKBulkSink",
+    "CKPacket",
 ]
 
 
@@ -99,13 +97,11 @@ _ckernel.init(
         "BulkFlow": BulkFlow,
         "BulkSink": BulkSink,
         "deque": deque,
-        "POOL": _POOL,
         "POOL_MAX": _POOL_MAX,
         "MAX_HOPS": MAX_HOPS,
         "HEADER_BYTES": HEADER_BYTES,
         "MTU_BYTES": MTU_BYTES,
         "py_past_error": Simulator._past_error,
-        "py_acquire": acquire,
         "py_on_slice": RotorLBAgent.on_slice,
     }
 )
@@ -202,9 +198,13 @@ class CKSwitchNode(SwitchNode):
 
 
 class CKNdpSource(NdpSource):
-    """NDP source with the ACK/NACK/PULL receive handler compiled.
+    """NDP source with ``_emit`` and the ACK/NACK/PULL receive handler
+    compiled.
 
-    Its retransmit queue is a native ``_ckernel.Fifo``.
+    Its retransmit queue is a native ``_ckernel.Fifo`` and its acked
+    sequences a ``_ckernel.SeqSet``. The Python ``start``, ``_send_next``
+    and failure-recovery hooks make packets through the compiled
+    ``_emit``.
     """
 
     __slots__ = ()
@@ -212,14 +212,23 @@ class CKNdpSource(NdpSource):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._rtx = _ckernel.Fifo()
+        self._acked = _ckernel.SeqSet()
 
+    _emit = _ckernel.src_emit
     on_packet = _ckernel.src_on_packet
 
 
 class CKNdpSink(NdpSink):
-    """NDP sink with the ACK/dedup/delivery and PULL paths compiled."""
+    """NDP sink with the ACK/dedup/delivery and PULL paths compiled.
+
+    Its received sequences are a ``_ckernel.SeqSet``.
+    """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._received = _ckernel.SeqSet()
 
     on_packet = _ckernel.sink_on_packet
     emit_pull = _ckernel.sink_emit_pull
@@ -250,11 +259,13 @@ class CKRotorLBAgent(RotorLBAgent):
     agent and hands a disabled or failure-armed one to the Python body
     (the failure seam); ``accept_relay`` is what the route table's
     ``relay`` and ``requeue`` reach. ``submit``, ``requeue`` and the
-    failure-only paths stay Python.
+    failure-only paths stay Python; the Python slice step makes its
+    packets through the kernel's ``acquire``.
     """
 
     __slots__ = ()
 
+    acquire = _ckernel.acquire
     on_slice = _ckernel.agent_on_slice
     accept_relay = _ckernel.agent_accept_relay
 
@@ -263,12 +274,31 @@ class CKBulkSink(BulkSink):
     """Bulk sink with the dedup and delivery count compiled.
 
     ``c_host_receive`` calls it directly, as it calls the compiled NDP
-    endpoints.
+    endpoints. Its received sequences are a ``_ckernel.SeqSet``.
     """
 
     __slots__ = ()
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._received = _ckernel.SeqSet()
+
     on_packet = _ckernel.bulk_sink_on_packet
+
+
+class CKPacket(_ckernel.PacketTail):
+    """Packet whose ints are int64 fields of the ``PacketTail`` base.
+
+    ``flow_id``, ``src_host``, ``dst_host``, ``seq``, ``size_bytes``,
+    ``salt``, ``hops``, the nullable ``slice_stamp``, ``next_rack`` and
+    ``relay_to``, and ``_pooled`` take ints only (``TypeError``) that fit
+    in int64 (the kernel's ``OverflowError``); ``kind``, ``priority`` and
+    ``recv_args`` stay slots. The kernel makes and frees these through
+    its own free list (``_ckernel.acquire`` / ``release``); constructing
+    one directly runs :meth:`Packet.__init__`, as for the oracle.
+    """
+
+    __slots__ = ()
 
 
 _ckernel.register(
@@ -281,4 +311,5 @@ _ckernel.register(
     CKPullPacer,
     CKRotorLBAgent,
     CKBulkSink,
+    CKPacket,
 )

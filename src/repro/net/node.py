@@ -34,8 +34,8 @@ class FlowEndpoint(Protocol):
     """Transport endpoints attached to hosts implement this.
 
     ``on_packet`` must not retain (or re-send) the packet object after it
-    returns: the host recycles delivered packets through the free list in
-    :mod:`repro.net.packet`.
+    returns: the host recycles delivered packets through its kernel's free
+    list (:mod:`repro.net.packet`'s, or the compiled kernel's own).
     """
 
     def on_packet(self, packet: Packet) -> None: ...

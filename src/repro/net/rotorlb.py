@@ -30,6 +30,7 @@ and they are what runs while failures are armed.
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
 from .link import Port
 from .node import Host
@@ -56,7 +57,10 @@ class BulkFlow:
     def exhausted(self) -> bool:
         return self.unsent_bytes <= 0
 
-    def make_packet(self, next_rack: int, relay_to: int | None) -> Packet:
+    def make_packet(
+        self, acquire: Callable[..., Packet], next_rack: int, relay_to: int | None
+    ) -> Packet:
+        """The next packet, from ``acquire`` (the agent's kernel's)."""
         payload = min(self.payload_per_packet, self.unsent_bytes)
         self.unsent_bytes -= payload
         seq = self.next_seq
@@ -155,6 +159,10 @@ class RotorLBAgent:
         "failure_view",
         "relay_vlb_dsts",
     )
+
+    #: Where the slice step's packets come from; the compiled agent's is
+    #: its kernel's free list.
+    acquire = staticmethod(acquire)
 
     def __init__(
         self,
@@ -260,7 +268,7 @@ class RotorLBAgent:
                 ):
                     return None
                 continue
-            packet = flow.make_packet(next_rack, relay_to)
+            packet = flow.make_packet(self.acquire, next_rack, relay_to)
             payload = packet.size_bytes - HEADER_BYTES
             self._host_budget[src] = self._host_budget.get(src, 0) - payload
             self.local_backlog[dst_rack] -= payload

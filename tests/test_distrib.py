@@ -730,6 +730,64 @@ class TestForkedFleet:
         assert seen
         _assert_reaped(pid for pid, _role in seen)
 
+    def test_close_reaps_leaving_workers_and_signals_stragglers(self, monkeypatch):
+        # Two stand-in workers: one leaves 0.2 s into close (as a worker
+        # sent `shutdown` does), one would sleep for a minute. Only the
+        # straggler is signalled, once the grace is over.
+        delays = iter((0.2, 60.0))
+
+        def stand_in(address, *, role=None, secret=None):
+            delay = next(delays)
+            pid = os.fork()
+            if pid == 0:
+                time.sleep(delay)
+                os._exit(0)
+            return pid
+
+        kills = []
+        real_kill = os.kill
+
+        def spy(pid, sig):
+            kills.append((pid, sig))
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(fleet_mod, "spawn_local_worker", stand_in)
+        monkeypatch.setattr(fleet_mod.os, "kill", spy)
+        fleet = Fleet(("127.0.0.1", 1), max_respawns=0)
+        fleet.start(2)
+        leaving, straggler = fleet.pids
+        started = time.monotonic()
+        fleet.close()
+        assert kills == [(straggler, signal.SIGTERM)]
+        assert time.monotonic() - started < 5.0
+        _assert_reaped([leaving, straggler])
+
+    def test_a_normal_run_signals_no_worker(self, scratch_registry, monkeypatch, forked):
+        # The coordinator's close sends every worker `shutdown`, and the
+        # fleet reaps them as they leave on it: a run that ends normally
+        # sends no SIGTERM, so no worker drains (or says `bye` into a
+        # closed connection).
+        @scenario("slow_probe")
+        def slow_probe(i: int = 0):
+            time.sleep(0.1)
+            return os.getpid()
+
+        kills = []
+        real_kill = os.kill
+
+        def spy(pid, sig):
+            kills.append((pid, sig))
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(fleet_mod.os, "kill", spy)
+        seen, _leaks = forked
+        results = Runner(cache=None, executor="distributed", workers=2).sweep(
+            "slow_probe", {"i": list(range(12))}
+        )
+        assert len(results) == 12 and len(seen) == 2
+        assert kills == []
+        _assert_reaped(pid for pid, _role in seen)
+
     def test_respawned_workers_get_fresh_roles_in_their_own_environ(
         self, scratch_registry, monkeypatch, forked
     ):

@@ -12,6 +12,7 @@ graceful fallback when the compiled module is absent).
 """
 
 import hashlib
+import itertools
 import os
 import random
 import shutil
@@ -155,7 +156,7 @@ class TestKernelSeam:
         assert ck._fields == py._fields
         for field in ("Simulator", "Port", "Host", "SwitchNode",
                       "NdpSource", "NdpSink", "PullPacer",
-                      "RotorLBAgent", "BulkSink"):
+                      "RotorLBAgent", "BulkSink", "Packet"):
             c_cls, py_cls = getattr(ck, field), getattr(py, field)
             assert c_cls is not py_cls
             assert issubclass(c_cls, py_cls)
@@ -610,6 +611,8 @@ class TestNativeQueues:
         source = net.hosts[0].sources[record.flow_id]
         assert type(source).__name__ == "CKNdpSource"
         assert type(source._rtx) is _ckernel.Fifo
+        assert type(source._acked) is _ckernel.SeqSet
+        assert type(net.hosts[31].sinks[record.flow_id]._received) is _ckernel.SeqSet
         assert type(net.pacers[31]._tokens) is _ckernel.Fifo
 
 
@@ -700,7 +703,9 @@ def tail_replay(kernel, ops):
         if op[0] == "enqueue":
             _, i, priority, size = op
             kind = PacketKind.ACK if priority is Priority.CONTROL else PacketKind.DATA
-            out.append(ports[i].enqueue(Packet(1, kind, 0, 1, seq, size, priority)))
+            out.append(
+                ports[i].enqueue(classes.Packet(1, kind, 0, 1, seq, size, priority))
+            )
         else:
             out.append(sim.run(until_ps=sim.now + op[1]))
         out.append(tail_state(sim, ports))
@@ -794,6 +799,7 @@ class TestNativeTails:
         for cls, tail, base in (
             (ck.Simulator, _ckernel.SimTail, Simulator),
             (ck.Port, _ckernel.PortTail, Port),
+            (ck.Packet, _ckernel.PacketTail, Packet),
         ):
             assert cls.__dict__["__slots__"] == () and "__slots__" not in tail.__dict__
             assert cls.__basicsize__ == tail.__basicsize__ > base.__basicsize__
@@ -804,20 +810,174 @@ class TestNativeTails:
             Port._busy_until.__get__(port)
         with pytest.raises(AttributeError):
             Simulator.now.__get__(sim)
+        packet = ck.Packet(1, PacketKind.DATA, 0, 1, 0, MTU_BYTES, Priority.BULK)
+        with pytest.raises(AttributeError):
+            Packet.seq.__get__(packet)
 
 
-def serializer_run(sim_cls, port_cls, rate_bps):
-    """The serializer pins of test_link_serializer on any class pair."""
+#: Ints the salt must hash as CPython does: around the int hash's modulus
+#: (2**61 - 1) and the int64 ends, the NDP source's salt constant and the
+#: control kinds' values.
+SALT_EDGES = (
+    0, 1, -1, -2, 2**61 - 2, 2**61 - 1, 2**61, 2**63 - 1, -(2**63), 0x9E3779B9,
+    PacketKind.ACK.value, PacketKind.NACK.value, PacketKind.PULL.value,
+)
+
+#: A native sequence-set replay: adds and membership tests, mostly on few
+#: small values (so they repeat), some at the int64 ends (the ring's free
+#: marker among them) and some anywhere in int64.
+SEQ_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "in"]),
+        st.one_of(
+            st.integers(-3, 60),
+            st.sampled_from((-(2**63), -(2**63) + 1, 2**63 - 1, 2**61 - 1)),
+            st.integers(-(2**63), 2**63 - 1),
+        ),
+    ),
+    max_size=300,
+)
+
+#: A CKPacket's int64 fields, and those of them that also hold None.
+PACKET_INTS = ("flow_id", "src_host", "dst_host", "seq", "size_bytes", "salt", "hops")
+PACKET_NULLABLE = ("slice_stamp", "next_rack", "relay_to")
+
+
+@requires_c
+class TestNativePackets:
+    """Packets, salts and sequence sets under the compiled kernel."""
+
+    def test_salt_is_the_tuple_hash(self):
+        from repro.net.kernel import _ckernel
+
+        rng = random.Random(28)
+        triples = list(itertools.product(SALT_EDGES, repeat=3))
+        for _ in range(20_000):
+            triples.append(tuple(
+                rng.choice((rng.getrandbits(64) - 2**63, rng.randrange(-999, 10**6)))
+                for _ in range(3)
+            ))
+        for triple in triples:
+            assert _ckernel.salt(*triple) == hash(triple) & 0x7FFFFFFF, triple
+
+    @given(SEQ_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_seq_set_replays_like_a_set(self, ops):
+        from repro.net.kernel._ckernel import SeqSet
+
+        def replay_on(seqs):
+            return [seqs.add(v) if op == "add" else v in seqs for op, v in ops]
+
+        assert replay_on(SeqSet()) == replay_on(set())
+
+    def test_seq_set_grows_and_takes_int64_ints_only(self):
+        from repro.net.kernel._ckernel import SeqSet
+
+        seqs, oracle = SeqSet(), set()
+        for seq in range(0, 30_000, 3):  # a flow's worth, past several growths
+            seqs.add(seq)
+            oracle.add(seq)
+        assert [s in seqs for s in range(-5, 30_005)] == [
+            s in oracle for s in range(-5, 30_005)
+        ]
+        with pytest.raises(TypeError, match="int"):
+            seqs.add(1.0)
+        with pytest.raises(TypeError, match="int"):
+            "1" in seqs
+        with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
+            seqs.add(2**63)
+        assert 2**63 not in seqs and -(2**63) not in seqs
+        seqs.add(-(2**63))
+        assert -(2**63) in seqs
+
+    def test_packet_fields_take_int64_ints_only(self):
+        ck = engine_classes("c")
+        packet = ck.Packet(1, PacketKind.DATA, 0, 1, 0, MTU_BYTES, Priority.LOW_LATENCY)
+        assert all(getattr(packet, name) is None for name in PACKET_NULLABLE)
+        for name in (*PACKET_INTS, *PACKET_NULLABLE):
+            with pytest.raises(TypeError, match=name):
+                setattr(packet, name, 1.0)
+            with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
+                setattr(packet, name, 2**63)
+            with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
+                setattr(packet, name, -(2**63) - 1)
+            with pytest.raises(TypeError, match=name):
+                delattr(packet, name)
+            for value in (2**63 - 1, -(2**63), 7):
+                setattr(packet, name, value)
+                assert getattr(packet, name) == value
+        for name in PACKET_INTS:
+            with pytest.raises(TypeError, match=name):
+                setattr(packet, name, None)
+        for name in PACKET_NULLABLE:
+            setattr(packet, name, None)
+            assert getattr(packet, name) is None
+            setattr(packet, name, 0)
+            assert getattr(packet, name) == 0
+        # The enum slots are slots; trim() writes through both.
+        packet.size_bytes = MTU_BYTES
+        packet.trim()
+        assert (packet.kind, packet.size_bytes, packet.priority) == (
+            PacketKind.HEADER, HEADER_BYTES, Priority.CONTROL
+        )
+        # acquire converts its arguments the same way, before it takes a
+        # packet from the free list.
+        with pytest.raises(TypeError, match="seq"):
+            ck.acquire(1, PacketKind.ACK, 0, 1, 0.5, 64, Priority.CONTROL)
+        with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
+            ck.acquire(1, PacketKind.ACK, 0, 1, 0, 64, Priority.CONTROL, next_rack=2**63)
+        fresh = ck.acquire(
+            2, PacketKind.DATA, 3, 4, 5, 64, Priority.BULK, slice_stamp=6, salt=7,
+            relay_to=8,
+        )
+        assert (fresh.flow_id, fresh.src_host, fresh.dst_host, fresh.seq) == (2, 3, 4, 5)
+        assert (fresh.slice_stamp, fresh.salt, fresh.hops, fresh.next_rack) == (6, 7, 0, None)
+        assert fresh.relay_to == 8 and fresh._pooled is False
+        assert fresh.recv_args == (fresh,)
+
+    def test_kernels_never_share_a_free_list(self, monkeypatch):
+        from repro.net import packet as packet_mod
+
+        ck = engine_classes("c")
+        py = kernel_workload(monkeypatch, "py", kind="clos")
+        pooled = list(packet_mod._POOL)
+        assert pooled and all(type(p) is Packet for p in pooled)
+        assert kernel_workload(monkeypatch, "c", kind="clos") == py
+        # The c run took nothing from the oracle's list and gave it nothing.
+        assert len(packet_mod._POOL) == len(pooled)
+        assert all(a is b for a, b in zip(packet_mod._POOL, pooled))
+        # Its own list holds only its own packets: drain it, and one more.
+        drained = [
+            ck.acquire(1, PacketKind.ACK, 0, 1, 0, HEADER_BYTES, Priority.CONTROL)
+            for _ in range(packet_mod._POOL_MAX + 1)
+        ]
+        assert all(type(p) is ck.Packet for p in drained)
+        assert not {id(p) for p in drained} & {id(p) for p in pooled}
+        # A release takes only the kernel's packets, once.
+        with pytest.raises(TypeError, match="outside the compiled kernel's contract"):
+            ck.release(pooled[0])
+        ck.release(drained[0])
+        ck.release(drained[0])
+        again = [
+            ck.acquire(1, PacketKind.ACK, 0, 1, 0, HEADER_BYTES, Priority.CONTROL)
+            for _ in range(2)
+        ]
+        assert again[0] is drained[0] and again[1] is not drained[0]
+
+
+def serializer_run(sim_cls, port_cls, rate_bps, kernel="py"):
+    """The serializer pins of test_link_serializer on any class pair, with
+    ``kernel``'s packets."""
     from test_link_serializer import ArrivalLog, control_packet, make_packet
 
     sim = sim_cls()
     sink = ArrivalLog(sim)
     port = port_cls(sim, "t", resolver=lambda _p, _n: sink, rate_bps=rate_bps)
-    port.enqueue(make_packet(0))  # idle line: delivery pushed inline
-    port.enqueue(make_packet(1))  # busy line: queued behind a kick
+    port.enqueue(make_packet(0, kernel=kernel))  # idle line: delivery pushed inline
+    port.enqueue(make_packet(1, kernel=kernel))  # busy line: queued behind a kick
     for seq in (10, 11, 12):  # control burst: committed by one kick
-        port.enqueue(control_packet(seq))
-    sim.at(600_000, port.enqueue, control_packet(99))
+        port.enqueue(control_packet(seq, kernel))
+    sim.at(600_000, port.enqueue, control_packet(99, kernel))
     observed = [(sim.now, sim.events_processed, sim.pending)]
     sim.run(max_events=2)
     observed.append((sim.now, sim.events_processed, sim.pending))
@@ -847,10 +1007,10 @@ class TestPythonFallbacksOnCompiledSim:
         baseline = serializer_run(py.Simulator, py.Port, rate_bps)
         assert len(baseline[0]) == 6
         if rate_bps == 10_000_000_000:
-            assert serializer_run(ck.Simulator, ck.Port, rate_bps) == baseline
+            assert serializer_run(ck.Simulator, ck.Port, rate_bps, "c") == baseline
         else:
             with pytest.raises(TypeError, match="3000000000 b/s.*REPRO_KERNEL=py"):
-                serializer_run(ck.Simulator, ck.Port, rate_bps)
+                serializer_run(ck.Simulator, ck.Port, rate_bps, "c")
         with pytest.raises(TypeError, match="on a Simulator.*REPRO_KERNEL=py"):
             serializer_run(py.Simulator, ck.Port, rate_bps)
         with pytest.raises(TypeError, match="must be (a )?list"):
@@ -877,7 +1037,7 @@ def route_outcomes(kernel):
     table writes, or the exception the table raised.
     """
     from repro.net.node import CONSUMED, RouteTable
-    from repro.net.packet import Packet, PacketKind, Priority
+    from repro.net.packet import PacketKind, Priority
 
     classes = engine_classes(kernel)
     sim = classes.Simulator()
@@ -919,7 +1079,7 @@ def route_outcomes(kernel):
     outcomes = []
     for name, now, dst, salt, hops, stamp, prio in cases:
         sim.now = now
-        packet = Packet(1, DATA, 0, dst, 0, 1500, prio, stamp, salt, hops)
+        packet = classes.Packet(1, DATA, 0, dst, 0, 1500, prio, stamp, salt, hops)
         went = []
         for egress in (*hosts, *up):
             egress.enqueue = lambda p, _e=egress: went.append(_e.name)
@@ -933,7 +1093,7 @@ def route_outcomes(kernel):
         outcomes.append((went, drops, relays, packet.hops, packet.slice_stamp))
     # The fallback replaces the table outright (the failure seam).
     stamped.fallback = lambda _switch, _packet: CONSUMED
-    packet = Packet(1, DATA, 0, 0, 0, 1500, LL, None, 0, 0)
+    packet = classes.Packet(1, DATA, 0, 0, 0, 1500, LL, None, 0, 0)
     switches["stamped"].receive_cb(packet)
     outcomes.append(("fallback", packet.hops, packet.slice_stamp, len(relayed)))
     return outcomes
@@ -947,7 +1107,7 @@ def resolver_outcomes(kernel):
     in.
     """
     from repro.net.link import SliceResolver
-    from repro.net.packet import Packet, PacketKind, Priority
+    from repro.net.packet import PacketKind, Priority
 
     classes = engine_classes(kernel)
     sim = classes.Simulator()
@@ -967,7 +1127,7 @@ def resolver_outcomes(kernel):
     times = [0, 9_900_000, 10_000_000, 15_000_000, 20_000_000, 25_900_000,
              26_000_000, 29_900_000, 30_000_000, 56_000_000]
     for seq, t in enumerate(times):
-        packet = Packet(1, PacketKind.DATA, 0, 1, seq, 64, Priority.LOW_LATENCY)
+        packet = classes.Packet(1, PacketKind.DATA, 0, 1, seq, 64, Priority.LOW_LATENCY)
         sim.at(t, port.enqueue, packet)
     sim.run()
     return sorted(arrivals), dark
@@ -1059,7 +1219,7 @@ def swapped_heap(w, call):
 
 def double_endpoint(w):
     w.host.sinks[1] = Endpoint()
-    w.host.receive(Packet(1, PacketKind.DATA, 1, 0, 0, MTU_BYTES, Priority.LOW_LATENCY))
+    w.host.receive(w.ck.Packet(1, PacketKind.DATA, 1, 0, 0, MTU_BYTES, Priority.LOW_LATENCY))
 
 
 def subclassed_table(w):
@@ -1105,6 +1265,20 @@ OUTSIDE_CALLS = {
     "emit_pull": lambda w: swapped_slot(w.sink, "_send", w.host.send, w.sink.emit_pull),
     "pacer_tick": lambda w: swapped_slot(w.pacer, "_tokens", deque([w.sink]), w.pacer._tick),
     "on_slice": foreign_sender,
+    "oracle_packet": lambda w: w.host.nic.enqueue(
+        Packet(1, PacketKind.DATA, 0, 1, 0, MTU_BYTES, Priority.LOW_LATENCY)
+    ),
+    "release": lambda w: w.ck.release(
+        Packet(1, PacketKind.DATA, 0, 1, 0, MTU_BYTES, Priority.LOW_LATENCY)
+    ),
+    "src_emit": lambda w: swapped_slot(
+        w.source, "_send", w.host.send, lambda: w.source._emit(0)
+    ),
+    "seq_set": lambda w: swapped_slot(
+        w.sink, "_received", set(), lambda: w.sink.on_packet(
+            w.ck.Packet(1, PacketKind.DATA, 1, 0, 0, MTU_BYTES, Priority.LOW_LATENCY)
+        )
+    ),
     "accept_relay": lambda w: w.agent.accept_relay(object()),
     "bulk_sink_on_packet": lambda w: w.bulk.on_packet(object()),
     "port_on_a_simulator": lambda w: w.ck.Port(
@@ -1125,6 +1299,8 @@ calls = {
     "sink_emit_pull": (junk,), "pacer_tick": (junk,),
     "agent_on_slice": (junk, 0), "agent_accept_relay": (junk, junk),
     "bulk_sink_on_packet": (junk, junk), "make_dispatch": (junk, junk),
+    "src_emit": (junk, 0), "release": (junk,),
+    "acquire": (1, junk, 0, 1, 0, 64, junk),
 }
 for name, args in calls.items():
     try:
@@ -1159,7 +1335,7 @@ class TestKernelContract:
         w = contract_world()
         w.source.start()
         w.sim.run()
-        w.host.receive(Packet(1, PacketKind.DATA, 1, 0, 0, MTU_BYTES, Priority.LOW_LATENCY))
+        w.host.receive(w.ck.Packet(1, PacketKind.DATA, 1, 0, 0, MTU_BYTES, Priority.LOW_LATENCY))
         w.sim.run()
         assert w.far.got and w.host.nic.stats.sent_packets > 12
         assert w.sink.record.delivered_bytes == MTU_BYTES - HEADER_BYTES
@@ -1179,7 +1355,7 @@ class TestKernelContract:
         with pytest.raises(AttributeError, match=slot):
             for seq in range(3):
                 port.enqueue(
-                    Packet(1, PacketKind.DATA, 0, 1, seq, MTU_BYTES, Priority.LOW_LATENCY)
+                    w.ck.Packet(1, PacketKind.DATA, 0, 1, seq, MTU_BYTES, Priority.LOW_LATENCY)
                 )
 
     def test_entry_points_raise_before_init(self):
@@ -1197,5 +1373,5 @@ class TestKernelContract:
         )
         assert probe.returncode == 0, (probe.returncode, probe.stderr)
         raised = dict(line.split() for line in probe.stdout.splitlines())
-        assert len(raised) == 14
+        assert len(raised) == 17
         assert set(raised.values()) == {"RuntimeError"}, raised

@@ -19,13 +19,7 @@ import pytest
 
 from repro.core.timing import PS_PER_S
 from repro.net.kernel import compiled_available, engine_classes
-from repro.net.packet import (
-    HEADER_BYTES,
-    MTU_BYTES,
-    Packet,
-    PacketKind,
-    Priority,
-)
+from repro.net.packet import HEADER_BYTES, MTU_BYTES, PacketKind, Priority
 
 SER_MTU = 1_200_000  # 1500 B at 10 Gb/s
 SER_HDR = 51_200  # 64 B at 10 Gb/s
@@ -33,8 +27,9 @@ PROP = 500_000
 
 
 def make_packet(seq=0, size=MTU_BYTES, priority=Priority.LOW_LATENCY,
-                kind=PacketKind.DATA):
-    return Packet(
+                kind=PacketKind.DATA, kernel="py"):
+    """A packet of ``kernel``'s class (the compiled kernel takes only its own)."""
+    return engine_classes(kernel).Packet(
         flow_id=1,
         kind=kind,
         src_host=0,
@@ -45,9 +40,10 @@ def make_packet(seq=0, size=MTU_BYTES, priority=Priority.LOW_LATENCY,
     )
 
 
-def control_packet(seq):
+def control_packet(seq, kernel="py"):
     return make_packet(
-        seq, size=HEADER_BYTES, priority=Priority.CONTROL, kind=PacketKind.ACK
+        seq, size=HEADER_BYTES, priority=Priority.CONTROL, kind=PacketKind.ACK,
+        kernel=kernel,
     )
 
 
@@ -76,13 +72,19 @@ class Engine:
     def port_to(self, sim, sink, **kwargs):
         return self.port(sim, "t", resolver=lambda _p, _n: sink, **kwargs)
 
+    def make_packet(self, *args, **kwargs):
+        return make_packet(*args, kernel=self.kernel, **kwargs)
+
+    def control_packet(self, seq):
+        return control_packet(seq, kernel=self.kernel)
+
 
 class TestBackToBackTiming(Engine):
     def test_single_packet_exact_times(self):
         sim = self.sim()
         sink = ArrivalLog(sim)
         port = self.port_to(sim, sink)
-        port.enqueue(make_packet(0))
+        port.enqueue(self.make_packet(0))
         sim.run()
         assert sink.arrivals == [(SER_MTU + PROP, 0, PacketKind.DATA)]
 
@@ -93,7 +95,7 @@ class TestBackToBackTiming(Engine):
         sink = ArrivalLog(sim)
         port = self.port_to(sim, sink)
         for seq in range(3):
-            port.enqueue(make_packet(seq))
+            port.enqueue(self.make_packet(seq))
         sim.run()
         assert [(t, s) for t, s, _k in sink.arrivals] == [
             (1 * SER_MTU + PROP, 0),
@@ -108,9 +110,9 @@ class TestBackToBackTiming(Engine):
         sim = self.sim()
         sink = ArrivalLog(sim)
         port = self.port_to(sim, sink)
-        port.enqueue(make_packet(0))
+        port.enqueue(self.make_packet(0))
         for seq in (10, 11, 12):
-            port.enqueue(control_packet(seq))
+            port.enqueue(self.control_packet(seq))
         sim.run()
         expected = [
             (SER_MTU + PROP, 0),
@@ -126,9 +128,9 @@ class TestBackToBackTiming(Engine):
         sim = self.sim()
         sink = ArrivalLog(sim)
         port = self.port_to(sim, sink)
-        port.enqueue(make_packet(0))
-        port.enqueue(make_packet(1))
-        sim.at(600_000, port.enqueue, control_packet(99))
+        port.enqueue(self.make_packet(0))
+        port.enqueue(self.make_packet(1))
+        sim.at(600_000, port.enqueue, self.control_packet(99))
         sim.run()
         assert [(t, s) for t, s, _k in sink.arrivals] == [
             (SER_MTU + PROP, 0),
@@ -142,8 +144,8 @@ class TestBackToBackTiming(Engine):
         sim = self.sim()
         sink = ArrivalLog(sim)
         port = self.port_to(sim, sink)
-        port.enqueue(make_packet(0))
-        sim.at(SER_MTU, port.enqueue, make_packet(1))
+        port.enqueue(self.make_packet(0))
+        sim.at(SER_MTU, port.enqueue, self.make_packet(1))
         sim.run()
         assert [(t, s) for t, s, _k in sink.arrivals] == [
             (SER_MTU + PROP, 0),
@@ -154,11 +156,11 @@ class TestBackToBackTiming(Engine):
         sim = self.sim()
         sink = ArrivalLog(sim)
         port = self.port_to(sim, sink)
-        port.enqueue(make_packet(0))
+        port.enqueue(self.make_packet(0))
         sim.run()
         assert not port.busy
         # Much later: a fresh packet starts immediately at enqueue time.
-        sim.at(10 * SER_MTU, port.enqueue, make_packet(1))
+        sim.at(10 * SER_MTU, port.enqueue, self.make_packet(1))
         sim.run()
         assert sink.arrivals[-1] == (11 * SER_MTU + PROP, 1, PacketKind.DATA)
 
@@ -166,7 +168,7 @@ class TestBackToBackTiming(Engine):
         sim = self.sim()
         sink = ArrivalLog(sim)
         port = self.port_to(sim, sink)
-        port.enqueue(make_packet(0))
+        port.enqueue(self.make_packet(0))
         assert port.busy
         sim.run()
         assert not port.busy
@@ -181,7 +183,7 @@ class TestDropAndTrimTiming(Engine):
         port = self.port_to(
             sim, sink, data_queue_bytes=2 * MTU_BYTES, control_queue_bytes=HEADER_BYTES
         )
-        results = [port.enqueue(make_packet(seq)) for seq in range(6)]
+        results = [port.enqueue(self.make_packet(seq)) for seq in range(6)]
         sim.run()
         assert port.stats.trimmed == 3
         assert port.stats.dropped_control == 2  # only one header fits
@@ -198,7 +200,7 @@ class TestDropAndTrimTiming(Engine):
             resolver=lambda _p, _n: None,
             on_undeliverable=lambda p: seen.append((sim.now, p.seq)),
         )
-        port.enqueue(make_packet(7))
+        port.enqueue(self.make_packet(7))
         sim.run()
         assert seen == [(SER_MTU, 7)]
         assert port.stats.undeliverable == 1
@@ -220,9 +222,9 @@ class TestDropAndTrimTiming(Engine):
             return sink
 
         port = self.port(sim, "t", resolver=resolver)
-        port.enqueue(make_packet(0))
+        port.enqueue(self.make_packet(0))
         for seq in (1, 2):
-            port.enqueue(control_packet(seq))
+            port.enqueue(self.control_packet(seq))
         sim.run()
         assert seen == [
             (0, 0),
@@ -241,10 +243,10 @@ class TestControlAdmissionDuringBurst(Engine):
         sim = self.sim()
         sink = ArrivalLog(sim)
         port = self.port_to(sim, sink, control_queue_bytes=2 * HEADER_BYTES)
-        port.enqueue(make_packet(0))
-        assert port.enqueue(control_packet(1))
-        assert port.enqueue(control_packet(2))
-        assert not port.enqueue(control_packet(3))  # queue full
+        port.enqueue(self.make_packet(0))
+        assert port.enqueue(self.control_packet(1))
+        assert port.enqueue(self.control_packet(2))
+        assert not port.enqueue(self.control_packet(3))  # queue full
         outcomes = []
 
         def probe():
@@ -252,8 +254,8 @@ class TestControlAdmissionDuringBurst(Engine):
             # not started — occupancy must read one header, admit exactly
             # one more packet, and drop the one after.
             outcomes.append(port.queued_bytes(Priority.CONTROL))
-            outcomes.append(port.enqueue(control_packet(4)))
-            outcomes.append(port.enqueue(control_packet(5)))
+            outcomes.append(port.enqueue(self.control_packet(4)))
+            outcomes.append(port.enqueue(self.control_packet(5)))
 
         sim.at(SER_MTU + 10_000, probe)
         sim.run()
@@ -275,7 +277,7 @@ class TestSerializationConstants(Engine):
         port = self.port_to(sim, sink, rate_bps=3_000_000_000)
         expected = (1500 * 8 * PS_PER_S) // 3_000_000_000
         assert port.serialization_ps(1500) == expected
-        port.enqueue(make_packet(0))
+        port.enqueue(self.make_packet(0))
         sim.run()
         assert sink.arrivals == [(expected + PROP, 0, PacketKind.DATA)]
 
@@ -292,7 +294,7 @@ class TestSerializationConstants(Engine):
         sink = ArrivalLog(sim)
         port = self.port(sim, "static", target=sink)
         for seq in range(2):
-            port.enqueue(make_packet(seq))
+            port.enqueue(self.make_packet(seq))
         sim.run()
         assert [(t, s) for t, s, _k in sink.arrivals] == [
             (SER_MTU + PROP, 0),
@@ -305,10 +307,10 @@ class TestQueueAccounting(Engine):
         sim = self.sim()
         sink = ArrivalLog(sim)
         port = self.port_to(sim, sink, bulk_queue_bytes=1 << 20)
-        port.enqueue(make_packet(0))  # transmitting, not queued
-        port.enqueue(make_packet(1))
-        port.enqueue(control_packet(2))
-        port.enqueue(make_packet(3, priority=Priority.BULK))
+        port.enqueue(self.make_packet(0))  # transmitting, not queued
+        port.enqueue(self.make_packet(1))
+        port.enqueue(self.control_packet(2))
+        port.enqueue(self.make_packet(3, priority=Priority.BULK))
         assert port.queued_bytes(Priority.LOW_LATENCY) == MTU_BYTES
         assert port.queued_bytes(Priority.CONTROL) == HEADER_BYTES
         assert port.queued_bytes(Priority.BULK) == MTU_BYTES

@@ -32,22 +32,26 @@ RUN = [(KERNEL, "c_sim_run"), (PYTHON, "cfunction_call"), (PYTHON, "main")]
 
 def test_interval_line_reports_effective_and_nominal_interval():
     # 1,328 samples over 4.8 s of CPU: one per ~3.6 ms, though 500 us
-    # was asked for (the kernel delivers ITIMER_PROF at its own tick).
+    # was asked for (what a timer that fires at the kernel's tick gives).
     result = {
         "samples": 1328,
         "dropped": 0,
         "cpu_s": 4.8,
+        "clock": "CLOCK_MONOTONIC",
         "interval_us": 500,
         "effective_interval_us": round(1e6 * 4.8 / 1328),
     }
     assert interval_line(result) == (
-        "1328 samples over 4.80 s of CPU: one per 3614 us (nominal 500 us)"
+        "1328 samples over 4.80 s of CPU: one per 3614 us "
+        "(nominal 500 us, CLOCK_MONOTONIC)"
     )
     result.update(dropped=3)
-    assert interval_line(result).endswith("(nominal 500 us), 3 dropped")
+    assert interval_line(result).endswith(
+        "(nominal 500 us, CLOCK_MONOTONIC), 3 dropped"
+    )
     result.update(samples=0, dropped=0, effective_interval_us=None)
     assert interval_line(result) == (
-        "0 samples over 4.80 s of CPU: no samples (nominal 500 us)"
+        "0 samples over 4.80 s of CPU: no samples (nominal 500 us, CLOCK_MONOTONIC)"
     )
 
 
@@ -105,6 +109,10 @@ def test_one_ci_cell_shares_sum_to_100(tmp_path):
     phases = result["phases"]
     assert result["samples"] > 0 and phases["run"]["samples"] > 0
     assert result["cpu_s"] > 0 and result["effective_interval_us"] > 0
+    # The cell is CPU-bound: its samples come at the nominal rate, not at
+    # the kernel's scheduler tick (4 ms at 250 Hz).
+    assert result["clock"] == "CLOCK_MONOTONIC"
+    assert result["effective_interval_us"] <= 2 * result["interval_us"]
     shares = [100.0 * p["samples"] / result["samples"] for p in phases.values()]
     assert sum(shares) == pytest.approx(100.0)
     for phase in phases.values():

@@ -20,13 +20,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.fctsim import build_network
 from repro.net.kernel import compiled_available, engine_classes
-from repro.net.packet import (
-    HEADER_BYTES,
-    MTU_BYTES,
-    PacketKind,
-    Priority,
-    acquire,
-)
+from repro.net.packet import HEADER_BYTES, MTU_BYTES, PacketKind, Priority
 from repro.net.rotorlb import BulkFlow, RotorLBAgent
 from repro.net.stats import FlowRecord
 
@@ -95,8 +89,9 @@ def bulk_flow(flow_id, src, dst, size):
     return BulkFlow(FlowRecord(flow_id, src, dst, size, "bulk", 0))
 
 
-def bulk_packet(flow_id, dst, seq, size, next_rack=None, relay_to=None):
-    return acquire(
+def bulk_packet(kernel, flow_id, dst, seq, size, next_rack=None, relay_to=None):
+    """A bulk packet from ``kernel``'s free list."""
+    return engine_classes(kernel).acquire(
         flow_id, PacketKind.DATA, 0, dst, seq, size, Priority.BULK,
         next_rack=next_rack, relay_to=relay_to,
     )
@@ -113,8 +108,8 @@ def slice_step(sim, agent, recorder):
 class TestSliceStep:
     def test_relay_then_local_then_vlb(self, kernel):
         sim, (a0, _a1), (rec0, _rec1) = agent_pair(kernel)
-        a0.accept_relay(bulk_packet(9, 2, 0, HEADER_BYTES + 100))
-        a0.accept_relay(bulk_packet(9, 3, 1, HEADER_BYTES + 100))
+        a0.accept_relay(bulk_packet(kernel, 9, 2, 0, HEADER_BYTES + 100))
+        a0.accept_relay(bulk_packet(kernel, 9, 3, 1, HEADER_BYTES + 100))
         a0.submit(bulk_flow(1, 0, 2, 2 * PAYLOAD))  # direct, to rack 1
         a0.submit(bulk_flow(2, 1, 4, PAYLOAD))  # rack 2: only via VLB
         assert slice_step(sim, a0, rec0) == [
@@ -157,7 +152,7 @@ class TestSliceStep:
     def test_vlb_stops_at_the_peers_relay_headroom(self, kernel):
         sim, (a0, a1), (rec0, _rec1) = agent_pair(kernel)
         a1.relay_cap_bytes = MTU_BYTES
-        a1.accept_relay(bulk_packet(9, 6, 0, 100))  # rack 3: 1,400 B left
+        a1.accept_relay(bulk_packet(kernel, 9, 6, 0, 100))  # rack 3: 1,400 B left
         a0.submit(bulk_flow(1, 1, 6, 3 * PAYLOAD))  # rack 3, the largest
         a0.submit(bulk_flow(2, 0, 4, PAYLOAD))  # rack 2
         # The largest backlog's peer has no room: the circuit offers no
@@ -168,7 +163,7 @@ class TestSliceStep:
 
     def test_requeue_lands_in_the_relay_queue(self, kernel):
         _sim, (a0, _a1), _ = agent_pair(kernel)
-        packet = bulk_packet(5, 7, 3, MTU_BYTES, next_rack=1, relay_to=3)
+        packet = bulk_packet(kernel, 5, 7, 3, MTU_BYTES, next_rack=1, relay_to=3)
         a0.requeue(packet)
         assert a0.requeues == 1
         assert a0.relay_q == {3: deque([packet])}
@@ -264,10 +259,10 @@ def replay(kernel, kind, ops, monkeypatch):
         elif name == "relay":
             # Bulk for a foreign rack: the ToR's route table relays it.
             size = HEADER_BYTES + 1 + b * 35
-            net.tors[rack].receive(bulk_packet(10_000 + i, dst, i, size))
+            net.tors[rack].receive(bulk_packet(kernel, 10_000 + i, dst, i, size))
         elif name == "drop":
             port = uplinks[a % len(uplinks)]
-            port.on_bulk_drop(bulk_packet(20_000 + i, dst, i, MTU_BYTES, 1, 2))
+            port.on_bulk_drop(bulk_packet(kernel, 20_000 + i, dst, i, MTU_BYTES, 1, 2))
         elif name == "squeeze":
             uplinks[a % len(uplinks)].bulk_queue_bytes = b * 211
         elif name == "view":
