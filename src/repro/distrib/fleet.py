@@ -42,6 +42,14 @@ __all__ = ["Fleet", "spawn_local_worker"]
 
 logger = logging.getLogger(__name__)
 
+#: How long :meth:`Fleet.close` lets workers leave on the coordinator's
+#: ``shutdown`` before it signals the ones still alive. A forked worker
+#: was reaped 5 ms (median) and at most 11 ms after its coordinator's
+#: close sent ``shutdown`` (40 workers over 20 two-worker ci-scale fig07
+#: sweeps on a 2-vCPU host, idle or beside two busy processes), so a
+#: worker that is still alive after this long is not leaving on its own.
+_SHUTDOWN_GRACE_S = 1.0
+
 
 def _preload() -> None:
     """Load the engine kernel and the compiled factorization walk here,
@@ -146,7 +154,7 @@ class Fleet:
             for _ in range(n):
                 self._spawn()
         except OSError:
-            self.close()
+            self._terminate()  # no coordinator told these to shut down
             raise
 
     def reap(self) -> int:
@@ -172,18 +180,22 @@ class Fleet:
                 self._spawn()
                 self.budget -= 1
 
-    def close(self, timeout: float = 5.0, grace: float = 1.0) -> None:
-        """Reap the workers as they leave; SIGTERM whoever is still alive
-        after ``grace`` seconds (each drains its unit), and SIGKILL
-        whoever is still alive ``timeout`` seconds after that.
+    def close(self, timeout: float = 5.0) -> None:
+        """Reap the workers as they leave, for up to ``_SHUTDOWN_GRACE_S``,
+        then :meth:`_terminate` whoever is still alive.
 
         The coordinator's close sends every connected worker ``shutdown``
-        first, and such a worker exits on it within the grace, so a run
-        that ends normally signals no one.
+        first, and such a worker exits on it well within the grace, so a
+        run that ends normally signals no one.
         """
+        self._reap_for(_SHUTDOWN_GRACE_S)
+        self._terminate(timeout)
+
+    def _terminate(self, timeout: float = 5.0) -> None:
+        """SIGTERM every worker (each drains its unit), reap them, and
+        SIGKILL whoever is still alive after ``timeout`` seconds."""
         # An unreaped child's pid cannot be reused, so these kills reach
         # our workers (or their zombies) and nothing else.
-        self._reap_for(grace)
         for pid in self.pids:
             os.kill(pid, signal.SIGTERM)
         self._reap_for(timeout)

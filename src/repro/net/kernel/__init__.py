@@ -25,9 +25,9 @@ kernel for exactly that inner loop, selected with ``REPRO_KERNEL``:
 * ``auto`` (default) — ``c`` when the compiled module imports, else ``py``.
 
 Design: **one data layout, two method implementations — except the
-event heap, the queues, the sequence sets, the native tails and the
-packets.** The compiled kernel is a set of C functions that read and
-write the *existing* ``__slots__`` of ``Simulator`` / ``Port`` /
+event heap, the queues, the native tails and the packets.** The compiled
+kernel is a set of C functions that read and write the *existing*
+``__slots__`` of ``Simulator`` / ``Port`` /
 ``Packet`` / ``Host`` / ``SwitchNode``, the NDP endpoints, RotorLB's
 agent, flows and bulk sink, and the flow records and stats collector
 through member-descriptor offsets, plus thin subclasses (:mod:`.engine`)
@@ -99,19 +99,20 @@ round-trips), and ``_pooled`` are int64 fields behind getset descriptors
 named after the slots; ``kind`` and ``priority`` stay enum-member slots
 and ``recv_args`` the ``(packet,)`` tuple. The kernel makes and frees
 them through its own free list in C (LIFO, at most ``packet._POOL_MAX``,
-like the oracle's ``_POOL``, which it never touches), computes each NDP
-salt as CPython's tuple hash of the three ints without building the
-tuple, and keeps the NDP source's acked and both sinks' received
-sequences in ``_ckernel.SeqSet`` (``add`` and ``in`` only). The Python
-code that makes or frees packets under the compiled kernel goes through
-the network's :class:`EngineClasses` ``acquire`` / ``release``: the
-builders' and the failure layer's drop handlers, and a failure-armed
-agent's slice step (``RotorLBAgent.acquire``); a compiled NDP source's
-``_emit`` is compiled, so ``start`` and the failure layer's retransmits
-make theirs in C. So the two kernels never share a free list. In the
-``clos@0.25`` profile, converting packet ints, the salt tuples, their
-allocation and the Python-list free list were the largest C-API cost
-left.
+like the oracle's ``_POOL``, which it never touches), and computes each
+NDP salt as CPython's tuple hash of the three ints without building the
+tuple. The Python code that makes or frees packets under the compiled
+kernel goes through that kernel: the builders' and the failure layer's
+drop handlers free them with the network's :class:`EngineClasses`
+``release``, a failure-armed agent's slice step makes them with its
+class's ``acquire`` (``_ckernel.acquire`` on ``CKRotorLBAgent``), and a
+compiled NDP source's ``_emit`` is compiled, so ``start`` and the
+failure layer's retransmits make theirs in C. So the two kernels never
+share a free list. In the ``clos@0.25`` profile, converting packet
+ints, the salt tuples, their allocation and the Python-list free list
+were the largest C-API cost left. The NDP and bulk endpoints' sequence
+sets stay exact ``set`` objects of ints: a native int64 set showed no
+resolvable end-to-end gain over them.
 
 **RotorLB and delivery in C.** Bulk traffic on Opera and RotorNet never
 leaves the kernel either. ``CKRotorLBAgent`` runs
@@ -141,9 +142,9 @@ degrades to the pure-Python kernel instead of failing the install.
 **The contract.** The compiled engine is a closed world. A compiled
 method runs only on what :func:`engine_classes` ``("c")`` builds:
 exactly the ``CK*`` classes of :mod:`.engine`, on a ``CKSimulator``, with
-their native queues and sequence sets; exact ``CKPacket``,
-``FlowRecord``, ``StatsCollector`` and ``BulkFlow`` objects; and a line
-rate that is a whole number of ps per byte. ``CKPort`` refuses any other simulator or
+their native queues; exact ``CKPacket``, ``FlowRecord``,
+``StatsCollector`` and ``BulkFlow`` objects; and a line rate that is a
+whole number of ps per byte. ``CKPort`` refuses any other simulator or
 rate at construction; any other object (a plain ``Simulator``, a Python
 ``Port`` on a compiled simulator, a subclass, a test double, a swapped
 native slot) makes the compiled call raise one :class:`TypeError`
@@ -269,10 +270,10 @@ REBUILD = "python setup.py build_ext --inplace"
 class EngineClasses(NamedTuple):
     """The engine classes a network builder instantiates, per kernel.
 
-    ``acquire`` and ``release`` are the kernel's packet free list
-    (:func:`repro.net.packet.acquire` / ``release`` under ``py``): the
-    Python code that makes or frees packets for a network goes through
-    its kernel's pair, so the two kernels never share a free list.
+    ``release`` returns a packet to the kernel's free list
+    (:func:`repro.net.packet.release` under ``py``): the Python code that
+    frees packets for a network goes through it, so the two kernels
+    never share a free list.
     """
 
     name: str
@@ -285,8 +286,6 @@ class EngineClasses(NamedTuple):
     PullPacer: type
     RotorLBAgent: type
     BulkSink: type
-    Packet: type
-    acquire: Callable
     release: Callable
 
 
@@ -372,7 +371,7 @@ def _python_classes() -> EngineClasses:
         from ..link import Port
         from ..ndp import NdpSink, NdpSource, PullPacer
         from ..node import Host, SwitchNode
-        from ..packet import Packet, acquire, release
+        from ..packet import release
         from ..rotorlb import BulkSink, RotorLBAgent
         from ..sim import Simulator
 
@@ -387,8 +386,6 @@ def _python_classes() -> EngineClasses:
             PullPacer,
             RotorLBAgent,
             BulkSink,
-            Packet,
-            acquire,
             release,
         )
     return _PY
@@ -415,8 +412,6 @@ def _compiled_classes(kernel: str | None = None) -> EngineClasses | None:
                 engine.CKPullPacer,
                 engine.CKRotorLBAgent,
                 engine.CKBulkSink,
-                engine.CKPacket,
-                module.acquire,
                 module.release,
             )
     return _COMPILED or None

@@ -16,8 +16,8 @@
  * After editing this file, rebuild: python setup.py build_ext --inplace.
  *
  * Engine design: ONE data layout, TWO method implementations — except
- * for the event heap, the queues, the sequence sets, the native tails and
- * the packets. Every function reads and writes the existing `__slots__`
+ * for the event heap, the queues, the native tails and the packets. Every
+ * function reads and writes the existing `__slots__`
  * of the pure-Python engine classes (Simulator / Port / Packet / Host /
  * SwitchNode / the NDP endpoints / RotorLB's agent, flows and bulk sink /
  * FlowRecord and StatsCollector) through member-descriptor offsets
@@ -57,11 +57,9 @@
  * (fault closures, RotorLB's failure path, tests) are unchanged; kind,
  * priority and recv_args stay object slots. The kernel makes and frees
  * CKPackets through its own free list (C, LIFO, at most packet._POOL_MAX,
- * like the oracle's _POOL, which it never touches), computes NDP salts as
- * CPython's tuple hash of three ints (salt_hash), and keeps the NDP
- * source's acked and the sinks' received sequences in native SeqSets.
- * So a hop unboxes no packet field, and an endpoint builds no salt tuple
- * and boxes no sequence number.
+ * like the oracle's _POOL, which it never touches) and computes NDP salts
+ * as CPython's tuple hash of three ints (salt_hash). So a hop unboxes no
+ * packet field, and an endpoint builds no salt tuple.
  *
  * The queues: a compiled port keeps native Fifo rings in its three
  * priority-queue slots, a native Ledger of int64 (start_ps, size) pairs
@@ -91,9 +89,8 @@
  * The contract: the compiled engine is a closed world. A compiled method
  * runs only on what engine_classes("c") builds: the CK* classes
  * registered by kernel/engine.py, exactly, on a CKSimulator and with the
- * native queues, ledger, counters and sequence sets engine.py installs;
- * exact CKPacket, FlowRecord, StatsCollector and BulkFlow objects; and a
- * line rate that
+ * native queues, ledger and counters engine.py installs; exact CKPacket,
+ * FlowRecord, StatsCollector and BulkFlow objects; and a line rate that
  * is a whole number of ps per byte (CKPort refuses anything else at
  * construction). Every other object makes the call raise one TypeError
  * naming REPRO_KERNEL=py (outside(), below), before the kernel writes
@@ -944,133 +941,35 @@ static PyTypeObject PortCounters_Type = {
     .tp_new = native_new,
 };
 
-/* A set of int64 sequence numbers: an NDP source's acked, an NDP or bulk
- * sink's received. Open addressing with linear probing, at most half
- * full; SEQ_FREE marks a free cell, and has_free says whether SEQ_FREE
- * itself is a member. It holds no objects, so it is not GC-tracked. */
-typedef struct {
-    PyObject_HEAD
-    long long *cells;
-    Py_ssize_t len, cap; /* cap is 0 or a power of two */
-    int has_free;
-} SeqSet;
+/* An exact set of sequence numbers: an NDP source's _acked, an NDP or
+ * bulk sink's _received. It holds the oracle's ints, so seq is boxed. */
 
-#define SEQ_FREE LLONG_MIN
-
-static PyTypeObject SeqSet_Type;
-
-static inline size_t
-seq_home(long long seq, Py_ssize_t cap)
-{
-    unsigned long long h = (unsigned long long)seq * 0x9E3779B97F4A7C15ULL;
-    return (size_t)(h ^ (h >> 32)) & (size_t)(cap - 1);
-}
-
-/* The cell holding seq, or the free cell where it would go. */
-static inline long long *
-seq_cell(const SeqSet *s, long long seq)
-{
-    size_t i = seq_home(seq, s->cap), mask = (size_t)(s->cap - 1);
-    while (s->cells[i] != SEQ_FREE && s->cells[i] != seq)
-        i = (i + 1) & mask;
-    return &s->cells[i];
-}
-
-static inline int
-seqset_has(const SeqSet *s, long long seq)
-{
-    if (seq == SEQ_FREE)
-        return s->has_free;
-    return s->cap > 0 && *seq_cell(s, seq) == seq;
-}
-
+/* Whether seq is in the set, or -1 on error. */
 static int
-seqset_add(SeqSet *s, long long seq)
+seq_in(PyObject *set, long long seq)
 {
-    long long *cell;
-    if (seq == SEQ_FREE) {
-        s->has_free = 1;
-        return 0;
-    }
-    if (2 * (s->len + 1) > s->cap) {
-        Py_ssize_t cap = s->cap ? 2 * s->cap : 16, i;
-        SeqSet grown = {.cells = PyMem_New(long long, cap), .cap = cap};
-        if (grown.cells == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (i = 0; i < cap; i++)
-            grown.cells[i] = SEQ_FREE;
-        for (i = 0; i < s->cap; i++)
-            if (s->cells[i] != SEQ_FREE)
-                *seq_cell(&grown, s->cells[i]) = s->cells[i];
-        PyMem_Free(s->cells);
-        s->cells = grown.cells;
-        s->cap = cap;
-    }
-    cell = seq_cell(s, seq);
-    if (*cell == SEQ_FREE) {
-        *cell = seq;
-        s->len++;
-    }
-    return 0;
+    PyObject *o = PyLong_FromLongLong(seq);
+    int has;
+    if (o == NULL)
+        return -1;
+    has = PySet_Contains(set, o);
+    Py_DECREF(o);
+    return has;
 }
 
-static void
-seqset_dealloc(SeqSet *s)
-{
-    PyMem_Free(s->cells);
-    Py_TYPE(s)->tp_free((PyObject *)s);
-}
-
-static PyObject *
-seqset_add_py(SeqSet *s, PyObject *seq)
-{
-    long long v;
-    if (int64_arg(seq, "a SeqSet member", &v) < 0 || seqset_add(s, v) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-/* `seq in s`: ints only; an int beyond int64 is never a member. */
+/* Add seq: 1 if it was new, 0 if it was there, -1 on error. */
 static int
-seqset_contains(SeqSet *s, PyObject *seq)
+seq_add(PyObject *set, long long seq)
 {
-    int overflow;
-    long long v;
-    if (!PyLong_Check(seq)) {
-        PyErr_Format(PyExc_TypeError, "a SeqSet holds ints, not %.100s",
-                     Py_TYPE(seq)->tp_name);
+    Py_ssize_t before = PySet_GET_SIZE(set);
+    PyObject *o = PyLong_FromLongLong(seq);
+    int err;
+    if (o == NULL)
         return -1;
-    }
-    v = PyLong_AsLongLongAndOverflow(seq, &overflow);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    return !overflow && seqset_has(s, v);
+    err = PySet_Add(set, o);
+    Py_DECREF(o);
+    return err < 0 ? -1 : PySet_GET_SIZE(set) > before;
 }
-
-static PySequenceMethods seqset_as_sequence = {
-    .sq_contains = (objobjproc)seqset_contains,
-};
-
-static PyMethodDef seqset_methods[] = {
-    {"add", (PyCFunction)seqset_add_py, METH_O,
-     "Add an int64 sequence number."},
-    {NULL, NULL, 0, NULL},
-};
-
-static PyTypeObject SeqSet_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.net.kernel._ckernel.SeqSet",
-    .tp_basicsize = sizeof(SeqSet),
-    .tp_dealloc = (destructor)seqset_dealloc,
-    .tp_as_sequence = &seqset_as_sequence,
-    .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Native set of int64 sequence numbers: add and `in`, as the "
-              "NDP endpoints and the bulk sink use their sets.",
-    .tp_methods = seqset_methods,
-    .tp_new = native_new,
-};
 
 /* The native object in slot `off` of `o`, re-read where it is used: an
  * entry check found it of `type`, and Python code run since (a resolver,
@@ -1343,9 +1242,9 @@ init_tail(PyObject *mod, PyObject *base, const char *name, const char *doc,
  * touches, so the two kernels never hand each other a packet. A packet
  * leaving the list is re-initialised in full, as packet.acquire does, and
  * `pooled` makes a double release a no-op. acquire() and release() serve
- * the Python code that runs under the compiled kernel
- * (EngineClasses.acquire / release): failure handlers and a
- * failure-armed agent's slice step.
+ * the Python code that runs under the compiled kernel: a failure-armed
+ * agent's slice step (CKRotorLBAgent.acquire) and the drop and failure
+ * handlers (EngineClasses.release).
  */
 
 static PyObject **g_free; /* owned references */
@@ -1406,8 +1305,7 @@ release_packet(PyObject *packet)
         g_free[g_free_len++] = Py_NewRef(packet);
 }
 
-/* EngineClasses.acquire under the compiled kernel: packet.acquire's
- * arguments, a CKPacket. */
+/* packet.acquire under the compiled kernel: its arguments, a CKPacket. */
 static PyObject *
 c_acquire(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
 {
@@ -1451,7 +1349,7 @@ c_acquire(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
     return packet;
 }
 
-/* EngineClasses.release under the compiled kernel. */
+/* packet.release under the compiled kernel. */
 static PyObject *
 c_release(PyObject *Py_UNUSED(mod), PyObject *packet)
 {
@@ -2548,10 +2446,10 @@ c_make_dispatch(PyObject *Py_UNUSED(mod), PyObject *args)
  * runs sink.on_packet (ACK acquire + send + stats), most also run
  * source.on_packet (PULL release) and the pacer tick. The functions below
  * transcribe ndp.py exactly on the same records; a compiled source's
- * retransmit queue and a compiled pacer's tokens are native Fifos, and the
- * acked and received sequences native SeqSets, which the Python bodies use
- * as they would a deque and a set. Salts are salt_hash's, and packets come
- * from the kernel's free list (pkt_acquire).
+ * retransmit queue and a compiled pacer's tokens are native Fifos, which
+ * the Python bodies use as they would a deque; the acked and received
+ * sequences stay exact sets of ints. Salts are salt_hash's, and packets
+ * come from the kernel's free list (pkt_acquire).
  */
 
 /* ------------------------------------------------------- flow bookkeeping
@@ -2841,18 +2739,21 @@ src_on_packet(PyObject *self, PyObject *packet)
             0 ||
         need_type(SLOT(self, NS.rtx), &Fifo_Type, "an NDP source's _rtx") <
             0 ||
-        need_type(SLOT(self, NS.acked), &SeqSet_Type,
+        need_type(SLOT(self, NS.acked), &PySet_Type,
                   "an NDP source's _acked") < 0 ||
         need_type(packet, t_ckpacket, "the packet") < 0)
         return NULL;
     kind = SLOT(packet, K.kind);
     seq = PKT(packet)->seq;
     if (kind == g_kind_ack) {
-        if (seqset_add((SeqSet *)SLOT(self, NS.acked), seq) < 0)
+        if (seq_add(SLOT(self, NS.acked), seq) < 0)
             return NULL;
     }
     else if (kind == g_kind_nack) {
-        if (!seqset_has((SeqSet *)SLOT(self, NS.acked), seq)) {
+        int has = seq_in(SLOT(self, NS.acked), seq);
+        if (has < 0)
+            return NULL;
+        if (!has) {
             Fifo *rtx = need_native(self, NS.rtx, &Fifo_Type);
             PyObject *record = SLOT(self, NS.record), *seq_obj;
             long long banked;
@@ -3001,7 +2902,7 @@ sink_on_packet(PyObject *self, PyObject *packet)
 
     if (need_endpoint(self, t_cksink, "the NDP sink", NK.record, NK.send) <
             0 ||
-        need_type(SLOT(self, NK.received), &SeqSet_Type,
+        need_type(SLOT(self, NK.received), &PySet_Type,
                   "an NDP sink's _received") < 0 ||
         need_type(source = SLOT(self, NK.source), t_cksrc,
                   "an NDP sink's source") < 0 ||
@@ -3016,15 +2917,16 @@ sink_on_packet(PyObject *self, PyObject *packet)
         Py_RETURN_NONE;
     seq = PKT(packet)->seq;
     if (kind == g_kind_data) {
-        SeqSet *received;
+        PyObject *received;
         long long payload;
+        int added;
         if (sink_send_control(self, g_kind_ack, g_ack_ll, seq) < 0 ||
-            (received = need_native(self, NK.received, &SeqSet_Type)) ==
-                NULL)
+            (received = need_native(self, NK.received, &PySet_Type)) ==
+                NULL ||
+            (added = seq_add(received, seq)) < 0)
             return NULL;
-        if (!seqset_has(received, seq) &&
-            (seqset_add(received, seq) < 0 ||
-             src_payload(SLOT(self, NK.source), seq, &payload) < 0 ||
+        if (added &&
+            (src_payload(SLOT(self, NK.source), seq, &payload) < 0 ||
              stats_delivered(SLOT(self, NK.stats), SLOT(self, NK.record),
                              payload, SLOT(self, NK.sim)) < 0))
             return NULL;
@@ -3709,11 +3611,10 @@ agent_accept_relay(PyObject *self, PyObject *packet)
 static PyObject *
 bulk_sink_on_packet(PyObject *self, PyObject *packet)
 {
-    SeqSet *received;
-    long long seq;
+    int added;
 
     if (need_type(self, t_ckbulksink, "the bulk sink") < 0 ||
-        need_type(SLOT(self, BK.received), &SeqSet_Type,
+        need_type(SLOT(self, BK.received), &PySet_Type,
                   "a bulk sink's _received") < 0 ||
         need_books(SLOT(self, BK.stats), SLOT(self, BK.record),
                    SLOT(self, BK.sim)) < 0 ||
@@ -3721,11 +3622,10 @@ bulk_sink_on_packet(PyObject *self, PyObject *packet)
         return NULL;
     if (SLOT(packet, K.kind) != g_kind_data)
         Py_RETURN_NONE;
-    received = (SeqSet *)SLOT(self, BK.received);
-    seq = PKT(packet)->seq;
-    if (seqset_has(received, seq))
-        Py_RETURN_NONE;
-    if (seqset_add(received, seq) < 0 ||
+    added = seq_add(SLOT(self, BK.received), PKT(packet)->seq);
+    if (added < 0)
+        return NULL;
+    if (added &&
         stats_delivered(SLOT(self, BK.stats), SLOT(self, BK.record),
                         PKT(packet)->size_bytes - g_header_ll,
                         SLOT(self, BK.sim)) < 0)
@@ -4476,7 +4376,7 @@ PyInit__ckernel(void)
 
     if (PyType_Ready(&EventHeap_Type) < 0 || PyType_Ready(&Fifo_Type) < 0 ||
         PyType_Ready(&Ledger_Type) < 0 ||
-        PyType_Ready(&PortCounters_Type) < 0 || PyType_Ready(&SeqSet_Type) < 0)
+        PyType_Ready(&PortCounters_Type) < 0)
         return NULL;
     m = PyModule_Create(&ckernel_module);
     if (m == NULL)
@@ -4484,8 +4384,7 @@ PyInit__ckernel(void)
     if (PyModule_AddType(m, &EventHeap_Type) < 0 ||
         PyModule_AddType(m, &Fifo_Type) < 0 ||
         PyModule_AddType(m, &Ledger_Type) < 0 ||
-        PyModule_AddType(m, &PortCounters_Type) < 0 ||
-        PyModule_AddType(m, &SeqSet_Type) < 0)
+        PyModule_AddType(m, &PortCounters_Type) < 0)
         goto fail;
 #ifdef CKERNEL_SOURCE_SHA256
     /* setup.py passes the sha256 of this file; repro.net.kernel refuses a

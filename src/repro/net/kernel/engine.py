@@ -21,25 +21,23 @@ installed at construction: :class:`CKSimulator` stores a native
 ``_ckernel.Fifo`` rings in its three queues, a ``_ckernel.Ledger`` in
 ``_committed_control`` and a ``_ckernel.PortCounters`` in ``stats``;
 :class:`CKNdpSource`'s ``_rtx`` and :class:`CKPullPacer`'s ``_tokens``
-are Fifos, and the NDP source's ``_acked`` and both sinks' ``_received``
-are ``_ckernel.SeqSet`` objects. ``init`` registers
-:class:`~repro.net.node.RouteTable` and
+are Fifos. ``init`` registers :class:`~repro.net.node.RouteTable` and
 :class:`~repro.net.link.SliceResolver` themselves, whose exact instances
 the C dispatch and serializer interpret natively. Everything else
 (construction, cold paths, introspection, repr) is inherited.
 
 These classes are the kernel's closed world, its contract: a compiled
 method runs only on them (exactly, on a :class:`CKSimulator`, with their
-native queues and sets), on exact :class:`CKPacket`, ``FlowRecord``,
+native queues), on exact :class:`CKPacket`, ``FlowRecord``,
 ``StatsCollector`` and ``BulkFlow`` objects, and at a whole number of ps
 per byte. Anything else raises a :class:`TypeError` naming
 ``REPRO_KERNEL=py``, a :class:`CKPort` at construction. Packets come from
-the kernel's own free list, through ``_ckernel.acquire`` and ``release``
-for the Python code that runs under this kernel (``EngineClasses``
-hands them out). Of the pure-Python bodies ``init`` takes only
-``Simulator._past_error`` and ``RotorLBAgent.on_slice`` (the failure
-seam); ``_ckernel.c``'s header lists every Python call the kernel
-makes.
+the kernel's own free list; the Python code that runs under this kernel
+reaches it through :class:`CKRotorLBAgent`'s ``acquire`` and
+``EngineClasses.release`` (``_ckernel.acquire`` and ``release``). Of
+the pure-Python bodies ``init`` takes only ``Simulator._past_error``
+and ``RotorLBAgent.on_slice`` (the failure seam); ``_ckernel.c``'s
+header lists every Python call the kernel makes.
 """
 
 from __future__ import annotations
@@ -201,10 +199,9 @@ class CKNdpSource(NdpSource):
     """NDP source with ``_emit`` and the ACK/NACK/PULL receive handler
     compiled.
 
-    Its retransmit queue is a native ``_ckernel.Fifo`` and its acked
-    sequences a ``_ckernel.SeqSet``. The Python ``start``, ``_send_next``
-    and failure-recovery hooks make packets through the compiled
-    ``_emit``.
+    Its retransmit queue is a native ``_ckernel.Fifo``. The Python
+    ``start``, ``_send_next`` and failure-recovery hooks make packets
+    through the compiled ``_emit``.
     """
 
     __slots__ = ()
@@ -212,23 +209,15 @@ class CKNdpSource(NdpSource):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._rtx = _ckernel.Fifo()
-        self._acked = _ckernel.SeqSet()
 
     _emit = _ckernel.src_emit
     on_packet = _ckernel.src_on_packet
 
 
 class CKNdpSink(NdpSink):
-    """NDP sink with the ACK/dedup/delivery and PULL paths compiled.
-
-    Its received sequences are a ``_ckernel.SeqSet``.
-    """
+    """NDP sink with the ACK/dedup/delivery and PULL paths compiled."""
 
     __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._received = _ckernel.SeqSet()
 
     on_packet = _ckernel.sink_on_packet
     emit_pull = _ckernel.sink_emit_pull
@@ -274,14 +263,10 @@ class CKBulkSink(BulkSink):
     """Bulk sink with the dedup and delivery count compiled.
 
     ``c_host_receive`` calls it directly, as it calls the compiled NDP
-    endpoints. Its received sequences are a ``_ckernel.SeqSet``.
+    endpoints.
     """
 
     __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._received = _ckernel.SeqSet()
 
     on_packet = _ckernel.bulk_sink_on_packet
 

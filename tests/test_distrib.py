@@ -762,6 +762,39 @@ class TestForkedFleet:
         assert time.monotonic() - started < 5.0
         _assert_reaped([leaving, straggler])
 
+    def test_failed_start_signals_at_once(self, monkeypatch):
+        # No coordinator sent the workers forked before a failed fork
+        # `shutdown`, so the fleet signals them without the grace.
+        started = []
+
+        def stand_in(address, *, role=None, secret=None):
+            if started:
+                raise OSError("fork failed")
+            pid = os.fork()
+            if pid == 0:
+                time.sleep(60.0)
+                os._exit(0)
+            started.append(pid)
+            return pid
+
+        kills = []
+        real_kill = os.kill
+
+        def spy(pid, sig):
+            kills.append((pid, sig))
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(fleet_mod, "spawn_local_worker", stand_in)
+        monkeypatch.setattr(fleet_mod.os, "kill", spy)
+        monkeypatch.setattr(fleet_mod, "_SHUTDOWN_GRACE_S", 60.0)
+        fleet = Fleet(("127.0.0.1", 1), max_respawns=0)
+        t0 = time.monotonic()
+        with pytest.raises(OSError, match="fork failed"):
+            fleet.start(2)
+        assert time.monotonic() - t0 < 5.0
+        assert kills == [(started[0], signal.SIGTERM)] and fleet.pids == []
+        _assert_reaped(started)
+
     def test_a_normal_run_signals_no_worker(self, scratch_registry, monkeypatch, forked):
         # The coordinator's close sends every worker `shutdown`, and the
         # fleet reaps them as they leave on it: a run that ends normally

@@ -35,6 +35,7 @@ from repro.net.kernel import compiled_available, engine_classes, kernel_default
 from repro.net.packet import HEADER_BYTES, MTU_BYTES, Packet, PacketKind, Priority
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.distributions import DATAMINING
+from test_link_serializer import packet_class
 
 requires_c = pytest.mark.skipif(
     not compiled_available(),
@@ -130,6 +131,7 @@ class TestKernelSeam:
             engine_classes("pypy")
 
     def test_py_classes_are_the_plain_engine(self):
+        from repro.net import packet as packet_mod
         from repro.net.link import Port
         from repro.net.ndp import NdpSink, NdpSource, PullPacer
         from repro.net.node import Host, SwitchNode
@@ -147,21 +149,33 @@ class TestKernelSeam:
         assert classes.PullPacer is PullPacer
         assert classes.RotorLBAgent is RotorLBAgent
         assert classes.BulkSink is BulkSink
+        # Packets come from the oracle's free list.
+        assert RotorLBAgent.acquire is packet_mod.acquire
+        assert classes.release is packet_mod.release
 
     @requires_c
     def test_c_classes_subclass_the_python_engine(self):
+        from repro.net.kernel import _ckernel
+        from repro.net.kernel.engine import CKPacket
+
         py = engine_classes("py")
         ck = engine_classes("c")
         assert ck.name == "c"
         assert ck._fields == py._fields
-        for field in ("Simulator", "Port", "Host", "SwitchNode",
-                      "NdpSource", "NdpSink", "PullPacer",
-                      "RotorLBAgent", "BulkSink", "Packet"):
-            c_cls, py_cls = getattr(ck, field), getattr(py, field)
+        pairs = [
+            (getattr(ck, field), getattr(py, field))
+            for field in ("Simulator", "Port", "Host", "SwitchNode",
+                          "NdpSource", "NdpSink", "PullPacer",
+                          "RotorLBAgent", "BulkSink")
+        ]
+        for c_cls, py_cls in (*pairs, (CKPacket, Packet)):
             assert c_cls is not py_cls
             assert issubclass(c_cls, py_cls)
             # One data layout, two method implementations.
             assert c_cls.__slots__ == ()
+        # Packets come from the compiled kernel's own free list.
+        assert ck.RotorLBAgent.acquire is _ckernel.acquire
+        assert ck.release is _ckernel.release
 
     @requires_c
     def test_auto_prefers_compiled(self):
@@ -611,8 +625,6 @@ class TestNativeQueues:
         source = net.hosts[0].sources[record.flow_id]
         assert type(source).__name__ == "CKNdpSource"
         assert type(source._rtx) is _ckernel.Fifo
-        assert type(source._acked) is _ckernel.SeqSet
-        assert type(net.hosts[31].sinks[record.flow_id]._received) is _ckernel.SeqSet
         assert type(net.pacers[31]._tokens) is _ckernel.Fifo
 
 
@@ -704,7 +716,7 @@ def tail_replay(kernel, ops):
             _, i, priority, size = op
             kind = PacketKind.ACK if priority is Priority.CONTROL else PacketKind.DATA
             out.append(
-                ports[i].enqueue(classes.Packet(1, kind, 0, 1, seq, size, priority))
+                ports[i].enqueue(packet_class(kernel)(1, kind, 0, 1, seq, size, priority))
             )
         else:
             out.append(sim.run(until_ps=sim.now + op[1]))
@@ -792,6 +804,7 @@ class TestNativeTails:
         # No __slots__ on the CK classes, no __dict__ or __weakref__ from
         # the tails; the slots they shadow stay allocated but unset.
         from repro.net.kernel import _ckernel
+        from repro.net.kernel.engine import CKPacket
         from repro.net.link import Port
         from repro.net.sim import Simulator
 
@@ -799,7 +812,7 @@ class TestNativeTails:
         for cls, tail, base in (
             (ck.Simulator, _ckernel.SimTail, Simulator),
             (ck.Port, _ckernel.PortTail, Port),
-            (ck.Packet, _ckernel.PacketTail, Packet),
+            (CKPacket, _ckernel.PacketTail, Packet),
         ):
             assert cls.__dict__["__slots__"] == () and "__slots__" not in tail.__dict__
             assert cls.__basicsize__ == tail.__basicsize__ > base.__basicsize__
@@ -810,7 +823,7 @@ class TestNativeTails:
             Port._busy_until.__get__(port)
         with pytest.raises(AttributeError):
             Simulator.now.__get__(sim)
-        packet = ck.Packet(1, PacketKind.DATA, 0, 1, 0, MTU_BYTES, Priority.BULK)
+        packet = CKPacket(1, PacketKind.DATA, 0, 1, 0, MTU_BYTES, Priority.BULK)
         with pytest.raises(AttributeError):
             Packet.seq.__get__(packet)
 
@@ -823,21 +836,6 @@ SALT_EDGES = (
     PacketKind.ACK.value, PacketKind.NACK.value, PacketKind.PULL.value,
 )
 
-#: A native sequence-set replay: adds and membership tests, mostly on few
-#: small values (so they repeat), some at the int64 ends (the ring's free
-#: marker among them) and some anywhere in int64.
-SEQ_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["add", "add", "in"]),
-        st.one_of(
-            st.integers(-3, 60),
-            st.sampled_from((-(2**63), -(2**63) + 1, 2**63 - 1, 2**61 - 1)),
-            st.integers(-(2**63), 2**63 - 1),
-        ),
-    ),
-    max_size=300,
-)
-
 #: A CKPacket's int64 fields, and those of them that also hold None.
 PACKET_INTS = ("flow_id", "src_host", "dst_host", "seq", "size_bytes", "salt", "hops")
 PACKET_NULLABLE = ("slice_stamp", "next_rack", "relay_to")
@@ -845,7 +843,7 @@ PACKET_NULLABLE = ("slice_stamp", "next_rack", "relay_to")
 
 @requires_c
 class TestNativePackets:
-    """Packets, salts and sequence sets under the compiled kernel."""
+    """Packets and salts under the compiled kernel."""
 
     def test_salt_is_the_tuple_hash(self):
         from repro.net.kernel import _ckernel
@@ -860,39 +858,11 @@ class TestNativePackets:
         for triple in triples:
             assert _ckernel.salt(*triple) == hash(triple) & 0x7FFFFFFF, triple
 
-    @given(SEQ_OPS)
-    @settings(max_examples=150, deadline=None)
-    def test_seq_set_replays_like_a_set(self, ops):
-        from repro.net.kernel._ckernel import SeqSet
-
-        def replay_on(seqs):
-            return [seqs.add(v) if op == "add" else v in seqs for op, v in ops]
-
-        assert replay_on(SeqSet()) == replay_on(set())
-
-    def test_seq_set_grows_and_takes_int64_ints_only(self):
-        from repro.net.kernel._ckernel import SeqSet
-
-        seqs, oracle = SeqSet(), set()
-        for seq in range(0, 30_000, 3):  # a flow's worth, past several growths
-            seqs.add(seq)
-            oracle.add(seq)
-        assert [s in seqs for s in range(-5, 30_005)] == [
-            s in oracle for s in range(-5, 30_005)
-        ]
-        with pytest.raises(TypeError, match="int"):
-            seqs.add(1.0)
-        with pytest.raises(TypeError, match="int"):
-            "1" in seqs
-        with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
-            seqs.add(2**63)
-        assert 2**63 not in seqs and -(2**63) not in seqs
-        seqs.add(-(2**63))
-        assert -(2**63) in seqs
-
     def test_packet_fields_take_int64_ints_only(self):
-        ck = engine_classes("c")
-        packet = ck.Packet(1, PacketKind.DATA, 0, 1, 0, MTU_BYTES, Priority.LOW_LATENCY)
+        from repro.net.kernel._ckernel import acquire
+        from repro.net.kernel.engine import CKPacket
+
+        packet = CKPacket(1, PacketKind.DATA, 0, 1, 0, MTU_BYTES, Priority.LOW_LATENCY)
         assert all(getattr(packet, name) is None for name in PACKET_NULLABLE)
         for name in (*PACKET_INTS, *PACKET_NULLABLE):
             with pytest.raises(TypeError, match=name):
@@ -923,10 +893,10 @@ class TestNativePackets:
         # acquire converts its arguments the same way, before it takes a
         # packet from the free list.
         with pytest.raises(TypeError, match="seq"):
-            ck.acquire(1, PacketKind.ACK, 0, 1, 0.5, 64, Priority.CONTROL)
+            acquire(1, PacketKind.ACK, 0, 1, 0.5, 64, Priority.CONTROL)
         with pytest.raises(OverflowError, match="REPRO_KERNEL=py"):
-            ck.acquire(1, PacketKind.ACK, 0, 1, 0, 64, Priority.CONTROL, next_rack=2**63)
-        fresh = ck.acquire(
+            acquire(1, PacketKind.ACK, 0, 1, 0, 64, Priority.CONTROL, next_rack=2**63)
+        fresh = acquire(
             2, PacketKind.DATA, 3, 4, 5, 64, Priority.BULK, slice_stamp=6, salt=7,
             relay_to=8,
         )
@@ -937,6 +907,8 @@ class TestNativePackets:
 
     def test_kernels_never_share_a_free_list(self, monkeypatch):
         from repro.net import packet as packet_mod
+        from repro.net.kernel._ckernel import acquire
+        from repro.net.kernel.engine import CKPacket
 
         ck = engine_classes("c")
         py = kernel_workload(monkeypatch, "py", kind="clos")
@@ -948,10 +920,10 @@ class TestNativePackets:
         assert all(a is b for a, b in zip(packet_mod._POOL, pooled))
         # Its own list holds only its own packets: drain it, and one more.
         drained = [
-            ck.acquire(1, PacketKind.ACK, 0, 1, 0, HEADER_BYTES, Priority.CONTROL)
+            acquire(1, PacketKind.ACK, 0, 1, 0, HEADER_BYTES, Priority.CONTROL)
             for _ in range(packet_mod._POOL_MAX + 1)
         ]
-        assert all(type(p) is ck.Packet for p in drained)
+        assert all(type(p) is CKPacket for p in drained)
         assert not {id(p) for p in drained} & {id(p) for p in pooled}
         # A release takes only the kernel's packets, once.
         with pytest.raises(TypeError, match="outside the compiled kernel's contract"):
@@ -959,7 +931,7 @@ class TestNativePackets:
         ck.release(drained[0])
         ck.release(drained[0])
         again = [
-            ck.acquire(1, PacketKind.ACK, 0, 1, 0, HEADER_BYTES, Priority.CONTROL)
+            acquire(1, PacketKind.ACK, 0, 1, 0, HEADER_BYTES, Priority.CONTROL)
             for _ in range(2)
         ]
         assert again[0] is drained[0] and again[1] is not drained[0]
@@ -1079,7 +1051,7 @@ def route_outcomes(kernel):
     outcomes = []
     for name, now, dst, salt, hops, stamp, prio in cases:
         sim.now = now
-        packet = classes.Packet(1, DATA, 0, dst, 0, 1500, prio, stamp, salt, hops)
+        packet = packet_class(kernel)(1, DATA, 0, dst, 0, 1500, prio, stamp, salt, hops)
         went = []
         for egress in (*hosts, *up):
             egress.enqueue = lambda p, _e=egress: went.append(_e.name)
@@ -1093,7 +1065,7 @@ def route_outcomes(kernel):
         outcomes.append((went, drops, relays, packet.hops, packet.slice_stamp))
     # The fallback replaces the table outright (the failure seam).
     stamped.fallback = lambda _switch, _packet: CONSUMED
-    packet = classes.Packet(1, DATA, 0, 0, 0, 1500, LL, None, 0, 0)
+    packet = packet_class(kernel)(1, DATA, 0, 0, 0, 1500, LL, None, 0, 0)
     switches["stamped"].receive_cb(packet)
     outcomes.append(("fallback", packet.hops, packet.slice_stamp, len(relayed)))
     return outcomes
@@ -1127,7 +1099,7 @@ def resolver_outcomes(kernel):
     times = [0, 9_900_000, 10_000_000, 15_000_000, 20_000_000, 25_900_000,
              26_000_000, 29_900_000, 30_000_000, 56_000_000]
     for seq, t in enumerate(times):
-        packet = classes.Packet(1, PacketKind.DATA, 0, 1, seq, 64, Priority.LOW_LATENCY)
+        packet = packet_class(kernel)(1, PacketKind.DATA, 0, 1, seq, 64, Priority.LOW_LATENCY)
         sim.at(t, port.enqueue, packet)
     sim.run()
     return sorted(arrivals), dark
@@ -1170,6 +1142,7 @@ def contract_world():
     """
     from test_rotorlb import agent_pair
 
+    from repro.net.kernel.engine import CKPacket
     from repro.net.node import RouteTable
     from repro.net.stats import FlowRecord, StatsCollector
 
@@ -1197,8 +1170,8 @@ def contract_world():
     switch.router = RouteTable(0, 2, (host.nic, host.nic), [()], bumps=[False])
     _agent_sim, (agent, _peer), _recorders = agent_pair("c")
     return types.SimpleNamespace(
-        ck=ck, sim=sim, far=far, host=host, source=source, sink=sink,
-        pacer=pacer, bulk=bulk, switch=switch, agent=agent,
+        ck=ck, Packet=CKPacket, sim=sim, far=far, host=host, source=source,
+        sink=sink, pacer=pacer, bulk=bulk, switch=switch, agent=agent,
     )
 
 
@@ -1219,7 +1192,7 @@ def swapped_heap(w, call):
 
 def double_endpoint(w):
     w.host.sinks[1] = Endpoint()
-    w.host.receive(w.ck.Packet(1, PacketKind.DATA, 1, 0, 0, MTU_BYTES, Priority.LOW_LATENCY))
+    w.host.receive(w.Packet(1, PacketKind.DATA, 1, 0, 0, MTU_BYTES, Priority.LOW_LATENCY))
 
 
 def subclassed_table(w):
@@ -1273,11 +1246,6 @@ OUTSIDE_CALLS = {
     ),
     "src_emit": lambda w: swapped_slot(
         w.source, "_send", w.host.send, lambda: w.source._emit(0)
-    ),
-    "seq_set": lambda w: swapped_slot(
-        w.sink, "_received", set(), lambda: w.sink.on_packet(
-            w.ck.Packet(1, PacketKind.DATA, 1, 0, 0, MTU_BYTES, Priority.LOW_LATENCY)
-        )
     ),
     "accept_relay": lambda w: w.agent.accept_relay(object()),
     "bulk_sink_on_packet": lambda w: w.bulk.on_packet(object()),
@@ -1335,7 +1303,7 @@ class TestKernelContract:
         w = contract_world()
         w.source.start()
         w.sim.run()
-        w.host.receive(w.ck.Packet(1, PacketKind.DATA, 1, 0, 0, MTU_BYTES, Priority.LOW_LATENCY))
+        w.host.receive(w.Packet(1, PacketKind.DATA, 1, 0, 0, MTU_BYTES, Priority.LOW_LATENCY))
         w.sim.run()
         assert w.far.got and w.host.nic.stats.sent_packets > 12
         assert w.sink.record.delivered_bytes == MTU_BYTES - HEADER_BYTES
@@ -1355,7 +1323,7 @@ class TestKernelContract:
         with pytest.raises(AttributeError, match=slot):
             for seq in range(3):
                 port.enqueue(
-                    w.ck.Packet(1, PacketKind.DATA, 0, 1, seq, MTU_BYTES, Priority.LOW_LATENCY)
+                    w.Packet(1, PacketKind.DATA, 0, 1, seq, MTU_BYTES, Priority.LOW_LATENCY)
                 )
 
     def test_entry_points_raise_before_init(self):

@@ -19,17 +19,27 @@ import pytest
 
 from repro.core.timing import PS_PER_S
 from repro.net.kernel import compiled_available, engine_classes
-from repro.net.packet import HEADER_BYTES, MTU_BYTES, PacketKind, Priority
+from repro.net.packet import HEADER_BYTES, MTU_BYTES, Packet, PacketKind, Priority
 
 SER_MTU = 1_200_000  # 1500 B at 10 Gb/s
 SER_HDR = 51_200  # 64 B at 10 Gb/s
 PROP = 500_000
 
 
+def packet_class(kernel):
+    """The packet class ``kernel``'s engine takes: the oracle's ``Packet``,
+    or the compiled kernel's own ``CKPacket``."""
+    if engine_classes(kernel).name == "c":
+        from repro.net.kernel.engine import CKPacket
+
+        return CKPacket
+    return Packet
+
+
 def make_packet(seq=0, size=MTU_BYTES, priority=Priority.LOW_LATENCY,
                 kind=PacketKind.DATA, kernel="py"):
     """A packet of ``kernel``'s class (the compiled kernel takes only its own)."""
-    return engine_classes(kernel).Packet(
+    return packet_class(kernel)(
         flow_id=1,
         kind=kind,
         src_host=0,

@@ -90,8 +90,9 @@ def bulk_flow(flow_id, src, dst, size):
 
 
 def bulk_packet(kernel, flow_id, dst, seq, size, next_rack=None, relay_to=None):
-    """A bulk packet from ``kernel``'s free list."""
-    return engine_classes(kernel).acquire(
+    """A bulk packet from ``kernel``'s free list, made as the agent's slice
+    step makes its packets."""
+    return engine_classes(kernel).RotorLBAgent.acquire(
         flow_id, PacketKind.DATA, 0, dst, seq, size, Priority.BULK,
         next_rack=next_rack, relay_to=relay_to,
     )
