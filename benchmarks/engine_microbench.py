@@ -40,7 +40,8 @@ attributable to specific code.
 Further phases feed the artifact. Each subsystem price runs one
 unrecorded warm-up per side, then :data:`PRICE_PAIRS` off/armed pairs in
 alternating order, and records every sample, the best and the spread
-per side (:func:`price_pairs`), with a deterministic check on every
+per side, and whether the gap between the bests exceeds both spreads
+(``resolved``; :func:`price_pairs`), with a deterministic check on every
 pair:
 
 * ``--sharded SCALE:W1[,W2...]`` — the sharded fig07 grid through the
@@ -337,8 +338,10 @@ def run_profile(top_n: int) -> None:
 
 # ------------------------------------------------------------ subsystem prices
 
-#: Off/armed pairs behind every subsystem price.
-PRICE_PAIRS = 3
+#: Off/armed pairs behind every subsystem price. Three pairs of the
+#: opera cell (about 0.2 s) or of one ci sweep spread wider than the
+#: few-percent prices they printed.
+PRICE_PAIRS = 7
 
 
 def price_pairs(run_off, run_armed, what: str, pairs: int = PRICE_PAIRS) -> dict:
@@ -352,7 +355,8 @@ def price_pairs(run_off, run_armed, what: str, pairs: int = PRICE_PAIRS) -> dict
     observables must be equal — the subsystem must not perturb what it
     observes — or the bench aborts naming ``what``. Returns every sample,
     the best and the spread per side, and ``ratio`` as armed best over
-    off best.
+    off best. The price is ``resolved`` only when the gap between the
+    bests exceeds each side's spread; otherwise the ratio is noise.
     """
     runs = {"off": run_off, "armed": run_armed}
     for run in runs.values():
@@ -376,6 +380,8 @@ def price_pairs(run_off, run_armed, what: str, pairs: int = PRICE_PAIRS) -> dict
             "spread_s": round(max(walls) - min(walls), 4),
         }
     record["ratio"] = round(min(samples["armed"]) / min(samples["off"]), 4)
+    price = abs(record["armed"]["best_s"] - record["off"]["best_s"])
+    record["resolved"] = all(record[side]["spread_s"] < price for side in samples)
     return record
 
 
@@ -384,7 +390,9 @@ def _price_row(label: str, record: dict, note: str) -> str:
     return (
         f"{label}: best {armed['best_s']:.3f} s (spread "
         f"{armed['spread_s']:.3f}) vs {off['best_s']:.3f} s off (spread "
-        f"{off['spread_s']:.3f}) = {record['ratio']:.3f}x ({note})"
+        f"{off['spread_s']:.3f}) = {record['ratio']:.3f}x ({note}"
+        + ("" if record["resolved"] else "; unresolved: a spread exceeds the price")
+        + ")"
     )
 
 

@@ -42,7 +42,18 @@ the sift. So ``CKSimulator`` keeps a native ``_ckernel.EventHeap`` in its
 ``_heap`` slot: a binary heap of ``{int64 time, int64 seq, callback,
 args}`` structs that also owns the sequence counter. Keys are unique, so
 it dispatches in the oracle's ``(time, seq)`` order bit for bit, and its
-``len()`` keeps ``pending`` identical. What stays shared: the
+``len()`` keeps ``pending`` identical. A pop walks the hole down
+without data-dependent branches (the earlier child is picked
+arithmetically, and the right child needs no bounds check because the
+slot the pop vacates still holds the entry being sifted), and the run
+loop calls the four handlers that carry
+almost every event — a compiled port's ``_kick``, a compiled host's
+``receive``, a compiled pacer's ``_tick`` and a switch's fused dispatch —
+as C functions, not through ``PyObject_Call``. Each keeps its own
+contract checks; every other callback is called as before. In the
+``clos@0.25`` profile the pop's unpredictable child branch and the
+call frames (bound method, vectorcall, cfunction) had become the
+largest costs of the run loop itself. What stays shared: the
 simulator's counter slots, the callbacks and their args tuples. Python
 code that schedules onto a compiled simulator (the seams below) goes
 through ``sim.at`` / ``sim.after``, never ``heapq``; the oracle's

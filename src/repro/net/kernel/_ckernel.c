@@ -34,11 +34,22 @@
  * of the fig07 Clos cell put 35% of engine time in unboxing the heap
  * tuples' ints (PyLong_AsLongLong) and 11% in the sift itself. Order is
  * the total order on (time, seq) — keys are unique, so any correct heap
- * dispatches exactly as heapq does. What stays shared with the oracle:
- * the simulator's counters, the ports' other slots, the callbacks and
- * their args tuples. Python code that schedules onto a
+ * dispatches exactly as heapq does. A pop walks the hole down without
+ * data-dependent branches: the earlier child is picked arithmetically,
+ * and the right child needs no bounds check, because the slot the pop
+ * vacates still holds the entry being sifted (eh_pop). What stays shared
+ * with the oracle: the simulator's counters, the ports' other slots, the
+ * callbacks and their args tuples. Python code that schedules onto a
  * compiled simulator goes through sim.at / sim.after, never through
  * heapq.
+ *
+ * The run loop calls the four handlers that carry almost every event
+ * directly: a compiled port's bound _kick, a compiled host's bound
+ * receive, a compiled pacer's bound _tick and a switch's fused dispatch
+ * (call_event). Each checks its own contract as it would through a call;
+ * every other callback (Python functions, slice-boundary closures,
+ * _undeliv_cb, failure closures) and a handler scheduled with another
+ * arity go through PyObject_Call.
  *
  * The native tails: init() derives SimTail from Simulator and PortTail
  * from Port (see the native-tails section), and CKSimulator and CKPort
@@ -245,10 +256,11 @@ static PyTypeObject *t_route_table, *t_slice_resolver;
 static PyTypeObject *t_record, *t_collector, *t_ckagent, *t_bulkflow,
     *t_ckbulksink, *t_deque;
 
-/* The PyCFunction behind the exported `enqueue` instancemethod — lets the
- * NDP send path recognise `ckport.enqueue` bound methods and call the C
- * implementation without going through the method object. */
-static PyObject *g_cf_enqueue;
+/* The PyCFunctions behind exported instancemethods, kept to recognise
+ * their bound methods and call the C implementation without going through
+ * the method object: `enqueue` for the NDP send path, and the `_kick`,
+ * `receive` and pacer `_tick` events for the run loop. */
+static PyObject *g_cf_enqueue, *g_cf_kick, *g_cf_receive, *g_cf_pacer_tick;
 
 /* Interned names: the duck-typed delivery and egress calls, and
  * PacketKind's `value`. */
@@ -503,6 +515,13 @@ eh_push(EventHeap *h, long long time, long long seq, PyObject *cb,
     return 0;
 }
 
+/* ev_before without short-circuit branches: 1 when a precedes b. */
+static inline Py_ssize_t
+ev_precedes(const Event *a, const Event *b)
+{
+    return (a->time < b->time) | ((a->time == b->time) & (a->seq < b->seq));
+}
+
 /* Pop the earliest event into *out, whose references pass to the
  * caller. The heap must be non-empty. */
 static void
@@ -517,10 +536,14 @@ eh_pop(EventHeap *h, Event *out)
         return;
     last = h->ev[end];
     /* heapq's _siftup: walk the hole down to a leaf along the earlier
-     * child, then sift the former last entry up from there. */
+     * child, then sift the former last entry up from there. The child is
+     * picked arithmetically, since the branch would be a coin flip, and
+     * the right child needs no bounds check: at `end` it is the vacated
+     * slot (below cap), which still holds `last`. A hole that steps onto
+     * it leaves `last` in its parent, the slot that sifting `last` up
+     * from the left child would give it, so the heap is the same. */
     while (child < end) {
-        if (child + 1 < end && !ev_before(&h->ev[child], &h->ev[child + 1]))
-            child += 1;
+        child += ev_precedes(&h->ev[child + 1], &h->ev[child]);
         h->ev[pos] = h->ev[child];
         pos = child;
         child = 2 * pos + 1;
@@ -1554,6 +1577,39 @@ c_sim_after(PyObject *Py_UNUSED(mod), PyObject *const *args, Py_ssize_t nargs)
 
 /* -------------------------------------------------------------------- run */
 
+static PyObject *c_port_kick(PyObject *, PyObject *const *, Py_ssize_t);
+static PyObject *c_host_receive(PyObject *, PyObject *const *, Py_ssize_t);
+static PyObject *c_pacer_tick(PyObject *, PyObject *const *, Py_ssize_t);
+static PyObject *c_dispatch(PyObject *ctx, PyObject *packet);
+static PyMethodDef dispatch_def;
+
+/* cb(*args) for one event. The handlers that carry almost every event, a
+ * bound compiled kick, host receive or pacer tick and a switch's fused
+ * dispatch, are called directly when the arity is theirs; each checks
+ * its own contract, as through the call. Anything else goes through
+ * PyObject_Call. */
+static inline PyObject *
+call_event(PyObject *cb, PyObject *args)
+{
+    Py_ssize_t n = PyTuple_GET_SIZE(args);
+    if (Py_IS_TYPE(cb, &PyMethod_Type)) {
+        PyObject *f = PyMethod_GET_FUNCTION(cb);
+        PyObject *argv[2] = {PyMethod_GET_SELF(cb), NULL};
+        if (n == 0 && f == g_cf_kick)
+            return c_port_kick(NULL, argv, 1);
+        if (n == 0 && f == g_cf_pacer_tick)
+            return c_pacer_tick(NULL, argv, 1);
+        if (n == 1 && f == g_cf_receive) {
+            argv[1] = PyTuple_GET_ITEM(args, 0);
+            return c_host_receive(NULL, argv, 2);
+        }
+    }
+    else if (n == 1 && Py_IS_TYPE(cb, &PyCFunction_Type) &&
+             ((PyCFunctionObject *)cb)->m_ml == &dispatch_def)
+        return c_dispatch(PyCFunction_GET_SELF(cb), PyTuple_GET_ITEM(args, 0));
+    return PyObject_Call(cb, args, NULL);
+}
+
 static PyObject *
 c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
 {
@@ -1589,7 +1645,7 @@ c_sim_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwds)
             break;
         eh_pop(h, &e);
         clock->now = e.time;
-        r = PyObject_Call(e.cb, e.args, NULL);
+        r = call_event(e.cb, e.args);
         Py_DECREF(e.cb);
         Py_DECREF(e.args);
         if (r == NULL)
@@ -4406,13 +4462,13 @@ PyInit__ckernel(void)
         add_instancemethod(m, &m_after, NULL) < 0 ||
         add_instancemethod(m, &m_run, NULL) < 0 ||
         add_instancemethod(m, &m_enqueue, &g_cf_enqueue) < 0 ||
-        add_instancemethod(m, &m_kick, NULL) < 0 ||
-        add_instancemethod(m, &m_receive, NULL) < 0 ||
+        add_instancemethod(m, &m_kick, &g_cf_kick) < 0 ||
+        add_instancemethod(m, &m_receive, &g_cf_receive) < 0 ||
         add_instancemethod(m, &m_src_emit, NULL) < 0 ||
         add_instancemethod(m, &m_src_on_packet, NULL) < 0 ||
         add_instancemethod(m, &m_sink_on_packet, NULL) < 0 ||
         add_instancemethod(m, &m_sink_emit_pull, NULL) < 0 ||
-        add_instancemethod(m, &m_pacer_tick, NULL) < 0 ||
+        add_instancemethod(m, &m_pacer_tick, &g_cf_pacer_tick) < 0 ||
         add_instancemethod(m, &m_agent_on_slice, NULL) < 0 ||
         add_instancemethod(m, &m_agent_accept_relay, NULL) < 0 ||
         add_instancemethod(m, &m_bulk_sink_on_packet, NULL) < 0)

@@ -330,6 +330,191 @@ class TestKernelCascades:
         assert sim_cls.run is not engine_classes("py").Simulator.run
 
 
+#: Cuts through a handler cascade: horizons and budgets inside its storm.
+HANDLER_DRAINS = (
+    dict(until_ps=6_000_000, max_events=150),
+    dict(until_ps=12_000_000),
+    dict(max_events=400),
+    dict(),
+)
+
+#: Packet kinds a handler cascade delivers to the host, and their sizes
+#: and priorities.
+HOST_KINDS = {
+    PacketKind.DATA: (MTU_BYTES, Priority.LOW_LATENCY),
+    PacketKind.HEADER: (HEADER_BYTES, Priority.CONTROL),
+    PacketKind.ACK: (HEADER_BYTES, Priority.CONTROL),
+    PacketKind.NACK: (HEADER_BYTES, Priority.CONTROL),
+    PacketKind.PULL: (HEADER_BYTES, Priority.CONTROL),
+}
+
+
+def handler_cascade(kernel, seed):
+    """Seeded storm of Python callbacks and the engine's own handlers.
+
+    The callbacks schedule, among themselves, ports' kicks, the host's
+    ``receive``, the switch's ``receive_cb`` and the pacer's tick (which
+    the compiled run loop calls directly), at equal times and zero
+    delays, and enqueue bursts after which the ports schedule their own
+    kicks and deliveries. More than 64 events are pending before the
+    first run. Returns what both kernels must agree on, and that peak.
+    """
+    from repro.net.node import RouteTable
+    from repro.net.stats import FlowRecord, StatsCollector
+
+    classes = engine_classes(kernel)
+    make = packet_class(kernel)
+    sim = classes.Simulator()
+    rng = random.Random(seed)
+    trace = []
+
+    class Far:
+        def receive_cb(self, packet):
+            trace.append((sim.now, "far", packet.kind.value, packet.seq))
+
+    far = Far()
+    host = classes.Host(sim, 0, 0)
+    host.nic = classes.Port(sim, "nic", target=far)
+    stats = StatsCollector()
+    record = stats.flow_started(FlowRecord(1, 0, 1, 100_000, "ll", 0))
+    pacer = classes.PullPacer(sim, host, 10_000_000_000)
+    source = classes.NdpSource(sim, host, record)
+    sink = classes.NdpSink(sim, host, record, host, pacer, stats, source)
+    switch = classes.SwitchNode(sim, "s")
+    ports = {
+        "nic": host.nic,
+        "far": classes.Port(sim, "far", target=far),
+        "host": classes.Port(sim, "host", target=host),
+        "switch": classes.Port(sim, "switch", target=switch),
+    }
+    switch.router = RouteTable(
+        0, 2, (ports["far"], ports["host"]), [()], bumps=[False]
+    )
+
+    def packet(kind=PacketKind.DATA):
+        size, priority = HOST_KINDS[kind]
+        flow = rng.choice((1, 1, 1, 2))  # flow 2 has no endpoint: dropped
+        return make(flow, kind, 0, rng.randrange(2), rng.randrange(70), size, priority)
+
+    def burst(port, n):
+        trace.append((sim.now, "burst", port.name, n))
+        for _ in range(n):
+            port.enqueue(packet())
+
+    def handler_event(at):
+        pick = rng.randrange(5)
+        if pick == 0:
+            sim.at(at, burst, ports[rng.choice(("nic", "host", "switch"))], rng.randrange(1, 12))
+        elif pick == 1:
+            sim.at(at, ports[rng.choice(sorted(ports))]._kick_cb)
+        elif pick == 2:
+            sim.at(at, host.receive_cb, packet(rng.choice(list(HOST_KINDS))))
+        elif pick == 3:
+            sim.at(at, switch.receive_cb, packet())
+        else:
+            sim.at(at, pacer._tick_cb)
+
+    def fire(tag):
+        trace.append((sim.now, tag))
+        for i in range(rng.choices((0, 1, 2, 3), weights=(2, 3, 3, 3))[0]):
+            at = sim.now + rng.choice((0, rng.randrange(1, 2_000), rng.randrange(1, 3_000_000)))
+            if rng.random() < 0.5:
+                sim.at(at, fire, f"{tag}.{i}")
+            else:
+                handler_event(at)
+
+    source.start()
+    for i in range(100):
+        at = rng.randrange(0, 20) * 1_000_000  # many equal times
+        if i % 2:
+            handler_event(at)
+        else:
+            sim.at(at, fire, str(i))
+    peak = sim.pending
+    for chunk in HANDLER_DRAINS:
+        sim.run(**chunk)
+    counters = {
+        name: (
+            p.stats.sent_packets,
+            p.stats.sent_bytes,
+            p.stats.trimmed,
+            p.stats.dropped_control,
+            p.stats.dropped_bulk,
+            p.stats.undeliverable,
+        )
+        for name, p in ports.items()
+    }
+    state = (
+        tuple(trace),
+        sim.now,
+        sim.events_processed,
+        sim.pending,
+        counters,
+        host.dropped,
+        switch.drops,
+        record.delivered_bytes,
+        record.retransmissions,
+        sink._pull_seq,
+    )
+    return state, peak
+
+
+@requires_c
+class TestDirectDispatch:
+    """The run loop's direct calls to the kernel's own handlers."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_handler_cascade_identical_across_kernels(self, seed):
+        (c, peak), (py, _peak) = handler_cascade("c", seed), handler_cascade("py", seed)
+        assert c == py
+        trace, _now, events, pending, counters, dropped, _drops, delivered, _rtx, pulls = c
+        assert peak > 64 and pending == 0 and events > len(trace)
+        # Every handler carried events: kicks and deliveries on each port,
+        # host receives into the sink and into the drop count, switch
+        # forwards to the far port, pacer ticks into PULLs.
+        assert all(sent for sent, *_ in counters.values())
+        assert counters["nic"][2] or counters["host"][2]  # a burst was trimmed
+        assert dropped and delivered and pulls
+
+    def test_handlers_outside_the_contract_raise_from_run(self):
+        # The direct calls keep each handler's own checks: a compiled
+        # handler bound to an oracle object, a non-packet to a dispatch,
+        # or the wrong number of arguments raises what the call raised
+        # through PyObject_Call, and run stops there uncounted.
+        contract = "outside the compiled kernel's contract.*REPRO_KERNEL=py"
+        w = contract_world()
+        ck, py = w.ck, engine_classes("py")
+        py_sim = py.Simulator()
+        py_host = py.Host(py_sim, 0, 0)
+        py_port = py.Port(py_sim, "p", target=w.far)
+        py_pacer = py.PullPacer(py_sim, py_host, 10_000_000_000)
+        data = w.Packet(1, PacketKind.DATA, 1, 0, 0, MTU_BYTES, Priority.LOW_LATENCY)
+        cases = [
+            (types.MethodType(ck.Port._kick, py_port), (), contract),
+            (types.MethodType(ck.Host.receive, py_host), (data,), contract),
+            (types.MethodType(ck.PullPacer._tick, py_pacer), (), contract),
+            (w.switch.receive_cb, (object(),), contract),
+            (w.host.nic._kick_cb, (1,), r"_kick\(\) takes \(self\)"),
+            (w.host.receive_cb, (), r"receive\(\) takes \(self, packet\)"),
+            (w.pacer._tick_cb, (1,), r"_tick\(\) takes \(self\)"),
+            (w.switch.receive_cb, (), r"takes exactly one argument \(0 given\)"),
+            (w.switch.receive_cb, (data, data), r"takes exactly one argument \(2 given\)"),
+        ]
+        seen = []
+        for cb, args, message in cases:
+            before = w.sim.events_processed
+            w.sim.at(w.sim.now + 1, seen.append, "before")
+            w.sim.at(w.sim.now + 2, cb, *args)
+            w.sim.at(w.sim.now + 3, seen.append, "after")
+            with pytest.raises(TypeError, match=message):
+                w.sim.run()
+            assert w.sim.events_processed == before and w.sim.pending == 1
+            w.sim.run()
+            assert w.sim.events_processed == before + 1
+        assert seen == ["before", "after"] * len(cases)
+        assert w.far.got == [] and w.host.dropped == 0 and w.sink._pull_seq == 0
+
+
 @requires_c
 class TestKernelPacketDifferential:
     """Full packet workloads: c == py observable-by-observable."""

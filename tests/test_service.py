@@ -430,7 +430,17 @@ class TestServiceEndToEnd:
             finally:
                 _reap(*workers)
             assert not errors, errors
-            status = fetch_status(coord.address, secret=SECRET)
+            # The coordinator serves a snapshot it rebuilds at most every
+            # status_refresh_s, so one taken before the jobs ended can
+            # still be served under load: poll until it lists both ended.
+            deadline = time.monotonic() + 30
+            while True:
+                status = fetch_status(coord.address, secret=SECRET)
+                states = {j["state"] for j in status["jobs"]}
+                ended = len(status["jobs"]) == 2 and not states & {"queued", "running"}
+                if ended or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
         assert {j["source"] for j in status["jobs"]} == {"remote"}
         assert len(status["jobs"]) == 2
         assert all(j["state"] == "done" for j in status["jobs"])
